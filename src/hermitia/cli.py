@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 domain error.
 Reports are JSON by default (complex numbers as {"re": .., "im": ..} pairs)
 or CSV with --format csv.  Every report embeds the tool version, an echo of
 the parsed configuration, and the seed.  The HERMITIA_THREADS environment
-variable caps worker-thread counts of the numerical backends.
+variable caps worker-thread counts of the numerical backends (applied when
+the package is imported; see hermitia/__init__.py).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 import numpy as np
@@ -27,14 +27,6 @@ from . import hopf as HO
 from . import metric as M
 from . import positivity as P
 from . import structure as ST
-
-
-def _cap_threads():
-    cap = os.environ.get("HERMITIA_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 # -- serialization ----------------------------------------------------------
@@ -404,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _cap_threads()
     ap = build_parser()
     try:
         args = ap.parse_args(argv)

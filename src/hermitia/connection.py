@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import OrderExhaustedError, StructuralError
 from .jets import Jet, constant, truncate, wirtinger
-from .metric import MetricJet
+from .metric import MetricJet, per_point
 
 __all__ = ["ChristoffelTable", "levi_civita", "chern", "bismut"]
 
@@ -93,6 +93,7 @@ class ChristoffelTable:
         return out
 
 
+@per_point
 def levi_civita(mj: MetricJet) -> ChristoffelTable:
     """Gamma_{AB}^C = (1/2) H^{CE} (d_B H_{AE} + d_A H_{BE} - d_E H_{AB})."""
     if mj.order < 1:

@@ -13,8 +13,8 @@ import numpy as np
 
 from .connection import ChristoffelTable, bismut, chern, levi_civita
 from .errors import OrderExhaustedError, StructuralError
-from .jets import Jet, truncate, wirtinger
-from .metric import MetricJet
+from .jets import Jet, wirtinger
+from .metric import MetricJet, derivative_tables, per_point
 
 __all__ = [
     "CurvatureTensor",
@@ -81,64 +81,58 @@ def _require_order(mj: MetricJet, k: int):
         raise OrderExhaustedError(f"metric jet order must be >= {k}")
 
 
-def lc_curvature_full(mj: MetricJet) -> np.ndarray:
-    """Pointwise complexified curvature R_{ABCD} for all 2n-range indices.
+@per_point
+def _lc_point_tables(mj: MetricJet):
+    """Gamma_{AB}^C and dGamma[E, A, B, C] = dGamma_{AB}^C/dz^E at the
+    point, shared by the Levi-Civita and induced curvature tensors."""
+    _require_order(mj, 2)
+    lc = levi_civita(mj)
+    return lc.const_table(), lc.dconst_table()
+
+
+def _riemann(mj: MetricJet, m: int) -> np.ndarray:
+    """Pointwise R_{ABCD} for all 2n-range indices from
 
     R_{ABC}^D = -(dGamma_{AC}^D/dz^B - dGamma_{BC}^D/dz^A
                   + Gamma_{AC}^F Gamma_{FB}^D - Gamma_{BC}^F Gamma_{AF}^D),
-    then lowered with H_{DE}.
+
+    the intermediate index F running over the first m directions, then
+    lowered with H_{DE}.
     """
-    _require_order(mj, 2)
     n = mj.n
-    lc = levi_civita(mj)
-    g = lc.const_table()            # Gamma_{AB}^C
-    dg = lc.dconst_table()          # dg[E, A, B, C]
-    R_up = np.zeros((2 * n,) * 4, dtype=complex)
-    for A in range(2 * n):
-        for B in range(2 * n):
-            for C in range(2 * n):
-                for D in range(2 * n):
-                    val = dg[B, A, C, D] - dg[A, B, C, D]
-                    val += np.dot(g[A, C, :], g[:, B, D])
-                    val -= np.dot(g[B, C, :], g[A, :, D])
-                    R_up[A, B, C, D] = -val
-    # lower the last index with H_{DE}
+    g, dg = _lc_point_tables(mj)
+    gf = g[:, :, :m]
+    r_up = (dg - dg.transpose(1, 0, 2, 3)
+            - np.einsum("acf,fbd->abcd", gf, g[:m])
+            + np.einsum("bcf,afd->abcd", gf, g[:, :m]))
     H = np.zeros((2 * n, 2 * n), dtype=complex)
     h0 = mj.h_at0()
     H[:n, n:] = h0
     H[n:, :n] = h0.T
-    return np.einsum("abcs,sd->abcd", R_up, H)
+    return np.einsum("abcs,sd->abcd", r_up, H)
 
 
+@per_point
+def lc_curvature_full(mj: MetricJet) -> np.ndarray:
+    """Pointwise complexified curvature R_{ABCD} for all 2n-range indices."""
+    return _riemann(mj, 2 * mj.n)
+
+
+@per_point
 def curvature_lc(mj: MetricJet) -> CurvatureTensor:
-    full = lc_curvature_full(mj)
     n = mj.n
-    comp = full[:n, n:, :n, n:]
-    return CurvatureTensor(kind="LeviCivita", n=n, components=comp,
+    return CurvatureTensor(kind="LeviCivita", n=n,
+                           components=lc_curvature_full(mj)[:n, n:, :n, n:],
                            point=mj.point)
 
 
+@per_point
 def curvature_induced(mj: MetricJet) -> CurvatureTensor:
     """Curvature of the projection of the Levi-Civita connection onto the
     holomorphic tangent bundle: only unbarred intermediate indices survive."""
-    _require_order(mj, 2)
     n = mj.n
-    lc = levi_civita(mj)
-    g = lc.const_table()
-    dg = lc.dconst_table()
-    h0 = mj.h_at0()
-    comp = np.zeros((n, n, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            jb = n + j
-            for k in range(n):
-                for s in range(n):
-                    val = dg[jb, i, k, s] - dg[i, jb, k, s]
-                    val += np.dot(g[i, k, :n], g[:n, jb, s])
-                    val -= np.dot(g[jb, k, :n], g[i, :n, s])
-                    for l in range(n):
-                        comp[i, j, k, l] += -val * h0[s, l]
-    return CurvatureTensor(kind="Induced", n=n, components=comp,
+    return CurvatureTensor(kind="Induced", n=n,
+                           components=_riemann(mj, n)[:n, n:, :n, n:],
                            point=mj.point)
 
 
@@ -167,6 +161,7 @@ def bundle_curvature(table: ChristoffelTable, mj: MetricJet,
     return np.einsum("ijab,bl->ijal", Rup, h0)
 
 
+@per_point
 def curvature_chern(mj: MetricJet) -> CurvatureTensor:
     _require_order(mj, 2)
     comp = bundle_curvature(chern(mj), mj)
@@ -174,6 +169,7 @@ def curvature_chern(mj: MetricJet) -> CurvatureTensor:
                            point=mj.point)
 
 
+@per_point
 def curvature_bismut(mj: MetricJet) -> CurvatureTensor:
     _require_order(mj, 2)
     comp = bundle_curvature(bismut(mj), mj)
@@ -212,6 +208,7 @@ def ricci(t: CurvatureTensor, mj: MetricJet, flavor: str) -> RicciMatrix:
                        point=t.point)
 
 
+@per_point
 def complexified_ricci(mj: MetricJet) -> RicciMatrix:
     """R_{k lbar} = h^{i jbar} (R_{k jbar i lbar} + R_{k i jbar lbar})."""
     n = mj.n
@@ -311,31 +308,12 @@ def scalars(mj: MetricJet) -> ScalarReport:
 # -- normal-point direct-formula suite -------------------------------------
 
 
-def _derivative_tables(mj: MetricJet):
-    """(d1, db1, d2): d1[k,i,j] = dh_{i jbar}/dz^k, db1[k,i,j] the zbar^k
-    derivative, d2[i,j,k,l] = d2 h_{k lbar}/dz^i dzbar^j, all at the point."""
-    n = mj.n
-    d1 = np.zeros((n, n, n), dtype=complex)
-    db1 = np.zeros((n, n, n), dtype=complex)
-    d2 = np.zeros((n, n, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            jet = mj.h[i][j]
-            for k in range(n):
-                d1[k, i, j] = wirtinger(jet, "holo", k).const
-                db1[k, i, j] = wirtinger(jet, "antiholo", k).const
-                for l in range(n):
-                    d2[k, l, i, j] = wirtinger(
-                        wirtinger(jet, "holo", k), "antiholo", l).const
-    return d1, db1, d2
-
-
 def _require_normal_point(mj: MetricJet, tol: float = 1e-12):
     n = mj.n
     h0 = mj.h_at0()
     if np.max(np.abs(h0 - np.eye(n))) > tol:
         raise StructuralError("normal-point suite needs h(0) = identity")
-    d1, _, _ = _derivative_tables(mj)
+    d1 = derivative_tables(mj)[0]
     gam = d1 + np.transpose(d1, (1, 0, 2))
     if np.max(np.abs(gam)) > tol:
         raise StructuralError(
@@ -399,9 +377,10 @@ def normal_point_suite(mj: MetricJet, balanced: bool = False,
     a point with h = identity and vanishing symmetrized Christoffels,
     against the jet pipeline.  With ``balanced``/``skt`` set, also checks
     the constrained Ricci formulas valid under those trace conditions."""
+    _require_order(mj, 2)
     _require_normal_point(mj)
     n = mj.n
-    d1, db1, d2 = _derivative_tables(mj)
+    d1, db1, d2 = derivative_tables(mj)
 
     r11 = curvature_lc(mj).components
     rhat = curvature_induced(mj).components

@@ -59,7 +59,6 @@ class FlowHalt(Exception):
 @dataclass(frozen=True)
 class FlowConfig:
     dt: float | None = None  # None: 0.1 * dx^2 * min eigenvalue of h
-    order: int = 4           # spatial stencil order (only 4 supported)
     cadence: int = 1         # diagnostics every `cadence` steps
 
 

@@ -7,10 +7,9 @@ connection.  All first-order operators act at jet level, so compositions
 (commutator identities) are exact up to the available jet order.
 
 The pointwise inner product is the determinant pairing
-  < dz^I ^ dzbar^J, dz^K ^ dzbar^L > =
-      GRAM_SLOT_FACTOR^(p+q) det(h^{i kbar}) conj(det(h^{j lbar}))
-and algebraic operators get their stars as exact matrix adjoints with
-respect to it.  GRAM_SLOT_FACTOR = 1 is the normalization under which the
+  < dz^I ^ dzbar^J, dz^K ^ dzbar^L > = det(h^{i kbar}) conj(det(h^{j lbar}))
+with no per-degree factor, and algebraic operators get their stars as exact
+matrix adjoints with respect to it.  This is the normalization under which the
 commutator identities close (see docs/conventions.md).
 """
 
@@ -32,7 +31,6 @@ from .metric import MetricJet
 __all__ = [
     "FormJet",
     "ConnectionJet",
-    "GRAM_SLOT_FACTOR",
     "zero_form",
     "form_from_scalar",
     "random_form",
@@ -77,8 +75,6 @@ __all__ = [
     "bundle_identity_suite",
     "second_hermitian_ricci",
 ]
-
-GRAM_SLOT_FACTOR = 1.0
 
 
 @lru_cache(maxsize=None)
@@ -388,24 +384,11 @@ def dbar(phi: FormJet) -> FormJet:
     return out
 
 
-_LC_CACHE: dict = {}
-
-
-def _lc(mj: MetricJet):
-    key = id(mj)
-    hit = _LC_CACHE.get(key)
-    if hit is not None and hit[0] is mj:
-        return hit[1]
-    table = levi_civita(mj)
-    _LC_CACHE[key] = (mj, table)
-    return table
-
-
 def nabla_holo(phi: FormJet, i: int, conn: "ConnectionJet | None" = None):
     """Type-preserving covariant derivative in direction z^i (the (1,0)-part
     connection on the bundle of (p,q)-forms, plus a fiber connection)."""
     n = phi.n
-    lc = _lc(phi.mj)
+    lc = levi_civita(phi.mj)
     out = _dcoeffs(phi, "holo", i)
     idx_p = _combo_index(n, phi.p)
     idx_q = _combo_index(n, phi.q)
@@ -456,7 +439,7 @@ def nabla_holo(phi: FormJet, i: int, conn: "ConnectionJet | None" = None):
 def nabla_anti(phi: FormJet, j: int, conn: "ConnectionJet | None" = None):
     """Type-preserving covariant derivative in direction zbar^j."""
     n = phi.n
-    lc = _lc(phi.mj)
+    lc = levi_civita(phi.mj)
     out = _dcoeffs(phi, "antiholo", j)
     idx_p = _combo_index(n, phi.p)
     idx_q = _combo_index(n, phi.q)
@@ -580,7 +563,7 @@ def lambda_op(phi: FormJet) -> FormJet:
 def c_op(phi: FormJet) -> FormJet:
     """Multiplication by the torsion (1,0)-form 2 Gamma_{j lbar}^{lbar} dz^j."""
     mj = phi.mj
-    lc = _lc(mj)
+    lc = levi_civita(mj)
     n = mj.n
     out = zero_form(mj, phi.p + 1, phi.q, phi.r)
     for j in range(n):
@@ -594,7 +577,7 @@ def c_op(phi: FormJet) -> FormJet:
 def b_op(phi: FormJet) -> FormJet:
     """-2 Gamma_{i jbar}^{lbar} dz^i ^ dzbar^j I_lbar"""
     mj = phi.mj
-    lc = _lc(mj)
+    lc = levi_civita(mj)
     n = mj.n
     out = zero_form(mj, phi.p + 1, phi.q, phi.r)
     for l in range(n):
@@ -612,7 +595,7 @@ def b_op(phi: FormJet) -> FormJet:
 def a_op(phi: FormJet) -> FormJet:
     """-h^{k lbar} h_{i mbar} Gamma_{s lbar}^{mbar} dz^s ^ dz^i I_k"""
     mj = phi.mj
-    lc = _lc(mj)
+    lc = levi_civita(mj)
     n = mj.n
     out = zero_form(mj, phi.p + 1, phi.q, phi.r)
     if phi.p == 0:
@@ -664,14 +647,12 @@ def gram(mj: MetricJet, p: int, q: int) -> np.ndarray:
     """Gram matrix of the basis forms; entries are Jets."""
     ci, cj = _combos(mj.n, p), _combos(mj.n, q)
     g = np.empty((len(ci) * len(cj), len(ci) * len(cj)), dtype=object)
-    scale = GRAM_SLOT_FACTOR ** (p + q)
     for a1, I in enumerate(ci):
         for b1, J in enumerate(cj):
             for a2, K in enumerate(ci):
                 for b2, L in enumerate(cj):
-                    val = _jmul(_det_hup(mj, I, K),
-                                jet_conj(_det_hup(mj, J, L))) * scale
-                    g[a1 * len(cj) + b1, a2 * len(cj) + b2] = val
+                    g[a1 * len(cj) + b1, a2 * len(cj) + b2] = _jmul(
+                        _det_hup(mj, I, K), jet_conj(_det_hup(mj, J, L)))
     return g
 
 
@@ -1115,12 +1096,6 @@ def partial_e_star(phi: FormJet, conn: ConnectionJet) -> FormJet:
     return out
 
 
-def _tau_e(phi: FormJet) -> FormJet:
-    """tau on bundle-valued forms acts through the form part only."""
-    w = partial(two_omega(phi.mj))
-    return lambda_op(wedge(w, phi)) - wedge(w, lambda_op(phi))
-
-
 def _tau_bar_e(phi: FormJet) -> FormJet:
     w = form_conj(partial(two_omega(phi.mj)))
     return lambda_op(wedge(w, phi)) - wedge(w, lambda_op(phi))
@@ -1146,7 +1121,7 @@ def bundle_identity_suite(mj: MetricJet, conn: ConnectionJet,
         pes = lambda f: partial_e_star(f, conn)
         des = lambda f: dbar_e_star(f, conn)
         r1 = (des(l_op(phi)) - l_op(des(phi))
-              - (pe(phi) + _tau_e(phi)) * 1j)
+              - (pe(phi) + tau(phi)) * 1j)
         res["dbar_e_star_L"] = max(res["dbar_e_star_L"], r1.max_const())
         r2 = (pes(l_op(phi)) - l_op(pes(phi))
               + (de(phi) + _tau_bar_e(phi)) * 1j)
@@ -1155,7 +1130,7 @@ def bundle_identity_suite(mj: MetricJet, conn: ConnectionJet,
               - (des(phi) + star(_tau_bar_e, phi, (0, 1), fib)) * 1j)
         res["lambda_partial_e"] = max(res["lambda_partial_e"], r3.max_const())
         r4 = (lambda_op(de(phi)) - de(lambda_op(phi))
-              + (pes(phi) + star(_tau_e, phi, (1, 0), fib)) * 1j)
+              + (pes(phi) + star(tau, phi, (1, 0), fib)) * 1j)
         res["lambda_dbar_e"] = max(res["lambda_dbar_e"], r4.max_const())
         # curvature tensoriality on a product phi_scalar x s
         phis = random_form(mj, p, q, rng, r=1)
@@ -1163,13 +1138,13 @@ def bundle_identity_suite(mj: MetricJet, conn: ConnectionJet,
         prod = _tensor(phis, s)
         lhs = pe(de(prod)) + de(pe(prod))
         rhs_s = pe(de(s)) + de(pe(s))
-        rhs = _wedge_scalar_bundle(phis, rhs_s)
+        rhs = wedge(phis, rhs_s)
         r5 = lhs - rhs
         res["tensoriality"] = max(res["tensoriality"], r5.max_const())
     # Lemma 4.6: tau(s) = -2 sqrt(-1) (dbar* omega) . s for sections s
     s = random_form(mj, 0, 0, rng, r=r)
     dso = dbar_star(omega_form(mj))
-    r6 = _tau_e(s) - _wedge_scalar_bundle(dso, s) * (-2j)
+    r6 = tau(s) - wedge(dso, s) * (-2j)
     res["torsion_section"] = r6.max_const()
     return res
 
@@ -1183,11 +1158,6 @@ def _tensor(phis: FormJet, s: FormJet) -> FormJet:
                 out.coeffs[a, b, al] = _jmul(phis.coeffs[a, b, 0],
                                              s.coeffs[0, 0, al])
     return out
-
-
-def _wedge_scalar_bundle(phis: FormJet, psi: FormJet) -> FormJet:
-    """Wedge of a scalar form with a bundle-valued form."""
-    return wedge(phis, psi)
 
 
 def second_hermitian_ricci(conn: ConnectionJet, mj: MetricJet) -> np.ndarray:

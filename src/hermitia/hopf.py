@@ -17,7 +17,7 @@ from .connection import levi_civita
 from .curvature import (curvature_bismut, curvature_chern, curvature_lc,
                         ricci)
 from .errors import DomainError
-from .metric import hopf_metric, metric_jet
+from .metric import derivative_tables, hopf_metric, metric_jet
 
 __all__ = ["HopfPoint", "oracle", "oracle_vs_pipeline", "QUANTITIES"]
 
@@ -100,20 +100,13 @@ def oracle_vs_pipeline(p: HopfPoint) -> dict:
 
     The Bismut-trace entries report both closed-form candidates plus which
     one the pipeline matched."""
-    from .jets import wirtinger  # local import to avoid cycle at module load
     n = p.n
     mj = _pipeline(p)
     out = {}
     h_pipe = mj.h_at0()
     out["metric"] = float(abs(h_pipe - oracle(p, "metric")).max())
-    dh = np.array([[[wirtinger(mj.h[k][l], "holo", i).const
-                     for l in range(n)] for k in range(n)]
-                   for i in range(n)])
+    dh, _, d2h = derivative_tables(mj)
     out["dh"] = float(abs(dh - oracle(p, "dh")).max())
-    d2h = np.array([[[[wirtinger(wirtinger(mj.h[k][l], "holo", i),
-                                 "antiholo", j).const
-                       for l in range(n)] for k in range(n)]
-                     for j in range(n)] for i in range(n)])
     out["d2h"] = float(abs(d2h - oracle(p, "d2h")).max())
     g = levi_civita(mj).const_table()
     g_uu, g_bu = oracle(p, "gamma_lc")

@@ -12,21 +12,27 @@ Supported kinds:
 
 ``metric_jet`` produces exact Taylor jets of h and h^{-1} at a point; all
 connection and curvature computations downstream consume only ``MetricJet``.
+Functions of the point alone are wrapped in ``per_point``, which stores each
+result on its ``MetricJet``: it is built once, handed out read-only, and freed
+with the jet.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import functools
+from dataclasses import dataclass, field as dc_field, fields, is_dataclass
 from math import factorial
 
 import numpy as np
 
-from .errors import DomainError, ParseError, StructuralError, ValidationError
-from .jets import Jet, constant, jet_matrix_inverse, variable
+from .errors import (DomainError, OrderExhaustedError, ParseError,
+                     StructuralError, ValidationError)
+from .jets import Jet, constant, jet_matrix_inverse, variable, wirtinger
 
 __all__ = [
     "MetricField",
     "MetricJet",
+    "derivative_tables",
     "flat_metric",
     "hopf_metric",
     "polynomial_metric",
@@ -62,6 +68,9 @@ class MetricJet:
     point: np.ndarray
     h: np.ndarray      # (n, n) object array of Jets
     hinv: np.ndarray   # (n, n) object array of Jets
+    # per_point results, keyed by the wrapped function
+    _memo: dict = dc_field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def h_up(self, i: int, j: int) -> Jet:
         """The inverse-metric tensor entry h^{i jbar}."""
@@ -74,6 +83,59 @@ class MetricJet:
     def hinv_at0(self) -> np.ndarray:
         return np.array([[self.hinv[i][j].const for j in range(self.n)]
                          for i in range(self.n)])
+
+
+def _read_only(value):
+    """Mark the numpy arrays in a memoized result (bare, in a tuple, or as
+    dataclass fields) read-only, so no caller can alter what the next caller
+    at the same point receives."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, tuple):
+        for item in value:
+            _read_only(item)
+    elif is_dataclass(value):
+        for f in fields(value):
+            _read_only(getattr(value, f.name))
+    return value
+
+
+def per_point(fn):
+    """Decorator for a function of one MetricJet: ``fn(mj)`` runs at most
+    once per jet and its result lives in the jet's memo, read-only."""
+    @functools.wraps(fn)
+    def memoized(mj: MetricJet):
+        try:
+            return mj._memo[fn]
+        except KeyError:
+            value = mj._memo[fn] = _read_only(fn(mj))
+            return value
+    return memoized
+
+
+@per_point
+def derivative_tables(mj: MetricJet):
+    """(d1, db1, d2) at the point, derivative directions first:
+    d1[k, i, j] = dh_{i jbar}/dz^k, db1[k, i, j] = dh_{i jbar}/dzbar^k and
+    d2[k, l, i, j] = d^2 h_{i jbar}/dz^k dzbar^l.  d2 is None on an
+    order-1 jet."""
+    if mj.order < 1:
+        raise OrderExhaustedError("metric jet order must be >= 1")
+    n = mj.n
+    d1 = np.zeros((n, n, n), dtype=complex)
+    db1 = np.zeros((n, n, n), dtype=complex)
+    d2 = np.zeros((n, n, n, n), dtype=complex) if mj.order >= 2 else None
+    for i in range(n):
+        for j in range(n):
+            jet = mj.h[i][j]
+            for k in range(n):
+                dk = wirtinger(jet, "holo", k)
+                d1[k, i, j] = dk.const
+                db1[k, i, j] = wirtinger(jet, "antiholo", k).const
+                if d2 is not None:
+                    for l in range(n):
+                        d2[k, l, i, j] = wirtinger(dk, "antiholo", l).const
+    return d1, db1, d2
 
 
 @dataclass(frozen=True)
@@ -480,7 +542,7 @@ def _jet_monomial(n, order, point, alpha, beta):
 
 def metric_jet(field: MetricField, z, order: int = 3) -> MetricJet:
     """Exact Taylor jets of h and h^{-1} at the point z."""
-    z = np.asarray(z, dtype=complex)
+    z = np.array(z, dtype=complex)  # a copy: memoized results make it read-only
     n = field.n
     if not field.admissible(z):
         raise DomainError(f"point {z} outside the field's domain")

@@ -15,15 +15,13 @@ import numpy as np
 from .connection import levi_civita
 from .errors import OrderExhaustedError
 from .jets import Jet, wirtinger
-from .metric import MetricJet
+from .metric import MetricJet, derivative_tables
 
 __all__ = [
     "StructureReport",
     "DEFAULT_TOL",
     "kahler_defect",
     "balanced_torsion",
-    "balanced_torsion_row_trace",
-    "torsion_trace_residual",
     "skt_defect",
     "laplacian_compare",
     "prop38_check",
@@ -45,39 +43,9 @@ class StructureReport:
     tol: float
 
 
-def _d1(mj: MetricJet):
-    """dh[k][i][j] = dh_{i jbar}/dz^k and dbh[k][i][j] = dh_{i jbar}/dzbar^k."""
-    if mj.order < 1:
-        raise OrderExhaustedError("metric jet order must be >= 1")
-    n = mj.n
-    dh = np.zeros((n, n, n), dtype=complex)
-    dbh = np.zeros((n, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                dh[k, i, j] = wirtinger(mj.h[i][j], "holo", k).const
-                dbh[k, i, j] = wirtinger(mj.h[i][j], "antiholo", k).const
-    return dh, dbh
-
-
-def _d2(mj: MetricJet):
-    """d2[i][j][k][l] = d^2 h_{k lbar} / dz^i dzbar^j at the point."""
-    if mj.order < 2:
-        raise OrderExhaustedError("metric jet order must be >= 2")
-    n = mj.n
-    d2 = np.zeros((n, n, n, n), dtype=complex)
-    for k in range(n):
-        for l in range(n):
-            for i in range(n):
-                step = wirtinger(mj.h[k][l], "holo", i)
-                for j in range(n):
-                    d2[i, j, k, l] = wirtinger(step, "antiholo", j).const
-    return d2
-
-
 def kahler_defect(mj: MetricJet):
     """f_{i jbar k} = dh_{i jbar}/dz^k - dh_{k jbar}/dz^i and its max modulus."""
-    dh, _ = _d1(mj)
+    dh = derivative_tables(mj)[0]
     n = mj.n
     f = np.zeros((n, n, n), dtype=complex)
     for i in range(n):
@@ -95,37 +63,13 @@ def balanced_torsion(mj: MetricJet) -> np.ndarray:
                      for l in range(n)])
 
 
-def balanced_torsion_row_trace(mj: MetricJet) -> np.ndarray:
-    """Same trace with the point indices in the other order,
-    Gamma_{jbar l}^{jbar}; equal to balanced_torsion by the symmetry of the
-    Levi-Civita table."""
-    n = mj.n
-    g = levi_civita(mj).const_table()
-    return np.array([sum(g[n + j, l, n + j] for j in range(n))
-                     for l in range(n)])
-
-
-def torsion_trace_residual(mj: MetricJet) -> float:
-    """Residual of the contraction identity linking the Laplacian correction
-    h^{i jbar} Gamma_{i jbar}^{lbar} to the torsion form:
-    h^{i jbar} Gamma_{i jbar}^{lbar} = -h^{k lbar} eta_k."""
-    n = mj.n
-    g = levi_civita(mj).const_table()
-    eta = balanced_torsion(mj)
-    res = 0.0
-    for l in range(n):
-        lhs = sum(mj.h_up(i, j).const * g[i, n + j, n + l]
-                  for i in range(n) for j in range(n))
-        rhs = -sum(mj.h_up(k, l).const * eta[k] for k in range(n))
-        res = max(res, abs(lhs - rhs))
-    return float(res)
-
-
 def skt_defect(mj: MetricJet):
     """Residual matrix of the trace condition on ddbar of the fundamental
     form: r_{ij} = sum_k (d2[k,k,i,j] + d2[i,j,k,k] - d2[k,j,i,k]
     - d2[i,k,k,j]); zero iff the metric is SKT at the point."""
-    d2 = _d2(mj)
+    if mj.order < 2:
+        raise OrderExhaustedError("metric jet order must be >= 2")
+    d2 = derivative_tables(mj)[2]
     n = mj.n
     r = np.zeros((n, n), dtype=complex)
     for i in range(n):
@@ -168,7 +112,7 @@ def prop38_check(mj: MetricJet, tol: float = DEFAULT_TOL):
     skt, _ = skt_defect(mj)
     if bal > tol or skt > tol:
         return "skip", None
-    dh, dbh = _d1(mj)
+    dh, dbh, _ = derivative_tables(mj)
     norm = float((abs(dh) ** 2).sum() + (abs(dbh) ** 2).sum())
     return "checked", norm
 

@@ -1,11 +1,17 @@
 import json
 import os
+import re
+import shlex
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hermitia.cli import main
+import hermitia
+from hermitia.cli import build_parser, main
 from hermitia.metric import separable_kahler_torus, write_torus_metric
 
 
@@ -131,3 +137,35 @@ def test_csv_format(capsys):
                      "--format", "csv")
     assert code == 0
     assert out.splitlines()[0] == "key,value_or_re,im"
+
+
+def test_readme_commands_parse():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```[^\n]*\n(.*?)```", readme.read_text(), re.S)
+    commands = [line for block in blocks
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("hermitia ")]
+    assert commands
+    parser = build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")
+
+
+def test_hermitia_threads_caps_blas_threads():
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("thread count needs /proc/self/task")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                        "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+    src = str(Path(hermitia.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src,
+                                                      env.get("PYTHONPATH")]))
+    env["HERMITIA_THREADS"] = "1"
+    done = subprocess.run(
+        [sys.executable, "-c", "import os, hermitia.cli; "
+         "print(len(os.listdir('/proc/self/task')))"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert int(done.stdout) == 1

@@ -1,0 +1,98 @@
+"""The per-point memo on MetricJet: each geometric object is built once per
+jet, handed out read-only, and freed with the jet."""
+
+import gc
+import weakref
+
+import numpy as np
+import pytest
+
+from hermitia import connection
+from hermitia.connection import levi_civita
+from hermitia.curvature import (complexified_ricci, curvature_bismut,
+                                curvature_chern, curvature_induced,
+                                curvature_lc, lc_curvature_full,
+                                normal_point_suite, ricci_panel, scalars)
+from hermitia.errors import OrderExhaustedError
+from hermitia.forms import identity_suite
+from hermitia.metric import (derivative_tables, hopf_metric, metric_jet,
+                             normal_form_skt, random_torus_fourier)
+from hermitia.structure import kahler_defect, skt_defect, structure_report
+
+
+def test_levi_civita_built_once_across_the_point_pipeline(monkeypatch):
+    calls = []
+    h_low = connection._H_low   # called by levi_civita alone
+
+    def spy(mj):
+        calls.append(mj)
+        return h_low(mj)
+
+    monkeypatch.setattr(connection, "_H_low", spy)
+    mj = metric_jet(normal_form_skt(3, 0), np.zeros(3, complex), order=3)
+    ricci_panel(mj)
+    scalars(mj)
+    structure_report(mj)
+    normal_point_suite(mj, skt=True)
+    assert len(calls) == 1
+
+
+def test_metric_jet_is_freed_after_identity_suite():
+    mj = metric_jet(hopf_metric(2), np.array([1.0, 0.5j]), order=3)
+    identity_suite(mj, trials=1, seed=0)
+    ref = weakref.ref(mj)
+    del mj
+    gc.collect()
+    assert ref() is None
+
+
+def test_memoized_arrays_are_read_only():
+    mj = metric_jet(hopf_metric(2), np.array([1.0, 0.5j]), order=3)
+    arrays = [*derivative_tables(mj), levi_civita(mj).entries,
+              lc_curvature_full(mj), complexified_ricci(mj).matrix]
+    arrays += [f(mj).components for f in (curvature_lc, curvature_induced,
+                                          curvature_chern, curvature_bismut)]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a.flat[0] = a.flat[0]
+
+
+def test_order_one_jet_keeps_first_derivative_consumers():
+    mj = metric_jet(hopf_metric(2), np.array([1.0, 0.5j]), order=1)
+    assert kahler_defect(mj)[0] > 0
+    with pytest.raises(OrderExhaustedError):
+        skt_defect(mj)
+    with pytest.raises(OrderExhaustedError):
+        curvature_lc(mj)
+
+
+def _riemann_loops(mj, m):
+    """Reference: R_{ABCD} entry by entry, intermediate index over range(m)."""
+    n = mj.n
+    lc = levi_civita(mj)
+    g, dg = lc.const_table(), lc.dconst_table()
+    r_up = np.zeros((2 * n,) * 4, dtype=complex)
+    for A in range(2 * n):
+        for B in range(2 * n):
+            for C in range(2 * n):
+                for D in range(2 * n):
+                    val = dg[B, A, C, D] - dg[A, B, C, D]
+                    val += np.dot(g[A, C, :m], g[:m, B, D])
+                    val -= np.dot(g[B, C, :m], g[A, :m, D])
+                    r_up[A, B, C, D] = -val
+    H = np.zeros((2 * n, 2 * n), dtype=complex)
+    H[:n, n:] = mj.h_at0()
+    H[n:, :n] = mj.h_at0().T
+    return np.einsum("abcs,sd->abcd", r_up, H)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_riemann_kernel_matches_entrywise_loops(n):
+    rng = np.random.default_rng(n)
+    x = rng.uniform(0, 1, 2 * n)
+    mj = metric_jet(random_torus_fourier(n, 5), x[:n] + 1j * x[n:], order=3)
+    full = _riemann_loops(mj, 2 * n)
+    induced = _riemann_loops(mj, n)[:n, n:, :n, n:]
+    assert np.max(np.abs(full)) > 1e-3
+    assert np.max(np.abs(lc_curvature_full(mj) - full)) < 1e-12
+    assert np.max(np.abs(curvature_induced(mj).components - induced)) < 1e-12
