@@ -12,13 +12,15 @@ reduces exactly to a scalar ODE (``hopf_self_similar``).
 from __future__ import annotations
 
 import csv
+import functools
+import os
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DomainError, StructuralError
-from .metric import MetricField, evaluate
+from .metric import MetricField, _read_only, evaluate
 
 __all__ = [
     "FlowConfig",
@@ -64,6 +66,10 @@ class FlowConfig:
 
 @dataclass(frozen=True)
 class FlowState:
+    """One grid state.  ``theta2`` and ``eigs`` are computed on first use
+    and kept, read-only, for the life of the state, so ``h`` must not be
+    mutated after construction."""
+
     n: int
     N: int
     h: np.ndarray  # shape (N,)*2n + (n, n), complex, per-site Hermitian
@@ -76,6 +82,26 @@ class FlowState:
         if self.h.shape != expected:
             raise StructuralError(
                 f"grid array must have shape {expected}, got {self.h.shape}")
+
+    @functools.cached_property
+    def theta2(self) -> np.ndarray:
+        """theta2_discrete(h), per site."""
+        return _read_only(theta2_discrete(self.h, self.n, self.N))
+
+    @functools.cached_property
+    def eigs(self) -> np.ndarray:
+        """Per-site eigenvalues of h, ascending: shape (N,)*2n + (n,)."""
+        return _read_only(np.linalg.eigvalsh(self.h))
+
+
+def _reconfigured(state: FlowState, config: FlowConfig) -> FlowState:
+    """``state`` under another config; h is the same array, so whatever
+    the state has already computed carries over."""
+    out = replace(state, config=config)
+    for name in ("theta2", "eigs"):
+        if name in vars(state):
+            vars(out)[name] = vars(state)[name]
+    return out
 
 
 @dataclass(frozen=True)
@@ -101,11 +127,8 @@ def grid_points(n: int, N: int) -> np.ndarray:
 
 def sample_on_grid(fld: MetricField, N: int) -> np.ndarray:
     """Per-site metric values of a torus metric field."""
-    n = fld.n
-    z = grid_points(n, N)
-    flat = z.reshape(-1, n)
-    vals = np.stack([evaluate(fld, p) for p in flat])
-    return vals.reshape((N,) * (2 * n) + (n, n))
+    _check_fits(fld.n, N)
+    return evaluate(fld, grid_points(fld.n, N))
 
 
 def _roll_diff(arr: np.ndarray, axis: int, N: int) -> np.ndarray:
@@ -124,13 +147,31 @@ def _dzbar(arr: np.ndarray, i: int, N: int) -> np.ndarray:
     return 0.5 * (_roll_diff(arr, 2 * i, N) + 1j * _roll_diff(arr, 2 * i + 1, N))
 
 
-def _hup(h: np.ndarray) -> np.ndarray:
-    """Inverse metric with hup[..., i, j] the (i, jbar)-up entry."""
+def _inv(h: np.ndarray) -> np.ndarray:
     try:
-        inv = np.linalg.inv(h)
+        return np.linalg.inv(h)
     except np.linalg.LinAlgError as exc:
         raise DomainError(f"singular metric on the grid: {exc}") from exc
-    return np.swapaxes(inv, -1, -2)
+
+
+def _lead(arr: np.ndarray) -> np.ndarray:
+    """View of a per-site matrix array with the matrix axes first."""
+    return np.moveaxis(arr, (-2, -1), (0, 1))
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-site a @ b for per-site n x n arrays, as n^3 whole-grid products
+    (numpy's own matmul loops over the sites one tiny matrix at a time)."""
+    al, bl = _lead(a), _lead(b)
+    n = al.shape[0]
+    out = np.empty_like(a)
+    for k in range(n):
+        for l in range(n):
+            acc = al[k, 0] * bl[0, l]
+            for q in range(1, n):
+                acc += al[k, q] * bl[q, l]
+            out[..., k, l] = acc
+    return out
 
 
 def theta2_discrete(h: np.ndarray, n: int, N: int) -> np.ndarray:
@@ -139,20 +180,31 @@ def theta2_discrete(h: np.ndarray, n: int, N: int) -> np.ndarray:
     theta2_{k lbar} = -h^{i jbar} d^2 h_{k lbar}/dz^i dzbar^j
     + h^{i jbar} h^{p qbar} (dh_{k qbar}/dz^i)(dh_{p lbar}/dzbar^j),
     with 4th-order periodic central differences; Hermitian-symmetrized.
+    The quadratic term is sum_i X_i W_i with X_i = (dh/dz^i) h^{-1} and
+    W_i = sum_j h^{i jbar} dh/dzbar^j.
     """
     if N < 8:
         raise DomainError("theta2 stencil needs N >= 8")
-    up = _hup(h)
-    dzh = [_dz(h, i, N) for i in range(n)]
-    dzbh = [_dzbar(h, j, N) for j in range(n)]
+    hinv = _inv(h)
+    up = _lead(hinv).swapaxes(0, 1)  # up[i, j] = h^{i jbar}, per site
+    dzh, dzbh = [], []
+    for i in range(n):  # each real first difference once
+        dx, dy = _roll_diff(h, 2 * i, N), _roll_diff(h, 2 * i + 1, N)
+        dzh.append(0.5 * (dx - 1j * dy))
+        dzbh.append(0.5 * (dx + 1j * dy))
+        del dx, dy
     out = np.zeros_like(h)
     for i in range(n):
+        w = up[i, 0][..., None, None] * dzbh[0]
+        for j in range(1, n):
+            w += up[i, j][..., None, None] * dzbh[j]
+        out += _matmul(_matmul(dzh[i], hinv), w)
+        del w
+    del dzbh  # free each grid temporary once used: this sets peak memory
+    for i in range(n):
         for j in range(n):
-            uij = up[..., i, j][..., None, None]
-            out -= uij * _dzbar(dzh[i], j, N)
-            # first-derivative quadratic: sum_{p,q} hup[p,q] A_{kq} B_{pl}
-            out += uij * np.einsum("...pq,...kq,...pl->...kl",
-                                   up, dzh[i], dzbh[j])
+            out -= up[i, j][..., None, None] * _dzbar(dzh[i], j, N)
+        dzh[i] = None
     return 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
 
 
@@ -169,36 +221,56 @@ def kahler_defect(h: np.ndarray, n: int, N: int) -> float:
 
 def diagnostics(state: FlowState, step_count: int,
                 wall_time: float) -> FlowDiagnostics:
-    eigs = np.linalg.eigvalsh(state.h)
-    th = theta2_discrete(state.h, state.n, state.N)
     return FlowDiagnostics(
         t=state.t,
         step_count=step_count,
         kahler_defect=kahler_defect(state.h, state.n, state.N),
-        min_eig=float(eigs.min()),
-        max_eig=float(eigs.max()),
-        einstein_residual=float(np.max(np.abs(th - state.mu * state.h))),
+        min_eig=float(state.eigs.min()),
+        max_eig=float(state.eigs.max()),
+        einstein_residual=float(
+            np.max(np.abs(state.theta2 - state.mu * state.h))),
         wall_time=wall_time,
     )
 
 
 def default_dt(h: np.ndarray, N: int) -> float:
+    return _dt_from_eigs(np.linalg.eigvalsh(h), N)
+
+
+def _dt_from_eigs(eigs: np.ndarray, N: int) -> float:
     dx = 1.0 / N
-    min_eig = float(np.linalg.eigvalsh(h).min())
+    min_eig = float(eigs.min())
     if min_eig <= 0:
         raise DomainError("initial grid metric is not positive definite")
     return 0.1 * dx * dx * min_eig
 
 
-def _check_state(h: np.ndarray, n: int, t: float):
+def _check_fits(n: int, N: int):
+    """Raise DomainError, before anything is allocated, when a flow on an
+    N^(2n) grid would need more than the machine's physical memory."""
+    # Peak grid arrays (N^(2n) n x n complex) alive at once during ``run``,
+    # counted with tracemalloc as peak traced bytes over one array's bytes:
+    # 14.5 at n=1 (N=256), 15.8 at n=2 (N=12), 17.4 at n=3 (N=8).  The
+    # theta2 first differences add two per complex dimension.
+    arrays = 13 + 2 * n
+    need = N ** (2 * n) * n * n * 16 * arrays
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise DomainError(
+            f"an N={N} grid at n={n} needs about {need / 2**30:.3g} GiB "
+            f"({arrays} arrays of {N}^{2 * n} sites x {n}x{n} complex), "
+            f"more than the {have / 2**30:.3g} GiB of physical memory")
+
+
+def _check_state(state: FlowState):
+    h = state.h
     if not np.all(np.isfinite(h)):
         bad = np.argwhere(~np.isfinite(h))[0][:-2]
-        raise FlowHalt("nan", bad, t)
-    eigs = np.linalg.eigvalsh(h)
-    min_per_site = eigs[..., 0]
+        raise FlowHalt("nan", bad, state.t)
+    min_per_site = state.eigs[..., 0]
     if np.min(min_per_site) <= 0:
         site = np.unravel_index(np.argmin(min_per_site), min_per_site.shape)
-        raise FlowHalt("positivity", site, t,
+        raise FlowHalt("positivity", site, state.t,
                        f"min eigenvalue {np.min(min_per_site):.3e}")
 
 
@@ -206,21 +278,25 @@ def step(state: FlowState) -> FlowState:
     """One Runge-Kutta 4 step of dh/dt = -theta2 + mu*h."""
     n, N, mu = state.n, state.N, state.mu
     dt = state.config.dt if state.config.dt is not None \
-        else default_dt(state.h, N)
+        else _dt_from_eigs(state.eigs, N)
 
     def rhs(h):
         return -theta2_discrete(h, n, N) + mu * h
 
     h = state.h
-    k1 = rhs(h)
-    k2 = rhs(h + 0.5 * dt * k1)
-    k3 = rhs(h + 0.5 * dt * k2)
-    k4 = rhs(h + dt * k3)
-    hn = h + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    acc = mu * h - state.theta2                 # k1
+    k = rhs(h + 0.5 * dt * acc)                 # k2
+    acc += 2 * k
+    k = rhs(h + 0.5 * dt * k)                   # k3
+    acc += 2 * k
+    acc += rhs(h + dt * k)                      # k4
+    del k
+    hn = h + dt / 6.0 * acc
+    del acc
     hn = 0.5 * (hn + np.conj(np.swapaxes(hn, -1, -2)))
-    t_next = state.t + dt
-    _check_state(hn, n, t_next)
-    return replace(state, h=hn, t=t_next)
+    out = replace(state, h=hn, t=state.t + dt)
+    _check_state(out)
+    return out
 
 
 def run(initial, mu: float, T: float, config: FlowConfig = FlowConfig(),
@@ -238,17 +314,19 @@ def run(initial, mu: float, T: float, config: FlowConfig = FlowConfig(),
         h0 = np.asarray(initial, dtype=complex)
         n = h0.shape[-1]
         N = h0.shape[0]
+        _check_fits(n, N)
     h0 = 0.5 * (h0 + np.conj(np.swapaxes(h0, -1, -2)))
-    _check_state(h0, n, 0.0)
-    dt = config.dt if config.dt is not None else default_dt(h0, N)
-    config = replace(config, dt=dt)
     state = FlowState(n=n, N=N, h=h0, t=0.0, mu=mu, config=config)
+    _check_state(state)
+    dt = config.dt if config.dt is not None else _dt_from_eigs(state.eigs, N)
+    config = replace(config, dt=dt)
+    state = _reconfigured(state, config)
     start = time.monotonic()
     series = [diagnostics(state, 0, 0.0)]
     count = 0
     while state.t < T - 1e-12:
         if state.t + dt > T:
-            state = replace(state, config=replace(config, dt=T - state.t))
+            state = _reconfigured(state, replace(config, dt=T - state.t))
         state = step(state)
         count += 1
         if count % max(1, config.cadence) == 0 or state.t >= T - 1e-12:

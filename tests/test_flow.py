@@ -1,6 +1,7 @@
 import math
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,3 +137,92 @@ def test_diagnostics_csv_schema():
     assert lines[0] == ("t,step_count,kahler_defect,min_eig,max_eig,"
                         "einstein_residual,wall_time")
     assert len(lines) == len(series) + 1
+
+
+# -- theta2 against the entry-by-entry implementation ----------------------
+
+
+def _theta2_loop(h, n, N):
+    """Reference: each Wirtinger derivative from its own pair of real
+    differences, and the quadratic term as one einsum per (i, j)."""
+    up = np.swapaxes(np.linalg.inv(h), -1, -2)
+    dzh = [F._dz(h, i, N) for i in range(n)]
+    dzbh = [F._dzbar(h, j, N) for j in range(n)]
+    out = np.zeros_like(h)
+    for i in range(n):
+        for j in range(n):
+            uij = up[..., i, j][..., None, None]
+            out -= uij * F._dzbar(dzh[i], j, N)
+            out += uij * np.einsum("...pq,...kq,...pl->...kl",
+                                   up, dzh[i], dzbh[j])
+    return 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("N", [8, 12])
+def test_theta2_matches_loop_reference(n, N):
+    for maker in (random_torus_fourier, potential_kahler_torus):
+        h = F.sample_on_grid(maker(n, 4), N)
+        got = F.theta2_discrete(h, n, N)
+        assert np.max(np.abs(got - _theta2_loop(h, n, N))) <= 1e-13
+
+
+# -- one theta2 and one eigvalsh per grid state ----------------------------
+
+
+@pytest.mark.parametrize("cadence", [1, 3])
+def test_run_computes_theta2_and_eigs_once_per_state(monkeypatch, cadence):
+    calls = {"theta2": 0, "eigvalsh": 0}
+    theta2, eigvalsh = F.theta2_discrete, np.linalg.eigvalsh
+
+    def theta2_spy(*args):
+        calls["theta2"] += 1
+        return theta2(*args)
+
+    def eigvalsh_spy(*args):
+        calls["eigvalsh"] += 1
+        return eigvalsh(*args)
+
+    monkeypatch.setattr(F, "theta2_discrete", theta2_spy)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_spy)
+    steps = []
+    step = F.step
+    monkeypatch.setattr(F, "step", lambda s: steps.append(s) or step(s))
+    fld = random_torus_fourier(2, 1)
+    dt = F.default_dt(F.sample_on_grid(fld, 8), 8)
+    calls["eigvalsh"] = 0
+    st, series = F.run(fld, mu=0.5, T=4.5 * dt, N=8,
+                       config=F.FlowConfig(cadence=cadence))
+    assert len(steps) == 5 and st.t == pytest.approx(4.5 * dt)
+    assert steps[-1].config.dt == pytest.approx(0.5 * dt)  # truncated
+    assert len(series) == 1 + 5 // cadence + (5 % cadence != 0)
+    assert calls["theta2"] == 4 * len(steps) + 1
+    assert calls["eigvalsh"] == len(steps) + 1
+
+
+def test_flow_state_memo_is_read_only():
+    h = F.sample_on_grid(random_torus_fourier(2, 1), 8)
+    st = F.FlowState(n=2, N=8, h=h, t=0.0, mu=0.0)
+    assert st.theta2 is st.theta2 and st.eigs is st.eigs
+    assert np.array_equal(st.theta2, F.theta2_discrete(h, 2, 8))
+    with pytest.raises(ValueError):
+        st.theta2[0, 0, 0, 0, 0, 0] = 0
+    with pytest.raises(ValueError):
+        st.eigs[0, 0, 0, 0, 0] = 0
+
+
+# -- grids that cannot fit fail before allocating --------------------------
+
+
+def test_grid_too_large_for_memory_fails_fast():
+    fld = random_torus_fourier(3, 0)
+    tracemalloc.start()
+    try:
+        for call in (lambda: F.sample_on_grid(fld, 64),
+                     lambda: F.run(fld, mu=0.0, T=0.01, N=64)):
+            with pytest.raises(DomainError, match="GiB"):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -4,7 +4,8 @@ import tempfile
 import numpy as np
 import pytest
 
-from hermitia.errors import DomainError, ValidationError
+from hermitia import metric as M
+from hermitia.errors import DomainError, StructuralError, ValidationError
 from hermitia.jets import wirtinger
 from hermitia.metric import (evaluate, flat_metric, hopf_metric,
                              ingest_torus_metric, metric_jet,
@@ -126,3 +127,126 @@ def test_separable_kahler_entries_depend_on_single_coordinate():
     moved = z.copy()
     moved[1] += 0.37 + 0.11j
     assert abs(evaluate(fld, moved)[0, 0] - base[0, 0]) < 1e-14
+
+
+# -- batched evaluate ------------------------------------------------------
+
+
+def _evaluate_point(field, z):
+    """Reference: h at one point, one mode or term at a time."""
+    n = field.n
+    if field.kind == "Flat":
+        return np.eye(n, dtype=complex)
+    if field.kind == "Hopf":
+        r2 = float(np.sum(np.abs(z) ** 2))
+        if r2 == 0:
+            raise DomainError("the Hopf metric is undefined at z = 0")
+        return (4.0 / r2) * np.eye(n, dtype=complex)
+    if field.kind == "NormalForm":
+        h = np.eye(n, dtype=complex)
+        for alpha, beta, Mt in field.terms:
+            h = h + Mt * np.prod(z ** np.array(alpha)) * \
+                np.prod(np.conj(z) ** np.array(beta))
+        return h
+    if field.kind == "TorusFourier":
+        h = np.zeros((n, n), dtype=complex)
+        for m, A in field.modes:
+            mu = np.asarray(m)[:n] - 1j * np.asarray(m)[n:]
+            h = h + A * np.exp(1j * np.pi *
+                               (mu @ z + np.conj(mu) @ np.conj(z)))
+        return h
+    if field.kind == "Scaled":
+        return field.factor * _evaluate_point(field.base, z)
+    raise AssertionError(field.kind)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_evaluate_batch_matches_point_loop(n):
+    rng = np.random.default_rng(n)
+    z = rng.uniform(-1, 1, (4, 3, n)) + 1j * rng.uniform(-1, 1, (4, 3, n))
+    fields = [flat_metric(n), hopf_metric(n), normal_form_random(n, 1),
+              random_torus_fourier(n, 2), scaled(potential_kahler_torus(n, 3),
+                                                 1.7)]
+    for fld in fields:
+        batch = evaluate(fld, z)
+        assert batch.shape == (4, 3, n, n)
+        for idx in np.ndindex(4, 3):
+            want = _evaluate_point(fld, z[idx])
+            tol = 1e-15 * max(1.0, np.max(np.abs(want)))
+            single = evaluate(fld, z[idx])
+            assert single.shape == (n, n)
+            for got in (batch[idx], single):
+                assert np.max(np.abs(got - want)) <= tol, (fld.kind, idx)
+
+
+def test_evaluate_batch_hopf_origin_and_shape_errors():
+    z = np.ones((4, 3, 2), dtype=complex)
+    z[2, 1] = 0
+    with pytest.raises(DomainError):
+        evaluate(hopf_metric(2), z)
+    with pytest.raises(DomainError):
+        evaluate(scaled(hopf_metric(2), 2.0), z)
+    with pytest.raises(StructuralError):
+        evaluate(flat_metric(2), np.zeros((4, 3)))
+    with pytest.raises(StructuralError):
+        evaluate(flat_metric(2), 0.5)
+
+
+# -- ingest positivity: Weyl certificate, then the sweep --------------------
+
+
+def _ingest(fld, monkeypatch):
+    """Ingest fld through a file; return (field, sweeps run)."""
+    sweeps = []
+    real = M._positivity_sweep
+    monkeypatch.setattr(M, "_positivity_sweep",
+                        lambda f: sweeps.append(f) or real(f))
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "m.txt")
+        write_torus_metric(fld, path)
+        return ingest_torus_metric(path), len(sweeps)
+
+
+_E00 = np.diag([1.0, 0.0]).astype(complex)
+_E11 = np.diag([0.0, 1.0]).astype(complex)
+
+
+def test_ingest_weyl_certificate_skips_sweep(monkeypatch):
+    fld = random_torus_fourier(2, seed=3)  # sum of mode norms capped at 0.5
+    assert M._weyl_margin(fld) > 0.4
+    back, sweeps = _ingest(fld, monkeypatch)
+    assert sweeps == 0
+    assert back.modes and back.n == 2
+
+
+def test_ingest_inconclusive_certificate_falls_back_to_sweep(monkeypatch):
+    # h = diag(1 + 0.6 cos 2 pi x1, 1 + 0.6 cos 2 pi x2) >= 0.4, but the mode
+    # norms sum to 1.2 > lambda_min(A_0) = 1
+    fld = torus_fourier(2, [((0, 0, 0, 0), np.eye(2)),
+                            ((1, 0, 0, 0), 0.3 * _E00),
+                            ((-1, 0, 0, 0), 0.3 * _E00),
+                            ((0, 1, 0, 0), 0.3 * _E11),
+                            ((0, -1, 0, 0), 0.3 * _E11)])
+    assert M._weyl_margin(fld) < 0
+    _, sweeps = _ingest(fld, monkeypatch)
+    assert sweeps == 1
+
+
+def test_ingest_sweep_rejects_at_first_failing_point(monkeypatch):
+    # h_00 = 1 + 1.6 cos 2 pi y1 fails first (at y1 = 0.4) in np.ndindex
+    # order over (x1, x2, y1, y2); h_11 = 1 + 1.8 cos 2 pi x2 fails later
+    fld = torus_fourier(2, [((0, 0, 0, 0), np.eye(2)),
+                            ((0, 0, 1, 0), 0.8 * _E00),
+                            ((0, 0, -1, 0), 0.8 * _E00),
+                            ((0, 1, 0, 0), 0.9 * _E11),
+                            ((0, -1, 0, 0), 0.9 * _E11)])
+    msg = ("metric loses positivity at x=[0.0, 0.0, 0.4, 0.0]: "
+           "min eigenvalue -2.944e-01")
+    sweep = M._positivity_sweep
+    with pytest.raises(ValidationError) as exc:
+        _ingest(fld, monkeypatch)
+    assert str(exc.value) == msg
+    for chunk in (1, 7, 64):  # a failure late in a chunk, or in a later one
+        with pytest.raises(ValidationError) as exc:
+            sweep(fld, chunk=chunk)
+        assert str(exc.value) == msg
