@@ -209,13 +209,15 @@ def theta2_discrete(h: np.ndarray, n: int, N: int) -> np.ndarray:
 
 
 def kahler_defect(h: np.ndarray, n: int, N: int) -> float:
-    """max |dh_{k jbar}/dz^i - dh_{i jbar}/dz^k| over sites and indices."""
-    dzh = [_dz(h, i, N) for i in range(n)]
+    """max |dh_{k jbar}/dz^i - dh_{i jbar}/dz^k| over sites and indices.
+
+    Only the compared rows are differentiated: row k along z^i, row i
+    along z^k."""
     worst = 0.0
     for i in range(n):
         for k in range(i + 1, n):
             worst = max(worst, float(np.max(np.abs(
-                dzh[i][..., k, :] - dzh[k][..., i, :]))))
+                _dz(h[..., k, :], i, N) - _dz(h[..., i, :], k, N)))))
     return worst
 
 

@@ -38,12 +38,8 @@ __all__ = [
     "omega_form",
     "wedge",
     "form_conj",
-    "contract_holo",
-    "contract_anti",
     "partial",
     "dbar",
-    "nabla_holo",
-    "nabla_anti",
     "d_prime",
     "d_second",
     "delta0_prime",
@@ -195,6 +191,23 @@ def random_form(mj: MetricJet, p: int, q: int, rng, r: int = 1,
 
 # -- basis bookkeeping -----------------------------------------------------
 
+# Side index of a slot group: the dz^I block (HOLO) or the dzbar^J block
+# (ANTI).  It is also the coefficient-array axis of that block, and each
+# conjugate operator pair below is one body selected by it.
+HOLO, ANTI = 0, 1
+
+
+def _bumped(phi: FormJet, side: int, d: int):
+    """Bidegree of phi with its `side` degree moved by d."""
+    deg = [phi.p, phi.q]
+    deg[side] += d
+    return deg
+
+
+def _side_view(coeffs: np.ndarray, side: int) -> np.ndarray:
+    """coeffs with the `side` block on axis 0; a view, so writes go through."""
+    return coeffs if side == HOLO else coeffs.swapaxes(0, 1)
+
 
 def _insert(tup, k):
     """Sign and tuple for dz^k moved into sorted position of tup; None if k
@@ -212,52 +225,43 @@ def _remove(tup, k):
     return (-1) ** pos, tup[:pos] + tup[pos + 1:]
 
 
-def _wedge1_holo(phi: FormJet, i: int, coef: Jet | None = None) -> FormJet:
-    """dz^i wedge phi (times an optional scalar jet)."""
-    out = zero_form(phi.mj, phi.p + 1, phi.q, phi.r)
-    if phi.p + 1 > phi.n:
+def _slot_map(phi: FormJet, side: int, k: int, d: int,
+              coef: Jet | None = None) -> FormJet:
+    """Slot k into (d = 1) or out of (d = -1) the `side` block of phi, times
+    an optional scalar jet; a barred slot passes the p unbarred ones."""
+    out = zero_form(phi.mj, *_bumped(phi, side, d), phi.r)
+    deg = (phi.p, phi.q)[side]
+    if not 0 <= deg + d <= phi.n:
         return out
     n = phi.n
-    src_i = _combos(n, phi.p)
-    dst = _combo_index(n, phi.p + 1)
-    for a, I in enumerate(src_i):
-        ins = _insert(I, i)
-        if ins is None:
+    dst = _combo_index(n, deg + d)
+    move = _insert if d > 0 else _remove
+    base = 1 if side == HOLO else (-1) ** phi.p
+    src, res = _side_view(phi.coeffs, side), _side_view(out.coeffs, side)
+    for s, T in enumerate(_combos(n, deg)):
+        mv = move(T, k)
+        if mv is None:
             continue
-        sgn, I2 = ins
-        for b in range(phi.coeffs.shape[1]):
+        sgn, T2 = mv
+        f = float(base * sgn)
+        for o in range(src.shape[1]):
             for al in range(phi.r):
-                c = phi.coeffs[a, b, al]
+                c = src[s, o, al]
                 if coef is not None:
                     c = _jmul(c, coef)
-                out.coeffs[dst[I2], b, al] = _jadd(
-                    out.coeffs[dst[I2], b, al], c * float(sgn))
+                res[dst[T2], o, al] = _jadd(res[dst[T2], o, al], c * f)
     return out
 
 
-def _wedge1_anti(phi: FormJet, j: int, coef: Jet | None = None) -> FormJet:
-    """dzbar^j wedge phi (times an optional scalar jet)."""
-    out = zero_form(phi.mj, phi.p, phi.q + 1, phi.r)
-    if phi.q + 1 > phi.n:
-        return out
-    n = phi.n
-    src_j = _combos(n, phi.q)
-    dst = _combo_index(n, phi.q + 1)
-    base_sign = (-1) ** phi.p
-    for b, J in enumerate(src_j):
-        ins = _insert(J, j)
-        if ins is None:
-            continue
-        sgn, J2 = ins
-        s = float(base_sign * sgn)
-        for a in range(phi.coeffs.shape[0]):
-            for al in range(phi.r):
-                c = phi.coeffs[a, b, al]
-                if coef is not None:
-                    c = _jmul(c, coef)
-                out.coeffs[a, dst[J2], al] = _jadd(
-                    out.coeffs[a, dst[J2], al], c * s)
-    return out
+def _wedge1(phi: FormJet, side: int, k: int, coef: Jet | None = None) -> FormJet:
+    """dz^k (HOLO) or dzbar^k (ANTI) wedge phi, times an optional scalar
+    jet."""
+    return _slot_map(phi, side, k, 1, coef)
+
+
+def _contract(phi: FormJet, side: int, k: int) -> FormJet:
+    """Interior product with d/dz^k (HOLO) or d/dzbar^k (ANTI)."""
+    return _slot_map(phi, side, k, -1)
 
 
 def wedge(phi: FormJet, psi: FormJet) -> FormJet:
@@ -319,213 +323,123 @@ def form_conj(phi: FormJet) -> FormJet:
     return out
 
 
-def contract_holo(phi: FormJet, k: int) -> FormJet:
-    """Interior product with d/dz^k."""
-    out = zero_form(phi.mj, phi.p - 1, phi.q, phi.r)
-    if phi.p == 0:
-        return out
-    n = phi.n
-    dst = _combo_index(n, phi.p - 1)
-    for a, I in enumerate(_combos(n, phi.p)):
-        rm = _remove(I, k)
-        if rm is None:
-            continue
-        sgn, I2 = rm
-        for b in range(phi.coeffs.shape[1]):
-            for al in range(phi.r):
-                out.coeffs[dst[I2], b, al] = _jadd(
-                    out.coeffs[dst[I2], b, al],
-                    phi.coeffs[a, b, al] * float(sgn))
-    return out
-
-
-def contract_anti(phi: FormJet, k: int) -> FormJet:
-    """Interior product with d/dzbar^k."""
-    out = zero_form(phi.mj, phi.p, phi.q - 1, phi.r)
-    if phi.q == 0:
-        return out
-    n = phi.n
-    dst = _combo_index(n, phi.q - 1)
-    base = (-1) ** phi.p
-    for b, J in enumerate(_combos(n, phi.q)):
-        rm = _remove(J, k)
-        if rm is None:
-            continue
-        sgn, J2 = rm
-        s = float(base * sgn)
-        for a in range(phi.coeffs.shape[0]):
-            for al in range(phi.r):
-                out.coeffs[a, dst[J2], al] = _jadd(
-                    out.coeffs[a, dst[J2], al], phi.coeffs[a, b, al] * s)
-    return out
-
-
 # -- differential operators ------------------------------------------------
 
 
-def _dcoeffs(phi: FormJet, which: str, i: int) -> FormJet:
+def _dcoeffs(phi: FormJet, side: int, i: int) -> FormJet:
     out = zero_form(phi.mj, phi.p, phi.q, phi.r, order=phi.coeffs.flat[0].order - 1)
     for idx in np.ndindex(phi.coeffs.shape):
-        out.coeffs[idx] = wirtinger(phi.coeffs[idx], which, i)
+        out.coeffs[idx] = wirtinger(phi.coeffs[idx], ("holo", "antiholo")[side], i)
+    return out
+
+
+def _fiber_apply(out: FormJet, phi: FormJet, mat) -> None:
+    """out += phi . mat in place, mat[al][be] a fiber connection matrix."""
+    for a in range(out.coeffs.shape[0]):
+        for b in range(out.coeffs.shape[1]):
+            for be in range(phi.r):
+                acc = out.coeffs[a, b, be]
+                for al in range(phi.r):
+                    acc = _jadd(acc, _jmul(phi.coeffs[a, b, al], mat[al][be]))
+                out.coeffs[a, b, be] = acc
+
+
+def _d(phi: FormJet, side: int, conn: "ConnectionJet | None" = None) -> FormJet:
+    """partial (HOLO) or dbar (ANTI), twisted by a fiber connection."""
+    out = zero_form(phi.mj, *_bumped(phi, side, 1), phi.r)
+    for i in range(phi.n):
+        d = _dcoeffs(phi, side, i)
+        if conn is not None:
+            _fiber_apply(d, phi, (conn.amats, conn.bmats)[side][i])
+        out = out + _wedge1(d, side, i)
     return out
 
 
 def partial(phi: FormJet) -> FormJet:
-    out = zero_form(phi.mj, phi.p + 1, phi.q, phi.r)
-    for i in range(phi.n):
-        out = out + _wedge1_holo(_dcoeffs(phi, "holo", i), i)
-    return out
+    return _d(phi, HOLO)
 
 
 def dbar(phi: FormJet) -> FormJet:
-    out = zero_form(phi.mj, phi.p, phi.q + 1, phi.r)
-    for j in range(phi.n):
-        out = out + _wedge1_anti(_dcoeffs(phi, "antiholo", j), j)
+    return _d(phi, ANTI)
+
+
+def _nabla(phi: FormJet, side: int, i: int,
+           conn: "ConnectionJet | None" = None) -> FormJet:
+    """Type-preserving covariant derivative in direction z^i (HOLO) or
+    zbar^i (ANTI): Levi-Civita on the bundle of (p,q)-forms, plus a fiber
+    connection."""
+    n = phi.n
+    lc = levi_civita(phi.mj)
+    out = _dcoeffs(phi, side, i)
+    direction = n * side + i
+    views = (out.coeffs, _side_view(out.coeffs, ANTI))
+    for a, I in enumerate(_combos(n, phi.p)):
+        for b, J in enumerate(_combos(n, phi.q)):
+            for slots, T in ((HOLO, I), (ANTI, J)):
+                off = n * slots
+                dst = _combo_index(n, len(T))
+                res, other = views[slots], (b, a)[slots]
+                for t, slot in enumerate(T):
+                    for c in range(n):
+                        gam = lc.entry(direction, off + c, off + slot)
+                        if gam.max_abs() == 0.0:
+                            continue
+                        ins = _insert(T[:t] + T[t + 1:], c)
+                        if ins is None:
+                            continue
+                        sgn, T2 = ins
+                        s = float((-1) ** t * sgn)
+                        for al in range(phi.r):
+                            res[dst[T2], other, al] = _jadd(
+                                res[dst[T2], other, al],
+                                _jmul(phi.coeffs[a, b, al], gam) * (-s))
+    if conn is not None:
+        _fiber_apply(out, phi, (conn.amats, conn.bmats)[side][i])
     return out
 
 
-def nabla_holo(phi: FormJet, i: int, conn: "ConnectionJet | None" = None):
-    """Type-preserving covariant derivative in direction z^i (the (1,0)-part
-    connection on the bundle of (p,q)-forms, plus a fiber connection)."""
-    n = phi.n
-    lc = levi_civita(phi.mj)
-    out = _dcoeffs(phi, "holo", i)
-    idx_p = _combo_index(n, phi.p)
-    idx_q = _combo_index(n, phi.q)
-    for a, I in enumerate(_combos(n, phi.p)):
-        for b, J in enumerate(_combos(n, phi.q)):
-            for t, slot in enumerate(I):
-                for c in range(n):
-                    gam = lc.entry(i, c, slot)
-                    if gam.max_abs() == 0.0:
-                        continue
-                    rest = I[:t] + I[t + 1:]
-                    ins = _insert(rest, c)
-                    if ins is None:
-                        continue
-                    sgn, I2 = ins
-                    s = float((-1) ** t * sgn)
-                    for al in range(phi.r):
-                        out.coeffs[idx_p[I2], b, al] = _jadd(
-                            out.coeffs[idx_p[I2], b, al],
-                            _jmul(phi.coeffs[a, b, al], gam) * (-s))
-            for t, slot in enumerate(J):
-                for c in range(n):
-                    gam = lc.entry(i, n + c, n + slot)
-                    if gam.max_abs() == 0.0:
-                        continue
-                    rest = J[:t] + J[t + 1:]
-                    ins = _insert(rest, c)
-                    if ins is None:
-                        continue
-                    sgn, J2 = ins
-                    s = float((-1) ** t * sgn)
-                    for al in range(phi.r):
-                        out.coeffs[a, idx_q[J2], al] = _jadd(
-                            out.coeffs[a, idx_q[J2], al],
-                            _jmul(phi.coeffs[a, b, al], gam) * (-s))
-    if conn is not None:
-        for a in range(out.coeffs.shape[0]):
-            for b in range(out.coeffs.shape[1]):
-                for be in range(phi.r):
-                    acc = out.coeffs[a, b, be]
-                    for al in range(phi.r):
-                        acc = _jadd(acc, _jmul(phi.coeffs[a, b, al],
-                                               conn.amats[i][al][be]))
-                    out.coeffs[a, b, be] = acc
-    return out
-
-
-def nabla_anti(phi: FormJet, j: int, conn: "ConnectionJet | None" = None):
-    """Type-preserving covariant derivative in direction zbar^j."""
-    n = phi.n
-    lc = levi_civita(phi.mj)
-    out = _dcoeffs(phi, "antiholo", j)
-    idx_p = _combo_index(n, phi.p)
-    idx_q = _combo_index(n, phi.q)
-    jb = n + j
-    for a, I in enumerate(_combos(n, phi.p)):
-        for b, J in enumerate(_combos(n, phi.q)):
-            for t, slot in enumerate(I):
-                for c in range(n):
-                    gam = lc.entry(jb, c, slot)
-                    if gam.max_abs() == 0.0:
-                        continue
-                    rest = I[:t] + I[t + 1:]
-                    ins = _insert(rest, c)
-                    if ins is None:
-                        continue
-                    sgn, I2 = ins
-                    s = float((-1) ** t * sgn)
-                    for al in range(phi.r):
-                        out.coeffs[idx_p[I2], b, al] = _jadd(
-                            out.coeffs[idx_p[I2], b, al],
-                            _jmul(phi.coeffs[a, b, al], gam) * (-s))
-            for t, slot in enumerate(J):
-                for c in range(n):
-                    gam = lc.entry(jb, n + c, n + slot)
-                    if gam.max_abs() == 0.0:
-                        continue
-                    rest = J[:t] + J[t + 1:]
-                    ins = _insert(rest, c)
-                    if ins is None:
-                        continue
-                    sgn, J2 = ins
-                    s = float((-1) ** t * sgn)
-                    for al in range(phi.r):
-                        out.coeffs[a, idx_q[J2], al] = _jadd(
-                            out.coeffs[a, idx_q[J2], al],
-                            _jmul(phi.coeffs[a, b, al], gam) * (-s))
-    if conn is not None:
-        for a in range(out.coeffs.shape[0]):
-            for b in range(out.coeffs.shape[1]):
-                for be in range(phi.r):
-                    acc = out.coeffs[a, b, be]
-                    for al in range(phi.r):
-                        acc = _jadd(acc, _jmul(phi.coeffs[a, b, al],
-                                               conn.bmats[j][al][be]))
-                    out.coeffs[a, b, be] = acc
+def _big_d(phi: FormJet, side: int, conn=None) -> FormJet:
+    """D' (HOLO) or D'' (ANTI): the covariant exterior derivative parts."""
+    out = zero_form(phi.mj, *_bumped(phi, side, 1), phi.r)
+    for i in range(phi.n):
+        out = out + _wedge1(_nabla(phi, side, i, conn), side, i)
     return out
 
 
 def d_prime(phi: FormJet, conn=None) -> FormJet:
-    out = zero_form(phi.mj, phi.p + 1, phi.q, phi.r)
-    for i in range(phi.n):
-        out = out + _wedge1_holo(nabla_holo(phi, i, conn), i)
-    return out
+    return _big_d(phi, HOLO, conn)
 
 
 def d_second(phi: FormJet, conn=None) -> FormJet:
-    out = zero_form(phi.mj, phi.p, phi.q + 1, phi.r)
+    return _big_d(phi, ANTI, conn)
+
+
+def _h_up(mj: MetricJet, side: int, k: int, m: int) -> Jet:
+    """The raised metric pairing a `side` index k with an other-side index
+    m: h^{k mbar} on HOLO, h^{m kbar} on ANTI."""
+    return mj.h_up(k, m) if side == HOLO else mj.h_up(m, k)
+
+
+def _delta0(phi: FormJet, side: int, conn=None) -> FormJet:
+    """-h^{i jbar} I_i nabla''_jbar (HOLO) or -h^{j ibar} I_ibar nabla'_j
+    (ANTI)."""
+    mj = phi.mj
+    out = zero_form(mj, *_bumped(phi, side, -1), phi.r)
+    if (phi.p, phi.q)[side] == 0:
+        return out
     for j in range(phi.n):
-        out = out + _wedge1_anti(nabla_anti(phi, j, conn), j)
+        nb = _nabla(phi, 1 - side, j, conn)
+        for i in range(phi.n):
+            out = out + _contract(nb, side, i) * (_h_up(mj, side, i, j) * (-1.0))
     return out
 
 
 def delta0_prime(phi: FormJet, conn=None) -> FormJet:
-    """-h^{i jbar} I_i nabla''_jbar"""
-    mj = phi.mj
-    out = zero_form(mj, phi.p - 1, phi.q, phi.r)
-    if phi.p == 0:
-        return out
-    for j in range(phi.n):
-        nb = nabla_anti(phi, j, conn)
-        for i in range(phi.n):
-            out = out + contract_holo(nb, i) * (mj.h_up(i, j) * (-1.0))
-    return out
+    return _delta0(phi, HOLO, conn)
 
 
 def delta0_second(phi: FormJet, conn=None) -> FormJet:
-    """-h^{j ibar} I_ibar nabla'_j"""
-    mj = phi.mj
-    out = zero_form(mj, phi.p, phi.q - 1, phi.r)
-    if phi.q == 0:
-        return out
-    for j in range(phi.n):
-        nh = nabla_holo(phi, j, conn)
-        for i in range(phi.n):
-            out = out + contract_anti(nh, i) * (mj.hinv[i][j] * (-1.0))
-    return out
+    return _delta0(phi, ANTI, conn)
 
 
 # -- omega, L, Lambda, torsion operators -----------------------------------
@@ -554,9 +468,9 @@ def lambda_op(phi: FormJet) -> FormJet:
     if phi.p == 0 or phi.q == 0:
         return out
     for j in range(phi.n):
-        cj = contract_anti(phi, j)
+        cj = _contract(phi, ANTI, j)
         for i in range(phi.n):
-            out = out + contract_holo(cj, i) * (mj.h_up(i, j) * 1j)
+            out = out + _contract(cj, HOLO, i) * (mj.h_up(i, j) * 1j)
     return out
 
 
@@ -570,7 +484,7 @@ def c_op(phi: FormJet) -> FormJet:
         eta = _zero(n, mj.order - 1)
         for l in range(n):
             eta = eta + lc.entry(j, n + l, n + l)
-        out = out + _wedge1_holo(phi, j, coef=eta * 2.0)
+        out = out + _wedge1(phi, HOLO, j, coef=eta * 2.0)
     return out
 
 
@@ -581,14 +495,14 @@ def b_op(phi: FormJet) -> FormJet:
     n = mj.n
     out = zero_form(mj, phi.p + 1, phi.q, phi.r)
     for l in range(n):
-        cl = contract_anti(phi, l)
+        cl = _contract(phi, ANTI, l)
         for i in range(n):
             for j in range(n):
                 gam = lc.entry(i, n + j, n + l)
                 if gam.max_abs() == 0.0:
                     continue
-                out = out + _wedge1_holo(_wedge1_anti(cl, j), i,
-                                         coef=gam * (-2.0))
+                out = out + _wedge1(_wedge1(cl, ANTI, j), HOLO, i,
+                                    coef=gam * (-2.0))
     return out
 
 
@@ -601,7 +515,7 @@ def a_op(phi: FormJet) -> FormJet:
     if phi.p == 0:
         return out
     for k in range(n):
-        ck = contract_holo(phi, k)
+        ck = _contract(phi, HOLO, k)
         for s in range(n):
             for i in range(n):
                 coef = _zero(n, mj.order - 1)
@@ -614,15 +528,23 @@ def a_op(phi: FormJet) -> FormJet:
                                                        mj.h[i][m]), gam))
                 if coef.max_abs() == 0.0:
                     continue
-                out = out + _wedge1_holo(_wedge1_holo(ck, i), s,
-                                         coef=coef * (-1.0))
+                out = out + _wedge1(_wedge1(ck, HOLO, i), HOLO, s,
+                                    coef=coef * (-1.0))
     return out
+
+
+def _torsion(phi: FormJet, side: int) -> FormJet:
+    """[Lambda, w ^] with w = 2 d'omega on HOLO and its conjugate on ANTI
+    (which, unlike tau_bar, leaves the fiber coefficients unconjugated)."""
+    w = partial(two_omega(phi.mj))
+    if side == ANTI:
+        w = form_conj(w)
+    return lambda_op(wedge(w, phi)) - wedge(w, lambda_op(phi))
 
 
 def tau(phi: FormJet) -> FormJet:
     """[Lambda, 2 d'omega] — the type (1,0) torsion operator."""
-    w = partial(two_omega(phi.mj))
-    return lambda_op(wedge(w, phi)) - wedge(w, lambda_op(phi))
+    return _torsion(phi, HOLO)
 
 
 def tau_bar(phi: FormJet) -> FormJet:
@@ -780,57 +702,54 @@ def lambda_matrix_adjoint(phi: FormJet) -> FormJet:
     return star(l_op, phi, (1, 1))
 
 
-def _abar_star(phi):
-    return star(lambda ps: form_conj(a_op(form_conj(ps))), phi, (0, 1))
+def _conj_op(op):
+    """The conjugate operator form_conj . op . form_conj."""
+    return lambda phi: form_conj(op(form_conj(phi)))
 
 
-def _bbar_star(phi):
-    return star(lambda ps: form_conj(b_op(form_conj(ps))), phi, (0, 1))
+def _adjoint(op, ddeg):
+    """Pointwise adjoint of op; star is looked up at call time."""
+    def op_star(phi, fiber=None):
+        return star(op, phi, ddeg, fiber)
+    return op_star
 
 
-def _cbar_star(phi):
-    return star(lambda ps: form_conj(c_op(form_conj(ps))), phi, (0, 1))
+_a_star = _adjoint(a_op, (1, 0))
+_b_star = _adjoint(b_op, (1, 0))
+_c_star = _adjoint(c_op, (1, 0))
+_tau_star = _adjoint(tau, (1, 0))
+_abar_star = _adjoint(_conj_op(a_op), (0, 1))
+_bbar_star = _adjoint(_conj_op(b_op), (0, 1))
+_cbar_star = _adjoint(_conj_op(c_op), (0, 1))
+_tau_bar_star = _adjoint(tau_bar, (0, 1))
 
 
-def _a_star(phi):
-    return star(a_op, phi, (1, 0))
+def _d_star(phi: FormJet, side: int) -> FormJet:
+    """Local formula: delta0 - (B* + C*)/2 on HOLO (partial*), the
+    conjugates on ANTI (dbar*)."""
+    b_star, c_star = ((_b_star, _c_star), (_bbar_star, _cbar_star))[side]
+    return _delta0(phi, side) - (b_star(phi) + c_star(phi)) * 0.5
 
 
-def _b_star(phi):
-    return star(b_op, phi, (1, 0))
-
-
-def _c_star(phi):
-    return star(c_op, phi, (1, 0))
-
-
-def _tau_star(phi, fiber=None):
-    return star(tau, phi, (1, 0), fiber)
-
-
-def _tau_bar_star(phi, fiber=None):
-    return star(tau_bar, phi, (0, 1), fiber)
+def _delta(phi: FormJet, side: int) -> FormJet:
+    """delta0 - C*/2 on HOLO, delta0 - Cbar*/2 on ANTI."""
+    return _delta0(phi, side) - (_c_star, _cbar_star)[side](phi) * 0.5
 
 
 def dbar_star(phi: FormJet) -> FormJet:
-    """Local formula: delta''_0 - (Bbar* + Cbar*)/2."""
-    return (delta0_second(phi)
-            - (_bbar_star(phi) + _cbar_star(phi)) * 0.5)
+    return _d_star(phi, ANTI)
 
 
 def partial_star(phi: FormJet) -> FormJet:
-    """Local formula: delta'_0 - (B* + C*)/2."""
-    return delta0_prime(phi) - (_b_star(phi) + _c_star(phi)) * 0.5
+    return _d_star(phi, HOLO)
 
 
 def delta_prime(phi: FormJet) -> FormJet:
-    """delta'_0 - C*/2."""
-    return delta0_prime(phi) - _c_star(phi) * 0.5
+    return _delta(phi, HOLO)
 
 
 def delta_second(phi: FormJet) -> FormJet:
-    """delta''_0 - Cbar*/2."""
-    return delta0_second(phi) - _cbar_star(phi) * 0.5
+    return _delta(phi, ANTI)
 
 
 OPERATORS = {
@@ -871,10 +790,6 @@ def apply(name: str, phi: FormJet) -> FormJet:
 # -- identity suite --------------------------------------------------------
 
 
-def _comm(f, g, phi):
-    return f(g(phi)) - g(f(phi))
-
-
 def identity_suite(mj: MetricJet, trials: int, seed: int) -> dict:
     """Max residual (constant coefficient) of each operator identity over
     random forms of random bidegrees."""
@@ -889,21 +804,22 @@ def identity_suite(mj: MetricJet, trials: int, seed: int) -> dict:
         p = int(rng.integers(0, n + 1))
         q = int(rng.integers(0, n + 1))
         phi = random_form(mj, p, q, rng)
-        r1 = _comm(lambda_op, a_op, phi) + _bbar_star(phi) * 1j
+        # each operator value on phi once: the adjoints dominate a trial
+        lam, d_phi, ds = lambda_op(phi), partial(phi), dbar_star(phi)
+        ab, bb, cb = _abar_star(phi), _bbar_star(phi), _cbar_star(phi)
+        comm = lambda op: lambda_op(op(phi)) - op(lam)
+        r1 = comm(a_op) + bb * 1j
         res["lambda_a"] = max(res["lambda_a"], r1.max_const())
-        r2 = (_comm(lambda_op, b_op, phi)
-              + (_abar_star(phi) * 2.0 + _bbar_star(phi)
-                 + _cbar_star(phi)) * 1j)
+        r2 = comm(b_op) + (ab * 2.0 + bb + cb) * 1j
         res["lambda_b"] = max(res["lambda_b"], r2.max_const())
-        r3 = _comm(lambda_op, c_op, phi) + _cbar_star(phi) * 1j
+        r3 = comm(c_op) + cb * 1j
         res["lambda_c"] = max(res["lambda_c"], r3.max_const())
-        r4 = partial(phi) - d_prime(phi) + b_op(phi) * 0.5
+        r4 = d_phi - d_prime(phi) + b_op(phi) * 0.5
         res["partial_split"] = max(res["partial_split"], r4.max_const())
-        r5 = (dbar_star(phi) - delta0_second(phi)
-              + (_bbar_star(phi) + _cbar_star(phi)) * 0.5)
+        r5 = ds - delta0_second(phi) + (bb + cb) * 0.5
         res["dbar_star_split"] = max(res["dbar_star_split"], r5.max_const())
-        r6 = (lambda_op(partial(phi)) - partial(lambda_op(phi))
-              - (dbar_star(phi) + _tau_bar_star(phi)) * 1j)
+        r6 = (lambda_op(d_phi) - partial(lam)
+              - (ds + _tau_bar_star(phi)) * 1j)
         res["kahler_torsion"] = max(res["kahler_torsion"], r6.max_const())
     w = omega_form(mj)
     r7 = dbar_star(w) - lambda_op(partial(w)) * 1j
@@ -1000,35 +916,11 @@ def check_metric_compatible(conn: ConnectionJet, n: int,
 
 
 def partial_e(phi: FormJet, conn: ConnectionJet) -> FormJet:
-    out = zero_form(phi.mj, phi.p + 1, phi.q, phi.r)
-    for i in range(phi.n):
-        d = _dcoeffs(phi, "holo", i)
-        for a in range(phi.coeffs.shape[0]):
-            for b in range(phi.coeffs.shape[1]):
-                for be in range(phi.r):
-                    acc = d.coeffs[a, b, be]
-                    for al in range(phi.r):
-                        acc = _jadd(acc, _jmul(phi.coeffs[a, b, al],
-                                               conn.amats[i][al][be]))
-                    d.coeffs[a, b, be] = acc
-        out = out + _wedge1_holo(d, i)
-    return out
+    return _d(phi, HOLO, conn)
 
 
 def dbar_e(phi: FormJet, conn: ConnectionJet) -> FormJet:
-    out = zero_form(phi.mj, phi.p, phi.q + 1, phi.r)
-    for j in range(phi.n):
-        d = _dcoeffs(phi, "antiholo", j)
-        for a in range(phi.coeffs.shape[0]):
-            for b in range(phi.coeffs.shape[1]):
-                for be in range(phi.r):
-                    acc = d.coeffs[a, b, be]
-                    for al in range(phi.r):
-                        acc = _jadd(acc, _jmul(phi.coeffs[a, b, al],
-                                               conn.bmats[j][al][be]))
-                    d.coeffs[a, b, be] = acc
-        out = out + _wedge1_anti(d, j)
-    return out
+    return _d(phi, ANTI, conn)
 
 
 def _fiber_split(phi: FormJet):
@@ -1053,52 +945,35 @@ def _fiber_join(mj, comps_per_fiber, p, q, r):
     return out
 
 
-def dbar_e_star(phi: FormJet, conn: ConnectionJet) -> FormJet:
-    """(dbar* phi^al) x e_al - h^{i jbar} (I_jbar phi^al) nabla_i e_al."""
+def _d_e_star(phi: FormJet, conn: ConnectionJet, side: int) -> FormJet:
+    """Local formula on ANTI: (dbar* phi^al) x e_al
+    - h^{i jbar} (I_jbar phi^al) nabla_i e_al; on HOLO its conjugate dual
+    (partial* phi^al) x e_al - h^{j ibar} (I_j phi^al) nabla''_ibar e_al."""
     mj = phi.mj
     comps = _fiber_split(phi)
-    out = zero_form(mj, phi.p, phi.q - 1, phi.r)
-    base = [dbar_star(c) for c in comps]
-    out = out + _fiber_join(mj, base, phi.p, phi.q - 1, phi.r)
+    deg = _bumped(phi, side, -1)
+    out = _fiber_join(mj, [_d_star(c, side) for c in comps], *deg, phi.r)
+    mats = (conn.bmats, conn.amats)[side]  # the other side's direction
     for al, c in enumerate(comps):
-        for j in range(phi.n):
-            cj = contract_anti(c, j)
-            for i in range(phi.n):
+        for k in range(phi.n):
+            ck = _contract(c, side, k)
+            for m in range(phi.n):
                 for be in range(phi.r):
-                    coef = _jmul(mj.h_up(i, j), conn.amats[i][al][be])
-                    term = cj * (coef * (-1.0))
+                    coef = _jmul(_h_up(mj, side, k, m), mats[m][al][be])
+                    term = ck * (coef * (-1.0))
                     for a in range(out.coeffs.shape[0]):
                         for b in range(out.coeffs.shape[1]):
                             out.coeffs[a, b, be] = _jadd(
                                 out.coeffs[a, b, be], term.coeffs[a, b, 0])
     return out
+
+
+def dbar_e_star(phi: FormJet, conn: ConnectionJet) -> FormJet:
+    return _d_e_star(phi, conn, ANTI)
 
 
 def partial_e_star(phi: FormJet, conn: ConnectionJet) -> FormJet:
-    """Conjugate-dual local formula: (partial* phi^al) x e_al
-    - h^{j ibar} (I_j phi^al) nabla''_ibar e_al."""
-    mj = phi.mj
-    comps = _fiber_split(phi)
-    out = zero_form(mj, phi.p - 1, phi.q, phi.r)
-    base = [partial_star(c) for c in comps]
-    out = out + _fiber_join(mj, base, phi.p - 1, phi.q, phi.r)
-    for al, c in enumerate(comps):
-        for j in range(phi.n):
-            cj = contract_holo(c, j)
-            for i in range(phi.n):
-                for be in range(phi.r):
-                    coef = _jmul(mj.hinv[i][j], conn.bmats[i][al][be])
-                    term = cj * (coef * (-1.0))
-                    for a in range(out.coeffs.shape[0]):
-                        for b in range(out.coeffs.shape[1]):
-                            out.coeffs[a, b, be] = _jadd(
-                                out.coeffs[a, b, be], term.coeffs[a, b, 0])
-    return out
-
-
-def _tau_bar_e(phi: FormJet) -> FormJet:
-    w = form_conj(partial(two_omega(phi.mj)))
-    return lambda_op(wedge(w, phi)) - wedge(w, lambda_op(phi))
+    return _d_e_star(phi, conn, HOLO)
 
 
 def bundle_identity_suite(mj: MetricJet, conn: ConnectionJet,
@@ -1120,17 +995,19 @@ def bundle_identity_suite(mj: MetricJet, conn: ConnectionJet,
         de = lambda f: dbar_e(f, conn)
         pes = lambda f: partial_e_star(f, conn)
         des = lambda f: dbar_e_star(f, conn)
-        r1 = (des(l_op(phi)) - l_op(des(phi))
-              - (pe(phi) + tau(phi)) * 1j)
+        tau_bar_e = lambda f: _torsion(f, ANTI)
+        # each operator value on phi once: the adjoints dominate a trial
+        l_phi, lam = l_op(phi), lambda_op(phi)
+        pe_phi, de_phi, pes_phi, des_phi = pe(phi), de(phi), pes(phi), des(phi)
+        r1 = des(l_phi) - l_op(des_phi) - (pe_phi + tau(phi)) * 1j
         res["dbar_e_star_L"] = max(res["dbar_e_star_L"], r1.max_const())
-        r2 = (pes(l_op(phi)) - l_op(pes(phi))
-              + (de(phi) + _tau_bar_e(phi)) * 1j)
+        r2 = pes(l_phi) - l_op(pes_phi) + (de_phi + tau_bar_e(phi)) * 1j
         res["partial_e_star_L"] = max(res["partial_e_star_L"], r2.max_const())
-        r3 = (lambda_op(pe(phi)) - pe(lambda_op(phi))
-              - (des(phi) + star(_tau_bar_e, phi, (0, 1), fib)) * 1j)
+        r3 = (lambda_op(pe_phi) - pe(lam)
+              - (des_phi + star(tau_bar_e, phi, (0, 1), fib)) * 1j)
         res["lambda_partial_e"] = max(res["lambda_partial_e"], r3.max_const())
-        r4 = (lambda_op(de(phi)) - de(lambda_op(phi))
-              + (pes(phi) + star(tau, phi, (1, 0), fib)) * 1j)
+        r4 = (lambda_op(de_phi) - de(lam)
+              + (pes_phi + _tau_star(phi, fib)) * 1j)
         res["lambda_dbar_e"] = max(res["lambda_dbar_e"], r4.max_const())
         # curvature tensoriality on a product phi_scalar x s
         phis = random_form(mj, p, q, rng, r=1)

@@ -226,3 +226,29 @@ def test_grid_too_large_for_memory_fails_fast():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# -- Kahler defect against the full-array formula --------------------------
+
+
+def _kahler_defect_full(h, n, N):
+    """Reference: every row differentiated along every z^i."""
+    dzh = [F._dz(h, i, N) for i in range(n)]
+    worst = 0.0
+    for i in range(n):
+        for k in range(i + 1, n):
+            worst = max(worst, float(np.max(np.abs(
+                dzh[i][..., k, :] - dzh[k][..., i, :]))))
+    return worst
+
+
+@pytest.mark.parametrize("n, N", [(2, 8), (2, 12), (3, 5)])
+def test_kahler_defect_matches_full_array_formula(n, N):
+    rng = np.random.default_rng(n * N)
+    shape = (N,) * (2 * n) + (n, n)
+    grids = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)]
+    if n == 2:
+        grids.append(F.sample_on_grid(random_torus_fourier(n, 1), N))
+    for h in grids:
+        got = F.kahler_defect(h, n, N)
+        assert got > 0 and got == _kahler_defect_full(h, n, N)

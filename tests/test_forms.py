@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hermitia import forms as FO
 from hermitia.errors import StructuralError, ValidationError
 from hermitia.forms import (OPERATORS, apply, bundle_identity_suite,
                             chern_connection, check_metric_compatible, dbar,
@@ -11,7 +12,8 @@ from hermitia.forms import (OPERATORS, apply, bundle_identity_suite,
                             two_omega, wedge, zero_form)
 from hermitia.jets import constant
 from hermitia.metric import (flat_metric, hopf_metric, metric_jet,
-                             normal_form_random, potential_kahler_torus)
+                             normal_form_random, normal_form_skt,
+                             potential_kahler_torus)
 
 
 def _flat(n=2):
@@ -152,3 +154,62 @@ def test_second_hermitian_ricci_hopf():
     got = second_hermitian_ricci(chern_connection(mj), mj)
     want = (2 - 1) / r2 * np.eye(2)
     assert np.max(np.abs(got - want)) < 1e-10
+
+
+# -- conjugation symmetry of the side-indexed operator pairs ---------------
+
+
+def _coeff_gap(a, b):
+    """Largest difference over every jet coefficient of two forms."""
+    assert (a.p, a.q, a.r) == (b.p, b.q, b.r)
+    return max(x.max_abs() for x in (a - b).coeffs.flat)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_anti_side_is_conjugate_of_holo_side(n):
+    mj = metric_jet(normal_form_skt(n, 3), 0.05 * (1 + 1j) * np.ones(n),
+                    order=3)
+    rng = np.random.default_rng(n)
+
+    def conj_of(op):
+        return lambda f: form_conj(op(form_conj(f)))
+
+    pairs = [(dbar, partial), (FO.d_second, FO.d_prime),
+             (FO.delta0_second, FO.delta0_prime),
+             (FO.dbar_star, FO.partial_star)]
+    for k in range(n):
+        for body in (FO._contract, FO._nabla):
+            pairs.append((lambda f, b=body, k=k: b(f, FO.ANTI, k),
+                          lambda f, b=body, k=k: b(f, FO.HOLO, k)))
+    for p in range(n + 1):
+        for q in range(n + 1):
+            phi = random_form(mj, p, q, rng)
+            for anti, holo in pairs:
+                assert _coeff_gap(anti(phi), conj_of(holo)(phi)) <= 1e-13
+
+
+# -- each adjoint on phi is materialized once per trial --------------------
+
+
+def _count_star(monkeypatch):
+    calls = []
+    star = FO.star
+    monkeypatch.setattr(FO, "star", lambda *a: calls.append(1) or star(*a))
+    return calls
+
+
+def test_identity_trial_star_calls(monkeypatch):
+    mj = _hopf()
+    calls = _count_star(monkeypatch)
+    for seed in range(3):
+        calls.clear()
+        identity_suite(mj, trials=1, seed=seed)
+        assert len(calls) == 8
+
+
+def test_bundle_trial_star_calls(monkeypatch):
+    mj = _hopf()
+    conn = random_metric_connection(mj, r=2, seed=1)
+    calls = _count_star(monkeypatch)
+    bundle_identity_suite(mj, conn, trials=1, seed=0)
+    assert len(calls) == 20
