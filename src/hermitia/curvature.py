@@ -149,12 +149,10 @@ def bundle_curvature(table: ChristoffelTable, mj: MetricJet,
     n = mj.n
     g = table.const_table()      # (2n, n, n)
     dg = table.dconst_table()    # (2n, 2n, n, n)
-    Rup = np.zeros((n, n, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            jb = n + j
-            Rup[i, j] = (-dg[jb, i] + dg[i, jb]
-                         - g[i] @ g[jb] + g[jb] @ g[i])
+    gh, ga = g[:n], g[n:]
+    Rup = (-np.einsum("jiab->ijab", dg[n:, :n]) + dg[:n, n:]
+           - np.einsum("iac,jcb->ijab", gh, ga)
+           + np.einsum("jac,icb->ijab", ga, gh))
     if not lower:
         return Rup
     h0 = mj.h_at0()
@@ -214,13 +212,8 @@ def complexified_ricci(mj: MetricJet) -> RicciMatrix:
     n = mj.n
     full = lc_curvature_full(mj)
     up = hup_at0(mj)
-    m = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        for l in range(n):
-            for i in range(n):
-                for j in range(n):
-                    m[k, l] += up[i, j] * (full[k, n + j, i, n + l]
-                                           + full[k, i, n + j, n + l])
+    m = (np.einsum("ij,kjil->kl", up, full[:n, n:, :n, n:])
+         + np.einsum("ij,kijl->kl", up, full[:n, :n, n:, n:]))
     return RicciMatrix(flavor="complexified", kind="LeviCivita", n=n,
                        matrix=m, point=mj.point)
 
@@ -231,13 +224,8 @@ def complexified_ricci_bianchi(mj: MetricJet) -> RicciMatrix:
     n = mj.n
     slice11 = curvature_lc(mj).components
     up = hup_at0(mj)
-    m = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        for l in range(n):
-            for i in range(n):
-                for j in range(n):
-                    m[k, l] += up[i, j] * (2 * slice11[k, j, i, l]
-                                           - slice11[k, l, i, j])
+    m = (2 * np.einsum("ij,kjil->kl", up, slice11)
+         - np.einsum("ij,klij->kl", up, slice11))
     return RicciMatrix(flavor="complexified-bianchi", kind="LeviCivita", n=n,
                        matrix=m, point=mj.point)
 

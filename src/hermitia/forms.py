@@ -553,34 +553,69 @@ def tau_bar(phi: FormJet) -> FormJet:
 
 # -- inner product and adjoints --------------------------------------------
 
+# elementwise Jet operations on object arrays
+_jets_conj = np.frompyfunc(jet_conj, 1, 1)
+_jets_mul = np.frompyfunc(_jmul, 2, 1)
+_jets_add = np.frompyfunc(_jadd, 2, 1)
 
-def _det_hup(mj: MetricJet, I, K) -> Jet:
-    """det over rows I, cols K of the raised metric h^{i kbar} as a Jet."""
-    if len(I) == 0:
-        return constant(1.0 + 0.0j, mj.n, mj.order)
-    m = np.empty((len(I), len(K)), dtype=object)
-    for a, i in enumerate(I):
-        for b, k in enumerate(K):
-            m[a, b] = mj.h_up(i, k)
-    return det_jet(m)
+
+def _mat_vec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m x for a matrix and a vector of Jets."""
+    return _jets_add.reduce(_jets_mul(m, x), axis=1)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two Jet matrices: entry
+    (i * b.shape[0] + k, j * b.shape[1] + l) is a[i, j] b[k, l]."""
+    out = _jets_mul.outer(a, b).transpose(0, 2, 1, 3)
+    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
+def _compound(m: np.ndarray, k: int) -> np.ndarray:
+    """The k x k minors of the n x n Jet matrix m, rows and columns in
+    _combos(n, k) order; C_0(m) = [[1]]."""
+    n = m.shape[0]
+    if k == 0:
+        return np.array([[constant(1.0 + 0.0j, n, m[0, 0].order)]],
+                        dtype=object)
+    combos = _combos(n, k)
+    out = np.empty((len(combos), len(combos)), dtype=object)
+    for a, I in enumerate(combos):
+        for b, K in enumerate(combos):
+            out[a, b] = det_jet(m[np.ix_(I, K)])
+    return out
+
+
+def _gram_over(m: np.ndarray, p: int, q: int) -> np.ndarray:
+    """kron(C_p(m), conj C_q(m)): the row of dz^I ^ dzbar^J is
+    a * C(n, q) + b for I, J the a-th and b-th combos."""
+    return _kron(_compound(m, p), _jets_conj(_compound(m, q)))
 
 
 def gram(mj: MetricJet, p: int, q: int) -> np.ndarray:
-    """Gram matrix of the basis forms; entries are Jets."""
-    ci, cj = _combos(mj.n, p), _combos(mj.n, q)
-    g = np.empty((len(ci) * len(cj), len(ci) * len(cj)), dtype=object)
-    for a1, I in enumerate(ci):
-        for b1, J in enumerate(cj):
-            for a2, K in enumerate(ci):
-                for b2, L in enumerate(cj):
-                    g[a1 * len(cj) + b1, a2 * len(cj) + b2] = _jmul(
-                        _det_hup(mj, I, K), jet_conj(_det_hup(mj, J, L)))
-    return g
+    """Gram matrix of the basis forms; entries are Jets.  It is
+    kron(C_p(Hup), conj C_q(Hup)) for Hup[i, k] = h^{i kbar}."""
+    return _gram_over(mj.hinv.T, p, q)
+
+
+def _gram_inverse(mj: MetricJet, p: int, q: int) -> np.ndarray:
+    """gram(mj, p, q)^-1 without a solve: by Cauchy-Binet C_k(Hup)^-1 =
+    C_k(Hup^-1), and Hup^-1[i, k] = h_{k ibar} is the lower metric."""
+    return _gram_over(mj.h.T, p, q)
+
+
+def _with_fiber(mj: MetricJet, g: np.ndarray, fiber, r: int) -> np.ndarray:
+    """g tensored with an r x r fiber metric (the identity when None)."""
+    if fiber is None:
+        if r == 1:
+            return g
+        fiber = trivial_connection(mj, r).fiber
+    return _kron(g, np.asarray(fiber, dtype=object))
 
 
 def _flatten(phi: FormJet) -> np.ndarray:
-    na, nb = phi.coeffs.shape[:2]
-    return phi.coeffs.reshape(na * nb, phi.r)
+    """The coefficient vector, entry (a * C(n, q) + b) * r + al."""
+    return phi.coeffs.reshape(-1)
 
 
 def inner(phi: FormJet, psi: FormJet, fiber: np.ndarray | None = None) -> Jet:
@@ -588,21 +623,9 @@ def inner(phi: FormJet, psi: FormJet, fiber: np.ndarray | None = None) -> Jet:
     in psi).  fiber is an r x r matrix of Jets G[al][be] = <e_al, e_be>."""
     if (phi.p, phi.q, phi.r) != (psi.p, psi.q, psi.r):
         raise StructuralError("bidegree/rank mismatch in inner product")
-    g = gram(phi.mj, phi.p, phi.q)
-    x = _flatten(phi)
-    y = _flatten(psi)
-    acc = _zero(phi.n, phi.mj.order)
-    for a in range(g.shape[0]):
-        for b in range(g.shape[0]):
-            for al in range(phi.r):
-                for be in range(phi.r):
-                    term = _jmul(_jmul(x[a, al], jet_conj(y[b, be])), g[a, b])
-                    if fiber is not None:
-                        term = _jmul(term, fiber[al][be])
-                    elif al != be:
-                        continue
-                    acc = _jadd(acc, term)
-    return acc
+    g = _with_fiber(phi.mj, gram(phi.mj, phi.p, phi.q), fiber, phi.r)
+    gy = _mat_vec(g, _jets_conj(_flatten(psi)))
+    return _jets_add.reduce(_jets_mul(_flatten(phi), gy))
 
 
 def _op_matrix(op, mj: MetricJet, p: int, q: int, r: int, dst):
@@ -621,79 +644,35 @@ def _op_matrix(op, mj: MetricJet, p: int, q: int, r: int, dst):
                         raise StructuralError(
                             "operator degree shift does not match ddeg")
                     img = zero_form(mj, dst[0], dst[1], r)
-                cols.append(_flatten(img).reshape(-1))
+                cols.append(_flatten(img))
     mat = np.empty((len(cols[0]), len(cols)), dtype=object)
     for c, col in enumerate(cols):
         mat[:, c] = col
     return mat
 
 
-def _fiber_gram_expand(g: np.ndarray, fiber, r: int) -> np.ndarray:
-    if r == 1 and fiber is None:
-        return g
-    m = g.shape[0]
-    out = np.empty((m * r, m * r), dtype=object)
-    for a in range(m):
-        for b in range(m):
-            for al in range(r):
-                for be in range(r):
-                    v = g[a, b]
-                    if fiber is not None:
-                        v = _jmul(v, fiber[al][be])
-                    elif al != be:
-                        v = v * 0.0
-                    out[a * r + al, b * r + be] = v
-    return out
-
-
-def _mat_mul(A, B):
-    out = np.empty((A.shape[0], B.shape[1]), dtype=object)
-    for i in range(A.shape[0]):
-        for j in range(B.shape[1]):
-            acc = None
-            for k in range(A.shape[1]):
-                t = _jmul(A[i, k], B[k, j])
-                acc = t if acc is None else _jadd(acc, t)
-            out[i, j] = acc
-    return out
-
-
-def _mat_conj(A):
-    out = np.empty_like(A)
-    for idx in np.ndindex(A.shape):
-        out[idx] = jet_conj(A[idx])
-    return out
-
-
 def star(op, phi: FormJet, ddeg, fiber=None) -> FormJet:
     """Exact pointwise adjoint of a Jet-linear (algebraic) operator.
 
     op maps (p,q) -> (p+dp, q+dq) with ddeg = (dp, dq); star(op) maps phi at
-    (p,q) back to (p-dp, q-dq)."""
+    (p,q) back to (p-dp, q-dq).  With T the matrix of op and G the Gram
+    matrices (tensored with the fiber metric F),
+    star(op) phi = conj(Gs^-1 T^T Gd conj(phi)), three matrix-vector
+    products from the right; Gs^-1 is a compound-matrix product and F^-1
+    the only solve."""
     dp, dq = ddeg
     mj = phi.mj
     sp, sq = phi.p - dp, phi.q - dq
     if not (0 <= sp <= phi.n and 0 <= sq <= phi.n):
         return zero_form(mj, max(sp, 0), max(sq, 0), phi.r)
     T = _op_matrix(op, mj, sp, sq, phi.r, (phi.p, phi.q))
-    g_src = _fiber_gram_expand(gram(mj, sp, sq), fiber, phi.r)
-    g_dst = _fiber_gram_expand(gram(mj, phi.p, phi.q), fiber, phi.r)
-    # adjoint matrix: conj(T*) = Gs^{-1} T^T Gd
-    gs_inv = jet_matrix_inverse(g_src)
-    tstar = _mat_conj(_mat_mul(_mat_mul(gs_inv, T.T), g_dst))
-    y = _flatten(phi).reshape(-1)
-    out = zero_form(mj, sp, sq, phi.r)
-    flat = _flatten(out)
-    nb = len(_combos(mj.n, sq))
-    for row in range(tstar.shape[0]):
-        acc = None
-        for col in range(tstar.shape[1]):
-            t = _jmul(tstar[row, col], y[col])
-            acc = t if acc is None else _jadd(acc, t)
-        a, rem = divmod(row, nb * phi.r)
-        b, al = divmod(rem, phi.r)
-        out.coeffs[a, b, al] = acc
-    return out
+    f_inv = None if fiber is None else jet_matrix_inverse(fiber)
+    g_dst = _with_fiber(mj, gram(mj, phi.p, phi.q), fiber, phi.r)
+    gs_inv = _with_fiber(mj, _gram_inverse(mj, sp, sq), f_inv, phi.r)
+    y = _mat_vec(T.T, _mat_vec(g_dst, _jets_conj(_flatten(phi))))
+    x = _mat_vec(gs_inv, y)
+    shape = (len(_combos(mj.n, sp)), len(_combos(mj.n, sq)), phi.r)
+    return FormJet(mj, sp, sq, phi.r, _jets_conj(x).reshape(shape))
 
 
 def lambda_matrix_adjoint(phi: FormJet) -> FormJet:

@@ -46,12 +46,7 @@ class StructureReport:
 def kahler_defect(mj: MetricJet):
     """f_{i jbar k} = dh_{i jbar}/dz^k - dh_{k jbar}/dz^i and its max modulus."""
     dh = derivative_tables(mj)[0]
-    n = mj.n
-    f = np.zeros((n, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                f[i, j, k] = dh[k, i, j] - dh[i, k, j]
+    f = np.einsum("kij->ijk", dh) - np.einsum("ikj->ijk", dh)
     return float(abs(f).max()), f
 
 
@@ -70,13 +65,8 @@ def skt_defect(mj: MetricJet):
     if mj.order < 2:
         raise OrderExhaustedError("metric jet order must be >= 2")
     d2 = derivative_tables(mj)[2]
-    n = mj.n
-    r = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                r[i, j] += (d2[k, k, i, j] + d2[i, j, k, k]
-                            - d2[k, j, i, k] - d2[i, k, k, j])
+    r = (np.einsum("kkij->ij", d2) + np.einsum("ijkk->ij", d2)
+         - np.einsum("kjik->ij", d2) - np.einsum("ikkj->ij", d2))
     return float(abs(r).max()), r
 
 

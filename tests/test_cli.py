@@ -169,3 +169,23 @@ def test_hermitia_threads_caps_blas_threads():
          "print(len(os.listdir('/proc/self/task')))"],
         env=env, capture_output=True, text=True, timeout=120, check=True)
     assert int(done.stdout) == 1
+
+
+def _readme_cli_lines():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```[^\n]*\n(.*?)```", readme.read_text(), re.S)
+    return [line for block in blocks
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("hermitia ")]
+
+
+@pytest.mark.parametrize("command", _readme_cli_lines())
+def test_readme_commands_run(command, tmp_path):
+    src = str(Path(hermitia.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src,
+                                                      env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "hermitia.cli", *shlex.split(command)[1:]],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr[-2000:]

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from hermitia.curvature import (complexified_ricci, complexified_ricci_bianchi,
+from hermitia.connection import bismut, chern
+from hermitia.curvature import (bundle_curvature, complexified_ricci,
+                                complexified_ricci_bianchi,
                                 curvature_bismut, curvature_chern,
                                 curvature_comparison, curvature_induced,
-                                curvature_lc, normal_point_suite, ricci,
+                                curvature_lc, hup_at0, lc_curvature_full,
+                                normal_point_suite, ricci,
                                 ricci_first_chern_logdet, ricci_panel,
                                 scalars)
 from hermitia.errors import StructuralError
@@ -134,3 +137,54 @@ def test_scalars_real():
         rep = scalars(mj)
         for v in rep.as_dict().values():
             assert abs(complex(v).imag) < 1e-10
+
+
+# -- einsum contractions against the entry-by-entry loops they replaced ----
+
+
+def _ricci_loops(mj):
+    """Reference: both complexified Ricci routes, entry by entry."""
+    n = mj.n
+    full = lc_curvature_full(mj)
+    s11 = curvature_lc(mj).components
+    up = hup_at0(mj)
+    m1 = np.zeros((n, n), dtype=complex)
+    m2 = np.zeros((n, n), dtype=complex)
+    for k in range(n):
+        for l in range(n):
+            for i in range(n):
+                for j in range(n):
+                    m1[k, l] += up[i, j] * (full[k, n + j, i, n + l]
+                                            + full[k, i, n + j, n + l])
+                    m2[k, l] += up[i, j] * (2 * s11[k, j, i, l]
+                                            - s11[k, l, i, j])
+    return m1, m2
+
+
+def _bundle_curvature_loops(table, mj):
+    """Reference: the raised (1,1)-curvature, one (i, j) block at a time."""
+    n = mj.n
+    g, dg = table.const_table(), table.dconst_table()
+    r_up = np.zeros((n, n, n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            jb = n + j
+            r_up[i, j] = (-dg[jb, i] + dg[i, jb]
+                          - g[i] @ g[jb] + g[jb] @ g[i])
+    return r_up
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_einsum_contractions_match_loops(n):
+    rng = np.random.default_rng(40 + n)
+    z = 0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    for mj in (_hopf(n), metric_jet(normal_form_random(n, 7), z, order=3)):
+        m1, m2 = _ricci_loops(mj)
+        assert np.max(np.abs(m1)) > 1e-3
+        assert np.max(np.abs(complexified_ricci(mj).matrix - m1)) <= 1e-13
+        assert np.max(np.abs(complexified_ricci_bianchi(mj).matrix
+                             - m2)) <= 1e-13
+        for table in (chern(mj), bismut(mj)):
+            want = _bundle_curvature_loops(table, mj)
+            got = bundle_curvature(table, mj, lower=False)
+            assert np.max(np.abs(got - want)) <= 1e-13

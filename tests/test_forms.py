@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from hermitia.forms import (OPERATORS, apply, bundle_identity_suite,
                             partial, random_form, random_metric_connection,
                             second_hermitian_ricci, trivial_connection,
                             two_omega, wedge, zero_form)
-from hermitia.jets import constant
+from hermitia.curvature import det_jet
+from hermitia.jets import constant, jet_matrix_inverse
 from hermitia.metric import (flat_metric, hopf_metric, metric_jet,
                              normal_form_random, normal_form_skt,
                              potential_kahler_torus)
@@ -213,3 +216,131 @@ def test_bundle_trial_star_calls(monkeypatch):
     calls = _count_star(monkeypatch)
     bundle_identity_suite(mj, conn, trials=1, seed=0)
     assert len(calls) == 20
+
+
+# -- compound-matrix Gram factors and the mat-vec adjoint ------------------
+
+
+def _metric_points(n):
+    rng = np.random.default_rng(10 + n)
+    z = 0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return [_hopf(n), metric_jet(normal_form_skt(n, 5), z, order=3)]
+
+
+def _jet_gap(a, b):
+    """Largest difference over every jet coefficient of two Jet arrays."""
+    return max(FO._jadd(x, -y).max_abs() for x, y in zip(a.flat, b.flat))
+
+
+def _mm(a, b):
+    """Jet matrix product, mixed jet orders truncated to the lower one."""
+    return np.array([[functools.reduce(FO._jadd, map(FO._jmul, row, col))
+                      for col in b.T] for row in a], dtype=object)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_gram_times_compound_inverse_is_identity(n):
+    for mj in _metric_points(n):
+        one = constant(1.0, n, mj.order)
+        for p in range(n + 1):
+            for q in range(n + 1):
+                g = FO.gram(mj, p, q)
+                eye = np.array([[one * float(a == b) for b in range(len(g))]
+                                for a in range(len(g))], dtype=object)
+                prod = _mm(g, FO._gram_inverse(mj, p, q))
+                assert _jet_gap(prod, eye) <= 1e-13, (p, q)
+
+
+def _det_gram(mj, p, q):
+    """The Gram matrix one determinant per entry:
+    det(h^{i kbar})_{i in I, k in K} conj det(h^{j lbar})_{j in J, l in L}."""
+    def det_up(rows, cols):
+        if not rows:
+            return constant(1.0, mj.n, mj.order)
+        return det_jet(np.array([[mj.h_up(i, k) for k in cols] for i in rows],
+                                dtype=object))
+    basis = [(I, J) for I in FO._combos(mj.n, p) for J in FO._combos(mj.n, q)]
+    return np.array([[det_up(I, K) * det_up(J, L).conj() for K, L in basis]
+                     for I, J in basis], dtype=object)
+
+
+def _reference_star(op, phi, ddeg, fiber=None):
+    """The materialized adjoint conj(Gs^-1 T^T Gd) applied to phi, with Gs
+    inverted by jet Gauss elimination and each Gram tensored with the fiber
+    metric (the identity when fiber is None)."""
+    mj, r = phi.mj, phi.r
+    sp, sq = phi.p - ddeg[0], phi.q - ddeg[1]
+    one = constant(1.0, mj.n, mj.order)
+    f = fiber or [[one * float(a == b) for b in range(r)] for a in range(r)]
+
+    def with_fiber(g):
+        return np.array([[FO._jmul(g[a // r, b // r], f[a % r][b % r])
+                          for b in range(len(g) * r)]
+                         for a in range(len(g) * r)], dtype=object)
+
+    t = FO._op_matrix(op, mj, sp, sq, r, (phi.p, phi.q))
+    gs_inv = jet_matrix_inverse(with_fiber(_det_gram(mj, sp, sq)))
+    tstar = FO._jets_conj(_mm(_mm(gs_inv, t.T),
+                              with_fiber(_det_gram(mj, phi.p, phi.q))))
+    return _mm(tstar, phi.coeffs.reshape(-1, 1)).reshape(-1)
+
+
+# the eight starred OPERATORS entries: name, the operator, its degree shift
+_STARRED = (
+    ("Astar", FO.a_op, (1, 0)), ("Bstar", FO.b_op, (1, 0)),
+    ("Cstar", FO.c_op, (1, 0)), ("taustar", FO.tau, (1, 0)),
+    ("Abarstar", FO._conj_op(FO.a_op), (0, 1)),
+    ("Bbarstar", FO._conj_op(FO.b_op), (0, 1)),
+    ("Cbarstar", FO._conj_op(FO.c_op), (0, 1)),
+    ("taubarstar", FO.tau_bar, (0, 1)))
+
+
+@pytest.mark.parametrize("n, point", [(2, 0), (3, 1)], ids=["hopf2", "skt3"])
+def test_star_matches_materialized_adjoint(n, point):
+    mj = _metric_points(n)[point]
+    rng = np.random.default_rng(20 + n)
+    for p in range(n + 1):
+        for q in range(n + 1):
+            phi = random_form(mj, p, q, rng)
+            for name, op, ddeg in _STARRED:
+                if not (p >= ddeg[0] and q >= ddeg[1]):
+                    continue
+                got = OPERATORS[name](phi)
+                want = _reference_star(op, phi, ddeg)
+                assert _jet_gap(got.coeffs, want) <= 1e-13, (name, p, q)
+            if p and q:
+                got = lambda_matrix_adjoint(phi)
+                want = _reference_star(l_op, phi, (1, 1))
+                assert _jet_gap(got.coeffs, want) <= 1e-13, ("L", p, q)
+
+
+@pytest.mark.parametrize("which", ["random", "chern"])
+def test_star_with_fiber_metric_matches_materialized_adjoint(which):
+    mj = _hopf(2)
+    conn = (random_metric_connection(mj, r=2, seed=1) if which == "random"
+            else chern_connection(mj))
+    fib = conn.fiber
+    rng = np.random.default_rng(30)
+    ops = _STARRED + (("taubar_e", lambda f: FO._torsion(f, FO.ANTI),
+                       (0, 1)),)
+    for p in range(3):
+        for q in range(3):
+            phi = random_form(mj, p, q, rng, r=2)
+            for name, op, ddeg in ops:
+                if not (p >= ddeg[0] and q >= ddeg[1]):
+                    continue
+                got = FO.star(op, phi, ddeg, fib)
+                want = _reference_star(op, phi, ddeg, fib)
+                assert _jet_gap(got.coeffs, want) <= 1e-13, (name, p, q)
+                # the defining duality, through inner with the fiber metric
+                # (an image that vanishes may carry a clamped bidegree)
+                psi = random_form(mj, p - ddeg[0], q - ddeg[1], rng, r=2)
+                img = op(psi)
+                if (img.p, img.q) == (p, q):
+                    lhs = inner(img, phi, fib).const
+                    rhs = inner(psi, got, fib).const
+                    assert abs(lhs - rhs) <= 1e-12, (name, p, q)
+            if p and q:
+                got = lambda_matrix_adjoint(phi)
+                want = _reference_star(l_op, phi, (1, 1))
+                assert _jet_gap(got.coeffs, want) <= 1e-13, ("L", p, q)

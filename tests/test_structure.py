@@ -1,11 +1,13 @@
 import numpy as np
+import pytest
 
 from hermitia.jets import constant, jet_mul, variable
-from hermitia.metric import (flat_metric, hopf_metric, metric_jet,
-                             normal_form_balanced, normal_form_balanced_skt,
+from hermitia.metric import (derivative_tables, flat_metric, hopf_metric,
+                             metric_jet, normal_form_balanced,
+                             normal_form_balanced_skt, normal_form_random,
                              normal_form_skt, potential_kahler_torus)
-from hermitia.structure import (laplacian_compare, prop38_check,
-                                structure_report)
+from hermitia.structure import (kahler_defect, laplacian_compare,
+                                prop38_check, skt_defect, structure_report)
 
 
 def _hopf(n, z=None):
@@ -72,3 +74,31 @@ def test_prop38_balanced_skt_forces_flatness():
 def test_prop38_skips_generic():
     status, norm = prop38_check(_hopf(2))
     assert status == "skip" and norm is None
+
+
+def _defect_loops(mj):
+    """Reference: the Kaehler and SKT defect arrays, entry by entry."""
+    dh, _, d2 = derivative_tables(mj)
+    n = mj.n
+    f = np.zeros((n, n, n), dtype=complex)
+    r = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                f[i, j, k] = dh[k, i, j] - dh[i, k, j]
+                r[i, j] += (d2[k, k, i, j] + d2[i, j, k, k]
+                            - d2[k, j, i, k] - d2[i, k, k, j])
+    return f, r
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_einsum_defects_match_loops(n):
+    rng = np.random.default_rng(50 + n)
+    z = 0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    rand = metric_jet(normal_form_random(n, 9), z, order=3)
+    for mj in (_hopf(n), rand):
+        f, r = _defect_loops(mj)
+        assert np.array_equal(kahler_defect(mj)[1], f)
+        assert np.max(np.abs(skt_defect(mj)[1] - r)) <= 1e-13
+    f, r = _defect_loops(rand)  # neither Kaehler nor SKT
+    assert np.max(np.abs(f)) > 1e-3 and np.max(np.abs(r)) > 1e-3
