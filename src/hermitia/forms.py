@@ -6,6 +6,12 @@ dz^I wedge dzbar^J, optionally valued in a rank-r bundle with a metric
 connection.  All first-order operators act at jet level, so compositions
 (commutator identities) are exact up to the available jet order.
 
+Coefficient arrays combine with numpy's +, *, @ and sum on object arrays
+(a sum or product of jets of two orders is taken at the lower one).  Slot
+moves are cached integer tables of source rows, destination rows and signs:
+_slot_table (dz^k ^ and the interior product), _merge_table (wedge) and
+_derivation_table (the Levi-Civita part of nabla, d_X - Gamma dz^c ^ I_k).
+
 The pointwise inner product is the determinant pairing
   < dz^I ^ dzbar^J, dz^K ^ dzbar^L > = det(h^{i kbar}) conj(det(h^{j lbar}))
 with no per-degree factor, and algebraic operators get their stars as exact
@@ -16,7 +22,6 @@ commutator identities close (see docs/conventions.md).
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,9 +29,9 @@ import numpy as np
 
 from .connection import levi_civita
 from .curvature import det_jet
-from .errors import OrderExhaustedError, StructuralError, ValidationError
-from .jets import Jet, constant, jet_conj, jet_matrix_inverse, truncate, wirtinger
-from .metric import MetricJet
+from .errors import StructuralError, ValidationError
+from .jets import Jet, constant, jet_conj, jet_matrix_inverse, wirtinger
+from .metric import MetricJet, per_point
 
 __all__ = [
     "FormJet",
@@ -87,19 +92,9 @@ def _zero(n, order):
     return constant(0.0 + 0.0j, n, order)
 
 
-def _mix(a: Jet, b: Jet):
-    k = min(a.order, b.order)
-    return truncate(a, k), truncate(b, k)
-
-
-def _jadd(a: Jet, b: Jet) -> Jet:
-    a, b = _mix(a, b)
-    return a + b
-
-
-def _jmul(a: Jet, b: Jet) -> Jet:
-    a, b = _mix(a, b)
-    return a * b
+# entrywise Jet maps on object arrays
+_jets_conj = np.frompyfunc(jet_conj, 1, 1)
+_jets_nonzero = np.frompyfunc(lambda a: a.max_abs() != 0.0, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -133,24 +128,15 @@ class FormJet:
             if other.is_zero():
                 return self
             raise StructuralError("bidegree/rank mismatch in form addition")
-        out = np.empty_like(self.coeffs)
-        for idx in np.ndindex(self.coeffs.shape):
-            out[idx] = _jadd(self.coeffs[idx], other.coeffs[idx])
-        return FormJet(self.mj, self.p, self.q, self.r, out)
+        return FormJet(self.mj, self.p, self.q, self.r,
+                       self.coeffs + other.coeffs)
 
     def __sub__(self, other):
         return self + other * (-1.0)
 
     def __mul__(self, s):
-        if isinstance(s, Jet):
-            out = np.empty_like(self.coeffs)
-            for idx in np.ndindex(self.coeffs.shape):
-                out[idx] = _jmul(self.coeffs[idx], s)
-        else:
-            out = np.empty_like(self.coeffs)
-            for idx in np.ndindex(self.coeffs.shape):
-                out[idx] = self.coeffs[idx] * s
-        return FormJet(self.mj, self.p, self.q, self.r, out)
+        """Times a scalar or a scalar Jet."""
+        return FormJet(self.mj, self.p, self.q, self.r, self.coeffs * s)
 
     __rmul__ = __mul__
 
@@ -209,20 +195,30 @@ def _side_view(coeffs: np.ndarray, side: int) -> np.ndarray:
     return coeffs if side == HOLO else coeffs.swapaxes(0, 1)
 
 
-def _insert(tup, k):
-    """Sign and tuple for dz^k moved into sorted position of tup; None if k
-    already present."""
-    if k in tup:
-        return None
-    pos = bisect_left(tup, k)
-    return (-1) ** pos, tup[:pos] + (k,) + tup[pos:]
+def _columns(rows, width: int):
+    """A table from a list of rows: integer index columns, then a float sign
+    column, each a read-only array."""
+    t = np.array(rows, dtype=float).reshape(-1, width).T
+    cols = [c.astype(int) for c in t[:-1]] + [t[-1]]
+    for c in cols:
+        c.flags.writeable = False
+    return tuple(cols)
 
 
-def _remove(tup, k):
-    if k not in tup:
-        return None
-    pos = tup.index(k)
-    return (-1) ** pos, tup[:pos] + tup[pos + 1:]
+@lru_cache(maxsize=None)
+def _slot_table(n: int, deg: int, k: int, d: int):
+    """Slot k into (d = 1) or out of (d = -1) a degree-deg block: the source
+    rows in _combos(n, deg) where that is defined, their destination rows in
+    _combos(n, deg + d) and the signs (-1)^pos, pos the position of k in the
+    longer index tuple."""
+    dst = _combo_index(n, deg + d)
+    rows = []
+    for s, T in enumerate(_combos(n, deg)):
+        if (k in T) == (d < 0):
+            moved = tuple(sorted(set(T) ^ {k}))
+            longer = T if d < 0 else moved
+            rows.append((s, dst[moved], (-1) ** longer.index(k)))
+    return _columns(rows, 3)
 
 
 def _slot_map(phi: FormJet, side: int, k: int, d: int,
@@ -233,23 +229,13 @@ def _slot_map(phi: FormJet, side: int, k: int, d: int,
     deg = (phi.p, phi.q)[side]
     if not 0 <= deg + d <= phi.n:
         return out
-    n = phi.n
-    dst = _combo_index(n, deg + d)
-    move = _insert if d > 0 else _remove
-    base = 1 if side == HOLO else (-1) ** phi.p
-    src, res = _side_view(phi.coeffs, side), _side_view(out.coeffs, side)
-    for s, T in enumerate(_combos(n, deg)):
-        mv = move(T, k)
-        if mv is None:
-            continue
-        sgn, T2 = mv
-        f = float(base * sgn)
-        for o in range(src.shape[1]):
-            for al in range(phi.r):
-                c = src[s, o, al]
-                if coef is not None:
-                    c = _jmul(c, coef)
-                res[dst[T2], o, al] = _jadd(res[dst[T2], o, al], c * f)
+    src, dst, sign = _slot_table(phi.n, deg, k, d)
+    if side == ANTI:
+        sign = sign * (-1) ** phi.p
+    c = _side_view(phi.coeffs, side)[src]
+    if coef is not None:
+        c = c * coef
+    _side_view(out.coeffs, side)[dst] = c * sign[:, None, None]
     return out
 
 
@@ -264,84 +250,62 @@ def _contract(phi: FormJet, side: int, k: int) -> FormJet:
     return _slot_map(phi, side, k, -1)
 
 
+@lru_cache(maxsize=None)
+def _merge_table(n: int, d1: int, d2: int):
+    """The pairs of a degree-d1 and a degree-d2 row with disjoint index
+    tuples I1, I2: both rows, the row of the sorted union in
+    _combos(n, d1 + d2) and the sign that sorts I1 + I2."""
+    dst = _combo_index(n, d1 + d2)
+    rows = []
+    for a1, I1 in enumerate(_combos(n, d1)):
+        for a2, I2 in enumerate(_combos(n, d2)):
+            if not set(I1) & set(I2):
+                swaps = sum(x > y for x in I1 for y in I2)
+                rows.append((a1, a2, dst[tuple(sorted(I1 + I2))],
+                             (-1) ** swaps))
+    return _columns(rows, 4)
+
+
 def wedge(phi: FormJet, psi: FormJet) -> FormJet:
     """phi wedge psi; fiber ranks must agree or one factor must be scalar."""
     if phi.r != 1 and psi.r != 1 and phi.r != psi.r:
         raise StructuralError("wedge of two bundle-valued forms")
-    r = max(phi.r, psi.r)
     n = phi.n
     p, q = phi.p + psi.p, phi.q + psi.q
-    out = zero_form(phi.mj, p, q, r)
+    out = zero_form(phi.mj, p, q, max(phi.r, psi.r))
     if p > n or q > n:
         return out
-    dst_i = _combo_index(n, p)
-    dst_j = _combo_index(n, q)
-    cross = (-1) ** (phi.q * psi.p)
-    for a1, I1 in enumerate(_combos(n, phi.p)):
-        for a2, I2 in enumerate(_combos(n, psi.p)):
-            mi = _merge(I1, I2)
-            if mi is None:
-                continue
-            si, I = mi
-            for b1, J1 in enumerate(_combos(n, phi.q)):
-                for b2, J2 in enumerate(_combos(n, psi.q)):
-                    mj_ = _merge(J1, J2)
-                    if mj_ is None:
-                        continue
-                    sj, J = mj_
-                    s = float(cross * si * sj)
-                    for al in range(r):
-                        c1 = phi.coeffs[a1, b1, al if phi.r > 1 else 0]
-                        c2 = psi.coeffs[a2, b2, al if psi.r > 1 else 0]
-                        out.coeffs[dst_i[I], dst_j[J], al] = _jadd(
-                            out.coeffs[dst_i[I], dst_j[J], al],
-                            _jmul(c1, c2) * s)
+    a1, a2, a, sa = _merge_table(n, phi.p, psi.p)
+    b1, b2, b, sb = _merge_table(n, phi.q, psi.q)
+    sign = (-1) ** (phi.q * psi.p) * np.multiply.outer(sa, sb)
+    terms = (phi.coeffs[a1[:, None], b1] * psi.coeffs[a2[:, None], b2]
+             * sign[:, :, None])
+    np.add.at(out.coeffs, (a[:, None], b), terms)
     return out
-
-
-def _merge(t1, t2):
-    """Sign and sorted tuple of the concatenation; None on repeats."""
-    sign = 1
-    out = list(t1)
-    for k in t2:
-        if k in out:
-            return None
-        pos = bisect_left(out, k)
-        sign *= (-1) ** (len(out) - pos)
-        out.insert(pos, k)
-    return sign, tuple(out)
 
 
 def form_conj(phi: FormJet) -> FormJet:
     """Complex conjugate; bidegree (p, q) -> (q, p)."""
-    out = zero_form(phi.mj, phi.q, phi.p, phi.r)
-    sgn = float((-1) ** (phi.p * phi.q))
-    for a in range(phi.coeffs.shape[0]):
-        for b in range(phi.coeffs.shape[1]):
-            for al in range(phi.r):
-                out.coeffs[b, a, al] = jet_conj(phi.coeffs[a, b, al]) * sgn
-    return out
+    out = _jets_conj(phi.coeffs.swapaxes(0, 1))
+    return FormJet(phi.mj, phi.q, phi.p, phi.r,
+                   out * float((-1) ** (phi.p * phi.q)))
 
 
 # -- differential operators ------------------------------------------------
 
 
 def _dcoeffs(phi: FormJet, side: int, i: int) -> FormJet:
-    out = zero_form(phi.mj, phi.p, phi.q, phi.r, order=phi.coeffs.flat[0].order - 1)
-    for idx in np.ndindex(phi.coeffs.shape):
-        out.coeffs[idx] = wirtinger(phi.coeffs[idx], ("holo", "antiholo")[side], i)
-    return out
+    """Every coefficient differentiated along z^i (HOLO) or zbar^i (ANTI)."""
+    kind = ("holo", "antiholo")[side]
+    d = np.frompyfunc(lambda c: wirtinger(c, kind, i), 1, 1)
+    return FormJet(phi.mj, phi.p, phi.q, phi.r, d(phi.coeffs))
 
 
 def _fiber_apply(out: FormJet, phi: FormJet, mat) -> None:
     """out += phi . mat in place, mat[al][be] a fiber connection matrix."""
-    for a in range(out.coeffs.shape[0]):
-        for b in range(out.coeffs.shape[1]):
-            for be in range(phi.r):
-                acc = out.coeffs[a, b, be]
-                for al in range(phi.r):
-                    acc = _jadd(acc, _jmul(phi.coeffs[a, b, al], mat[al][be]))
-                out.coeffs[a, b, be] = acc
+    for al in range(phi.r):
+        out.coeffs[...] = (out.coeffs + phi.coeffs[..., al:al + 1]
+                           * np.array(mat[al], dtype=object))
 
 
 def _d(phi: FormJet, side: int, conn: "ConnectionJet | None" = None) -> FormJet:
@@ -363,36 +327,39 @@ def dbar(phi: FormJet) -> FormJet:
     return _d(phi, ANTI)
 
 
+@lru_cache(maxsize=None)
+def _derivation_table(n: int, deg: int):
+    """dz^c ^ I_k on a degree-deg block, for every slot k and every c,
+    composed from the slot tables: source row, destination row, k, c and
+    the sign."""
+    rows = []
+    for k in range(n):
+        for s, mid, s1 in zip(*_slot_table(n, deg, k, -1)):
+            for c in range(n):
+                src, dst, s2 = _slot_table(n, deg - 1, c, 1)
+                for t in np.flatnonzero(src == mid):
+                    rows.append((s, dst[t], k, c, s1 * s2[t]))
+    return _columns(rows, 5)
+
+
 def _nabla(phi: FormJet, side: int, i: int,
            conn: "ConnectionJet | None" = None) -> FormJet:
     """Type-preserving covariant derivative in direction z^i (HOLO) or
-    zbar^i (ANTI): Levi-Civita on the bundle of (p,q)-forms, plus a fiber
-    connection."""
+    zbar^i (ANTI): d_X - sum Gamma dz^c ^ I_k on each slot group, plus a
+    fiber connection."""
     n = phi.n
-    lc = levi_civita(phi.mj)
+    gamma = levi_civita(phi.mj).entries[n * side + i]
     out = _dcoeffs(phi, side, i)
-    direction = n * side + i
-    views = (out.coeffs, _side_view(out.coeffs, ANTI))
-    for a, I in enumerate(_combos(n, phi.p)):
-        for b, J in enumerate(_combos(n, phi.q)):
-            for slots, T in ((HOLO, I), (ANTI, J)):
-                off = n * slots
-                dst = _combo_index(n, len(T))
-                res, other = views[slots], (b, a)[slots]
-                for t, slot in enumerate(T):
-                    for c in range(n):
-                        gam = lc.entry(direction, off + c, off + slot)
-                        if gam.max_abs() == 0.0:
-                            continue
-                        ins = _insert(T[:t] + T[t + 1:], c)
-                        if ins is None:
-                            continue
-                        sgn, T2 = ins
-                        s = float((-1) ** t * sgn)
-                        for al in range(phi.r):
-                            res[dst[T2], other, al] = _jadd(
-                                res[dst[T2], other, al],
-                                _jmul(phi.coeffs[a, b, al], gam) * (-s))
+    for slots, deg in ((HOLO, phi.p), (ANTI, phi.q)):
+        if deg == 0:
+            continue
+        block = slice(n * slots, n * (slots + 1))
+        g = gamma[block, block]  # g[c, k] = Gamma_{X c}^k on this group
+        src, dst, k, c, sign = _derivation_table(n, deg)
+        live = _jets_nonzero(g).astype(bool)[c, k]
+        coef = np.where(sign > 0, (g * -1.0)[c, k], g[c, k])[live]
+        terms = _side_view(phi.coeffs, slots)[src[live]] * coef[:, None, None]
+        np.add.at(_side_view(out.coeffs, slots), dst[live], terms)
     if conn is not None:
         _fiber_apply(out, phi, (conn.amats, conn.bmats)[side][i])
     return out
@@ -494,6 +461,8 @@ def b_op(phi: FormJet) -> FormJet:
     lc = levi_civita(mj)
     n = mj.n
     out = zero_form(mj, phi.p + 1, phi.q, phi.r)
+    if phi.q == 0:
+        return out
     for l in range(n):
         cl = _contract(phi, ANTI, l)
         for i in range(n):
@@ -506,30 +475,39 @@ def b_op(phi: FormJet) -> FormJet:
     return out
 
 
-def a_op(phi: FormJet) -> FormJet:
-    """-h^{k lbar} h_{i mbar} Gamma_{s lbar}^{mbar} dz^s ^ dz^i I_k"""
-    mj = phi.mj
+@per_point
+def _a_coefficients(mj: MetricJet) -> np.ndarray:
+    """-h^{k lbar} h_{i mbar} Gamma_{s lbar}^{mbar} at [k, s, i], None where
+    it vanishes: the coefficients of a_op, built once per point."""
     lc = levi_civita(mj)
     n = mj.n
-    out = zero_form(mj, phi.p + 1, phi.q, phi.r)
-    if phi.p == 0:
-        return out
+    out = np.full((n, n, n), None, dtype=object)
     for k in range(n):
-        ck = _contract(phi, HOLO, k)
         for s in range(n):
             for i in range(n):
                 coef = _zero(n, mj.order - 1)
                 for l in range(n):
                     for m in range(n):
                         gam = lc.entry(s, n + l, n + m)
-                        if gam.max_abs() == 0.0:
-                            continue
-                        coef = _jadd(coef, _jmul(_jmul(mj.h_up(k, l),
-                                                       mj.h[i][m]), gam))
-                if coef.max_abs() == 0.0:
-                    continue
-                out = out + _wedge1(_wedge1(ck, HOLO, i), HOLO, s,
-                                    coef=coef * (-1.0))
+                        if gam.max_abs() != 0.0:
+                            coef = coef + mj.h_up(k, l) * mj.h[i][m] * gam
+                if coef.max_abs() != 0.0:
+                    out[k, s, i] = coef * (-1.0)
+    return out
+
+
+def a_op(phi: FormJet) -> FormJet:
+    """-h^{k lbar} h_{i mbar} Gamma_{s lbar}^{mbar} dz^s ^ dz^i I_k"""
+    mj = phi.mj
+    out = zero_form(mj, phi.p + 1, phi.q, phi.r)
+    if phi.p == 0:
+        return out
+    coefs = _a_coefficients(mj)
+    for k in range(mj.n):
+        ck = _contract(phi, HOLO, k)
+        for (s, i), coef in np.ndenumerate(coefs[k]):
+            if coef is not None:
+                out = out + _wedge1(_wedge1(ck, HOLO, i), HOLO, s, coef=coef)
     return out
 
 
@@ -553,21 +531,11 @@ def tau_bar(phi: FormJet) -> FormJet:
 
 # -- inner product and adjoints --------------------------------------------
 
-# elementwise Jet operations on object arrays
-_jets_conj = np.frompyfunc(jet_conj, 1, 1)
-_jets_mul = np.frompyfunc(_jmul, 2, 1)
-_jets_add = np.frompyfunc(_jadd, 2, 1)
-
-
-def _mat_vec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m x for a matrix and a vector of Jets."""
-    return _jets_add.reduce(_jets_mul(m, x), axis=1)
-
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two Jet matrices: entry
     (i * b.shape[0] + k, j * b.shape[1] + l) is a[i, j] b[k, l]."""
-    out = _jets_mul.outer(a, b).transpose(0, 2, 1, 3)
+    out = np.multiply.outer(a, b).transpose(0, 2, 1, 3)
     return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
@@ -624,8 +592,7 @@ def inner(phi: FormJet, psi: FormJet, fiber: np.ndarray | None = None) -> Jet:
     if (phi.p, phi.q, phi.r) != (psi.p, psi.q, psi.r):
         raise StructuralError("bidegree/rank mismatch in inner product")
     g = _with_fiber(phi.mj, gram(phi.mj, phi.p, phi.q), fiber, phi.r)
-    gy = _mat_vec(g, _jets_conj(_flatten(psi)))
-    return _jets_add.reduce(_jets_mul(_flatten(phi), gy))
+    return _flatten(phi) @ (g @ _jets_conj(_flatten(psi)))
 
 
 def _op_matrix(op, mj: MetricJet, p: int, q: int, r: int, dst):
@@ -669,8 +636,7 @@ def star(op, phi: FormJet, ddeg, fiber=None) -> FormJet:
     f_inv = None if fiber is None else jet_matrix_inverse(fiber)
     g_dst = _with_fiber(mj, gram(mj, phi.p, phi.q), fiber, phi.r)
     gs_inv = _with_fiber(mj, _gram_inverse(mj, sp, sq), f_inv, phi.r)
-    y = _mat_vec(T.T, _mat_vec(g_dst, _jets_conj(_flatten(phi))))
-    x = _mat_vec(gs_inv, y)
+    x = gs_inv @ (T.T @ (g_dst @ _jets_conj(_flatten(phi))))
     shape = (len(_combos(mj.n, sp)), len(_combos(mj.n, sq)), phi.r)
     return FormJet(mj, sp, sq, phi.r, _jets_conj(x).reshape(shape))
 
@@ -883,11 +849,10 @@ def check_metric_compatible(conn: ConnectionJet, n: int,
                 lhs = wirtinger(conn.fiber[al][be], "holo", i)
                 rhs = _zero(n, lhs.order)
                 for ga in range(r):
-                    rhs = _jadd(rhs, _jmul(conn.amats[i][al][ga],
-                                           conn.fiber[ga][be]))
-                    rhs = _jadd(rhs, _jmul(jet_conj(conn.bmats[i][be][ga]),
-                                           conn.fiber[al][ga]))
-                d = _jadd(lhs, rhs * (-1.0))
+                    rhs = rhs + conn.amats[i][al][ga] * conn.fiber[ga][be]
+                    rhs = rhs + (jet_conj(conn.bmats[i][be][ga])
+                                 * conn.fiber[al][ga])
+                d = lhs + rhs * (-1.0)
                 if d.max_abs() > tol:
                     raise ValidationError(
                         "connection not metric-compatible at fiber entry "
@@ -904,24 +869,8 @@ def dbar_e(phi: FormJet, conn: ConnectionJet) -> FormJet:
 
 def _fiber_split(phi: FormJet):
     """Scalar forms phi^alpha such that phi = sum phi^alpha x e_alpha."""
-    comps = []
-    for al in range(phi.r):
-        f = zero_form(phi.mj, phi.p, phi.q, 1)
-        for a in range(phi.coeffs.shape[0]):
-            for b in range(phi.coeffs.shape[1]):
-                f.coeffs[a, b, 0] = phi.coeffs[a, b, al]
-        comps.append(f)
-    return comps
-
-
-def _fiber_join(mj, comps_per_fiber, p, q, r):
-    out = zero_form(mj, p, q, r)
-    for al, f in enumerate(comps_per_fiber):
-        for a in range(out.coeffs.shape[0]):
-            for b in range(out.coeffs.shape[1]):
-                out.coeffs[a, b, al] = _jadd(out.coeffs[a, b, al],
-                                             f.coeffs[a, b, 0])
-    return out
+    return [FormJet(phi.mj, phi.p, phi.q, 1, phi.coeffs[..., al:al + 1].copy())
+            for al in range(phi.r)]
 
 
 def _d_e_star(phi: FormJet, conn: ConnectionJet, side: int) -> FormJet:
@@ -930,21 +879,17 @@ def _d_e_star(phi: FormJet, conn: ConnectionJet, side: int) -> FormJet:
     (partial* phi^al) x e_al - h^{j ibar} (I_j phi^al) nabla''_ibar e_al."""
     mj = phi.mj
     comps = _fiber_split(phi)
-    deg = _bumped(phi, side, -1)
-    out = _fiber_join(mj, [_d_star(c, side) for c in comps], *deg, phi.r)
+    stars = [_d_star(c, side) for c in comps]
+    acc = np.concatenate([d.coeffs for d in stars], axis=2)
     mats = (conn.bmats, conn.amats)[side]  # the other side's direction
     for al, c in enumerate(comps):
         for k in range(phi.n):
-            ck = _contract(c, side, k)
+            ck = _contract(c, side, k).coeffs
             for m in range(phi.n):
-                for be in range(phi.r):
-                    coef = _jmul(_h_up(mj, side, k, m), mats[m][al][be])
-                    term = ck * (coef * (-1.0))
-                    for a in range(out.coeffs.shape[0]):
-                        for b in range(out.coeffs.shape[1]):
-                            out.coeffs[a, b, be] = _jadd(
-                                out.coeffs[a, b, be], term.coeffs[a, b, 0])
-    return out
+                coef = np.array([_h_up(mj, side, k, m) * mats[m][al][be]
+                                 for be in range(phi.r)], dtype=object)
+                acc = acc + ck * (coef * (-1.0))
+    return FormJet(mj, stars[0].p, stars[0].q, phi.r, acc)
 
 
 def dbar_e_star(phi: FormJet, conn: ConnectionJet) -> FormJet:
@@ -1007,13 +952,7 @@ def bundle_identity_suite(mj: MetricJet, conn: ConnectionJet,
 
 def _tensor(phis: FormJet, s: FormJet) -> FormJet:
     """(scalar form) x (section): multiply the section coefficients in."""
-    out = zero_form(phis.mj, phis.p, phis.q, s.r)
-    for a in range(phis.coeffs.shape[0]):
-        for b in range(phis.coeffs.shape[1]):
-            for al in range(s.r):
-                out.coeffs[a, b, al] = _jmul(phis.coeffs[a, b, 0],
-                                             s.coeffs[0, 0, al])
-    return out
+    return FormJet(phis.mj, phis.p, phis.q, s.r, phis.coeffs * s.coeffs[0, 0])
 
 
 def second_hermitian_ricci(conn: ConnectionJet, mj: MetricJet) -> np.ndarray:

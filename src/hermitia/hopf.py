@@ -19,11 +19,7 @@ from .curvature import (curvature_bismut, curvature_chern, curvature_lc,
 from .errors import DomainError
 from .metric import derivative_tables, hopf_metric, metric_jet
 
-__all__ = ["HopfPoint", "oracle", "oracle_vs_pipeline", "QUANTITIES"]
-
-QUANTITIES = ("metric", "dh", "d2h", "gamma_lc", "theta", "theta1", "theta2",
-              "riemann", "ricci_lc", "bismut_tensor", "b1_printed",
-              "b1_corrected", "b2_printed", "b2_corrected")
+__all__ = ["HopfPoint", "oracle", "oracle_vs_pipeline"]
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ Wirtinger derivatives d/dz^i and d/dzbar^j are exact formal derivatives.
 Coefficients live in a dense 1-D numpy array over a per-(n, order) monomial
 basis; the basis is sorted by total degree first, which makes truncation to a
 lower order a prefix slice and lets derivative results (order - 1) reuse the
-same index map.
+same index map.  A sum or product of jets of two orders is taken at the lower
+order, the one to which both are known; jets of different n never combine.
 """
 
 from __future__ import annotations
@@ -159,20 +160,23 @@ class Jet:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check(self, other: "Jet"):
-        if self.n != other.n or self.order != other.order:
-            raise StructuralError(
-                f"jet mismatch: (n={self.n}, K={self.order}) vs "
-                f"(n={other.n}, K={other.order})"
-            )
+    def _match(self, other: "Jet"):
+        """The common order and both coefficient arrays at it: a truncated
+        series is known only to its order, so the lower order wins."""
+        if self.n != other.n:
+            raise StructuralError(f"jet mismatch: n={self.n} vs n={other.n}")
+        if self.order == other.order:
+            return self._alg, self.coeffs, other.coeffs
+        alg = _algebra(self.n, min(self.order, other.order))
+        return alg, self.coeffs[:alg.size], other.coeffs[:alg.size]
 
     def __add__(self, other):
         if np.isscalar(other):
             c = self.coeffs.copy()
             c[0] += other
             return Jet(self.n, self.order, c)
-        self._check(other)
-        return Jet(self.n, self.order, self.coeffs + other.coeffs)
+        alg, a, b = self._match(other)
+        return Jet(self.n, alg.order, a + b)
 
     __radd__ = __add__
 
@@ -188,11 +192,10 @@ class Jet:
     def __mul__(self, other):
         if np.isscalar(other):
             return Jet(self.n, self.order, self.coeffs * other)
-        self._check(other)
-        alg = self._alg
+        alg, a, b = self._match(other)
         out = np.zeros(alg.size, dtype=complex)
-        np.add.at(out, alg.mul_t, self.coeffs[alg.mul_i] * other.coeffs[alg.mul_j])
-        return Jet(self.n, self.order, out)
+        np.add.at(out, alg.mul_t, a[alg.mul_i] * b[alg.mul_j])
+        return Jet(self.n, alg.order, out)
 
     __rmul__ = __mul__
 

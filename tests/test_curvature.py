@@ -2,19 +2,21 @@ import numpy as np
 import pytest
 
 from hermitia.connection import bismut, chern
-from hermitia.curvature import (bundle_curvature, complexified_ricci,
+from hermitia.curvature import (CurvatureTensor, RicciMatrix, ScalarReport,
+                                bundle_curvature, complexified_ricci,
                                 complexified_ricci_bianchi,
                                 curvature_bismut, curvature_chern,
                                 curvature_comparison, curvature_induced,
                                 curvature_lc, hup_at0, lc_curvature_full,
-                                normal_point_suite, ricci,
+                                log_det_jet, normal_point_suite, ricci,
                                 ricci_first_chern_logdet, ricci_panel,
                                 scalars)
 from hermitia.errors import StructuralError
-from hermitia.metric import (flat_metric, hopf_metric, metric_jet,
-                             normal_coordinates_random, normal_form_balanced,
-                             normal_form_random, normal_form_skt,
-                             potential_kahler_torus)
+from hermitia.jets import wirtinger
+from hermitia.metric import (derivative_tables, flat_metric, hopf_metric,
+                             metric_jet, normal_coordinates_random,
+                             normal_form_balanced, normal_form_random,
+                             normal_form_skt, potential_kahler_torus)
 
 
 def _hopf(n=2, z=None):
@@ -27,6 +29,7 @@ def test_flat_all_zero():
     mj = metric_jet(flat_metric(2), np.zeros(2), order=3)
     for t in (curvature_lc(mj), curvature_induced(mj), curvature_chern(mj),
               curvature_bismut(mj)):
+        assert isinstance(t, CurvatureTensor)
         assert np.max(np.abs(t.components)) < 1e-14
     assert np.max(np.abs(complexified_ricci(mj).matrix)) < 1e-14
 
@@ -35,7 +38,9 @@ def test_hopf_chern_ricci2():
     for n in (2, 3):
         mj = _hopf(n)
         r2 = float(np.vdot(mj.point, mj.point).real)
-        got = ricci(curvature_chern(mj), mj, "second").matrix
+        rm = ricci(curvature_chern(mj), mj, "second")
+        assert isinstance(rm, RicciMatrix)
+        got = rm.matrix
         assert np.max(np.abs(got - (n - 1) / r2 * np.eye(n))) < 1e-10
 
 
@@ -135,6 +140,7 @@ def test_normal_point_suite_rejects_generic_point():
 def test_scalars_real():
     for mj in (_hopf(2), _hopf(3)):
         rep = scalars(mj)
+        assert isinstance(rep, ScalarReport)
         for v in rep.as_dict().values():
             assert abs(complex(v).imag) < 1e-10
 
@@ -188,3 +194,13 @@ def test_einsum_contractions_match_loops(n):
             want = _bundle_curvature_loops(table, mj)
             got = bundle_curvature(table, mj, lower=False)
             assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_log_det_jet_derivative_is_trace_of_inverse_times_derivative():
+    # Jacobi's formula: d log det H / dz^k = tr(H^-1 dH/dz^k)
+    mj = _hopf(3)
+    d1 = derivative_tables(mj)[0]
+    want = np.einsum("ji,kij->k", mj.hinv_at0(), d1)
+    ld = log_det_jet(mj.h)
+    got = [wirtinger(ld, "holo", k).const for k in range(3)]
+    assert np.max(np.abs(np.array(got) - want)) < 1e-12

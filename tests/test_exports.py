@@ -1,7 +1,11 @@
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import hermitia
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _modules():
@@ -18,3 +22,17 @@ def test_every_export_exists():
         assert not missing, (mod.__name__, missing)
         checked += len(names)
     assert checked > 100
+
+
+def test_every_export_is_used_outside_its_module():
+    sources = {path: path.read_text() for top in ("src", "tests", "perfbench")
+               for path in (ROOT / top).rglob("*.py")}
+    unused = []
+    for mod in _modules():
+        own = Path(mod.__file__).resolve()
+        for name in getattr(mod, "__all__", ()):
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            if not any(word.search(text) for path, text in sources.items()
+                       if path.resolve() != own):
+                unused.append(f"{mod.__name__}.{name}")
+    assert not unused, unused

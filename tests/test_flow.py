@@ -137,6 +137,7 @@ def test_diagnostics_csv_schema():
     assert lines[0] == ("t,step_count,kahler_defect,min_eig,max_eig,"
                         "einstein_residual,wall_time")
     assert len(lines) == len(series) + 1
+    assert all(isinstance(d, F.FlowDiagnostics) for d in series)
 
 
 # -- theta2 against the entry-by-entry implementation ----------------------

@@ -1,15 +1,20 @@
 import functools
+import operator
+from bisect import bisect_left
 
 import numpy as np
 import pytest
 
 from hermitia import forms as FO
 from hermitia.errors import StructuralError, ValidationError
-from hermitia.forms import (OPERATORS, apply, bundle_identity_suite,
-                            chern_connection, check_metric_compatible, dbar,
-                            form_conj, form_from_scalar, identity_suite,
-                            inner, l_op, lambda_matrix_adjoint, lambda_op,
-                            partial, random_form, random_metric_connection,
+from hermitia.forms import (OPERATORS, ConnectionJet, FormJet, apply,
+                            bundle_identity_suite, chern_connection,
+                            check_metric_compatible, dbar, dbar_e,
+                            dbar_e_star, dbar_star, form_conj,
+                            form_from_scalar, identity_suite, inner, l_op,
+                            lambda_matrix_adjoint, lambda_op, omega_form,
+                            partial, partial_e, partial_e_star, partial_star,
+                            random_form, random_metric_connection,
                             second_hermitian_ricci, trivial_connection,
                             two_omega, wedge, zero_form)
 from hermitia.curvature import det_jet
@@ -67,6 +72,8 @@ def test_lambda_scalar_of_two_omega():
         mj = _flat(n)
         val = lambda_op(two_omega(mj)).coeff((), (), 0).const
         assert abs(val - n) < 1e-12
+        val = lambda_op(omega_form(mj)).coeff((), (), 0).const
+        assert abs(val - n / 2) < 1e-12
 
 
 def test_lambda_closed_form_equals_matrix_adjoint():
@@ -131,6 +138,21 @@ def test_bundle_identity_suite():
     conn = random_metric_connection(mj, r=2, seed=1)
     res = bundle_identity_suite(mj, conn, trials=4, seed=0)
     assert max(res.values()) < 1e-11, res
+
+
+def test_bundle_operators_on_the_trivial_line_are_the_scalar_ones():
+    mj = _hopf()
+    triv = trivial_connection(mj, r=1)
+    assert isinstance(triv, ConnectionJet)
+    rng = np.random.default_rng(6)
+    pairs = ((partial_e, partial), (dbar_e, dbar),
+             (partial_e_star, partial_star), (dbar_e_star, dbar_star))
+    for p in range(3):
+        for q in range(3):
+            phi = random_form(mj, p, q, rng)
+            assert isinstance(phi, FormJet)
+            for bundle_op, scalar_op in pairs:
+                assert _coeff_gap(bundle_op(phi, triv), scalar_op(phi)) == 0.0
 
 
 def test_trivial_and_chern_connection_compatible():
@@ -229,12 +251,13 @@ def _metric_points(n):
 
 def _jet_gap(a, b):
     """Largest difference over every jet coefficient of two Jet arrays."""
-    return max(FO._jadd(x, -y).max_abs() for x, y in zip(a.flat, b.flat))
+    return max((x + -y).max_abs() for x, y in zip(a.flat, b.flat))
 
 
 def _mm(a, b):
     """Jet matrix product, mixed jet orders truncated to the lower one."""
-    return np.array([[functools.reduce(FO._jadd, map(FO._jmul, row, col))
+    return np.array([[functools.reduce(operator.add,
+                                       map(operator.mul, row, col))
                       for col in b.T] for row in a], dtype=object)
 
 
@@ -274,7 +297,7 @@ def _reference_star(op, phi, ddeg, fiber=None):
     f = fiber or [[one * float(a == b) for b in range(r)] for a in range(r)]
 
     def with_fiber(g):
-        return np.array([[FO._jmul(g[a // r, b // r], f[a % r][b % r])
+        return np.array([[g[a // r, b // r] * f[a % r][b % r]
                           for b in range(len(g) * r)]
                          for a in range(len(g) * r)], dtype=object)
 
@@ -344,3 +367,218 @@ def test_star_with_fiber_metric_matches_materialized_adjoint(which):
                 got = lambda_matrix_adjoint(phi)
                 want = _reference_star(l_op, phi, (1, 1))
                 assert _jet_gap(got.coeffs, want) <= 1e-13, ("L", p, q)
+
+
+# -- slot, merge and derivation tables against the tuple walks -------------
+
+
+def _insert(tup, k):
+    """Sign and tuple for dz^k moved into sorted position of tup; None if k
+    already present."""
+    if k in tup:
+        return None
+    pos = bisect_left(tup, k)
+    return (-1) ** pos, tup[:pos] + (k,) + tup[pos:]
+
+
+def _remove(tup, k):
+    if k not in tup:
+        return None
+    pos = tup.index(k)
+    return (-1) ** pos, tup[:pos] + tup[pos + 1:]
+
+
+def _merge(t1, t2):
+    """Sign and sorted tuple of the concatenation; None on repeats."""
+    sign = 1
+    out = list(t1)
+    for k in t2:
+        if k in out:
+            return None
+        pos = bisect_left(out, k)
+        sign *= (-1) ** (len(out) - pos)
+        out.insert(pos, k)
+    return sign, tuple(out)
+
+
+def _reference_slot_map(phi, side, k, d, coef=None):
+    """_slot_map as a walk over the index tuples of the `side` block."""
+    out = zero_form(phi.mj, *FO._bumped(phi, side, d), phi.r)
+    deg = (phi.p, phi.q)[side]
+    if not 0 <= deg + d <= phi.n:
+        return out
+    n = phi.n
+    dst = FO._combo_index(n, deg + d)
+    move = _insert if d > 0 else _remove
+    base = 1 if side == FO.HOLO else (-1) ** phi.p
+    src = FO._side_view(phi.coeffs, side)
+    res = FO._side_view(out.coeffs, side)
+    for s, T in enumerate(FO._combos(n, deg)):
+        mv = move(T, k)
+        if mv is None:
+            continue
+        sgn, T2 = mv
+        f = float(base * sgn)
+        for o in range(src.shape[1]):
+            for al in range(phi.r):
+                c = src[s, o, al]
+                if coef is not None:
+                    c = c * coef
+                res[dst[T2], o, al] = res[dst[T2], o, al] + c * f
+    return out
+
+
+def _reference_wedge(phi, psi):
+    """wedge as a walk over pairs of index tuples."""
+    r = max(phi.r, psi.r)
+    n = phi.n
+    p, q = phi.p + psi.p, phi.q + psi.q
+    out = zero_form(phi.mj, p, q, r)
+    if p > n or q > n:
+        return out
+    dst_i, dst_j = FO._combo_index(n, p), FO._combo_index(n, q)
+    cross = (-1) ** (phi.q * psi.p)
+    for a1, I1 in enumerate(FO._combos(n, phi.p)):
+        for a2, I2 in enumerate(FO._combos(n, psi.p)):
+            mi = _merge(I1, I2)
+            if mi is None:
+                continue
+            si, I = mi
+            for b1, J1 in enumerate(FO._combos(n, phi.q)):
+                for b2, J2 in enumerate(FO._combos(n, psi.q)):
+                    mj_ = _merge(J1, J2)
+                    if mj_ is None:
+                        continue
+                    sj, J = mj_
+                    s = float(cross * si * sj)
+                    for al in range(r):
+                        c1 = phi.coeffs[a1, b1, al if phi.r > 1 else 0]
+                        c2 = psi.coeffs[a2, b2, al if psi.r > 1 else 0]
+                        out.coeffs[dst_i[I], dst_j[J], al] = (
+                            out.coeffs[dst_i[I], dst_j[J], al] + c1 * c2 * s)
+    return out
+
+
+def _reference_nabla(phi, side, i, conn=None):
+    """_nabla with its Levi-Civita part walked slot by slot."""
+    n = phi.n
+    lc = FO.levi_civita(phi.mj)
+    out = FO._dcoeffs(phi, side, i)
+    direction = n * side + i
+    views = (out.coeffs, FO._side_view(out.coeffs, FO.ANTI))
+    for a, I in enumerate(FO._combos(n, phi.p)):
+        for b, J in enumerate(FO._combos(n, phi.q)):
+            for slots, T in ((FO.HOLO, I), (FO.ANTI, J)):
+                off = n * slots
+                dst = FO._combo_index(n, len(T))
+                res, other = views[slots], (b, a)[slots]
+                for t, slot in enumerate(T):
+                    for c in range(n):
+                        gam = lc.entry(direction, off + c, off + slot)
+                        if gam.max_abs() == 0.0:
+                            continue
+                        ins = _insert(T[:t] + T[t + 1:], c)
+                        if ins is None:
+                            continue
+                        sgn, T2 = ins
+                        s = float((-1) ** t * sgn)
+                        for al in range(phi.r):
+                            res[dst[T2], other, al] = (
+                                res[dst[T2], other, al]
+                                + phi.coeffs[a, b, al] * gam * (-s))
+    if conn is not None:
+        mat = (conn.amats, conn.bmats)[side][i]
+        for a in range(out.coeffs.shape[0]):
+            for b in range(out.coeffs.shape[1]):
+                for be in range(phi.r):
+                    acc = out.coeffs[a, b, be]
+                    for al in range(phi.r):
+                        acc = acc + phi.coeffs[a, b, al] * mat[al][be]
+                    out.coeffs[a, b, be] = acc
+    return out
+
+
+def _equal(a, b):
+    """Same bidegree, rank, jet orders and coefficient values."""
+    assert (a.p, a.q, a.r) == (b.p, b.q, b.r)
+    return all(x.order == y.order and np.array_equal(x.coeffs, y.coeffs)
+               for x, y in zip(a.coeffs.flat, b.coeffs.flat))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_slot_table_matches_tuple_walk(n):
+    mj = _hopf(n)
+    rng = np.random.default_rng(40 + n)
+    coef = random_form(mj, 0, 0, rng, order=mj.order - 1).coeffs[0, 0, 0]
+    for p in range(n + 1):
+        for q in range(n + 1):
+            for r in (1, 2):
+                phi = random_form(mj, p, q, rng, r=r)
+                for side in (FO.HOLO, FO.ANTI):
+                    for k in range(n):
+                        for d in (1, -1):
+                            for c in (None, coef):
+                                assert _equal(FO._slot_map(phi, side, k, d, c),
+                                              _reference_slot_map(
+                                                  phi, side, k, d, c))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_merge_table_matches_tuple_walk(n):
+    mj = _hopf(n)
+    rng = np.random.default_rng(50 + n)
+    degrees = [(p, q) for p in range(n + 1) for q in range(n + 1)]
+    for r1, r2 in ((1, 1), (2, 1), (1, 2), (2, 2)):
+        forms = [(random_form(mj, p, q, rng, r=r1, order=2),
+                  random_form(mj, p, q, rng, r=r2)) for p, q in degrees]
+        for phi, _ in forms:
+            for _, psi in forms:
+                if phi.p + psi.p <= n + 1 and phi.q + psi.q <= n + 1:
+                    assert _equal(wedge(phi, psi), _reference_wedge(phi, psi))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_derivation_nabla_matches_slot_walk(n):
+    mj = _hopf(n)
+    rng = np.random.default_rng(60 + n)
+    conns = {1: (None, random_metric_connection(mj, r=1, seed=n)),
+             2: (None, random_metric_connection(mj, r=2, seed=n))}
+    for p in range(n + 1):
+        for q in range(n + 1):
+            for r, pair in conns.items():
+                phi = random_form(mj, p, q, rng, r=r)
+                for conn in pair:
+                    for side in (FO.HOLO, FO.ANTI):
+                        for i in range(n):
+                            got = FO._nabla(phi, side, i, conn)
+                            want = _reference_nabla(phi, side, i, conn)
+                            assert _coeff_gap(got, want) <= 1e-14
+
+
+def test_b_op_on_holomorphic_forms_is_zero_of_degree_p_plus_one():
+    mj = _hopf()
+    rng = np.random.default_rng(70)
+    for p in range(3):
+        psi = random_form(mj, p, 0, rng, r=2)
+        img = FO.b_op(psi)
+        assert (img.p, img.q, img.r) == (min(p + 1, 2), 0, 2)
+        assert img.is_zero()
+    psi = random_form(mj, 0, 0, rng, r=2)
+    phi = random_form(mj, 1, 0, rng, r=2)
+    assert inner(FO.b_op(psi), phi).max_abs() == 0.0
+
+
+def test_a_op_coefficients_built_once_per_metric_jet(monkeypatch):
+    builds = {}
+    coefficients = FO._a_coefficients
+
+    def spy(mj):
+        out = coefficients(mj)
+        builds.setdefault(id(mj), []).append(out)  # kept alive: ids unique
+        return out
+
+    monkeypatch.setattr(FO, "_a_coefficients", spy)
+    for mj in (_hopf(2), _metric_points(3)[1]):
+        identity_suite(mj, trials=2, seed=0)
+        assert len(builds[id(mj)]) > 1
+        assert len({id(out) for out in builds[id(mj)]}) == 1

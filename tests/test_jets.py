@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermitia.errors import SingularSeriesError
+from hermitia.errors import SingularSeriesError, StructuralError
 from hermitia.jets import (Jet, constant, jet_conj, jet_inverse,
                            jet_matrix_inverse, jet_mul, truncate, variable,
                            wirtinger)
@@ -109,3 +109,24 @@ def test_wirtinger_lowers_order():
     rng = np.random.default_rng(2)
     a = _random_jet(2, 3, rng)
     assert wirtinger(a, "holo", 0).order == 2
+
+
+@pytest.mark.parametrize("low", [0, 1, 2])
+def test_mixed_order_arithmetic_truncates_to_the_lower_order(low):
+    rng = np.random.default_rng(7 + low)
+    a, b = _random_jet(2, 3, rng), _random_jet(2, low, rng)
+    for x, y in ((a, b), (b, a)):
+        tx, ty = truncate(x, low), truncate(y, low)
+        for got, want in ((x + y, tx + ty), (x * y, tx * ty)):
+            assert got.order == low
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+def test_mixed_n_still_raises():
+    rng = np.random.default_rng(9)
+    a, b = _random_jet(2, 3, rng), _random_jet(3, 3, rng)
+    for op in (lambda x, y: x + y, lambda x, y: x * y):
+        with pytest.raises(StructuralError):
+            op(a, b)
+        with pytest.raises(StructuralError):
+            op(b, a)

@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 from hermitia.curvature import curvature_chern, ricci_panel
 from hermitia.errors import StructuralError
 from hermitia.metric import hopf_metric, metric_jet
-from hermitia.positivity import (griffiths_sample, p_positivity,
-                                 p_positivity_bruteforce,
+from hermitia.positivity import (GriffithsReport, HypothesisReport,
+                                 PositivityReport, griffiths_sample,
+                                 p_positivity, p_positivity_bruteforce,
                                  vanishing_hypothesis_report)
 
 
@@ -17,6 +18,7 @@ def test_rejects_non_hermitian():
 
 def test_known_verdicts():
     r = p_positivity(np.diag([2.0, 3.0]))
+    assert isinstance(r, PositivityReport)
     assert r.verdicts == ("positive", "positive")
     r = p_positivity(np.diag([0.0, 1.0]))
     assert r.verdicts[0] == "nonnegative"
@@ -38,6 +40,7 @@ def test_eigsum_route_matches_bruteforce(seed, r):
 def test_griffiths_on_annulus_metric():
     mj = metric_jet(hopf_metric(2), np.array([1.0, 0.5j]), order=3)
     rep = griffiths_sample(curvature_chern(mj), trials=200, seed=0)
+    assert isinstance(rep, GriffithsReport)
     assert rep.nonnegative
     assert rep.minimum >= -1e-12
 
@@ -57,5 +60,6 @@ def test_hopf_panel_signs():
 def test_vanishing_hypothesis_report_notes_scope():
     mats = [np.diag([1.0, 2.0]), np.diag([0.5, 3.0])]
     rep = vanishing_hypothesis_report(mats, sense="nonnegative", p=1)
+    assert isinstance(rep, HypothesisReport)
     assert rep.holds_everywhere
     assert "no cohomological conclusion" in rep.note

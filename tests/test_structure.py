@@ -6,8 +6,9 @@ from hermitia.metric import (derivative_tables, flat_metric, hopf_metric,
                              metric_jet, normal_form_balanced,
                              normal_form_balanced_skt, normal_form_random,
                              normal_form_skt, potential_kahler_torus)
-from hermitia.structure import (kahler_defect, laplacian_compare,
-                                prop38_check, skt_defect, structure_report)
+from hermitia.structure import (StructureReport, kahler_defect,
+                                laplacian_compare, prop38_check, skt_defect,
+                                structure_report)
 
 
 def _hopf(n, z=None):
@@ -18,6 +19,7 @@ def _hopf(n, z=None):
 
 def test_flat_all_verdicts_true():
     r = structure_report(metric_jet(flat_metric(2), np.zeros(2), order=3))
+    assert isinstance(r, StructureReport)
     assert r.is_kahler and r.is_balanced and r.is_skt
 
 
