@@ -148,10 +148,30 @@ def _dzbar(arr: np.ndarray, i: int, N: int) -> np.ndarray:
 
 
 def _inv(h: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.inv(h)
-    except np.linalg.LinAlgError as exc:
-        raise DomainError(f"singular metric on the grid: {exc}") from exc
+    """Per-site inverse by Gauss-Jordan elimination without pivoting, each
+    step one whole-grid array operation (np.linalg.inv loops over the sites
+    one tiny matrix at a time).  The sites are Hermitian positive definite,
+    so every pivot is a positive Schur complement."""
+    n = h.shape[-1]
+    a = _lead(h).copy()  # eliminated in place; h is left as it is
+    out = np.zeros_like(a)
+    for k in range(n):
+        out[k, k] = 1.0
+    for k in range(n):
+        piv = a[k, k].copy()
+        bad = (piv == 0) | ~np.isfinite(piv)
+        if bad.any():
+            site = tuple(int(x) for x in np.argwhere(bad)[0])
+            raise DomainError("singular metric on the grid: zero or "
+                              f"non-finite pivot {k} at site {site}")
+        a[k] /= piv
+        out[k] /= piv
+        for i in range(n):
+            if i != k:
+                f = a[i, k].copy()
+                a[i] -= f * a[k]
+                out[i] -= f * out[k]
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 def _lead(arr: np.ndarray) -> np.ndarray:

@@ -10,13 +10,13 @@ Coefficient arrays combine with numpy's +, *, @ and sum on object arrays
 (a sum or product of jets of two orders is taken at the lower one).  Slot
 moves are cached integer tables of source rows, destination rows and signs:
 _slot_table (dz^k ^ and the interior product), _merge_table (wedge) and
-_derivation_table (the Levi-Civita part of nabla, d_X - Gamma dz^c ^ I_k).
-
-The pointwise inner product is the determinant pairing
-  < dz^I ^ dzbar^J, dz^K ^ dzbar^L > = det(h^{i kbar}) conj(det(h^{j lbar}))
-with no per-degree factor, and algebraic operators get their stars as exact
-matrix adjoints with respect to it.  This is the normalization under which the
-commutator identities close (see docs/conventions.md).
+_term_table (a chain of slot moves, such as dz^c ^ I_k in nabla).  The
+algebraic operators (L, Lambda, A, B, C, tau and the conjugates) are Jet
+matrices assembled from _term_table and their point coefficients; the value
+is T x and star, the exact adjoint under the determinant pairing
+  < dz^I ^ dzbar^J, dz^K ^ dzbar^L > = det(h^{i kbar}) conj(det(h^{j lbar})),
+uses T^T.  Under this pairing, with no per-degree factor, the commutator
+identities close (see docs/conventions.md).
 """
 
 from __future__ import annotations
@@ -221,10 +221,9 @@ def _slot_table(n: int, deg: int, k: int, d: int):
     return _columns(rows, 3)
 
 
-def _slot_map(phi: FormJet, side: int, k: int, d: int,
-              coef: Jet | None = None) -> FormJet:
-    """Slot k into (d = 1) or out of (d = -1) the `side` block of phi, times
-    an optional scalar jet; a barred slot passes the p unbarred ones."""
+def _slot_map(phi: FormJet, side: int, k: int, d: int) -> FormJet:
+    """Slot k into (d = 1) or out of (d = -1) the `side` block of phi; a
+    barred slot passes the p unbarred ones."""
     out = zero_form(phi.mj, *_bumped(phi, side, d), phi.r)
     deg = (phi.p, phi.q)[side]
     if not 0 <= deg + d <= phi.n:
@@ -232,22 +231,54 @@ def _slot_map(phi: FormJet, side: int, k: int, d: int,
     src, dst, sign = _slot_table(phi.n, deg, k, d)
     if side == ANTI:
         sign = sign * (-1) ** phi.p
-    c = _side_view(phi.coeffs, side)[src]
-    if coef is not None:
-        c = c * coef
-    _side_view(out.coeffs, side)[dst] = c * sign[:, None, None]
+    _side_view(out.coeffs, side)[dst] = (_side_view(phi.coeffs, side)[src]
+                                         * sign[:, None, None])
     return out
 
 
-def _wedge1(phi: FormJet, side: int, k: int, coef: Jet | None = None) -> FormJet:
-    """dz^k (HOLO) or dzbar^k (ANTI) wedge phi, times an optional scalar
-    jet."""
-    return _slot_map(phi, side, k, 1, coef)
+def _wedge1(phi: FormJet, side: int, k: int) -> FormJet:
+    """dz^k (HOLO) or dzbar^k (ANTI) wedge phi."""
+    return _slot_map(phi, side, k, 1)
 
 
 def _contract(phi: FormJet, side: int, k: int) -> FormJet:
     """Interior product with d/dz^k (HOLO) or d/dzbar^k (ANTI)."""
     return _slot_map(phi, side, k, -1)
+
+
+def _dim(n: int, p: int, q: int) -> int:
+    """Length of the (p, q) coefficient vector of a scalar form."""
+    return len(_combos(n, p)) * len(_combos(n, q))
+
+
+@lru_cache(maxsize=None)
+def _term_table(n: int, p: int, q: int, moves: tuple):
+    """The terms of a chain of slot moves on (p, q)-forms.  Each move
+    (side, d) slots an index k into (d = 1) or out of (d = -1) that side's
+    block as _slot_map does, the first move applied first.  Columns: the
+    flat source row a * C(n, q) + b, the flat destination row, the k of each
+    move in order and the product of the signs."""
+    nq = len(_combos(n, q))
+    terms = [(s, divmod(s, nq), (), 1) for s in range(_dim(n, p, q))]
+    deg = [p, q]
+    for side, d in moves:
+        if not 0 <= deg[side] + d <= n:
+            return _columns([], 3 + len(moves))
+        base = (-1) ** deg[HOLO] if side == ANTI else 1
+        step = []
+        for k in range(n):
+            move = {s: (t, sg) for s, t, sg in
+                    zip(*_slot_table(n, deg[side], k, d))}
+            for src, rows, ks, sign in terms:
+                if rows[side] in move:
+                    t, sg = move[rows[side]]
+                    moved = (t, rows[1]) if side == HOLO else (rows[0], t)
+                    step.append((src, moved, ks + (k,), sign * base * sg))
+        terms = step
+        deg[side] += d
+    nq = len(_combos(n, deg[ANTI]))
+    return _columns([(src, a * nq + b, *ks, sign)
+                     for src, (a, b), ks, sign in terms], 3 + len(moves))
 
 
 @lru_cache(maxsize=None)
@@ -327,21 +358,6 @@ def dbar(phi: FormJet) -> FormJet:
     return _d(phi, ANTI)
 
 
-@lru_cache(maxsize=None)
-def _derivation_table(n: int, deg: int):
-    """dz^c ^ I_k on a degree-deg block, for every slot k and every c,
-    composed from the slot tables: source row, destination row, k, c and
-    the sign."""
-    rows = []
-    for k in range(n):
-        for s, mid, s1 in zip(*_slot_table(n, deg, k, -1)):
-            for c in range(n):
-                src, dst, s2 = _slot_table(n, deg - 1, c, 1)
-                for t in np.flatnonzero(src == mid):
-                    rows.append((s, dst[t], k, c, s1 * s2[t]))
-    return _columns(rows, 5)
-
-
 def _nabla(phi: FormJet, side: int, i: int,
            conn: "ConnectionJet | None" = None) -> FormJet:
     """Type-preserving covariant derivative in direction z^i (HOLO) or
@@ -355,7 +371,8 @@ def _nabla(phi: FormJet, side: int, i: int,
             continue
         block = slice(n * slots, n * (slots + 1))
         g = gamma[block, block]  # g[c, k] = Gamma_{X c}^k on this group
-        src, dst, k, c, sign = _derivation_table(n, deg)
+        # dz^c ^ I_k on the block alone: the chain on a (deg, 0) HOLO block
+        src, dst, k, c, sign = _term_table(n, deg, 0, ((HOLO, -1), (HOLO, 1)))
         live = _jets_nonzero(g).astype(bool)[c, k]
         coef = np.where(sign > 0, (g * -1.0)[c, k], g[c, k])[live]
         terms = _side_view(phi.coeffs, slots)[src[live]] * coef[:, None, None]
@@ -409,134 +426,144 @@ def delta0_second(phi: FormJet, conn=None) -> FormJet:
     return _delta0(phi, ANTI, conn)
 
 
-# -- omega, L, Lambda, torsion operators -----------------------------------
+# -- omega and the algebraic operators -------------------------------------
 
 
 def two_omega(mj: MetricJet) -> FormJet:
-    out = zero_form(mj, 1, 1, 1)
-    for i in range(mj.n):
-        for j in range(mj.n):
-            out.coeffs[i, j, 0] = mj.h[i][j] * 1j
-    return out
+    return FormJet(mj, 1, 1, 1, (mj.h * 1j)[..., None])
 
 
 def omega_form(mj: MetricJet) -> FormJet:
     return two_omega(mj) * 0.5
 
 
-def l_op(phi: FormJet) -> FormJet:
-    return wedge(two_omega(phi.mj), phi)
+def _assemble(n: int, p: int, q: int, side: int, moves: tuple,
+              coef: np.ndarray) -> np.ndarray:
+    """The Jet matrix of sum_k coef[k] M_k from the (p, q) coefficient
+    vectors to those at the bidegree the moves reach, M_k the chain of slot
+    `moves` (see _term_table) with indices k = (k_1, ..., k_m).  moves and
+    coef are those of the HOLO operator; on ANTI the sides swap and the
+    coefficients are conjugated, which gives the conjugate operator."""
+    moves = tuple((s ^ side, d) for s, d in moves)
+    if side == ANTI:
+        coef = _jets_conj(coef)
+    src, dst, *ks, sign = _term_table(n, p, q, moves)
+    dp = sum(d for s, d in moves if s == HOLO)
+    dq = sum(d for s, d in moves if s == ANTI)
+    zero = _zero(n, min(c.order for c in coef.flat))
+    t = np.full((_dim(n, p + dp, q + dq), _dim(n, p, q)), zero, dtype=object)
+    np.add.at(t, (dst, src), coef[tuple(ks)] * sign)
+    return t
 
 
-def lambda_op(phi: FormJet) -> FormJet:
-    """sqrt(-1) h^{i jbar} I_i I_jbar"""
-    mj = phi.mj
-    out = zero_form(mj, phi.p - 1, phi.q - 1, phi.r)
-    if phi.p == 0 or phi.q == 0:
-        return out
-    for j in range(phi.n):
-        cj = _contract(phi, ANTI, j)
-        for i in range(phi.n):
-            out = out + _contract(cj, HOLO, i) * (mj.h_up(i, j) * 1j)
-    return out
+def _l_matrix(mj: MetricJet, p: int, q: int, side: int) -> np.ndarray:
+    """L = 2 omega ^ = sqrt(-1) h_{i jbar} dz^i ^ dzbar^j ^ (L is real, so
+    side is unused)."""
+    return _assemble(mj.n, p, q, HOLO, ((ANTI, 1), (HOLO, 1)), mj.h.T * 1j)
 
 
-def c_op(phi: FormJet) -> FormJet:
-    """Multiplication by the torsion (1,0)-form 2 Gamma_{j lbar}^{lbar} dz^j."""
-    mj = phi.mj
-    lc = levi_civita(mj)
-    n = mj.n
-    out = zero_form(mj, phi.p + 1, phi.q, phi.r)
-    for j in range(n):
-        eta = _zero(n, mj.order - 1)
-        for l in range(n):
-            eta = eta + lc.entry(j, n + l, n + l)
-        out = out + _wedge1(phi, HOLO, j, coef=eta * 2.0)
-    return out
-
-
-def b_op(phi: FormJet) -> FormJet:
-    """-2 Gamma_{i jbar}^{lbar} dz^i ^ dzbar^j I_lbar"""
-    mj = phi.mj
-    lc = levi_civita(mj)
-    n = mj.n
-    out = zero_form(mj, phi.p + 1, phi.q, phi.r)
-    if phi.q == 0:
-        return out
-    for l in range(n):
-        cl = _contract(phi, ANTI, l)
-        for i in range(n):
-            for j in range(n):
-                gam = lc.entry(i, n + j, n + l)
-                if gam.max_abs() == 0.0:
-                    continue
-                out = out + _wedge1(_wedge1(cl, ANTI, j), HOLO, i,
-                                    coef=gam * (-2.0))
-    return out
+def _lambda_matrix(mj: MetricJet, p: int, q: int, side: int) -> np.ndarray:
+    """Lambda = sqrt(-1) h^{i jbar} I_i I_jbar (real, side unused)."""
+    return _assemble(mj.n, p, q, HOLO, ((ANTI, -1), (HOLO, -1)), mj.hinv * 1j)
 
 
 @per_point
 def _a_coefficients(mj: MetricJet) -> np.ndarray:
-    """-h^{k lbar} h_{i mbar} Gamma_{s lbar}^{mbar} at [k, s, i], None where
-    it vanishes: the coefficients of a_op, built once per point."""
-    lc = levi_civita(mj)
+    """-h^{k lbar} h_{i mbar} Gamma_{s lbar}^{mbar} at [k, i, s]: the
+    coefficients of a_op in the order of its slot moves, built once per
+    point and kept with it, so the vanishing entries share one zero jet."""
     n = mj.n
-    out = np.full((n, n, n), None, dtype=object)
-    for k in range(n):
-        for s in range(n):
-            for i in range(n):
-                coef = _zero(n, mj.order - 1)
-                for l in range(n):
-                    for m in range(n):
-                        gam = lc.entry(s, n + l, n + m)
-                        if gam.max_abs() != 0.0:
-                            coef = coef + mj.h_up(k, l) * mj.h[i][m] * gam
-                if coef.max_abs() != 0.0:
-                    out[k, s, i] = coef * (-1.0)
+    gam = levi_civita(mj).entries[:n, n:, n:]  # [s, l, m]
+    coef = (mj.hinv.T @ (gam @ mj.h.T)).transpose(1, 2, 0) * -1.0
+    coef[~_jets_nonzero(coef).astype(bool)] = _zero(n, mj.order - 1)
+    return coef
+
+
+def _a_matrix(mj: MetricJet, p: int, q: int, side: int) -> np.ndarray:
+    """A = -h^{k lbar} h_{i mbar} Gamma_{s lbar}^{mbar} dz^s ^ dz^i ^ I_k."""
+    return _assemble(mj.n, p, q, side, ((HOLO, -1), (HOLO, 1), (HOLO, 1)),
+                     _a_coefficients(mj))
+
+
+def _b_matrix(mj: MetricJet, p: int, q: int, side: int) -> np.ndarray:
+    """B = -2 Gamma_{i jbar}^{lbar} dz^i ^ dzbar^j ^ I_lbar."""
+    n = mj.n
+    gam = levi_civita(mj).entries[:n, n:, n:].T  # [l, j, i]
+    return _assemble(n, p, q, side, ((ANTI, -1), (ANTI, 1), (HOLO, 1)),
+                     gam * -2.0)
+
+
+def _c_matrix(mj: MetricJet, p: int, q: int, side: int) -> np.ndarray:
+    """C = 2 Gamma_{j lbar}^{lbar} dz^j ^, the torsion (1,0)-form."""
+    n = mj.n
+    eta = np.trace(levi_civita(mj).entries[:n, n:, n:], axis1=1, axis2=2)
+    return _assemble(n, p, q, side, ((HOLO, 1),), eta * 2.0)
+
+
+def _w_matrix(mj: MetricJet, p: int, q: int, side: int) -> np.ndarray:
+    """Wedge with w = 2 d'omega = sqrt(-1) d_a h_{b cbar} dz^a ^ dz^b ^ dzbar^c
+    (HOLO) or with its conjugate (ANTI)."""
+    n = mj.n
+    dh = np.array([[[wirtinger(mj.h[b][c], "holo", a) * 1j for a in range(n)]
+                    for b in range(n)] for c in range(n)], dtype=object)
+    return _assemble(n, p, q, side, ((ANTI, 1), (HOLO, 1), (HOLO, 1)), dh)
+
+
+def _tau_matrix(mj: MetricJet, p: int, q: int, side: int) -> np.ndarray:
+    """tau = [Lambda, w ^] (w as in _w_matrix), as the commutator of the
+    two matrices; tau_bar on ANTI."""
+    n = mj.n
+    wp, wq = (2, 1) if side == HOLO else (1, 2)
+    out = np.full((_dim(n, p + wp - 1, q + wq - 1), _dim(n, p, q)),
+                  _zero(n, mj.order - 1), dtype=object)
+    if p + wp <= n and q + wq <= n:
+        out = out + (_lambda_matrix(mj, p + wp, q + wq, side)
+                     @ _w_matrix(mj, p, q, side))
+    if p and q:
+        out = out - (_w_matrix(mj, p - 1, q - 1, side)
+                     @ _lambda_matrix(mj, p, q, side))
     return out
 
 
-def a_op(phi: FormJet) -> FormJet:
-    """-h^{k lbar} h_{i mbar} Gamma_{s lbar}^{mbar} dz^s ^ dz^i I_k"""
-    mj = phi.mj
-    out = zero_form(mj, phi.p + 1, phi.q, phi.r)
-    if phi.p == 0:
-        return out
-    coefs = _a_coefficients(mj)
-    for k in range(mj.n):
-        ck = _contract(phi, HOLO, k)
-        for (s, i), coef in np.ndenumerate(coefs[k]):
-            if coef is not None:
-                out = out + _wedge1(_wedge1(ck, HOLO, i), HOLO, s, coef=coef)
-    return out
+@dataclass(frozen=True)
+class _Algebraic:
+    """A Jet-linear operator without derivatives, given by its matrix:
+    body(mj, p, q, side) is the Jet matrix T from the (p, q) coefficient
+    vectors to those at (p, q) + ddeg.  The value on phi is T x, taken on
+    the form index of each fiber column; star uses T^T.  On ANTI it is the
+    conjugate operator: the same slot moves with the sides swapped, and
+    conjugate coefficients."""
+    body: object
+    ddeg: tuple
+    side: int = HOLO
+
+    def matrix(self, mj: MetricJet, p: int, q: int) -> np.ndarray:
+        return self.body(mj, p, q, self.side)
+
+    def __call__(self, phi: FormJet) -> FormJet:
+        n, (dp, dq) = phi.n, self.ddeg
+        p, q = phi.p + dp, phi.q + dq
+        if not (0 <= p <= n and 0 <= q <= n):
+            return zero_form(phi.mj, p, q, phi.r)
+        t = self.matrix(phi.mj, phi.p, phi.q)
+        x = phi.coeffs.reshape(t.shape[1], phi.r)
+        shape = (len(_combos(n, p)), len(_combos(n, q)), phi.r)
+        return FormJet(phi.mj, p, q, phi.r, (t @ x).reshape(shape))
 
 
-def _torsion(phi: FormJet, side: int) -> FormJet:
-    """[Lambda, w ^] with w = 2 d'omega on HOLO and its conjugate on ANTI
-    (which, unlike tau_bar, leaves the fiber coefficients unconjugated)."""
-    w = partial(two_omega(phi.mj))
-    if side == ANTI:
-        w = form_conj(w)
-    return lambda_op(wedge(w, phi)) - wedge(w, lambda_op(phi))
-
-
-def tau(phi: FormJet) -> FormJet:
-    """[Lambda, 2 d'omega] — the type (1,0) torsion operator."""
-    return _torsion(phi, HOLO)
-
-
-def tau_bar(phi: FormJet) -> FormJet:
-    return form_conj(tau(form_conj(phi)))
+l_op = _Algebraic(_l_matrix, (1, 1))
+lambda_op = _Algebraic(_lambda_matrix, (-1, -1))
+a_op = _Algebraic(_a_matrix, (1, 0))
+b_op = _Algebraic(_b_matrix, (1, 0))
+c_op = _Algebraic(_c_matrix, (1, 0))
+tau = _Algebraic(_tau_matrix, (1, 0))
+tau_bar = _Algebraic(_tau_matrix, (0, 1), ANTI)
+_a_bar = _Algebraic(_a_matrix, (0, 1), ANTI)
+_b_bar = _Algebraic(_b_matrix, (0, 1), ANTI)
+_c_bar = _Algebraic(_c_matrix, (0, 1), ANTI)
 
 
 # -- inner product and adjoints --------------------------------------------
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two Jet matrices: entry
-    (i * b.shape[0] + k, j * b.shape[1] + l) is a[i, j] b[k, l]."""
-    out = np.multiply.outer(a, b).transpose(0, 2, 1, 3)
-    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def _compound(m: np.ndarray, k: int) -> np.ndarray:
@@ -557,7 +584,9 @@ def _compound(m: np.ndarray, k: int) -> np.ndarray:
 def _gram_over(m: np.ndarray, p: int, q: int) -> np.ndarray:
     """kron(C_p(m), conj C_q(m)): the row of dz^I ^ dzbar^J is
     a * C(n, q) + b for I, J the a-th and b-th combos."""
-    return _kron(_compound(m, p), _jets_conj(_compound(m, q)))
+    a, b = _compound(m, p), _jets_conj(_compound(m, q))
+    out = np.multiply.outer(a, b).transpose(0, 2, 1, 3)
+    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def gram(mj: MetricJet, p: int, q: int) -> np.ndarray:
@@ -572,13 +601,11 @@ def _gram_inverse(mj: MetricJet, p: int, q: int) -> np.ndarray:
     return _gram_over(mj.h.T, p, q)
 
 
-def _with_fiber(mj: MetricJet, g: np.ndarray, fiber, r: int) -> np.ndarray:
-    """g tensored with an r x r fiber metric (the identity when None)."""
-    if fiber is None:
-        if r == 1:
-            return g
-        fiber = trivial_connection(mj, r).fiber
-    return _kron(g, np.asarray(fiber, dtype=object))
+def _metric(g: np.ndarray, x: np.ndarray, fiber) -> np.ndarray:
+    """g tensored with the r x r fiber metric F (the identity when None),
+    applied to coefficients x of shape (len(g), r): g x F^T."""
+    y = g @ x
+    return y if fiber is None else y @ np.asarray(fiber, dtype=object).T
 
 
 def _flatten(phi: FormJet) -> np.ndarray:
@@ -591,82 +618,55 @@ def inner(phi: FormJet, psi: FormJet, fiber: np.ndarray | None = None) -> Jet:
     in psi).  fiber is an r x r matrix of Jets G[al][be] = <e_al, e_be>."""
     if (phi.p, phi.q, phi.r) != (psi.p, psi.q, psi.r):
         raise StructuralError("bidegree/rank mismatch in inner product")
-    g = _with_fiber(phi.mj, gram(phi.mj, phi.p, phi.q), fiber, phi.r)
-    return _flatten(phi) @ (g @ _jets_conj(_flatten(psi)))
+    y = _jets_conj(psi.coeffs.reshape(-1, psi.r))
+    return _flatten(phi) @ _metric(gram(phi.mj, phi.p, phi.q), y,
+                                   fiber).reshape(-1)
 
 
-def _op_matrix(op, mj: MetricJet, p: int, q: int, r: int, dst):
-    """Materialize a Jet-linear operator as a matrix of Jets from the (p,q)
-    coefficient space into the coefficient space at bidegree dst."""
-    na, nb = len(_combos(mj.n, p)), len(_combos(mj.n, q))
-    cols = []
-    for a in range(na):
-        for b in range(nb):
-            for al in range(r):
-                e = zero_form(mj, p, q, r)
-                e.coeffs[a, b, al] = constant(1.0 + 0.0j, mj.n, mj.order)
-                img = op(e)
-                if (img.p, img.q) != dst:
-                    if not img.is_zero():
-                        raise StructuralError(
-                            "operator degree shift does not match ddeg")
-                    img = zero_form(mj, dst[0], dst[1], r)
-                cols.append(_flatten(img))
-    mat = np.empty((len(cols[0]), len(cols)), dtype=object)
-    for c, col in enumerate(cols):
-        mat[:, c] = col
-    return mat
-
-
-def star(op, phi: FormJet, ddeg, fiber=None) -> FormJet:
-    """Exact pointwise adjoint of a Jet-linear (algebraic) operator.
-
-    op maps (p,q) -> (p+dp, q+dq) with ddeg = (dp, dq); star(op) maps phi at
-    (p,q) back to (p-dp, q-dq).  With T the matrix of op and G the Gram
+def star(op: _Algebraic, phi: FormJet, fiber=None) -> FormJet:
+    """Exact pointwise adjoint of an algebraic operator (l_op, lambda_op,
+    a_op, b_op, c_op, tau, tau_bar or a conjugate), which maps (p,q) ->
+    (p+dp, q+dq) with op.ddeg = (dp, dq); star(op) maps phi at (p,q) back
+    to (p-dp, q-dq).  With T the matrix of op and G the Gram
     matrices (tensored with the fiber metric F),
-    star(op) phi = conj(Gs^-1 T^T Gd conj(phi)), three matrix-vector
-    products from the right; Gs^-1 is a compound-matrix product and F^-1
-    the only solve."""
-    dp, dq = ddeg
-    mj = phi.mj
+    star(op) phi = conj(Gs^-1 T^T Gd conj(phi)), matrix products from the
+    right on the (form index, fiber index) coefficient matrix; op itself is
+    never applied.  Gs^-1 is a compound-matrix product and F^-1 the only
+    solve."""
+    dp, dq = op.ddeg
+    mj, r = phi.mj, phi.r
     sp, sq = phi.p - dp, phi.q - dq
     if not (0 <= sp <= phi.n and 0 <= sq <= phi.n):
-        return zero_form(mj, max(sp, 0), max(sq, 0), phi.r)
-    T = _op_matrix(op, mj, sp, sq, phi.r, (phi.p, phi.q))
+        return zero_form(mj, max(sp, 0), max(sq, 0), r)
+    y = _metric(gram(mj, phi.p, phi.q),
+                _jets_conj(phi.coeffs.reshape(-1, r)), fiber)
     f_inv = None if fiber is None else jet_matrix_inverse(fiber)
-    g_dst = _with_fiber(mj, gram(mj, phi.p, phi.q), fiber, phi.r)
-    gs_inv = _with_fiber(mj, _gram_inverse(mj, sp, sq), f_inv, phi.r)
-    x = gs_inv @ (T.T @ (g_dst @ _jets_conj(_flatten(phi))))
-    shape = (len(_combos(mj.n, sp)), len(_combos(mj.n, sq)), phi.r)
-    return FormJet(mj, sp, sq, phi.r, _jets_conj(x).reshape(shape))
+    x = _metric(_gram_inverse(mj, sp, sq), op.matrix(mj, sp, sq).T @ y, f_inv)
+    shape = (len(_combos(mj.n, sp)), len(_combos(mj.n, sq)), r)
+    return FormJet(mj, sp, sq, r, _jets_conj(x).reshape(shape))
 
 
 def lambda_matrix_adjoint(phi: FormJet) -> FormJet:
     """Lambda realized as the matrix adjoint of L; ground-truth cross-check
     for lambda_op."""
-    return star(l_op, phi, (1, 1))
+    return star(l_op, phi)
 
 
-def _conj_op(op):
-    """The conjugate operator form_conj . op . form_conj."""
-    return lambda phi: form_conj(op(form_conj(phi)))
-
-
-def _adjoint(op, ddeg):
+def _adjoint(op):
     """Pointwise adjoint of op; star is looked up at call time."""
     def op_star(phi, fiber=None):
-        return star(op, phi, ddeg, fiber)
+        return star(op, phi, fiber)
     return op_star
 
 
-_a_star = _adjoint(a_op, (1, 0))
-_b_star = _adjoint(b_op, (1, 0))
-_c_star = _adjoint(c_op, (1, 0))
-_tau_star = _adjoint(tau, (1, 0))
-_abar_star = _adjoint(_conj_op(a_op), (0, 1))
-_bbar_star = _adjoint(_conj_op(b_op), (0, 1))
-_cbar_star = _adjoint(_conj_op(c_op), (0, 1))
-_tau_bar_star = _adjoint(tau_bar, (0, 1))
+_a_star = _adjoint(a_op)
+_b_star = _adjoint(b_op)
+_c_star = _adjoint(c_op)
+_tau_star = _adjoint(tau)
+_abar_star = _adjoint(_a_bar)
+_bbar_star = _adjoint(_b_bar)
+_cbar_star = _adjoint(_c_bar)
+_tau_bar_star = _adjoint(tau_bar)
 
 
 def _d_star(phi: FormJet, side: int) -> FormJet:
@@ -919,16 +919,15 @@ def bundle_identity_suite(mj: MetricJet, conn: ConnectionJet,
         de = lambda f: dbar_e(f, conn)
         pes = lambda f: partial_e_star(f, conn)
         des = lambda f: dbar_e_star(f, conn)
-        tau_bar_e = lambda f: _torsion(f, ANTI)
         # each operator value on phi once: the adjoints dominate a trial
         l_phi, lam = l_op(phi), lambda_op(phi)
         pe_phi, de_phi, pes_phi, des_phi = pe(phi), de(phi), pes(phi), des(phi)
         r1 = des(l_phi) - l_op(des_phi) - (pe_phi + tau(phi)) * 1j
         res["dbar_e_star_L"] = max(res["dbar_e_star_L"], r1.max_const())
-        r2 = pes(l_phi) - l_op(pes_phi) + (de_phi + tau_bar_e(phi)) * 1j
+        r2 = pes(l_phi) - l_op(pes_phi) + (de_phi + tau_bar(phi)) * 1j
         res["partial_e_star_L"] = max(res["partial_e_star_L"], r2.max_const())
         r3 = (lambda_op(pe_phi) - pe(lam)
-              - (des_phi + star(tau_bar_e, phi, (0, 1), fib)) * 1j)
+              - (des_phi + _tau_bar_star(phi, fib)) * 1j)
         res["lambda_partial_e"] = max(res["lambda_partial_e"], r3.max_const())
         r4 = (lambda_op(de_phi) - de(lam)
               + (pes_phi + _tau_star(phi, fib)) * 1j)

@@ -106,24 +106,34 @@ def _algebra(n: int, order: int) -> _Algebra:
     return _Algebra(n, order)
 
 
+# the scalar operands of Jet arithmetic (numpy scalars included)
+_SCALARS = (int, float, complex, np.number)
+
+
 class Jet:
     """Immutable truncated power series in (z^1..z^n, zbar^1..zbar^n)."""
 
     __slots__ = ("n", "order", "coeffs", "_alg")
 
-    def __init__(self, n: int, order: int, coeffs=None):
-        if order < 0:
-            raise StructuralError("jet order must be >= 0")
-        alg = _algebra(n, order)
-        if coeffs is None:
-            c = np.zeros(alg.size, dtype=complex)
+    def __init__(self, n: int, order: int, coeffs=None, *, _alg=None):
+        if _alg is not None:
+            # private path: a coefficient array that this module's own
+            # arithmetic has just computed for algebra _alg, owned by no one
+            # else, so it is neither validated nor copied
+            c, alg = coeffs, _alg
         else:
-            c = np.asarray(coeffs, dtype=complex)
-            if c.shape != (alg.size,):
-                raise StructuralError(
-                    f"coefficient array has shape {c.shape}, expected ({alg.size},)"
-                )
-            c = c.copy()
+            if order < 0:
+                raise StructuralError("jet order must be >= 0")
+            alg = _algebra(n, order)
+            if coeffs is None:
+                c = np.zeros(alg.size, dtype=complex)
+            else:
+                c = np.asarray(coeffs, dtype=complex)
+                if c.shape != (alg.size,):
+                    raise StructuralError(
+                        f"coefficient array has shape {c.shape}, "
+                        f"expected ({alg.size},)")
+                c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "order", order)
@@ -171,17 +181,19 @@ class Jet:
         return alg, self.coeffs[:alg.size], other.coeffs[:alg.size]
 
     def __add__(self, other):
-        if np.isscalar(other):
+        if isinstance(other, Jet):
+            alg, a, b = self._match(other)
+            return Jet(self.n, alg.order, a + b, _alg=alg)
+        if isinstance(other, _SCALARS):
             c = self.coeffs.copy()
             c[0] += other
-            return Jet(self.n, self.order, c)
-        alg, a, b = self._match(other)
-        return Jet(self.n, alg.order, a + b)
+            return Jet(self.n, self.order, c, _alg=self._alg)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.n, self.order, -self.coeffs)
+        return Jet(self.n, self.order, -self.coeffs, _alg=self._alg)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Jet) else -complex(other))
@@ -190,22 +202,25 @@ class Jet:
         return (-self) + other
 
     def __mul__(self, other):
-        if np.isscalar(other):
-            return Jet(self.n, self.order, self.coeffs * other)
-        alg, a, b = self._match(other)
-        out = np.zeros(alg.size, dtype=complex)
-        np.add.at(out, alg.mul_t, a[alg.mul_i] * b[alg.mul_j])
-        return Jet(self.n, alg.order, out)
+        if isinstance(other, Jet):
+            alg, a, b = self._match(other)
+            out = np.zeros(alg.size, dtype=complex)
+            np.add.at(out, alg.mul_t, a[alg.mul_i] * b[alg.mul_j])
+            return Jet(self.n, alg.order, out, _alg=alg)
+        if isinstance(other, _SCALARS):
+            return Jet(self.n, self.order, self.coeffs * other, _alg=self._alg)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if np.isscalar(other):
-            return self * (1.0 / other)
-        return self * jet_inverse(other)
+        if isinstance(other, Jet):
+            return self * jet_inverse(other)
+        return self * (1.0 / other)
 
     def conj(self) -> "Jet":
-        return Jet(self.n, self.order, np.conj(self.coeffs)[self._alg.conj_perm])
+        return Jet(self.n, self.order,
+                   np.conj(self.coeffs)[self._alg.conj_perm], _alg=self._alg)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.coeffs)))
@@ -225,9 +240,10 @@ class Jet:
 
 
 def constant(value: complex, n: int, order: int) -> Jet:
-    c = np.zeros(_algebra(n, order).size, dtype=complex)
+    alg = _algebra(n, order)
+    c = np.zeros(alg.size, dtype=complex)
     c[0] = value
-    return Jet(n, order, c)
+    return Jet(n, order, c, _alg=alg)
 
 
 def variable(n: int, order: int, index: int, barred: bool = False) -> Jet:
@@ -275,9 +291,10 @@ def wirtinger(a: Jet, which: str, index: int) -> Jet:
         raise StructuralError(f"derivative index {index} out of range for n={a.n}")
     v = index + (a.n if which == "antiholo" else 0)
     alg = a._alg
-    out = np.zeros(_algebra(a.n, a.order - 1).size, dtype=complex)
+    low = _algebra(a.n, a.order - 1)
+    out = np.zeros(low.size, dtype=complex)
     out[alg.deriv_dst[v]] = alg.deriv_fac[v] * a.coeffs[alg.deriv_src[v]]
-    return Jet(a.n, a.order - 1, out)
+    return Jet(a.n, a.order - 1, out, _alg=low)
 
 
 def jet_inverse(a: Jet) -> Jet:

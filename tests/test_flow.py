@@ -253,3 +253,28 @@ def test_kahler_defect_matches_full_array_formula(n, N):
     for h in grids:
         got = F.kahler_defect(h, n, N)
         assert got > 0 and got == _kahler_defect_full(h, n, N)
+
+
+# -- whole-grid Gauss-Jordan inverse ----------------------------------------
+
+
+@pytest.mark.parametrize("n, N", [(1, 16), (2, 8), (3, 4)])
+def test_grid_inverse_matches_lapack(n, N):
+    rng = np.random.default_rng(90 + n)
+    shape = (N,) * (2 * n) + (n, n)
+    m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    h = m @ np.conj(np.swapaxes(m, -1, -2)) / n + np.eye(n)
+    want = np.linalg.inv(h)
+    h0 = h.copy()
+    assert np.max(np.abs(F._inv(h) - want)) <= 1e-14
+    assert np.array_equal(h, h0)  # the input is not eliminated in place
+
+
+@pytest.mark.parametrize("bad", [np.zeros((2, 2)), np.ones((2, 2)),
+                                 np.full((2, 2), np.nan)],
+                         ids=["zero", "rank-one", "nan"])
+def test_grid_inverse_singular_site_raises(bad):
+    h = np.tile(np.eye(2, dtype=complex), (8,) * 4 + (1, 1))
+    h[1, 2, 3, 4] = bad
+    with pytest.raises(DomainError, match=r"singular metric.*\(1, 2, 3, 4\)"):
+        F._inv(h)

@@ -20,7 +20,7 @@ from hermitia.forms import (OPERATORS, ConnectionJet, FormJet, apply,
 from hermitia.curvature import det_jet
 from hermitia.jets import constant, jet_matrix_inverse
 from hermitia.metric import (flat_metric, hopf_metric, metric_jet,
-                             normal_form_random, normal_form_skt,
+                             normal_form_random, normal_form_skt, per_point,
                              potential_kahler_torus)
 
 
@@ -287,6 +287,140 @@ def _det_gram(mj, p, q):
                      for I, J in basis], dtype=object)
 
 
+# -- the operator bodies each matrix is checked against -------------------
+# A matrix materialized by applying an operator to every basis form, and
+# slot-walking forward bodies of the algebraic operators: references that
+# share nothing with the matrices assembled from the term tables.
+
+
+def _op_matrix(op, mj, p, q, r, dst):
+    """Materialize a Jet-linear operator as a matrix of Jets from the (p,q)
+    coefficient space into the coefficient space at bidegree dst."""
+    na, nb = len(FO._combos(mj.n, p)), len(FO._combos(mj.n, q))
+    cols = []
+    for a in range(na):
+        for b in range(nb):
+            for al in range(r):
+                e = zero_form(mj, p, q, r)
+                e.coeffs[a, b, al] = constant(1.0 + 0.0j, mj.n, mj.order)
+                img = op(e)
+                if (img.p, img.q) != dst:
+                    if not img.is_zero():
+                        raise StructuralError(
+                            "operator degree shift does not match ddeg")
+                    img = zero_form(mj, dst[0], dst[1], r)
+                cols.append(FO._flatten(img))
+    mat = np.empty((len(cols[0]), len(cols)), dtype=object)
+    for c, col in enumerate(cols):
+        mat[:, c] = col
+    return mat
+
+
+def _ref_lambda_op(phi):
+    """sqrt(-1) h^{i jbar} I_i I_jbar"""
+    mj = phi.mj
+    out = zero_form(mj, phi.p - 1, phi.q - 1, phi.r)
+    if phi.p == 0 or phi.q == 0:
+        return out
+    for j in range(phi.n):
+        cj = FO._contract(phi, FO.ANTI, j)
+        for i in range(phi.n):
+            out = out + FO._contract(cj, FO.HOLO, i) * (mj.h_up(i, j) * 1j)
+    return out
+
+
+def _ref_l_op(phi):
+    return wedge(two_omega(phi.mj), phi)
+
+
+def _ref_c_op(phi):
+    """Multiplication by the torsion (1,0)-form 2 Gamma_{j lbar}^{lbar} dz^j."""
+    mj = phi.mj
+    lc = FO.levi_civita(mj)
+    n = mj.n
+    out = zero_form(mj, phi.p + 1, phi.q, phi.r)
+    for j in range(n):
+        eta = FO._zero(n, mj.order - 1)
+        for l in range(n):
+            eta = eta + lc.entry(j, n + l, n + l)
+        out = out + FO._wedge1(phi, FO.HOLO, j) * (eta * 2.0)
+    return out
+
+
+def _ref_b_op(phi):
+    """-2 Gamma_{i jbar}^{lbar} dz^i ^ dzbar^j I_lbar"""
+    mj = phi.mj
+    lc = FO.levi_civita(mj)
+    n = mj.n
+    out = zero_form(mj, phi.p + 1, phi.q, phi.r)
+    if phi.q == 0:
+        return out
+    for l in range(n):
+        cl = FO._contract(phi, FO.ANTI, l)
+        for i in range(n):
+            for j in range(n):
+                gam = lc.entry(i, n + j, n + l)
+                if gam.max_abs() == 0.0:
+                    continue
+                out = out + FO._wedge1(FO._wedge1(cl, FO.ANTI, j),
+                                       FO.HOLO, i) * (gam * (-2.0))
+    return out
+
+
+@per_point
+def _ref_a_coefficients(mj):
+    """-h^{k lbar} h_{i mbar} Gamma_{s lbar}^{mbar} at [k, s, i], None where
+    it vanishes."""
+    lc = FO.levi_civita(mj)
+    n = mj.n
+    out = np.full((n, n, n), None, dtype=object)
+    for k in range(n):
+        for s in range(n):
+            for i in range(n):
+                coef = FO._zero(n, mj.order - 1)
+                for l in range(n):
+                    for m in range(n):
+                        gam = lc.entry(s, n + l, n + m)
+                        if gam.max_abs() != 0.0:
+                            coef = coef + mj.h_up(k, l) * mj.h[i][m] * gam
+                if coef.max_abs() != 0.0:
+                    out[k, s, i] = coef * (-1.0)
+    return out
+
+
+def _ref_a_op(phi):
+    """-h^{k lbar} h_{i mbar} Gamma_{s lbar}^{mbar} dz^s ^ dz^i I_k"""
+    mj = phi.mj
+    out = zero_form(mj, phi.p + 1, phi.q, phi.r)
+    if phi.p == 0:
+        return out
+    coefs = _ref_a_coefficients(mj)
+    for k in range(mj.n):
+        ck = FO._contract(phi, FO.HOLO, k)
+        for (s, i), coef in np.ndenumerate(coefs[k]):
+            if coef is not None:
+                out = out + FO._wedge1(FO._wedge1(ck, FO.HOLO, i),
+                                       FO.HOLO, s) * coef
+    return out
+
+
+def _ref_torsion(phi, side):
+    """[Lambda, w ^] with w = 2 d'omega on HOLO and its conjugate on ANTI."""
+    w = partial(two_omega(phi.mj))
+    if side == FO.ANTI:
+        w = form_conj(w)
+    return _ref_lambda_op(wedge(w, phi)) - wedge(w, _ref_lambda_op(phi))
+
+
+def _ref_tau(phi):
+    return _ref_torsion(phi, FO.HOLO)
+
+
+def _ref_conj(op):
+    """The conjugate operator form_conj . op . form_conj."""
+    return lambda phi: form_conj(op(form_conj(phi)))
+
+
 def _reference_star(op, phi, ddeg, fiber=None):
     """The materialized adjoint conj(Gs^-1 T^T Gd) applied to phi, with Gs
     inverted by jet Gauss elimination and each Gram tensored with the fiber
@@ -301,21 +435,24 @@ def _reference_star(op, phi, ddeg, fiber=None):
                           for b in range(len(g) * r)]
                          for a in range(len(g) * r)], dtype=object)
 
-    t = FO._op_matrix(op, mj, sp, sq, r, (phi.p, phi.q))
+    t = _op_matrix(op, mj, sp, sq, r, (phi.p, phi.q))
     gs_inv = jet_matrix_inverse(with_fiber(_det_gram(mj, sp, sq)))
     tstar = FO._jets_conj(_mm(_mm(gs_inv, t.T),
                               with_fiber(_det_gram(mj, phi.p, phi.q))))
     return _mm(tstar, phi.coeffs.reshape(-1, 1)).reshape(-1)
 
 
-# the eight starred OPERATORS entries: name, the operator, its degree shift
+# the eight starred OPERATORS entries: name, the operator, its reference
+# body, its degree shift
 _STARRED = (
-    ("Astar", FO.a_op, (1, 0)), ("Bstar", FO.b_op, (1, 0)),
-    ("Cstar", FO.c_op, (1, 0)), ("taustar", FO.tau, (1, 0)),
-    ("Abarstar", FO._conj_op(FO.a_op), (0, 1)),
-    ("Bbarstar", FO._conj_op(FO.b_op), (0, 1)),
-    ("Cbarstar", FO._conj_op(FO.c_op), (0, 1)),
-    ("taubarstar", FO.tau_bar, (0, 1)))
+    ("Astar", FO.a_op, _ref_a_op, (1, 0)),
+    ("Bstar", FO.b_op, _ref_b_op, (1, 0)),
+    ("Cstar", FO.c_op, _ref_c_op, (1, 0)),
+    ("taustar", FO.tau, _ref_tau, (1, 0)),
+    ("Abarstar", FO._a_bar, _ref_conj(_ref_a_op), (0, 1)),
+    ("Bbarstar", FO._b_bar, _ref_conj(_ref_b_op), (0, 1)),
+    ("Cbarstar", FO._c_bar, _ref_conj(_ref_c_op), (0, 1)),
+    ("taubarstar", FO.tau_bar, _ref_conj(_ref_tau), (0, 1)))
 
 
 @pytest.mark.parametrize("n, point", [(2, 0), (3, 1)], ids=["hopf2", "skt3"])
@@ -325,16 +462,100 @@ def test_star_matches_materialized_adjoint(n, point):
     for p in range(n + 1):
         for q in range(n + 1):
             phi = random_form(mj, p, q, rng)
-            for name, op, ddeg in _STARRED:
+            for name, _, ref, ddeg in _STARRED:
                 if not (p >= ddeg[0] and q >= ddeg[1]):
                     continue
                 got = OPERATORS[name](phi)
-                want = _reference_star(op, phi, ddeg)
+                want = _reference_star(ref, phi, ddeg)
                 assert _jet_gap(got.coeffs, want) <= 1e-13, (name, p, q)
             if p and q:
                 got = lambda_matrix_adjoint(phi)
-                want = _reference_star(l_op, phi, (1, 1))
+                want = _reference_star(_ref_l_op, phi, (1, 1))
                 assert _jet_gap(got.coeffs, want) <= 1e-13, ("L", p, q)
+
+
+# -- the matrices assembled from the slot tables ----------------------------
+
+
+# every algebraic operator: name, the table-built operator, its reference body
+_ALGEBRAIC = ((("L", l_op, _ref_l_op), ("Lambda", lambda_op, _ref_lambda_op))
+              + tuple((name, op, ref) for name, op, ref, _ in _STARRED)
+              + (("taubar_e", FO.tau_bar, lambda f: _ref_torsion(f, FO.ANTI)),))
+
+
+def _forward_gap(got, want):
+    """_coeff_gap of two forward values; a reference value of another
+    (clamped) bidegree must be zero, as _op_matrix requires."""
+    if (got.p, got.q) != (want.p, want.q):
+        assert want.is_zero()
+        return max(x.max_abs() for x in got.coeffs.flat)
+    return _coeff_gap(got, want)
+
+
+def _check_matrices(mj, degrees, ranks, seed):
+    """Each table-built matrix against the materialized reference body, as
+    the form-index block of every fiber column, and each forward value."""
+    n = mj.n
+    rng = np.random.default_rng(seed)
+    for p, q in degrees:
+        for name, op, ref in _ALGEBRAIC:
+            dst = (p + op.ddeg[0], q + op.ddeg[1])
+            if not (0 <= dst[0] <= n and 0 <= dst[1] <= n):
+                continue
+            t = op.matrix(mj, p, q)
+            for r in ranks:
+                want = _op_matrix(ref, mj, p, q, r, dst)
+                for al in range(r):
+                    for be in range(r):
+                        block = want[al::r, be::r]
+                        gap = (_jet_gap(t, block) if al == be else
+                               max(x.max_abs() for x in block.flat))
+                        assert gap <= 1e-14, (name, p, q, r, al, be)
+                phi = random_form(mj, p, q, rng, r=r)
+                assert _forward_gap(op(phi), ref(phi)) <= 1e-14, (name, p, q, r)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_table_matrices_match_materialized_reference(n):
+    degrees = [(p, q) for p in range(n + 1) for q in range(n + 1)]
+    for k, mj in enumerate(_metric_points(n)):
+        _check_matrices(mj, degrees, (1, 2) if n == 2 else (1,), 100 + k)
+
+
+def test_table_matrices_match_materialized_reference_n4():
+    mj = _metric_points(4)[1]
+    _check_matrices(mj, [(1, 1), (0, 2), (3, 0)], (1,), 104)
+
+
+def test_table_operators_match_reference_bodies_with_fiber():
+    # the forward values on rank-2 forms at n = 3, every bidegree
+    rng = np.random.default_rng(105)
+    for mj in _metric_points(3):
+        for p in range(4):
+            for q in range(4):
+                phi = random_form(mj, p, q, rng, r=2)
+                for name, op, ref in _ALGEBRAIC:
+                    assert _forward_gap(op(phi), ref(phi)) <= 1e-14, (name, p, q)
+
+
+def test_star_never_applies_the_operator(monkeypatch):
+    calls = []
+    forward = FO._Algebraic.__call__
+    monkeypatch.setattr(FO._Algebraic, "__call__",
+                        lambda op, phi: calls.append(op) or forward(op, phi))
+    mj = _hopf()
+    fib = random_metric_connection(mj, r=2, seed=1).fiber
+    rng = np.random.default_rng(106)
+    for p in range(3):
+        for q in range(3):
+            phi = random_form(mj, p, q, rng, r=2)
+            for name, op, _, _ in _STARRED:
+                OPERATORS[name](phi)
+                FO.star(op, phi, fib)
+            lambda_matrix_adjoint(phi)
+    assert calls == []
+    FO.b_op(phi)
+    assert calls == [FO.b_op]
 
 
 @pytest.mark.parametrize("which", ["random", "chern"])
@@ -344,16 +565,16 @@ def test_star_with_fiber_metric_matches_materialized_adjoint(which):
             else chern_connection(mj))
     fib = conn.fiber
     rng = np.random.default_rng(30)
-    ops = _STARRED + (("taubar_e", lambda f: FO._torsion(f, FO.ANTI),
-                       (0, 1)),)
+    ops = _STARRED + (("taubar_e", FO.tau_bar,
+                       lambda f: _ref_torsion(f, FO.ANTI), (0, 1)),)
     for p in range(3):
         for q in range(3):
             phi = random_form(mj, p, q, rng, r=2)
-            for name, op, ddeg in ops:
+            for name, op, ref, ddeg in ops:
                 if not (p >= ddeg[0] and q >= ddeg[1]):
                     continue
-                got = FO.star(op, phi, ddeg, fib)
-                want = _reference_star(op, phi, ddeg, fib)
+                got = FO.star(op, phi, fib)
+                want = _reference_star(ref, phi, ddeg, fib)
                 assert _jet_gap(got.coeffs, want) <= 1e-13, (name, p, q)
                 # the defining duality, through inner with the fiber metric
                 # (an image that vanishes may carry a clamped bidegree)
@@ -365,7 +586,7 @@ def test_star_with_fiber_metric_matches_materialized_adjoint(which):
                     assert abs(lhs - rhs) <= 1e-12, (name, p, q)
             if p and q:
                 got = lambda_matrix_adjoint(phi)
-                want = _reference_star(l_op, phi, (1, 1))
+                want = _reference_star(_ref_l_op, phi, (1, 1))
                 assert _jet_gap(got.coeffs, want) <= 1e-13, ("L", p, q)
 
 
@@ -401,7 +622,7 @@ def _merge(t1, t2):
     return sign, tuple(out)
 
 
-def _reference_slot_map(phi, side, k, d, coef=None):
+def _reference_slot_map(phi, side, k, d):
     """_slot_map as a walk over the index tuples of the `side` block."""
     out = zero_form(phi.mj, *FO._bumped(phi, side, d), phi.r)
     deg = (phi.p, phi.q)[side]
@@ -422,8 +643,6 @@ def _reference_slot_map(phi, side, k, d, coef=None):
         for o in range(src.shape[1]):
             for al in range(phi.r):
                 c = src[s, o, al]
-                if coef is not None:
-                    c = c * coef
                 res[dst[T2], o, al] = res[dst[T2], o, al] + c * f
     return out
 
@@ -509,7 +728,6 @@ def _equal(a, b):
 def test_slot_table_matches_tuple_walk(n):
     mj = _hopf(n)
     rng = np.random.default_rng(40 + n)
-    coef = random_form(mj, 0, 0, rng, order=mj.order - 1).coeffs[0, 0, 0]
     for p in range(n + 1):
         for q in range(n + 1):
             for r in (1, 2):
@@ -517,10 +735,8 @@ def test_slot_table_matches_tuple_walk(n):
                 for side in (FO.HOLO, FO.ANTI):
                     for k in range(n):
                         for d in (1, -1):
-                            for c in (None, coef):
-                                assert _equal(FO._slot_map(phi, side, k, d, c),
-                                              _reference_slot_map(
-                                                  phi, side, k, d, c))
+                            assert _equal(FO._slot_map(phi, side, k, d),
+                                          _reference_slot_map(phi, side, k, d))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -130,3 +130,40 @@ def test_mixed_n_still_raises():
             op(a, b)
         with pytest.raises(StructuralError):
             op(b, a)
+
+
+# -- the public constructor validates and copies; arithmetic results are ----
+# -- read-only --------------------------------------------------------------
+
+
+def test_public_constructor_copies_and_checks_shape():
+    size = constant(0.0, 2, 3).coeffs.size
+    arr = np.arange(size, dtype=complex)
+    a = Jet(2, 3, arr)
+    arr[:] = -1.0
+    assert np.array_equal(a.coeffs, np.arange(size))
+    with pytest.raises(StructuralError):
+        Jet(2, 3, np.zeros(size + 1))
+
+
+def test_arithmetic_results_are_read_only():
+    rng = np.random.default_rng(7)
+    a, b = _random_jet(2, 3, rng), _random_jet(2, 2, rng)
+    results = (a + b, a - b, a * b, -a, a * 2.0, 3 * a, a + 1j, 1.0 - a,
+               a / 2.0, a.conj(), jet_inverse(a + 5.0), wirtinger(a, "holo", 0),
+               truncate(a, 2), constant(1.0, 2, 3), variable(2, 3, 1))
+    for out in results:
+        assert not out.coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            out.coeffs[0] = 1.0
+
+
+def test_numpy_and_complex_scalar_operands():
+    rng = np.random.default_rng(8)
+    a = _random_jet(2, 3, rng)
+    doubled = a * np.float64(2)
+    assert isinstance(doubled, Jet)
+    assert np.array_equal(doubled.coeffs, a.coeffs * 2)
+    shifted = a + 1j
+    assert shifted.const == a.const + 1j
+    assert np.array_equal(shifted.coeffs[1:], a.coeffs[1:])
