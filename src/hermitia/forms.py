@@ -197,9 +197,9 @@ def _side_view(coeffs: np.ndarray, side: int) -> np.ndarray:
 
 def _columns(rows, width: int):
     """A table from a list of rows: integer index columns, then a float sign
-    column, each a read-only array."""
+    column, each a read-only array owning its data (the tables are cached)."""
     t = np.array(rows, dtype=float).reshape(-1, width).T
-    cols = [c.astype(int) for c in t[:-1]] + [t[-1]]
+    cols = [c.astype(int) for c in t[:-1]] + [t[-1].copy()]
     for c in cols:
         c.flags.writeable = False
     return tuple(cols)
