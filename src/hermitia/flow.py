@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import csv
 import functools
+import math
 import os
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainError, StructuralError
+from .errors import DomainError, StructuralError, ValidationError
 from .metric import MetricField, _read_only, evaluate
 
 __all__ = [
@@ -62,6 +63,10 @@ class FlowHalt(Exception):
 class FlowConfig:
     dt: float | None = None  # None: 0.1 * dx^2 * min eigenvalue of h
     cadence: int = 1         # diagnostics every `cadence` steps
+
+    def __post_init__(self):
+        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValidationError(f"dt must be finite and > 0, got {self.dt}")
 
 
 @dataclass(frozen=True)
@@ -131,32 +136,43 @@ def sample_on_grid(fld: MetricField, N: int) -> np.ndarray:
     return evaluate(fld, grid_points(fld.n, N))
 
 
-def _roll_diff(arr: np.ndarray, axis: int, N: int) -> np.ndarray:
-    """4th-order central first derivative along a periodic grid axis."""
-    dx = 1.0 / N
-    return (-np.roll(arr, -2, axis=axis) + 8 * np.roll(arr, -1, axis=axis)
-            - 8 * np.roll(arr, 1, axis=axis) + np.roll(arr, 2, axis=axis)
-            ) / (12 * dx)
+@functools.cache
+def _stencil(N: int) -> np.ndarray:
+    """Real N x N circulant matrix D with D @ f the 4th-order central first
+    derivative of N periodic samples f of [0,1)."""
+    d = np.zeros((N, N))
+    r = np.arange(N)
+    for shift, c in ((1, 8.0), (2, -1.0), (-1, -8.0), (-2, 1.0)):
+        d[r, (r + shift) % N] += c * N / 12.0
+    return _read_only(d)
 
 
-def _dz(arr: np.ndarray, i: int, N: int) -> np.ndarray:
-    return 0.5 * (_roll_diff(arr, 2 * i, N) - 1j * _roll_diff(arr, 2 * i + 1, N))
+def _diff(arr: np.ndarray, axis: int, N: int) -> np.ndarray:
+    """First derivative along a periodic grid axis, as one product of the
+    stencil with arr seen as float64 (the stencil is real, so it acts on the
+    real and imaginary parts alike); no copy when arr is C-contiguous."""
+    x = np.ascontiguousarray(arr, dtype=complex).view(np.float64)
+    x = x.reshape(math.prod(arr.shape[:axis]), N, -1)
+    return (_stencil(N) @ x).view(complex).reshape(arr.shape)
 
 
-def _dzbar(arr: np.ndarray, i: int, N: int) -> np.ndarray:
-    return 0.5 * (_roll_diff(arr, 2 * i, N) + 1j * _roll_diff(arr, 2 * i + 1, N))
+def _wirtinger(arr: np.ndarray, axis: int, N: int):
+    """(d/dz, d/dzbar) for z = x + sqrt(-1)*y, x along ``axis``, y the next."""
+    dx, dy = _diff(arr, axis, N), _diff(arr, axis + 1, N)
+    dx *= 0.5
+    dy *= 0.5j
+    return dx - dy, dx + dy
 
 
 def _inv(h: np.ndarray) -> np.ndarray:
-    """Per-site inverse by Gauss-Jordan elimination without pivoting, each
-    step one whole-grid array operation (np.linalg.inv loops over the sites
-    one tiny matrix at a time).  The sites are Hermitian positive definite,
-    so every pivot is a positive Schur complement."""
-    n = h.shape[-1]
-    a = _lead(h).copy()  # eliminated in place; h is left as it is
+    """Per-site inverse of an (n, n, ...) array by Gauss-Jordan elimination
+    without pivoting, each step one whole-grid array operation (np.linalg.inv
+    loops over the sites one tiny matrix at a time).  The sites are Hermitian
+    positive definite, so every pivot is a positive Schur complement."""
+    n = h.shape[0]
+    a = h.copy()  # eliminated in place; h is left as it is
     out = np.zeros_like(a)
-    for k in range(n):
-        out[k, k] = 1.0
+    out[range(n), range(n)] = 1.0
     for k in range(n):
         piv = a[k, k].copy()
         bad = (piv == 0) | ~np.isfinite(piv)
@@ -171,26 +187,6 @@ def _inv(h: np.ndarray) -> np.ndarray:
                 f = a[i, k].copy()
                 a[i] -= f * a[k]
                 out[i] -= f * out[k]
-    return np.moveaxis(out, (0, 1), (-2, -1))
-
-
-def _lead(arr: np.ndarray) -> np.ndarray:
-    """View of a per-site matrix array with the matrix axes first."""
-    return np.moveaxis(arr, (-2, -1), (0, 1))
-
-
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-site a @ b for per-site n x n arrays, as n^3 whole-grid products
-    (numpy's own matmul loops over the sites one tiny matrix at a time)."""
-    al, bl = _lead(a), _lead(b)
-    n = al.shape[0]
-    out = np.empty_like(a)
-    for k in range(n):
-        for l in range(n):
-            acc = al[k, 0] * bl[0, l]
-            for q in range(1, n):
-                acc += al[k, q] * bl[q, l]
-            out[..., k, l] = acc
     return out
 
 
@@ -201,31 +197,35 @@ def theta2_discrete(h: np.ndarray, n: int, N: int) -> np.ndarray:
     + h^{i jbar} h^{p qbar} (dh_{k qbar}/dz^i)(dh_{p lbar}/dzbar^j),
     with 4th-order periodic central differences; Hermitian-symmetrized.
     The quadratic term is sum_i X_i W_i with X_i = (dh/dz^i) h^{-1} and
-    W_i = sum_j h^{i jbar} dh/dzbar^j.
+    W_i = sum_j h^{i jbar} dh/dzbar^j.  The work runs on a contiguous copy
+    of h with the matrix axes first, (n, n, N, ...), so every per-site product
+    is an operation on whole-grid component arrays (numpy's matmul would loop
+    over the sites one tiny matrix at a time); the result is moved back last.
     """
     if N < 8:
         raise DomainError("theta2 stencil needs N >= 8")
-    hinv = _inv(h)
-    up = _lead(hinv).swapaxes(0, 1)  # up[i, j] = h^{i jbar}, per site
-    dzh, dzbh = [], []
-    for i in range(n):  # each real first difference once
-        dx, dy = _roll_diff(h, 2 * i, N), _roll_diff(h, 2 * i + 1, N)
-        dzh.append(0.5 * (dx - 1j * dy))
-        dzbh.append(0.5 * (dx + 1j * dy))
-        del dx, dy
-    out = np.zeros_like(h)
+    hl = np.array(np.moveaxis(h, (-2, -1), (0, 1)), complex, order="C")
+    hinv = _inv(hl)
+    up = hinv.swapaxes(0, 1)  # up[i, j] = h^{i jbar}, per site
+    dzh, dzbh = zip(*[_wirtinger(hl, 2 + 2 * i, N) for i in range(n)])
+    dzh = list(dzh)
+    del hl
+    out = np.zeros_like(hinv)
     for i in range(n):
-        w = up[i, 0][..., None, None] * dzbh[0]
+        w = up[i, 0] * dzbh[0]
         for j in range(1, n):
-            w += up[i, j][..., None, None] * dzbh[j]
-        out += _matmul(_matmul(dzh[i], hinv), w)
+            w += up[i, j] * dzbh[j]
+        out += np.einsum("kq...,qp...,pl...->kl...", dzh[i], hinv, w)
         del w
     del dzbh  # free each grid temporary once used: this sets peak memory
-    for i in range(n):
-        for j in range(n):
-            out -= up[i, j][..., None, None] * _dzbar(dzh[i], j, N)
+    for i in range(n):  # d/dzbar^j = (d/dx_j + sqrt(-1) d/dy_j) / 2
+        for a in range(2 * n):  # real axis a, of z^(a // 2)
+            d = _diff(dzh[i], 2 + a, N)
+            d *= (0.5, 0.5j)[a % 2] * up[i, a // 2]
+            out -= d
         dzh[i] = None
-    return 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
+    out = 0.5 * (out + np.conj(out.swapaxes(0, 1)))
+    return np.ascontiguousarray(np.moveaxis(out, (0, 1), (-2, -1)))
 
 
 def kahler_defect(h: np.ndarray, n: int, N: int) -> float:
@@ -237,7 +237,8 @@ def kahler_defect(h: np.ndarray, n: int, N: int) -> float:
     for i in range(n):
         for k in range(i + 1, n):
             worst = max(worst, float(np.max(np.abs(
-                _dz(h[..., k, :], i, N) - _dz(h[..., i, :], k, N)))))
+                _wirtinger(h[..., k, :], 2 * i, N)[0]
+                - _wirtinger(h[..., i, :], 2 * k, N)[0]))))
     return worst
 
 
@@ -272,8 +273,8 @@ def _check_fits(n: int, N: int):
     N^(2n) grid would need more than the machine's physical memory."""
     # Peak grid arrays (N^(2n) n x n complex) alive at once during ``run``,
     # counted with tracemalloc as peak traced bytes over one array's bytes:
-    # 14.5 at n=1 (N=256), 15.8 at n=2 (N=12), 17.4 at n=3 (N=8).  The
-    # theta2 first differences add two per complex dimension.
+    # 13.0 at n=1 (N=256), 14.3 at n=2 (N=12), 16.2 at n=3 (N=8), checked
+    # by a test.  The theta2 first differences add two per complex dimension.
     arrays = 13 + 2 * n
     need = N ** (2 * n) * n * n * 16 * arrays
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -329,6 +330,8 @@ def run(initial, mu: float, T: float, config: FlowConfig = FlowConfig(),
     (final_state, [FlowDiagnostics...]); reaching the horizon is success.
     A FlowHalt from ``step`` propagates to the caller.
     """
+    if not math.isfinite(T):
+        raise ValidationError(f"horizon T must be finite, got {T}")
     if isinstance(initial, MetricField):
         n = initial.n
         h0 = sample_on_grid(initial, N)

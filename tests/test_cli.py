@@ -126,6 +126,16 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag, value, word", [
+    ("--dt", "0", "dt"), ("--dt", "-1e-4", "dt"), ("--dt", "nan", "dt"),
+    ("--dt", "inf", "dt"), ("--T", "inf", "horizon"), ("--T", "nan", "horizon")])
+def test_flow_rejects_steps_that_never_reach_the_horizon(capsys, flag, value,
+                                                         word):
+    code = main(["flow", "--metric", "flat", "--grid", "8", flag, value])
+    assert code == 2
+    assert word in capsys.readouterr().err
+
+
 def test_domain_error_exit(capsys):
     code = main(["curvature", "--metric", "hopf", "--dim", "2", "--point",
                  "0,0,0,0"])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hermitia import flow as F
-from hermitia.errors import DomainError
+from hermitia.errors import DomainError, ValidationError
 from hermitia.metric import (flat_metric, potential_kahler_torus,
                              random_torus_fourier, separable_kahler_torus)
 
@@ -87,6 +87,19 @@ def test_non_kahler_runs_to_horizon():
     assert series[0].kahler_defect > 1e-3  # genuinely non-Kahler data
 
 
+@pytest.mark.parametrize("dt", [0.0, -1e-4, math.nan, math.inf])
+def test_non_positive_or_non_finite_dt_rejected(dt):
+    with pytest.raises(ValidationError, match="dt"):
+        F.FlowConfig(dt=dt)
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf])
+def test_non_finite_horizon_rejected_before_sampling(monkeypatch, T):
+    monkeypatch.setattr(F, "sample_on_grid", None)  # any sampling would fail
+    with pytest.raises(ValidationError, match="horizon"):
+        F.run(flat_metric(2), mu=0.0, T=T, N=8)
+
+
 def test_positivity_halt_with_witness():
     h = np.tile(np.eye(2, dtype=complex), (8,) * 4 + (1, 1)).copy()
     h[3, 1, 2, 0] = np.diag([1.0, -0.5])
@@ -140,20 +153,61 @@ def test_diagnostics_csv_schema():
     assert all(isinstance(d, F.FlowDiagnostics) for d in series)
 
 
-# -- theta2 against the entry-by-entry implementation ----------------------
+# -- stencil and theta2 against np.roll references --------------------------
+
+
+def _roll_diff(arr, axis, N):
+    """Reference 4th-order central first derivative along a periodic axis."""
+    dx = 1.0 / N
+    return (-np.roll(arr, -2, axis=axis) + 8 * np.roll(arr, -1, axis=axis)
+            - 8 * np.roll(arr, 1, axis=axis) + np.roll(arr, 2, axis=axis)
+            ) / (12 * dx)
+
+
+def _dz_ref(arr, i, N):
+    return 0.5 * (_roll_diff(arr, 2 * i, N) - 1j * _roll_diff(arr, 2 * i + 1, N))
+
+
+def _dzbar_ref(arr, i, N):
+    return 0.5 * (_roll_diff(arr, 2 * i, N) + 1j * _roll_diff(arr, 2 * i + 1, N))
+
+
+@pytest.mark.parametrize("n, Ns", [(1, (3, 4, 5, 8, 12, 16)),  # N < 5 wraps
+                                   (2, (5, 8, 12, 16)),
+                                   (3, (5, 8))])  # n=3, N=12: 0.4 GB a grid
+def test_stencil_product_matches_roll_reference(n, Ns):
+    rng = np.random.default_rng(n)
+    for N in Ns:
+        shape = (N,) * (2 * n) + (n, n)
+        h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        # run's Hermitian symmetrization leaves each site's matrix transposed
+        # in memory, so its rows are strided; cover both layouts
+        grids = (h, np.swapaxes(np.swapaxes(h, -1, -2).copy(), -1, -2))
+        for i in range(n):
+            dx, dy = _roll_diff(h, 2 * i, N), _roll_diff(h, 2 * i + 1, N)
+            for grid in grids:
+                for axis, want in ((2 * i, dx), (2 * i + 1, dy)):
+                    got = F._diff(grid, axis, N)
+                    assert np.max(np.abs(got - want)) <= 1e-13
+                    row = grid[..., n - 1, :]  # as kahler_defect passes it
+                    assert np.max(np.abs(F._diff(row, axis, N)
+                                         - want[..., n - 1, :])) <= 1e-13
+                dz, dzbar = F._wirtinger(grid, 2 * i, N)
+                assert np.max(np.abs(dz - 0.5 * (dx - 1j * dy))) <= 1e-13
+                assert np.max(np.abs(dzbar - 0.5 * (dx + 1j * dy))) <= 1e-13
 
 
 def _theta2_loop(h, n, N):
-    """Reference: each Wirtinger derivative from its own pair of real
+    """Reference: each Wirtinger derivative from its own pair of np.roll
     differences, and the quadratic term as one einsum per (i, j)."""
     up = np.swapaxes(np.linalg.inv(h), -1, -2)
-    dzh = [F._dz(h, i, N) for i in range(n)]
-    dzbh = [F._dzbar(h, j, N) for j in range(n)]
+    dzh = [_dz_ref(h, i, N) for i in range(n)]
+    dzbh = [_dzbar_ref(h, j, N) for j in range(n)]
     out = np.zeros_like(h)
     for i in range(n):
         for j in range(n):
             uij = up[..., i, j][..., None, None]
-            out -= uij * F._dzbar(dzh[i], j, N)
+            out -= uij * _dzbar_ref(dzh[i], j, N)
             out += uij * np.einsum("...pq,...kq,...pl->...kl",
                                    up, dzh[i], dzbh[j])
     return 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
@@ -215,6 +269,19 @@ def test_flow_state_memo_is_read_only():
 # -- grids that cannot fit fail before allocating --------------------------
 
 
+@pytest.mark.parametrize("n, N", [(2, 12), (3, 8)])
+def test_run_peak_memory_within_guard(n, N):
+    """The guard's count of grid arrays alive at once bounds a real run."""
+    fld = random_torus_fourier(n, 1)
+    tracemalloc.start()
+    try:
+        F.run(fld, mu=0.5, T=2e-6, N=N, config=F.FlowConfig(dt=1e-6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (N ** (2 * n) * n * n * 16) <= 13 + 2 * n
+
+
 def test_grid_too_large_for_memory_fails_fast():
     fld = random_torus_fourier(3, 0)
     tracemalloc.start()
@@ -234,7 +301,7 @@ def test_grid_too_large_for_memory_fails_fast():
 
 def _kahler_defect_full(h, n, N):
     """Reference: every row differentiated along every z^i."""
-    dzh = [F._dz(h, i, N) for i in range(n)]
+    dzh = [F._wirtinger(h, 2 * i, N)[0] for i in range(n)]
     worst = 0.0
     for i in range(n):
         for k in range(i + 1, n):
@@ -258,6 +325,10 @@ def test_kahler_defect_matches_full_array_formula(n, N):
 # -- whole-grid Gauss-Jordan inverse ----------------------------------------
 
 
+def _lead(a):
+    return np.moveaxis(a, (-2, -1), (0, 1))
+
+
 @pytest.mark.parametrize("n, N", [(1, 16), (2, 8), (3, 4)])
 def test_grid_inverse_matches_lapack(n, N):
     rng = np.random.default_rng(90 + n)
@@ -266,7 +337,8 @@ def test_grid_inverse_matches_lapack(n, N):
     h = m @ np.conj(np.swapaxes(m, -1, -2)) / n + np.eye(n)
     want = np.linalg.inv(h)
     h0 = h.copy()
-    assert np.max(np.abs(F._inv(h) - want)) <= 1e-14
+    got = np.moveaxis(F._inv(_lead(h)), (0, 1), (-2, -1))
+    assert np.max(np.abs(got - want)) <= 1e-14
     assert np.array_equal(h, h0)  # the input is not eliminated in place
 
 
@@ -277,4 +349,4 @@ def test_grid_inverse_singular_site_raises(bad):
     h = np.tile(np.eye(2, dtype=complex), (8,) * 4 + (1, 1))
     h[1, 2, 3, 4] = bad
     with pytest.raises(DomainError, match=r"singular metric.*\(1, 2, 3, 4\)"):
-        F._inv(h)
+        F._inv(_lead(h))
