@@ -81,6 +81,8 @@ class FlowState:
     t: float
     mu: float
     config: FlowConfig = field(default_factory=FlowConfig)
+    # the grid buffers of the run that made this state (None outside a run)
+    _work: _Work | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         expected = (self.N,) * (2 * self.n) + (self.n, self.n)
@@ -91,18 +93,19 @@ class FlowState:
     @functools.cached_property
     def theta2(self) -> np.ndarray:
         """theta2_discrete(h), per site."""
-        return _read_only(theta2_discrete(self.h, self.n, self.N))
+        return _read_only(theta2_discrete(self.h, self.n, self.N,
+                                          self._work))
 
     @functools.cached_property
     def eigs(self) -> np.ndarray:
         """Per-site eigenvalues of h, ascending: shape (N,)*2n + (n,)."""
-        return _read_only(np.linalg.eigvalsh(self.h))
+        return _read_only(_spectrum(self.h))
 
 
-def _reconfigured(state: FlowState, config: FlowConfig) -> FlowState:
-    """``state`` under another config; h is the same array, so whatever
-    the state has already computed carries over."""
-    out = replace(state, config=config)
+def _reconfigured(state: FlowState, **changes) -> FlowState:
+    """``state`` with its config or buffers replaced; h is the same array,
+    so whatever the state has already computed carries over."""
+    out = replace(state, **changes)
     for name in ("theta2", "eigs"):
         if name in vars(state):
             vars(out)[name] = vars(state)[name]
@@ -136,6 +139,25 @@ def sample_on_grid(fld: MetricField, N: int) -> np.ndarray:
     return evaluate(fld, grid_points(fld.n, N))
 
 
+class _Work:
+    """Grid buffers that ``run`` allocates once and every theta2 and step of
+    the run reuses, so their pages are faulted in once per run, not once per
+    call.  Nothing handed out aliases them: theta2 results, the FlowState
+    memos and h are fresh arrays.  They go when the run's last state does;
+    ``run`` returns its final state without them."""
+
+    def __init__(self, n: int, N: int):
+        lead, trail = (n, n) + (N,) * (2 * n), (N,) * (2 * n) + (n, n)
+        # theta2, matrix-leading: h, its inverse, the Wirtinger first
+        # differences, one W_i and one scratch
+        self.hl, self.hinv, self.w, self.s = (
+            np.empty(lead, complex) for _ in range(4))
+        self.dz = [np.empty(lead, complex) for _ in range(n)]
+        self.dzb = [np.empty(lead, complex) for _ in range(n)]
+        # step: the RK4 accumulator and stage
+        self.acc, self.stage = (np.empty(trail, complex) for _ in range(2))
+
+
 @functools.cache
 def _stencil(N: int) -> np.ndarray:
     """Real N x N circulant matrix D with D @ f the 4th-order central first
@@ -147,39 +169,75 @@ def _stencil(N: int) -> np.ndarray:
     return _read_only(d)
 
 
-def _diff(arr: np.ndarray, axis: int, N: int) -> np.ndarray:
+@functools.cache
+def _stencil_last(N: int) -> np.ndarray:
+    """kron(D^T, I_2): the stencil acting on the last axis of a complex
+    array seen as float64 rows of (re, im) pairs, as one right product."""
+    return _read_only(np.kron(_stencil(N).T, np.eye(2)))
+
+
+def _diff(arr: np.ndarray, axis: int, N: int, out=None) -> np.ndarray:
     """First derivative along a periodic grid axis, as one product of the
     stencil with arr seen as float64 (the stencil is real, so it acts on the
-    real and imaginary parts alike); no copy when arr is C-contiguous."""
+    real and imaginary parts alike); no copy when arr is C-contiguous.  On
+    the last axis that is one GEMM against ``_stencil_last``, not one tiny
+    product per row.  Written into ``out`` (C-contiguous) when given."""
     x = np.ascontiguousarray(arr, dtype=complex).view(np.float64)
-    x = x.reshape(math.prod(arr.shape[:axis]), N, -1)
-    return (_stencil(N) @ x).view(complex).reshape(arr.shape)
+    if out is None:
+        out = np.empty(arr.shape, complex)
+    y = out.view(np.float64)
+    if axis == arr.ndim - 1:
+        np.matmul(x.reshape(-1, 2 * N), _stencil_last(N),
+                  out=y.reshape(-1, 2 * N))
+    else:
+        shape = (math.prod(arr.shape[:axis]), N, -1)
+        np.matmul(_stencil(N), x.reshape(shape), out=y.reshape(shape))
+    return out
 
 
-def _wirtinger(arr: np.ndarray, axis: int, N: int):
-    """(d/dz, d/dzbar) for z = x + sqrt(-1)*y, x along ``axis``, y the next."""
-    dx, dy = _diff(arr, axis, N), _diff(arr, axis + 1, N)
+def _wirtinger(arr: np.ndarray, axis: int, N: int, out=(None,) * 3):
+    """(d/dz, d/dzbar) for z = x + sqrt(-1)*y, x along ``axis``, y the next;
+    written into out = (d/dz, d/dzbar, scratch) when given."""
+    dz, dzb, scratch = out
+    dx, dy = _diff(arr, axis, N, scratch), _diff(arr, axis + 1, N, dzb)
     dx *= 0.5
     dy *= 0.5j
-    return dx - dy, dx + dy
+    return np.subtract(dx, dy, out=dz), np.add(dx, dy, out=dy)
 
 
-def _inv(h: np.ndarray) -> np.ndarray:
-    """Per-site inverse of an (n, n, ...) array by Gauss-Jordan elimination
-    without pivoting, each step one whole-grid array operation (np.linalg.inv
-    loops over the sites one tiny matrix at a time).  The sites are Hermitian
-    positive definite, so every pivot is a positive Schur complement."""
+def _singular(bad: np.ndarray, what: str):
+    if bad.any():
+        site = tuple(int(x) for x in np.argwhere(bad)[0])
+        raise DomainError("singular metric on the grid: zero or "
+                          f"non-finite {what} at site {site}")
+
+
+def _inv(h: np.ndarray, out=None) -> np.ndarray:
+    """Per-site inverse of an (n, n, ...) array, into ``out`` when given.
+    n = 2: the adjugate over the determinant.  Otherwise Gauss-Jordan
+    elimination without pivoting, each step one whole-grid array operation
+    (np.linalg.inv loops over the sites one tiny matrix at a time); the
+    sites are Hermitian positive definite, so every pivot is a positive
+    Schur complement."""
     n = h.shape[0]
+    if out is None:
+        out = np.empty_like(h)
+    if n == 2:
+        det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
+        _singular((det == 0) | ~np.isfinite(det), "determinant")
+        r = 1.0 / det
+        np.multiply(h[1, 1], r, out=out[0, 0])
+        np.multiply(h[0, 0], r, out=out[1, 1])
+        r = -r
+        np.multiply(h[0, 1], r, out=out[0, 1])
+        np.multiply(h[1, 0], r, out=out[1, 0])
+        return out
     a = h.copy()  # eliminated in place; h is left as it is
-    out = np.zeros_like(a)
+    out[...] = 0
     out[range(n), range(n)] = 1.0
     for k in range(n):
         piv = a[k, k].copy()
-        bad = (piv == 0) | ~np.isfinite(piv)
-        if bad.any():
-            site = tuple(int(x) for x in np.argwhere(bad)[0])
-            raise DomainError("singular metric on the grid: zero or "
-                              f"non-finite pivot {k} at site {site}")
+        _singular((piv == 0) | ~np.isfinite(piv), f"pivot {k}")
         a[k] /= piv
         out[k] /= piv
         for i in range(n):
@@ -190,7 +248,8 @@ def _inv(h: np.ndarray) -> np.ndarray:
     return out
 
 
-def theta2_discrete(h: np.ndarray, n: int, N: int) -> np.ndarray:
+def theta2_discrete(h: np.ndarray, n: int, N: int,
+                    _work: _Work | None = None) -> np.ndarray:
     """Second metric-trace of the canonical curvature, per site.
 
     theta2_{k lbar} = -h^{i jbar} d^2 h_{k lbar}/dz^i dzbar^j
@@ -201,31 +260,38 @@ def theta2_discrete(h: np.ndarray, n: int, N: int) -> np.ndarray:
     of h with the matrix axes first, (n, n, N, ...), so every per-site product
     is an operation on whole-grid component arrays (numpy's matmul would loop
     over the sites one tiny matrix at a time); the result is moved back last.
+    Every intermediate lives in the buffers of ``_work`` (a run's; fresh ones
+    when None); the result is a new array.
     """
     if N < 8:
         raise DomainError("theta2 stencil needs N >= 8")
-    hl = np.array(np.moveaxis(h, (-2, -1), (0, 1)), complex, order="C")
-    hinv = _inv(hl)
+    wk = _Work(n, N) if _work is None else _work
+    hl, w, s = wk.hl, wk.w, wk.s
+    hl[...] = np.moveaxis(h, (-2, -1), (0, 1))
+    hinv = _inv(hl, wk.hinv)
     up = hinv.swapaxes(0, 1)  # up[i, j] = h^{i jbar}, per site
-    dzh, dzbh = zip(*[_wirtinger(hl, 2 + 2 * i, N) for i in range(n)])
-    dzh = list(dzh)
-    del hl
-    out = np.zeros_like(hinv)
     for i in range(n):
-        w = up[i, 0] * dzbh[0]
+        _wirtinger(hl, 2 + 2 * i, N, (wk.dz[i], wk.dzb[i], s))
+    out = hl  # h itself is no longer needed
+    for i in range(n):
+        np.multiply(up[i, 0], wk.dzb[0], out=w)
         for j in range(1, n):
-            w += up[i, j] * dzbh[j]
-        out += np.einsum("kq...,qp...,pl...->kl...", dzh[i], hinv, w)
-        del w
-    del dzbh  # free each grid temporary once used: this sets peak memory
+            w += np.multiply(up[i, j], wk.dzb[j], out=s)
+        np.einsum("kq...,qp...,pl...->kl...", wk.dz[i], hinv, w,
+                  out=s if i else out)
+        if i:
+            out += s
+    d = wk.dzb[0]  # the d/dzbar differences are used up
     for i in range(n):  # d/dzbar^j = (d/dx_j + sqrt(-1) d/dy_j) / 2
         for a in range(2 * n):  # real axis a, of z^(a // 2)
-            d = _diff(dzh[i], 2 + a, N)
+            _diff(wk.dz[i], 2 + a, N, d)
             d *= (0.5, 0.5j)[a % 2] * up[i, a // 2]
             out -= d
-        dzh[i] = None
-    out = 0.5 * (out + np.conj(out.swapaxes(0, 1)))
-    return np.ascontiguousarray(np.moveaxis(out, (0, 1), (-2, -1)))
+    res = np.empty(h.shape, complex)
+    lead = np.moveaxis(res, (-2, -1), (0, 1))
+    np.add(out, np.conjugate(out.swapaxes(0, 1), out=s), out=lead)
+    lead *= 0.5
+    return res
 
 
 def kahler_defect(h: np.ndarray, n: int, N: int) -> float:
@@ -244,20 +310,35 @@ def kahler_defect(h: np.ndarray, n: int, N: int) -> float:
 
 def diagnostics(state: FlowState, step_count: int,
                 wall_time: float) -> FlowDiagnostics:
+    defect = kahler_defect(state.h, state.n, state.N)
+    theta2 = state.theta2
+    residual = state.mu * state.h  # one grid temporary, not two
+    residual -= theta2
     return FlowDiagnostics(
         t=state.t,
         step_count=step_count,
-        kahler_defect=kahler_defect(state.h, state.n, state.N),
+        kahler_defect=defect,
         min_eig=float(state.eigs.min()),
         max_eig=float(state.eigs.max()),
-        einstein_residual=float(
-            np.max(np.abs(state.theta2 - state.mu * state.h))),
+        einstein_residual=float(np.max(np.abs(residual))),
         wall_time=wall_time,
     )
 
 
+def _spectrum(h: np.ndarray) -> np.ndarray:
+    """Per-site eigenvalues of a Hermitian grid, ascending.  n = 2 in closed
+    form, m -+ hypot((a - d)/2, |b|) with m = (a + d)/2, read from the lower
+    triangle as LAPACK's eigvalsh reads it; otherwise eigvalsh."""
+    if h.shape[-1] != 2:
+        return np.linalg.eigvalsh(h)
+    a, d = h[..., 0, 0].real, h[..., 1, 1].real
+    m = 0.5 * (a + d)
+    r = np.hypot(0.5 * (a - d), np.abs(h[..., 1, 0]))
+    return np.stack((m - r, m + r), axis=-1)
+
+
 def default_dt(h: np.ndarray, N: int) -> float:
-    return _dt_from_eigs(np.linalg.eigvalsh(h), N)
+    return _dt_from_eigs(_spectrum(h), N)
 
 
 def _dt_from_eigs(eigs: np.ndarray, N: int) -> float:
@@ -272,11 +353,13 @@ def _check_fits(n: int, N: int):
     """Raise DomainError, before anything is allocated, when a flow on an
     N^(2n) grid would need more than the machine's physical memory."""
     # Peak grid arrays (N^(2n) n x n complex) alive at once during ``run``,
-    # counted with tracemalloc as peak traced bytes over one array's bytes:
-    # 13.0 at n=1 (N=256), 14.3 at n=2 (N=12), 16.2 at n=3 (N=8), checked
-    # by a test.  The theta2 first differences add two per complex dimension.
+    # counted with tracemalloc as peak traced bytes over one array's bytes,
+    # the run's 2n + 6 buffers included: 12.7 at n=1 (N=256), 14.0 at n=2
+    # (N=12), 15.7 at n=3 (N=8), checked by a test.  The theta2 first
+    # differences add two per complex dimension.  The cached stencils,
+    # N x N and 2N x 2N float64, come on top (2.5 arrays at n=1).
     arrays = 13 + 2 * n
-    need = N ** (2 * n) * n * n * 16 * arrays
+    need = N ** (2 * n) * n * n * 16 * arrays + 40 * N * N
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise DomainError(
@@ -302,21 +385,25 @@ def step(state: FlowState) -> FlowState:
     n, N, mu = state.n, state.N, state.mu
     dt = state.config.dt if state.config.dt is not None \
         else _dt_from_eigs(state.eigs, N)
-
-    def rhs(h):
-        return -theta2_discrete(h, n, N) + mu * h
-
-    h = state.h
-    acc = mu * h - state.theta2                 # k1
-    k = rhs(h + 0.5 * dt * acc)                 # k2
-    acc += 2 * k
-    k = rhs(h + 0.5 * dt * k)                   # k3
-    acc += 2 * k
-    acc += rhs(h + dt * k)                      # k4
-    del k
-    hn = h + dt / 6.0 * acc
-    del acc
-    hn = 0.5 * (hn + np.conj(np.swapaxes(hn, -1, -2)))
+    wk = _Work(n, N) if state._work is None else state._work
+    h, acc, k = state.h, wk.acc, wk.stage
+    scratch = wk.s.reshape(h.shape)  # theta2's scratch, free between calls
+    np.multiply(h, mu, out=acc)
+    acc -= state.theta2                             # k1
+    for c, weight, prev in ((0.5, 2, acc), (0.5, 2, k), (1.0, 1, k)):
+        np.multiply(prev, c * dt, out=k)            # stage h + c*dt*prev
+        k += h
+        t = theta2_discrete(k, n, N, wk)
+        k *= mu
+        k -= t                                      # k2, k3, k4
+        del t  # gone before the next theta2 allocates its result
+        acc += np.multiply(k, weight, out=scratch)
+    acc *= dt / 6.0
+    acc += h
+    hn = np.empty(h.shape, complex)
+    np.conjugate(acc.swapaxes(-1, -2), out=hn)
+    hn += acc
+    hn *= 0.5
     out = replace(state, h=hn, t=state.t + dt)
     _check_state(out)
     return out
@@ -342,22 +429,24 @@ def run(initial, mu: float, T: float, config: FlowConfig = FlowConfig(),
         _check_fits(n, N)
     h0 = 0.5 * (h0 + np.conj(np.swapaxes(h0, -1, -2)))
     state = FlowState(n=n, N=N, h=h0, t=0.0, mu=mu, config=config)
+    del h0  # the grid goes with the initial state, after the first step
     _check_state(state)
     dt = config.dt if config.dt is not None else _dt_from_eigs(state.eigs, N)
     config = replace(config, dt=dt)
-    state = _reconfigured(state, config)
+    state = _reconfigured(state, config=config, _work=_Work(n, N))
     start = time.monotonic()
     series = [diagnostics(state, 0, 0.0)]
     count = 0
     while state.t < T - 1e-12:
         if state.t + dt > T:
-            state = _reconfigured(state, replace(config, dt=T - state.t))
+            last = replace(config, dt=T - state.t)
+            state = _reconfigured(state, config=last)
         state = step(state)
         count += 1
         if count % max(1, config.cadence) == 0 or state.t >= T - 1e-12:
             series.append(diagnostics(state, count,
                                       time.monotonic() - start))
-    return state, series
+    return _reconfigured(state, _work=None), series
 
 
 # -- exact scale-factor reduction on the round annulus family ---------------

@@ -2,6 +2,7 @@ import math
 import os
 import tempfile
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -197,6 +198,21 @@ def test_stencil_product_matches_roll_reference(n, Ns):
                 assert np.max(np.abs(dzbar - 0.5 * (dx + 1j * dy))) <= 1e-13
 
 
+@pytest.mark.parametrize("n, Ns", [(1, (5, 8, 16)), (2, (8, 12)), (3, (5,))])
+def test_last_axis_gemm_matches_roll_reference(n, Ns):
+    """theta2's matrix-leading arrays put a grid axis last; there ``_diff``
+    is one GEMM against kron(D^T, I_2), into ``out`` or a new array."""
+    rng = np.random.default_rng(10 + n)
+    for N in Ns:
+        shape = (n, n) + (N,) * (2 * n)
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = _roll_diff(a, 2 * n + 1, N)
+        out = np.empty_like(a)
+        assert F._diff(a, 2 * n + 1, N, out) is out
+        for got in (out, F._diff(a, 2 * n + 1, N)):
+            assert np.max(np.abs(got - want)) <= 1e-13
+
+
 def _theta2_loop(h, n, N):
     """Reference: each Wirtinger derivative from its own pair of np.roll
     differences, and the quadratic term as one einsum per (i, j)."""
@@ -222,37 +238,37 @@ def test_theta2_matches_loop_reference(n, N):
         assert np.max(np.abs(got - _theta2_loop(h, n, N))) <= 1e-13
 
 
-# -- one theta2 and one eigvalsh per grid state ----------------------------
+# -- one theta2 and one spectrum per grid state ----------------------------
 
 
 @pytest.mark.parametrize("cadence", [1, 3])
 def test_run_computes_theta2_and_eigs_once_per_state(monkeypatch, cadence):
-    calls = {"theta2": 0, "eigvalsh": 0}
-    theta2, eigvalsh = F.theta2_discrete, np.linalg.eigvalsh
+    calls = {"theta2": 0, "spectrum": 0}
+    theta2, spectrum = F.theta2_discrete, F._spectrum
 
     def theta2_spy(*args):
         calls["theta2"] += 1
         return theta2(*args)
 
-    def eigvalsh_spy(*args):
-        calls["eigvalsh"] += 1
-        return eigvalsh(*args)
+    def spectrum_spy(*args):
+        calls["spectrum"] += 1
+        return spectrum(*args)
 
     monkeypatch.setattr(F, "theta2_discrete", theta2_spy)
-    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_spy)
+    monkeypatch.setattr(F, "_spectrum", spectrum_spy)
     steps = []
     step = F.step
     monkeypatch.setattr(F, "step", lambda s: steps.append(s) or step(s))
     fld = random_torus_fourier(2, 1)
     dt = F.default_dt(F.sample_on_grid(fld, 8), 8)
-    calls["eigvalsh"] = 0
+    calls["spectrum"] = 0
     st, series = F.run(fld, mu=0.5, T=4.5 * dt, N=8,
                        config=F.FlowConfig(cadence=cadence))
     assert len(steps) == 5 and st.t == pytest.approx(4.5 * dt)
     assert steps[-1].config.dt == pytest.approx(0.5 * dt)  # truncated
     assert len(series) == 1 + 5 // cadence + (5 % cadence != 0)
     assert calls["theta2"] == 4 * len(steps) + 1
-    assert calls["eigvalsh"] == len(steps) + 1
+    assert calls["spectrum"] == len(steps) + 1
 
 
 def test_flow_state_memo_is_read_only():
@@ -350,3 +366,151 @@ def test_grid_inverse_singular_site_raises(bad):
     h[1, 2, 3, 4] = bad
     with pytest.raises(DomainError, match=r"singular metric.*\(1, 2, 3, 4\)"):
         F._inv(_lead(h))
+
+
+# -- n = 2 closed forms: spectrum and inverse -------------------------------
+
+
+def _hpd_sites(shape, eigs, rng):
+    """Hermitian sites U diag(eigs) U^H with random unitary U, per site."""
+    th = rng.uniform(0, 2 * np.pi, shape)
+    ph = rng.uniform(0, 2 * np.pi, shape)
+    c, s = np.cos(th), np.sin(th) * np.exp(1j * ph)
+    u = np.stack([np.stack([c, -s], -1), np.stack([np.conj(s), c], -1)], -2)
+    h = u @ (eigs[..., :, None] * np.conj(np.swapaxes(u, -1, -2)))
+    return 0.5 * (h + np.conj(np.swapaxes(h, -1, -2)))
+
+
+def _closed_form_grids():
+    """(name, grid) pairs of n = 2 grids, 8^4 sites each."""
+    rng = np.random.default_rng(2)
+    shape = (8,) * 4
+    m = rng.standard_normal(shape + (2, 2)) \
+        + 1j * rng.standard_normal(shape + (2, 2))
+    yield "random", m @ np.conj(np.swapaxes(m, -1, -2)) / 2 + np.eye(2)
+    for maker in (separable_kahler_torus, potential_kahler_torus,
+                  random_torus_fourier):
+        yield maker.__name__, F.sample_on_grid(maker(2, 3), 8)
+    st, _ = F.run(random_torus_fourier(2, 3), mu=0.5, T=2e-4, N=8,
+                  config=F.FlowConfig(dt=1e-4))
+    yield "flowed", st.h
+    # a ~ d and |b| ~ 0, down to exactly equal and exactly zero
+    eps = 10.0 ** rng.integers(-16, -6, shape + (3,))
+    eps *= rng.standard_normal(shape + (3,))
+    eps[0] = 0.0
+    near = np.zeros(shape + (2, 2), complex)
+    near[..., 0, 0] = 1.0 + eps[..., 0]
+    near[..., 1, 1] = 1.0 + eps[..., 1]
+    near[..., 1, 0] = eps[..., 2] * np.exp(1j * rng.uniform(0, 6, shape))
+    near[..., 0, 1] = np.conj(near[..., 1, 0])
+    yield "near-degenerate", near
+    lam = rng.uniform(0.5, 2.0, shape)
+    yield "cond-1e8", _hpd_sites(shape, np.stack([lam, 1e-8 * lam], -1), rng)
+
+
+def test_closed_form_spectrum_matches_eigvalsh():
+    for name, h in _closed_form_grids():
+        want = np.linalg.eigvalsh(h)
+        got = F._spectrum(h)
+        assert got.shape == want.shape
+        scale = np.max(np.abs(want), axis=-1, keepdims=True)
+        assert np.max(np.abs(got - want) / scale) <= 1e-13, name
+
+
+def _exact_inverse(h):
+    """The inverse of each stored 2 x 2 site in rational arithmetic, rounded
+    once at the end."""
+    from fractions import Fraction as Q
+    flat = h.reshape(-1, 2, 2)
+    out = np.empty_like(flat)
+    for s, m in enumerate(flat):
+        (a, b), (c, d) = [[(Q(z.real), Q(z.imag)) for z in row] for row in m]
+        det = (a[0] * d[0] - a[1] * d[1] - b[0] * c[0] + b[1] * c[1],
+               a[0] * d[1] + a[1] * d[0] - b[0] * c[1] - b[1] * c[0])
+        den = det[0] ** 2 + det[1] ** 2
+        for (i, j), (re, im), sign in (((0, 0), d, 1), ((0, 1), b, -1),
+                                       ((1, 0), c, -1), ((1, 1), a, 1)):
+            out[s, i, j] = complex(
+                float(sign * (re * det[0] + im * det[1]) / den),
+                float(sign * (im * det[0] - re * det[1]) / den))
+    return out.reshape(h.shape)
+
+
+def test_closed_form_inverse_matches_lapack():
+    eps = np.finfo(float).eps
+    for name, h in _closed_form_grids():
+        h0 = h.copy()
+        got = np.moveaxis(F._inv(_lead(h)), (0, 1), (-2, -1))
+        assert np.array_equal(h, h0)
+        if name == "cond-1e8":
+            # Any inverse is only good to about eps * cond here: np.linalg.inv
+            # itself lands ~1e-8 (relative) from the exact inverse.  The
+            # adjugate's one rounding error is in det, |d det| / det <~
+            # 2 eps cond, so hold it to the exact inverse within 8 eps cond.
+            want, cond = _exact_inverse(h[:2, :2]), 1e8
+            got, bound = got[:2, :2], 8 * eps * cond
+        else:
+            want, bound = np.linalg.inv(h), 1e-13
+        scale = np.max(np.abs(want), axis=(-2, -1), keepdims=True)
+        assert np.max(np.abs(got - want) / scale) <= bound, name
+
+
+# -- a run's grid buffers ---------------------------------------------------
+
+
+def test_run_buffers_stay_private_to_the_run(monkeypatch):
+    """What a run hands out never aliases its buffers, runs nested in the
+    middle of a step share none with it, and none outlives its run."""
+    fields = {8: random_torus_fourier(2, 1), 12: random_torus_fourier(2, 2)}
+
+    def flow(N):
+        return F.run(fields[N], mu=0.5, T=2.5e-4, N=N,
+                     config=F.FlowConfig(dt=1e-4))
+
+    def same(a, b):
+        (st, series), (st0, series0) = a, b
+        assert st.h.tobytes() == st0.h.tobytes()
+        assert st.theta2.tobytes() == st0.theta2.tobytes()
+        assert st.eigs.tobytes() == st0.eigs.tobytes()
+        assert [replace(d, wall_time=0) for d in series] \
+            == [replace(d, wall_time=0) for d in series0]
+
+    for N in (8, 12):
+        F._stencil(N), F._stencil_last(N)  # kept for the process, by design
+        tracemalloc.start()
+        try:
+            st, series = flow(N)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert {"theta2", "eigs"} <= set(vars(st))
+        final = st.h.nbytes + st.theta2.nbytes + st.eigs.nbytes
+        assert kept <= final + (64 << 10), N  # one buffer is 256 KiB or more
+    alone = {N: flow(N) for N in (8, 12)}
+
+    handed = []  # (array, bytes when handed out)
+    nested = {}
+    theta2, step = F.theta2_discrete, F.step
+
+    def theta2_spy(*args):
+        out = theta2(*args)
+        handed.append((out, out.tobytes()))
+        if nested == {"stepping": True}:  # mid-step: the outer k1 is live
+            nested["stepping"] = False
+            nested.update((N, flow(N)) for N in (12, 8))
+        return out
+
+    def step_spy(s):
+        handed.extend((a, a.tobytes()) for a in (s.h, s.theta2, s.eigs))
+        nested.setdefault("stepping", True)
+        return step(s)
+
+    monkeypatch.setattr(F, "theta2_discrete", theta2_spy)
+    monkeypatch.setattr(F, "step", step_spy)
+    outer = flow(8)
+    same(outer, alone[8])
+    for N in (12, 8):
+        same(nested[N], alone[N])
+    assert len(handed) > 40
+    for a, seen in handed:
+        assert a.tobytes() == seen
