@@ -322,7 +322,7 @@ def cmd_flow(args) -> int:
         "mode": "grid",
         "final_t": state.t,
         "steps": series[-1].step_count,
-        "dt": state.config.dt,
+        "dt": state.config.dt,  # the last step taken
         "final": vars(series[-1]),
         "max_kahler_defect": max(d.kahler_defect for d in series),
         "diagnostics": [vars(d) for d in series],
@@ -387,8 +387,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=int, default=50,
                     help="sample count for the ODE series")
     sp.add_argument("--grid", type=int, default=12)
-    sp.add_argument("--dt", type=float, default=None)
-    sp.add_argument("--cadence", type=int, default=1)
+    sp.add_argument("--dt", type=float, default=None,
+                    help="fixed RK4 step; default: error-controlled steps "
+                         "(local error <= 1e-5) starting from "
+                         "0.1 dx^2 min eig(h)")
+    sp.add_argument("--cadence", type=int, default=1,
+                    help="diagnostics every CADENCE steps (integer >= 1)")
     sp.add_argument("--diagnostics-csv")
     sp.add_argument("--dump")
     sp.set_defaults(func=cmd_flow)

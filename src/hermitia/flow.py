@@ -61,12 +61,16 @@ class FlowHalt(Exception):
 
 @dataclass(frozen=True)
 class FlowConfig:
-    dt: float | None = None  # None: 0.1 * dx^2 * min eigenvalue of h
-    cadence: int = 1         # diagnostics every `cadence` steps
+    dt: float | None = None  # None: error-controlled steps (see ``run``)
+    cadence: int = 1         # diagnostics every `cadence` accepted steps
 
     def __post_init__(self):
         if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
             raise ValidationError(f"dt must be finite and > 0, got {self.dt}")
+        if not (isinstance(self.cadence, (int, np.integer))
+                and self.cadence >= 1):
+            raise ValidationError(
+                f"cadence must be an integer >= 1, got {self.cadence!r}")
 
 
 @dataclass(frozen=True)
@@ -154,7 +158,8 @@ class _Work:
             np.empty(lead, complex) for _ in range(4))
         self.dz = [np.empty(lead, complex) for _ in range(n)]
         self.dzb = [np.empty(lead, complex) for _ in range(n)]
-        # step: the RK4 accumulator and stage
+        # step: the RK4 accumulator and stage.  A step leaves its k4 in
+        # ``stage`` and ``acc`` free, for ``_step_error`` to read.
         self.acc, self.stage = (np.empty(trail, complex) for _ in range(2))
 
 
@@ -248,6 +253,23 @@ def _inv(h: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
+def _site_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray,
+                 add: bool = False) -> None:
+    """out = a b per site (out += a b when ``add``) for matrix-leading
+    (n, n, ...) grids, one whole-grid product per component (a
+    three-operand einsum runs one generic loop over every index instead).
+    ``out`` must not overlap ``a`` or ``b``."""
+    n = a.shape[0]
+    for k in range(n):
+        for j in range(n):
+            o = out[k, j]
+            for p in range(n):
+                if p or add:
+                    o += a[k, p] * b[p, j]
+                else:
+                    np.multiply(a[k, 0], b[0, j], out=o)
+
+
 def theta2_discrete(h: np.ndarray, n: int, N: int,
                     _work: _Work | None = None) -> np.ndarray:
     """Second metric-trace of the canonical curvature, per site.
@@ -277,10 +299,8 @@ def theta2_discrete(h: np.ndarray, n: int, N: int,
         np.multiply(up[i, 0], wk.dzb[0], out=w)
         for j in range(1, n):
             w += np.multiply(up[i, j], wk.dzb[j], out=s)
-        np.einsum("kq...,qp...,pl...->kl...", wk.dz[i], hinv, w,
-                  out=s if i else out)
-        if i:
-            out += s
+        _site_matmul(wk.dz[i], hinv, s)  # X_i; the scratch is free again
+        _site_matmul(s, w, out, add=i > 0)
     d = wk.dzb[0]  # the d/dzbar differences are used up
     for i in range(n):  # d/dzbar^j = (d/dx_j + sqrt(-1) d/dy_j) / 2
         for a in range(2 * n):  # real axis a, of z^(a // 2)
@@ -349,13 +369,24 @@ def _dt_from_eigs(eigs: np.ndarray, N: int) -> float:
     return 0.1 * dx * dx * min_eig
 
 
+def _stability_cap(state: FlowState) -> float:
+    """Largest RK4 step the 4th-order stencil admits at this state.  RK4
+    reaches 2.785 along the negative real axis.  The frozen-coefficient
+    symbol of h^{i jbar} d_i d_jbar has modulus at most n |s|^2 / (2 lambda),
+    lambda the least eigenvalue of h and |s| <= 1.372 / dx the first
+    difference's symbol, so the step is at most (2.96 / n) dx^2 lambda."""
+    dx = 1.0 / state.N
+    return 2.96 / state.n * dx * dx * float(state.eigs.min())
+
+
 def _check_fits(n: int, N: int):
     """Raise DomainError, before anything is allocated, when a flow on an
     N^(2n) grid would need more than the machine's physical memory."""
     # Peak grid arrays (N^(2n) n x n complex) alive at once during ``run``,
     # counted with tracemalloc as peak traced bytes over one array's bytes,
     # the run's 2n + 6 buffers included: 12.7 at n=1 (N=256), 14.0 at n=2
-    # (N=12), 15.7 at n=3 (N=8), checked by a test.  The theta2 first
+    # (N=12), 15.7 at n=3 (N=8) with fixed steps, and 14.2, 14.5 and 16.9
+    # with error-controlled ones, checked by tests.  The theta2 first
     # differences add two per complex dimension.  The cached stencils,
     # N x N and 2N x 2N float64, come on top (2.5 arrays at n=1).
     arrays = 13 + 2 * n
@@ -409,13 +440,67 @@ def step(state: FlowState) -> FlowState:
     return out
 
 
+# Local error accepted per error-controlled step, max-abs over the grid:
+# the accuracy the flow is held to against small-step reference runs.
+_TOL = 1e-5
+
+
+def _step_error(state: FlowState) -> float:
+    """Embedded error estimate of the run step that made ``state``:
+    (dt/6) max |k4 - f(h1)|, f(h1) = mu h1 - theta2(h1).  f(h1) is the
+    state's own theta2 memo, so it is the next step's k1 (first stage same
+    as last) and the estimate costs no extra theta2.  It reads the step's k4
+    from the run's stage buffer and works in its free accumulator."""
+    wk = state._work
+    f = np.multiply(state.h, state.mu, out=wk.acc)
+    f -= state.theta2
+    wk.stage -= f
+    np.abs(wk.stage, out=f.real)
+    return state.config.dt / 6.0 * float(f.real.max())
+
+
+def _controlled_step(state: FlowState, dt: float, T: float):
+    """One accepted error-controlled RK4 step from the proposed ``dt``.
+
+    Every attempt goes through ``step``.  The step is held between the
+    state's default dt (the floor) and its stability cap, and shortened to
+    land on T.  An attempt is accepted when its estimate is <= _TOL; either
+    way the next proposal is d * clip(0.9 (tol/err)^(1/4), 0.2, 4).  An
+    attempt that halts (non-finite, not positive definite, or a singular
+    stage) is retried at a fifth of its step.  At the floor an attempt is taken as a fixed step
+    would be: accepted whatever its estimate, and its halt is raised.
+    Returns (new state, next proposal)."""
+    floor = _dt_from_eigs(state.eigs, state.N)
+    dt = min(max(dt, floor), _stability_cap(state))
+    while True:
+        d = min(dt, T - state.t)
+        try:
+            new = step(_reconfigured(state, config=replace(state.config,
+                                                           dt=d)))
+        except (FlowHalt, DomainError):
+            if d <= floor:
+                raise
+            dt = max(0.2 * d, floor)
+            continue
+        err = _step_error(new)
+        grow = min(4.0, max(0.2, 0.9 * (_TOL / err) ** 0.25)) if err else 4.0
+        if err <= _TOL or d <= floor:
+            return new, grow * d
+        del new  # a rejected attempt is not held through the next one
+        dt = max(grow * d, floor)
+
+
 def run(initial, mu: float, T: float, config: FlowConfig = FlowConfig(),
         N: int = 12):
     """Integrate from t=0 to the horizon T.
 
     ``initial`` is a torus MetricField or a pre-sampled grid array.  Returns
     (final_state, [FlowDiagnostics...]); reaching the horizon is success.
-    A FlowHalt from ``step`` propagates to the caller.
+    With ``config.dt`` set every step is that dt; with None each step is
+    error-controlled (``_controlled_step``), starting from the default dt
+    0.1 dx^2 lambda_min.  Either way the last step lands on T, the final
+    state's ``config.dt`` is the last step taken, and a FlowHalt from
+    ``step`` that no smaller step avoids propagates to the caller.
     """
     if not math.isfinite(T):
         raise ValidationError(f"horizon T must be finite, got {T}")
@@ -431,19 +516,23 @@ def run(initial, mu: float, T: float, config: FlowConfig = FlowConfig(),
     state = FlowState(n=n, N=N, h=h0, t=0.0, mu=mu, config=config)
     del h0  # the grid goes with the initial state, after the first step
     _check_state(state)
-    dt = config.dt if config.dt is not None else _dt_from_eigs(state.eigs, N)
+    adaptive = config.dt is None
+    dt = _dt_from_eigs(state.eigs, N) if adaptive else config.dt
     config = replace(config, dt=dt)
     state = _reconfigured(state, config=config, _work=_Work(n, N))
     start = time.monotonic()
     series = [diagnostics(state, 0, 0.0)]
     count = 0
     while state.t < T - 1e-12:
-        if state.t + dt > T:
-            last = replace(config, dt=T - state.t)
-            state = _reconfigured(state, config=last)
-        state = step(state)
+        if adaptive:
+            state, dt = _controlled_step(state, dt, T)
+        else:
+            if state.t + dt > T:
+                last = replace(config, dt=T - state.t)
+                state = _reconfigured(state, config=last)
+            state = step(state)
         count += 1
-        if count % max(1, config.cadence) == 0 or state.t >= T - 1e-12:
+        if count % config.cadence == 0 or state.t >= T - 1e-12:
             series.append(diagnostics(state, count,
                                       time.monotonic() - start))
     return _reconfigured(state, _work=None), series

@@ -136,6 +136,14 @@ def test_flow_rejects_steps_that_never_reach_the_horizon(capsys, flag, value,
     assert word in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_flow_rejects_cadence_below_one(capsys, value):
+    code = main(["flow", "--metric", "flat", "--grid", "8", "--cadence",
+                 value])
+    assert code == 2
+    assert "cadence" in capsys.readouterr().err
+
+
 def test_domain_error_exit(capsys):
     code = main(["curvature", "--metric", "hopf", "--dim", "2", "--point",
                  "0,0,0,0"])

@@ -94,6 +94,13 @@ def test_non_positive_or_non_finite_dt_rejected(dt):
         F.FlowConfig(dt=dt)
 
 
+@pytest.mark.parametrize("cadence", [0, -5, 1.5, "2", None])
+def test_cadence_below_one_or_not_an_integer_rejected(cadence):
+    with pytest.raises(ValidationError, match="cadence"):
+        F.FlowConfig(cadence=cadence)
+    assert F.FlowConfig(cadence=np.int64(2)).cadence == 2
+
+
 @pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf])
 def test_non_finite_horizon_rejected_before_sampling(monkeypatch, T):
     monkeypatch.setattr(F, "sample_on_grid", None)  # any sampling would fail
@@ -238,6 +245,27 @@ def test_theta2_matches_loop_reference(n, N):
         assert np.max(np.abs(got - _theta2_loop(h, n, N))) <= 1e-13
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_theta2_quadratic_term_matches_einsum_form(n):
+    """sum_i X_i W_i, X_i = (dh/dz^i) h^{-1}, as theta2 forms it from
+    per-component products, against the three-operand einsum, to 1e-14 of
+    the largest entry (the two sum in different orders)."""
+    rng = np.random.default_rng(30 + n)
+    shape = (n, n) + (4,) * (2 * n)
+
+    def grid():
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    dz, hinv, w = [grid() for _ in range(n)], grid(), [grid() for _ in range(n)]
+    x, got = np.empty(shape, complex), np.empty(shape, complex)
+    want = np.zeros(shape, complex)
+    for i in range(n):
+        F._site_matmul(dz[i], hinv, x)
+        F._site_matmul(x, w[i], got, add=i > 0)
+        want += np.einsum("kq...,qp...,pl...->kl...", dz[i], hinv, w[i])
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 # -- one theta2 and one spectrum per grid state ----------------------------
 
 
@@ -263,12 +291,119 @@ def test_run_computes_theta2_and_eigs_once_per_state(monkeypatch, cadence):
     dt = F.default_dt(F.sample_on_grid(fld, 8), 8)
     calls["spectrum"] = 0
     st, series = F.run(fld, mu=0.5, T=4.5 * dt, N=8,
-                       config=F.FlowConfig(cadence=cadence))
+                       config=F.FlowConfig(dt=dt, cadence=cadence))
     assert len(steps) == 5 and st.t == pytest.approx(4.5 * dt)
     assert steps[-1].config.dt == pytest.approx(0.5 * dt)  # truncated
     assert len(series) == 1 + 5 // cadence + (5 % cadence != 0)
     assert calls["theta2"] == 4 * len(steps) + 1
     assert calls["spectrum"] == len(steps) + 1
+
+
+@pytest.mark.parametrize("cadence", [1, 3])
+def test_adaptive_run_computes_theta2_four_times_per_attempt(monkeypatch,
+                                                             cadence):
+    """Error-controlled steps: each attempt, rejected ones included, costs
+    its three stage theta2 plus its new state's, which is the estimate's
+    f(h1) and the next step's k1; one spectrum per state."""
+    calls = {"theta2": 0, "spectrum": 0}
+    theta2, spectrum, step, error = (F.theta2_discrete, F._spectrum, F.step,
+                                     F._step_error)
+
+    def theta2_spy(*args):
+        calls["theta2"] += 1
+        return theta2(*args)
+
+    def spectrum_spy(*args):
+        calls["spectrum"] += 1
+        return spectrum(*args)
+
+    def error_spy(s):
+        err = error(s)
+        return 1.0 if len(steps) == 2 else err  # reject the second attempt
+
+    monkeypatch.setattr(F, "theta2_discrete", theta2_spy)
+    monkeypatch.setattr(F, "_spectrum", spectrum_spy)
+    monkeypatch.setattr(F, "_step_error", error_spy)
+    steps = []
+    monkeypatch.setattr(F, "step", lambda s: steps.append(s) or step(s))
+    fld = random_torus_fourier(2, 1)
+    dt = F.default_dt(F.sample_on_grid(fld, 8), 8)
+    calls["spectrum"] = 0
+    st, series = F.run(fld, mu=0.5, T=12 * dt, N=8,
+                       config=F.FlowConfig(cadence=cadence))
+    accepted = series[-1].step_count
+    assert st.t == pytest.approx(12 * dt) and accepted == len(steps) - 1
+    assert len(series) == 1 + accepted // cadence + (accepted % cadence != 0)
+    assert calls["theta2"] == 4 * len(steps) + 1
+    assert calls["spectrum"] == len(steps) + 1
+    assert steps[2].t == steps[1].t  # the rejected attempt kept the state
+    floor = F.default_dt(steps[1].h, 8)  # the retry is held at the default
+    assert steps[2].config.dt == pytest.approx(
+        max(0.2 * steps[1].config.dt, floor))
+
+
+@pytest.mark.parametrize("maker, seed", [(separable_kahler_torus, 0),
+                                         (random_torus_fourier, 1)])
+@pytest.mark.parametrize("mu", [0.0, 0.5])
+def test_adaptive_run_within_tolerance_of_small_step_run(maker, seed, mu):
+    """Error-controlled steps end within 1e-5 of a fixed run at a quarter
+    of the default dt, in fewer steps than the default dt would take."""
+    fld = maker(2, seed)
+    h0 = F.sample_on_grid(fld, 8)
+    dt = F.default_dt(0.5 * (h0 + np.conj(np.swapaxes(h0, -1, -2))), 8)
+    T = 20 * dt
+    st, series = F.run(fld, mu=mu, T=T, N=8)
+    ref, _ = F.run(fld, mu=mu, T=T, N=8,
+                   config=F.FlowConfig(dt=dt / 4, cadence=10**9))
+    assert st.t == pytest.approx(T) and ref.t == pytest.approx(T)
+    assert np.max(np.abs(st.h - ref.h)) <= 1e-5
+    assert series[-1].step_count < 20
+
+
+def test_steps_never_exceed_the_stability_cap(monkeypatch):
+    """With every estimate zero the step grows 4x a step until the
+    stencil's RK4 stability cap, (2.96/n) dx^2 lambda_min of the state,
+    holds it."""
+    tried = []
+    step = F.step
+    monkeypatch.setattr(F, "_step_error", lambda s: 0.0)
+    monkeypatch.setattr(F, "step", lambda s: tried.append(s) or step(s))
+    fld = random_torus_fourier(2, 1)
+    dt = F.default_dt(F.sample_on_grid(fld, 8), 8)
+    st, _ = F.run(fld, mu=0.5, T=60 * dt, N=8)
+    assert st.t == pytest.approx(60 * dt)
+    ratios = [s.config.dt / (1.48 * s.eigs.min() / 64) for s in tried]
+    assert max(ratios) <= 1 + 1e-12
+    assert sum(r > 1 - 1e-12 for r in ratios) >= 2  # the cap was reached
+
+
+def test_halted_attempt_is_retried_with_a_smaller_step(monkeypatch):
+    """An attempt that halts is retried at a fifth of its step, never below
+    the default dt; a halt at the default dt is raised, so the run ends."""
+    fld = random_torus_fourier(2, 1)
+    dt = F.default_dt(F.sample_on_grid(fld, 8), 8)
+    tried = []
+    step = F.step
+
+    def halting(limit):
+        def spy(s):
+            tried.append(s.config.dt)
+            if s.config.dt > limit:
+                raise F.FlowHalt("positivity", (0, 0, 0, 0), s.t)
+            return step(s)
+        return spy
+
+    monkeypatch.setattr(F, "step", halting(1.5 * dt))
+    st, series = F.run(fld, mu=0.5, T=8 * dt, N=8)
+    assert st.t == pytest.approx(8 * dt)
+    assert series[-1].step_count < len(tried)  # some attempts halted
+    taken = [d for d in tried if d <= 1.5 * dt]
+    assert all(d >= 0.99 * dt for d in taken[:-1])  # the last lands on T
+    tried.clear()
+    monkeypatch.setattr(F, "step", halting(0.0))
+    with pytest.raises(F.FlowHalt, match="positivity"):
+        F.run(fld, mu=0.5, T=8 * dt, N=8)
+    assert tried == [pytest.approx(dt)]  # the first step is the default dt
 
 
 def test_flow_state_memo_is_read_only():
@@ -285,17 +420,29 @@ def test_flow_state_memo_is_read_only():
 # -- grids that cannot fit fail before allocating --------------------------
 
 
-@pytest.mark.parametrize("n, N", [(2, 12), (3, 8)])
-def test_run_peak_memory_within_guard(n, N):
-    """The guard's count of grid arrays alive at once bounds a real run."""
+def _peak_grid_arrays(n, N, config):
+    """tracemalloc peak of a short run, in grid arrays."""
     fld = random_torus_fourier(n, 1)
     tracemalloc.start()
     try:
-        F.run(fld, mu=0.5, T=2e-6, N=N, config=F.FlowConfig(dt=1e-6))
+        F.run(fld, mu=0.5, T=2e-6, N=N, config=config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (N ** (2 * n) * n * n * 16) <= 13 + 2 * n
+    return peak / (N ** (2 * n) * n * n * 16)
+
+
+@pytest.mark.parametrize("n, N", [(2, 12), (3, 8)])
+def test_run_peak_memory_within_guard(n, N):
+    """The guard's count of grid arrays alive at once bounds a real run."""
+    assert _peak_grid_arrays(n, N, F.FlowConfig(dt=1e-6)) <= 13 + 2 * n
+
+
+@pytest.mark.parametrize("n, N", [(2, 12), (3, 8)])
+def test_adaptive_run_peak_memory_within_guard(n, N):
+    """The same bound holds for error-controlled steps, whose estimate keeps
+    the old state and the attempt alive while the attempt's theta2 runs."""
+    assert _peak_grid_arrays(n, N, F.FlowConfig()) <= 13 + 2 * n
 
 
 def test_grid_too_large_for_memory_fails_fast():
