@@ -299,6 +299,11 @@ def cmd_verify(args) -> int:
 def cmd_flow(args) -> int:
     if args.hopf_ode:
         n, mu, c0 = args.dim, args.mu, args.c0
+        if args.steps < 1:
+            raise ValidationError(
+                f"--steps must be an integer >= 1, got {args.steps}")
+        if n < 1:
+            raise ValidationError(f"--dim must be >= 1, got {n}")
         ts = np.linspace(0.0, args.T, args.steps + 1)
         series = [{"t": float(t), "c": FL.hopf_self_similar(n, c0, mu, t)}
                   for t in ts]

@@ -75,9 +75,9 @@ class FlowConfig:
 
 @dataclass(frozen=True)
 class FlowState:
-    """One grid state.  ``theta2`` and ``eigs`` are computed on first use
-    and kept, read-only, for the life of the state, so ``h`` must not be
-    mutated after construction."""
+    """One grid state.  ``theta2`` (with ``kahler_defect``) and ``eigs`` are
+    computed on first use and kept, read-only, for the life of the state, so
+    ``h`` must not be mutated after construction."""
 
     n: int
     N: int
@@ -96,9 +96,18 @@ class FlowState:
 
     @functools.cached_property
     def theta2(self) -> np.ndarray:
-        """theta2_discrete(h), per site."""
-        return _read_only(theta2_discrete(self.h, self.n, self.N,
-                                          self._work))
+        """theta2_discrete(h), per site.  Also records ``kahler_defect``
+        from the first differences of h that theta2 leaves in its buffers."""
+        wk = _Work(self.n, self.N) if self._work is None else self._work
+        theta2 = _read_only(theta2_discrete(self.h, self.n, self.N, wk))
+        vars(self)["kahler_defect"] = _defect_from_work(wk, self.n)
+        return theta2
+
+    @functools.cached_property
+    def kahler_defect(self) -> float:
+        """kahler_defect(h, n, N), recorded by ``theta2``."""
+        self.theta2
+        return vars(self)["kahler_defect"]
 
     @functools.cached_property
     def eigs(self) -> np.ndarray:
@@ -110,7 +119,7 @@ def _reconfigured(state: FlowState, **changes) -> FlowState:
     """``state`` with its config or buffers replaced; h is the same array,
     so whatever the state has already computed carries over."""
     out = replace(state, **changes)
-    for name in ("theta2", "eigs"):
+    for name in ("theta2", "kahler_defect", "eigs"):
         if name in vars(state):
             vars(out)[name] = vars(state)[name]
     return out
@@ -138,9 +147,42 @@ def grid_points(n: int, N: int) -> np.ndarray:
 
 
 def sample_on_grid(fld: MetricField, N: int) -> np.ndarray:
-    """Per-site metric values of a torus metric field."""
+    """Per-site metric values of a torus metric field: Fourier fields from
+    their per-axis phases (``_sample_fourier``), other kinds through
+    ``evaluate`` at ``grid_points``."""
     _check_fits(fld.n, N)
+    if fld.kind == "TorusFourier":
+        return _sample_fourier(fld, N)
     return evaluate(fld, grid_points(fld.n, N))
+
+
+def _sample_fourier(fld: MetricField, N: int) -> np.ndarray:
+    """h = sum_m A^m exp(2 pi i m.x) on the lattice, in ``evaluate``'s
+    convention m = (m_x1, ..., m_xn, m_y1, ..., m_yn).
+
+    The phase of a mode factors over the grid axes (x_1, y_1, ..., x_n, y_n)
+    into length-N vectors exp(2 pi i f k / N), f = m[j] on axis 2j and
+    m[n + j] on axis 2j + 1.  U_m is their outer product over the first n
+    axes and V_m over the last n, each flattened to N^n entries, so each
+    component h_{i jbar}, seen as an N^n x N^n matrix, is
+    sum_m A^m_ij U_m V_m^T: one rank-M product, with no per-mode grid."""
+    n = fld.n
+    k = np.arange(N)
+    roots = np.exp(2j * np.pi * k / N)
+    m = np.array([mode for mode, _ in fld.modes], int).reshape(-1, 2, n)
+    a = np.array([A for _, A in fld.modes], complex).reshape(-1, n, n)
+    phases = roots[np.multiply.outer(m.swapaxes(1, 2), k) % N]
+    phases = phases.reshape(len(m), 2 * n, N)  # (mode, grid axis, k)
+    u, v = np.ones((2, len(m), 1), complex)
+    for ax in range(n):
+        u = (u[:, :, None] * phases[:, ax, None, :]).reshape(len(m), -1)
+        v = (v[:, :, None] * phases[:, n + ax, None, :]).reshape(len(m), -1)
+    h = np.empty((N,) * (2 * n) + (n, n), complex)
+    part = np.empty((N ** n, N ** n), complex)
+    for i, j in np.ndindex(n, n):
+        np.matmul(u.T * a[:, i, j], v, out=part)
+        h[..., i, j] = part.reshape(h.shape[:-2])
+    return h
 
 
 class _Work:
@@ -161,6 +203,11 @@ class _Work:
         # step: the RK4 accumulator and stage.  A step leaves its k4 in
         # ``stage`` and ``acc`` free, for ``_step_error`` to read.
         self.acc, self.stage = (np.empty(trail, complex) for _ in range(2))
+
+
+def _check_stencil(N: int):
+    if N < 8:
+        raise DomainError("theta2 stencil needs N >= 8")
 
 
 @functools.cache
@@ -285,8 +332,7 @@ def theta2_discrete(h: np.ndarray, n: int, N: int,
     Every intermediate lives in the buffers of ``_work`` (a run's; fresh ones
     when None); the result is a new array.
     """
-    if N < 8:
-        raise DomainError("theta2 stencil needs N >= 8")
+    _check_stencil(N)
     wk = _Work(n, N) if _work is None else _work
     hl, w, s = wk.hl, wk.w, wk.s
     hl[...] = np.moveaxis(h, (-2, -1), (0, 1))
@@ -314,11 +360,25 @@ def theta2_discrete(h: np.ndarray, n: int, N: int,
     return res
 
 
+def _defect_from_work(wk: _Work, n: int) -> float:
+    """``kahler_defect`` of the h whose theta2 has just run in ``wk``, read
+    off the d/dz^i differences theta2 leaves in ``wk.dz``.  Works in the
+    scratch and the matrix-leading copy of h, both free after theta2."""
+    worst = 0.0
+    d, mag = wk.s[0], wk.hl[0].real
+    for i in range(n):
+        for k in range(i + 1, n):
+            np.subtract(wk.dz[i][k], wk.dz[k][i], out=d)
+            worst = max(worst, float(np.abs(d, out=mag).max()))
+    return worst
+
+
 def kahler_defect(h: np.ndarray, n: int, N: int) -> float:
     """max |dh_{k jbar}/dz^i - dh_{i jbar}/dz^k| over sites and indices.
 
     Only the compared rows are differentiated: row k along z^i, row i
-    along z^k."""
+    along z^k.  A run reads the same value off theta2's own differences
+    (``FlowState.kahler_defect``); this is the stand-alone form."""
     worst = 0.0
     for i in range(n):
         for k in range(i + 1, n):
@@ -330,14 +390,12 @@ def kahler_defect(h: np.ndarray, n: int, N: int) -> float:
 
 def diagnostics(state: FlowState, step_count: int,
                 wall_time: float) -> FlowDiagnostics:
-    defect = kahler_defect(state.h, state.n, state.N)
-    theta2 = state.theta2
     residual = state.mu * state.h  # one grid temporary, not two
-    residual -= theta2
+    residual -= state.theta2
     return FlowDiagnostics(
         t=state.t,
         step_count=step_count,
-        kahler_defect=defect,
+        kahler_defect=state.kahler_defect,
         min_eig=float(state.eigs.min()),
         max_eig=float(state.eigs.max()),
         einstein_residual=float(np.max(np.abs(residual))),
@@ -502,15 +560,17 @@ def run(initial, mu: float, T: float, config: FlowConfig = FlowConfig(),
     state's ``config.dt`` is the last step taken, and a FlowHalt from
     ``step`` that no smaller step avoids propagates to the caller.
     """
-    if not math.isfinite(T):
-        raise ValidationError(f"horizon T must be finite, got {T}")
+    if not (math.isfinite(T) and T >= 0):
+        raise ValidationError(f"horizon T must be finite and >= 0, got {T}")
     if isinstance(initial, MetricField):
         n = initial.n
+        _check_stencil(N)
         h0 = sample_on_grid(initial, N)
     else:
         h0 = np.asarray(initial, dtype=complex)
         n = h0.shape[-1]
         N = h0.shape[0]
+        _check_stencil(N)
         _check_fits(n, N)
     h0 = 0.5 * (h0 + np.conj(np.swapaxes(h0, -1, -2)))
     state = FlowState(n=n, N=N, h=h0, t=0.0, mu=mu, config=config)

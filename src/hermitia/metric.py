@@ -163,11 +163,20 @@ class MetricField:
 # -- constructors ----------------------------------------------------------
 
 
+def _check_dim(n: int):
+    """Each maker's first check, before any draw: at n = 0 the random torus
+    makers would wait forever for a nonzero frequency of length 2n."""
+    if n < 1:
+        raise ValidationError(f"complex dimension must be >= 1, got {n}")
+
+
 def flat_metric(n: int) -> MetricField:
+    _check_dim(n)
     return MetricField(n=n, kind="Flat")
 
 
 def hopf_metric(n: int) -> MetricField:
+    _check_dim(n)
     if n < 2:
         raise StructuralError("the Hopf family needs n >= 2")
     return MetricField(n=n, kind="Hopf")
@@ -186,6 +195,7 @@ def polynomial_metric(n: int, terms, allow_linear: bool = False) -> MetricField:
     M_{ij} z^alpha zbar^beta to h_{i jbar}.  The conjugate-partner term
     (beta, alpha, M^H) is added automatically so the field is Hermitian.
     """
+    _check_dim(n)
     full = []
     for alpha, beta, M in terms:
         alpha, beta = tuple(alpha), tuple(beta)
@@ -241,6 +251,7 @@ def _assemble_polynomial(n, d, p, cubic=None):
 def normal_form_random(n: int, seed: int, scale: float = 0.1,
                        with_cubic: bool = True) -> MetricField:
     """Random zero-linear-term polynomial metric: generic second derivatives."""
+    _check_dim(n)
     rng = np.random.default_rng(seed)
 
     def cplx(shape):
@@ -264,6 +275,7 @@ def normal_coordinates_random(n: int, seed: int, scale: float = 0.1) -> MetricFi
     Christoffels at 0, but generically nonzero first derivatives: the linear
     coefficient tensor is antisymmetric in (derivative, row) so that
     dh_{i qbar}/dz^j + dh_{j qbar}/dz^i = 0 at the origin."""
+    _check_dim(n)
     rng = np.random.default_rng(seed)
     t = scale * (rng.standard_normal((n, n, n))
                  + 1j * rng.standard_normal((n, n, n)))
@@ -282,6 +294,7 @@ def normal_coordinates_random(n: int, seed: int, scale: float = 0.1) -> MetricFi
 def _constrained_quadratic(n, seed, scale, balanced, skt):
     """Random Hermitian mixed/pure quadratic tensors projected onto the
     requested linear constraint set (trace conditions at the origin)."""
+    _check_dim(n)
     rng = np.random.default_rng(seed)
     d0 = scale * (rng.standard_normal((n, n, n, n)) +
                   1j * rng.standard_normal((n, n, n, n)))
@@ -364,6 +377,7 @@ def _mu(m: np.ndarray, n: int) -> np.ndarray:
 
 def torus_fourier(n: int, modes) -> MetricField:
     """Fourier metric h(x) = sum_m A^(m) exp(2 pi i m.x) on [0,1)^{2n}."""
+    _check_dim(n)
     table = {}
     for m, A in modes:
         key = tuple(int(v) for v in m)
@@ -388,6 +402,7 @@ def potential_kahler_torus(n: int, seed: int, nmodes: int = 3,
                            amp: float = 0.02, max_freq: int = 2) -> MetricField:
     """Kahler metric h = identity + (d^2 phi / dz dzbar) from a random real
     Fourier potential phi; dw = 0 holds by construction."""
+    _check_dim(n)
     rng = np.random.default_rng(seed)
     modes = {}
     count = 0
@@ -417,6 +432,7 @@ def separable_kahler_torus(n: int, seed: int, amp: float = 0.05,
     translation-invariant first-difference operator then annihilates the
     off-axis derivatives exactly, which keeps discretized closedness checks
     at machine precision."""
+    _check_dim(n)
     rng = np.random.default_rng(seed)
     modes = {}
     for k in range(n):
@@ -449,6 +465,7 @@ def _cap_perturbation(modes: dict, cap: float):
 def random_torus_fourier(n: int, seed: int, nmodes: int = 3,
                          amp: float = 0.03, max_freq: int = 2) -> MetricField:
     """Generic (non-Kahler) Hermitian Fourier metric."""
+    _check_dim(n)
     rng = np.random.default_rng(seed)
     modes = {}
     count = 0

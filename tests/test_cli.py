@@ -128,7 +128,8 @@ def test_usage_errors(capsys):
 
 @pytest.mark.parametrize("flag, value, word", [
     ("--dt", "0", "dt"), ("--dt", "-1e-4", "dt"), ("--dt", "nan", "dt"),
-    ("--dt", "inf", "dt"), ("--T", "inf", "horizon"), ("--T", "nan", "horizon")])
+    ("--dt", "inf", "dt"), ("--T", "inf", "horizon"), ("--T", "nan", "horizon"),
+    ("--T", "-1", "horizon")])
 def test_flow_rejects_steps_that_never_reach_the_horizon(capsys, flag, value,
                                                          word):
     code = main(["flow", "--metric", "flat", "--grid", "8", flag, value])
@@ -142,6 +143,45 @@ def test_flow_rejects_cadence_below_one(capsys, value):
                  value])
     assert code == 2
     assert "cadence" in capsys.readouterr().err
+
+
+def _cli(*argv):
+    """Exit code and stderr of ``hermitia`` in a fresh process that is
+    stopped after 60 s, so an input that hangs fails the test."""
+    src = str(Path(hermitia.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src,
+                                                      env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "hermitia.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    return done.returncode, done.stderr
+
+
+@pytest.mark.parametrize("command", ["check", "flow"])
+@pytest.mark.parametrize("metric, dim", [
+    ("random-torus", "0"), ("kahler-torus", "0"),
+    ("separable-kahler-torus", "0"), ("separable-kahler-torus", "-1"),
+    ("random-torus", "-1")])
+def test_dimension_below_one_is_a_usage_error(command, metric, dim):
+    code, err = _cli(command, "--metric", metric, "--dim", dim)
+    assert code == 2, err[-2000:]
+    assert "dimension must be >= 1" in err
+
+
+@pytest.mark.parametrize("argv, word", [
+    (("--steps", "-5"), "--steps"), (("--steps", "-1"), "--steps"),
+    (("--steps", "0"), "--steps"), (("--dim", "0"), "--dim")])
+def test_hopf_ode_rejects_steps_or_dim_below_one(capsys, argv, word):
+    code = main(["flow", "--hopf-ode", *argv])
+    assert code == 2
+    assert word in capsys.readouterr().err
+    assert main(["flow", "--hopf-ode", "--steps", "1"]) == 0
+
+
+@pytest.mark.parametrize("grid", ["0", "4"])
+def test_flow_grid_below_the_stencil_is_a_domain_error(capsys, grid):
+    assert main(["flow", "--metric", "random-torus", "--grid", grid]) == 3
+    assert "N >= 8" in capsys.readouterr().err
 
 
 def test_domain_error_exit(capsys):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hermitia import flow as F
+from hermitia import metric as M
 from hermitia.errors import DomainError, ValidationError
 from hermitia.metric import (flat_metric, potential_kahler_torus,
                              random_torus_fourier, separable_kahler_torus)
@@ -101,11 +102,27 @@ def test_cadence_below_one_or_not_an_integer_rejected(cadence):
     assert F.FlowConfig(cadence=np.int64(2)).cadence == 2
 
 
-@pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf, -1.0, -1e-9])
 def test_non_finite_horizon_rejected_before_sampling(monkeypatch, T):
+    """A horizon that is not finite, or is negative, is rejected."""
     monkeypatch.setattr(F, "sample_on_grid", None)  # any sampling would fail
     with pytest.raises(ValidationError, match="horizon"):
         F.run(flat_metric(2), mu=0.0, T=T, N=8)
+
+
+@pytest.mark.parametrize("N", [0, 4, 7])
+def test_grid_below_the_stencil_rejected_before_sampling(monkeypatch, N):
+    monkeypatch.setattr(F, "sample_on_grid", None)
+    with pytest.raises(DomainError, match="N >= 8"):
+        F.run(random_torus_fourier(2, 1), mu=0.0, T=0.01, N=N)
+    with pytest.raises(DomainError, match="N >= 8"):
+        F.run(np.tile(np.eye(2, dtype=complex), (4,) * 4 + (1, 1)), mu=0.0,
+              T=0.01)
+
+
+def test_zero_horizon_is_the_initial_row_alone():
+    st, series = F.run(random_torus_fourier(2, 1), mu=0.0, T=0.0, N=8)
+    assert st.t == 0.0 and [d.step_count for d in series] == [0]
 
 
 def test_positivity_halt_with_witness():
@@ -457,6 +474,128 @@ def test_grid_too_large_for_memory_fails_fast():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# -- lattice sampling of Fourier fields ------------------------------------
+
+
+def _ingested(n, seed):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "metric.txt")
+        M.write_torus_metric(random_torus_fourier(n, seed), path)
+        return M.ingest_torus_metric(path)
+
+
+@pytest.mark.parametrize("n, Ns", [(1, (5, 8, 64)), (2, (8, 12)), (3, (5,))])
+def test_lattice_sampling_matches_evaluate(monkeypatch, n, Ns):
+    """A Fourier field is sampled from its per-axis phases, not through
+    ``evaluate``; the values are evaluate's at grid_points, to 1e-14 of the
+    largest entry."""
+    fields = [random_torus_fourier(n, 2), potential_kahler_torus(n, 2),
+              separable_kahler_torus(n, 2), _ingested(n, 3)]
+    for N in Ns:
+        want = [M.evaluate(f, F.grid_points(n, N)) for f in fields]
+        with monkeypatch.context() as m:
+            m.setattr(F, "evaluate", None)
+            got = [F.sample_on_grid(f, N) for f in fields]
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.flags.c_contiguous
+            assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w))
+
+
+def test_other_fields_are_sampled_through_evaluate(monkeypatch):
+    calls = []
+    evaluate = F.evaluate
+    monkeypatch.setattr(F, "evaluate",
+                        lambda fld, z: calls.append(fld.kind) or evaluate(fld, z))
+    h = F.sample_on_grid(flat_metric(2), 8)
+    assert calls == ["Flat"]
+    assert np.array_equal(h, np.broadcast_to(np.eye(2), h.shape))
+    scaled = M.scaled(random_torus_fourier(2, 1), 2.0)
+    h = F.sample_on_grid(scaled, 8)
+    assert calls == ["Flat", "Scaled"]
+    assert np.max(np.abs(h - 2.0 * F.sample_on_grid(scaled.base, 8))) <= 1e-14
+
+
+def test_fourier_run_neither_evaluates_nor_rediffers(monkeypatch):
+    """A Fourier-field run samples without ``evaluate``, and its diagnostics
+    read the Kahler defect off theta2 instead of calling ``kahler_defect``."""
+    def forbidden(*args):
+        raise AssertionError("not called on this path")
+
+    for module in (F, M):
+        monkeypatch.setattr(module, "evaluate", forbidden)
+    monkeypatch.setattr(F, "kahler_defect", forbidden)
+    st, series = F.run(random_torus_fourier(2, 1), mu=0.5, T=2e-4, N=8)
+    assert st.t == pytest.approx(2e-4) and series[0].kahler_defect > 1e-3
+
+
+# -- Kahler defect read off theta2's first differences ---------------------
+
+
+def _defect_rows(monkeypatch, fld, T, N, config, reject=False):
+    """Run and return [(row's defect, kahler_defect of the row's h)]; with
+    ``reject`` the second attempt's estimate is forced to fail."""
+    rows, attempts = [], []
+    diagnostics, error, step = F.diagnostics, F._step_error, F.step
+
+    def diagnostics_spy(state, count, wall):
+        row = diagnostics(state, count, wall)
+        rows.append((row.kahler_defect,
+                     F.kahler_defect(state.h, state.n, state.N)))
+        return row
+
+    def error_spy(s):
+        err = error(s)
+        return 1.0 if reject and len(attempts) == 2 else err
+
+    monkeypatch.setattr(F, "diagnostics", diagnostics_spy)
+    monkeypatch.setattr(F, "_step_error", error_spy)
+    monkeypatch.setattr(F, "step", lambda s: attempts.append(s) or step(s))
+    F.run(fld, mu=0.5, T=T, N=N, config=config)
+    if reject:
+        assert attempts[2].t == attempts[1].t  # the second was rejected
+    return rows
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("kind", ["fixed", "adaptive-rejected", "cadence-3"])
+def test_run_defect_equals_kahler_defect_of_each_row(monkeypatch, n, kind):
+    """Every diagnostics row's Kahler defect is kahler_defect of the row's
+    state, exactly: both take the same first differences of the same h."""
+    N = 8
+    for fld in (random_torus_fourier(n, 1), potential_kahler_torus(n, 1)):
+        dt = F.default_dt(F.sample_on_grid(fld, N), N)
+        config = {"fixed": F.FlowConfig(dt=dt),
+                  "adaptive-rejected": F.FlowConfig(),
+                  "cadence-3": F.FlowConfig(dt=dt, cadence=3)}[kind]
+        rows = _defect_rows(monkeypatch, fld, 7.5 * dt, N, config,
+                            reject=kind == "adaptive-rejected")
+        assert len(rows) >= 3
+        assert all(got == want for got, want in rows), rows
+        if n == 1:
+            assert all(got == 0.0 for got, _ in rows)
+
+
+def test_run_defect_equals_kahler_defect_at_n3(monkeypatch):
+    """n = 3 (three index pairs), one fixed step: ~1.5 s a theta2 at N = 8."""
+    fld = random_torus_fourier(3, 1)
+    rows = _defect_rows(monkeypatch, fld, 1e-5, 8, F.FlowConfig(dt=1e-5))
+    assert len(rows) == 2 and rows[0][0] > 1e-3
+    assert all(got == want for got, want in rows), rows
+
+
+def test_defect_memo_is_taken_with_theta2_and_carried():
+    h = F.sample_on_grid(random_torus_fourier(2, 1), 8)
+    st = F.FlowState(n=2, N=8, h=h, t=0.0, mu=0.0)
+    assert "kahler_defect" not in vars(st)
+    st.theta2
+    assert vars(st)["kahler_defect"] == F.kahler_defect(h, 2, 8) > 1e-3
+    fresh = F.FlowState(n=2, N=8, h=h, t=0.0, mu=0.0)
+    assert fresh.kahler_defect == st.kahler_defect and "theta2" in vars(fresh)
+    moved = F._reconfigured(st, config=F.FlowConfig(dt=1e-4))
+    assert moved.theta2 is st.theta2
+    assert vars(moved)["kahler_defect"] == st.kahler_defect
 
 
 # -- Kahler defect against the full-array formula --------------------------

@@ -250,3 +250,19 @@ def test_ingest_sweep_rejects_at_first_failing_point(monkeypatch):
         with pytest.raises(ValidationError) as exc:
             sweep(fld, chunk=chunk)
         assert str(exc.value) == msg
+
+
+@pytest.mark.parametrize("make", [
+    M.flat_metric, M.hopf_metric,
+    lambda n: M.polynomial_metric(n, []),
+    lambda n: M.normal_form_random(n, 0),
+    lambda n: M.normal_coordinates_random(n, 0),
+    lambda n: M.normal_form_balanced(n, 0), lambda n: M.normal_form_skt(n, 0),
+    lambda n: M.normal_form_balanced_skt(n, 0),
+    lambda n: M.torus_fourier(n, []), lambda n: M.potential_kahler_torus(n, 0),
+    lambda n: M.separable_kahler_torus(n, 0),
+    lambda n: M.random_torus_fourier(n, 0)])
+@pytest.mark.parametrize("n", [0, -1])
+def test_makers_reject_dimension_below_one(make, n):
+    with pytest.raises(ValidationError, match="dimension must be >= 1"):
+        make(n)
