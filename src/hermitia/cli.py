@@ -122,7 +122,13 @@ def _field(args) -> M.MetricField:
 
 
 def _parse_point(text: str, n: int) -> np.ndarray:
-    vals = [float(v) for v in text.split(",")]
+    try:
+        vals = [float(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise ValidationError(f"point components must be numbers: {exc}") \
+            from exc
+    if not np.all(np.isfinite(vals)):
+        raise ValidationError(f"point components must be finite, got {text!r}")
     if len(vals) != 2 * n:
         raise ValidationError(
             f"point needs {2*n} real components (x1,y1,...,x{n},y{n})")
@@ -148,10 +154,18 @@ def _sample_points(fld: M.MetricField, count: int, seed: int) -> list:
 
 
 def _points(args, fld) -> list:
-    if getattr(args, "point", None):
+    if args.point:
         return [_parse_point(args.point, fld.n)]
-    return _sample_points(fld, getattr(args, "sample", 1) or 1,
-                          getattr(args, "seed", 0) or 0)
+    return _sample_points(fld, args.sample, args.seed or 0)
+
+
+def _require_counts(args, *names):
+    """A count below 1 would make a run over nothing that reports success."""
+    for name in names:
+        value = getattr(args, name)
+        if value < 1:
+            raise ValidationError(
+                f"--{name} must be an integer >= 1, got {value}")
 
 
 # -- subcommands ------------------------------------------------------------
@@ -161,6 +175,7 @@ _CONN = {"lc": C.curvature_lc, "induced": C.curvature_induced,
 
 
 def cmd_curvature(args) -> int:
+    _require_counts(args, "sample")
     fld = _field(args)
     pts = _points(args, fld)
     per_point = []
@@ -185,6 +200,7 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_check(args) -> int:
+    _require_counts(args, "sample")
     fld = _field(args)
     pts = _points(args, fld)
     reports, panel_rows = [], []
@@ -222,6 +238,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _require_counts(args, "sample", "trials")
     fld = _field(args) if args.suite in ("appendix", "bundle") else None
     seed = args.seed or 0
     failed = False
@@ -250,10 +267,9 @@ def cmd_verify(args) -> int:
         failed = any(v > args.tol for v in worst.values())
     elif args.suite == "hopf-oracle":
         rng = np.random.default_rng(seed)
-        count = args.sample or 50
         worst = {}
         matches = set()
-        for _ in range(count):
+        for _ in range(args.sample):
             v = rng.standard_normal(args.dim) + 1j * rng.standard_normal(args.dim)
             v *= rng.uniform(1.0, 2.0) / np.linalg.norm(v)
             res = HO.oracle_vs_pipeline(HO.HopfPoint(args.dim, v))

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OrderExhaustedError, StructuralError
-from .jets import Jet, constant, truncate, wirtinger
+from .errors import OrderExhaustedError
+from .jets import Jet, constant, point_derivatives, truncate, wirtinger
 from .metric import MetricJet, per_point
 
 __all__ = ["ChristoffelTable", "levi_civita", "chern", "bismut"]
@@ -72,25 +72,12 @@ class ChristoffelTable:
         return self.entries[idx]
 
     def const_table(self) -> np.ndarray:
-        shape = self.entries.shape
-        out = np.zeros(shape, dtype=complex)
-        for idx in np.ndindex(shape):
-            out[idx] = self.entries[idx].const
-        return out
+        return point_derivatives(self.entries)
 
     def dconst_table(self) -> np.ndarray:
-        """d(Gamma)/dz^E at the point: axis 0 is the derivative direction E."""
-        if self.order < 1:
-            raise OrderExhaustedError(
-                "need Christoffel jets of order >= 1 for curvature")
-        n = self.n
-        shape = (2 * n,) + self.entries.shape
-        out = np.zeros(shape, dtype=complex)
-        for idx in np.ndindex(self.entries.shape):
-            jet = self.entries[idx]
-            for E in range(2 * n):
-                out[(E,) + idx] = _dz(jet, E, n).const
-        return out
+        """d(Gamma)/dz^E at the point: axis 0 is the derivative direction E;
+        OrderExhaustedError on a table of order 0."""
+        return point_derivatives(self.entries, 1)
 
 
 @per_point

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import ChristoffelTable, bismut, chern, levi_civita
+from .connection import bismut, chern, levi_civita
 from .errors import OrderExhaustedError, StructuralError
-from .jets import Jet, wirtinger
+from .jets import Jet, point_derivatives
 from .metric import MetricJet, derivative_tables, per_point
 
 __all__ = [
@@ -25,7 +25,7 @@ __all__ = [
     "curvature_chern",
     "curvature_bismut",
     "lc_curvature_full",
-    "bundle_curvature",
+    "connection_curvature",
     "ricci",
     "complexified_ricci",
     "complexified_ricci_bianchi",
@@ -81,41 +81,35 @@ def _require_order(mj: MetricJet, k: int):
         raise OrderExhaustedError(f"metric jet order must be >= {k}")
 
 
-@per_point
-def _lc_point_tables(mj: MetricJet):
-    """Gamma_{AB}^C and dGamma[E, A, B, C] = dGamma_{AB}^C/dz^E at the
-    point, shared by the Levi-Civita and induced curvature tensors."""
-    _require_order(mj, 2)
-    lc = levi_civita(mj)
-    return lc.const_table(), lc.dconst_table()
+def connection_curvature(g: np.ndarray, dg: np.ndarray,
+                         fiber: np.ndarray) -> np.ndarray:
+    """Pointwise curvature of one connection, from its direction-first table
+    g[D, a, b] = G_{D a}^b and dg[E, D, a, b] = dG_{D a}^b/dz^E:
 
+    R_{AB a}^b = d_A G_{B a}^b - d_B G_{A a}^b
+                 - G_{A a}^c G_{B c}^b + G_{B a}^c G_{A c}^b,
 
-def _riemann(mj: MetricJet, m: int) -> np.ndarray:
-    """Pointwise R_{ABCD} for all 2n-range indices from
-
-    R_{ABC}^D = -(dGamma_{AC}^D/dz^B - dGamma_{BC}^D/dz^A
-                  + Gamma_{AC}^F Gamma_{FB}^D - Gamma_{BC}^F Gamma_{AF}^D),
-
-    the intermediate index F running over the first m directions, then
-    lowered with H_{DE}.
+    lowered with the fiber metric F_{b l} into index order (A, B, a, l).
+    Directions run over all 2n; the fiber indices over g's last two axes.
     """
-    n = mj.n
-    g, dg = _lc_point_tables(mj)
-    gf = g[:, :, :m]
+    quad = g[:, None] @ g[None]   # [A, B] = G_A G_B as fiber matrices
     r_up = (dg - dg.transpose(1, 0, 2, 3)
-            - np.einsum("acf,fbd->abcd", gf, g[:m])
-            + np.einsum("bcf,afd->abcd", gf, g[:, :m]))
-    H = np.zeros((2 * n, 2 * n), dtype=complex)
-    h0 = mj.h_at0()
-    H[:n, n:] = h0
-    H[n:, :n] = h0.T
-    return np.einsum("abcs,sd->abcd", r_up, H)
+            - quad + quad.transpose(1, 0, 2, 3))
+    return r_up @ fiber
 
 
 @per_point
 def lc_curvature_full(mj: MetricJet) -> np.ndarray:
-    """Pointwise complexified curvature R_{ABCD} for all 2n-range indices."""
-    return _riemann(mj, 2 * mj.n)
+    """Pointwise complexified curvature R_{ABCD} for all 2n-range indices:
+    the Levi-Civita table on the full tangent bundle, lowered with H_{DE}."""
+    _require_order(mj, 2)
+    n = mj.n
+    lc = levi_civita(mj)
+    H = np.zeros((2 * n, 2 * n), dtype=complex)
+    h0 = mj.h_at0()
+    H[:n, n:] = h0
+    H[n:, :n] = h0.T
+    return connection_curvature(lc.const_table(), lc.dconst_table(), H)
 
 
 @per_point
@@ -126,52 +120,38 @@ def curvature_lc(mj: MetricJet) -> CurvatureTensor:
                            point=mj.point)
 
 
+def _tangent_curvature(connection, mj: MetricJet) -> np.ndarray:
+    """(1,1)-part R_{i jbar a lbar} of ``connection(mj)``'s table on the
+    holomorphic tangent bundle: fiber indices < n, lowered with h_{b lbar}."""
+    _require_order(mj, 2)
+    n = mj.n
+    table = connection(mj)
+    g = table.const_table()[:, :n, :n]
+    dg = table.dconst_table()[..., :n, :n]
+    return connection_curvature(g, dg, mj.h_at0())[:n, n:]
+
+
 @per_point
 def curvature_induced(mj: MetricJet) -> CurvatureTensor:
     """Curvature of the projection of the Levi-Civita connection onto the
-    holomorphic tangent bundle: only unbarred intermediate indices survive."""
-    n = mj.n
-    return CurvatureTensor(kind="Induced", n=n,
-                           components=_riemann(mj, n)[:n, n:, :n, n:],
+    holomorphic tangent bundle: the Levi-Civita table restricted to fiber
+    indices < n."""
+    return CurvatureTensor(kind="Induced", n=mj.n,
+                           components=_tangent_curvature(levi_civita, mj),
                            point=mj.point)
-
-
-def bundle_curvature(table: ChristoffelTable, mj: MetricJet,
-                     lower: bool = True) -> np.ndarray:
-    """(1,1)-curvature of a connection on the holomorphic tangent bundle:
-
-    R_{i jbar a}^b = -d_jbar Gamma_{i a}^b + d_i Gamma_{jbar a}^b
-                     - Gamma_{i a}^c Gamma_{jbar c}^b
-                     + Gamma_{jbar a}^c Gamma_{i c}^b
-
-    lowered (by default) with h_{b lbar} into index order (i, jbar, a, lbar).
-    """
-    n = mj.n
-    g = table.const_table()      # (2n, n, n)
-    dg = table.dconst_table()    # (2n, 2n, n, n)
-    gh, ga = g[:n], g[n:]
-    Rup = (-np.einsum("jiab->ijab", dg[n:, :n]) + dg[:n, n:]
-           - np.einsum("iac,jcb->ijab", gh, ga)
-           + np.einsum("jac,icb->ijab", ga, gh))
-    if not lower:
-        return Rup
-    h0 = mj.h_at0()
-    return np.einsum("ijab,bl->ijal", Rup, h0)
 
 
 @per_point
 def curvature_chern(mj: MetricJet) -> CurvatureTensor:
-    _require_order(mj, 2)
-    comp = bundle_curvature(chern(mj), mj)
-    return CurvatureTensor(kind="Chern", n=mj.n, components=comp,
+    return CurvatureTensor(kind="Chern", n=mj.n,
+                           components=_tangent_curvature(chern, mj),
                            point=mj.point)
 
 
 @per_point
 def curvature_bismut(mj: MetricJet) -> CurvatureTensor:
-    _require_order(mj, 2)
-    comp = bundle_curvature(bismut(mj), mj)
-    return CurvatureTensor(kind="Bismut", n=mj.n, components=comp,
+    return CurvatureTensor(kind="Bismut", n=mj.n,
+                           components=_tangent_curvature(bismut, mj),
                            point=mj.point)
 
 
@@ -266,14 +246,8 @@ def log_det_jet(m: np.ndarray) -> Jet:
 def ricci_first_chern_logdet(mj: MetricJet) -> RicciMatrix:
     """First Ricci-Chern curvature as -d^2 log det(h) / dz^i dzbar^j."""
     _require_order(mj, 2)
-    n = mj.n
-    ld = log_det_jet(mj.h)
-    m = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            m[i, j] = -wirtinger(wirtinger(ld, "holo", i),
-                                 "antiholo", j).const
-    return RicciMatrix(flavor="first", kind="Chern-logdet", n=n, matrix=m,
+    m = -point_derivatives(log_det_jet(mj.h), 2)
+    return RicciMatrix(flavor="first", kind="Chern-logdet", n=mj.n, matrix=m,
                        point=mj.point)
 
 

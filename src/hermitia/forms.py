@@ -28,9 +28,10 @@ from functools import lru_cache
 import numpy as np
 
 from .connection import levi_civita
-from .curvature import det_jet
+from .curvature import connection_curvature, det_jet
 from .errors import StructuralError, ValidationError
-from .jets import Jet, constant, jet_conj, jet_matrix_inverse, wirtinger
+from .jets import (Jet, constant, jet_conj, jet_matrix_inverse,
+                   point_derivatives, wirtinger)
 from .metric import MetricJet, per_point
 
 __all__ = [
@@ -957,22 +958,10 @@ def _tensor(phis: FormJet, s: FormJet) -> FormJet:
 def second_hermitian_ricci(conn: ConnectionJet, mj: MetricJet) -> np.ndarray:
     """Tr_omega R^E lowered with the fiber metric: an r x r Hermitian
     matrix with entries h^{i jbar} R_{i jbar al}^{ga} <e_ga, e_be>."""
-    n, r = mj.n, conn.r
-    A = conn.amats
-    B = conn.bmats
-    out = np.zeros((r, r), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            up = mj.h_up(i, j).const
-            if up == 0:
-                continue
-            for al in range(r):
-                for ga in range(r):
-                    v = (-wirtinger(A[i][al][ga], "antiholo", j).const
-                         + wirtinger(B[j][al][ga], "holo", i).const)
-                    for de in range(r):
-                        v -= A[i][al][de].const * B[j][de][ga].const
-                        v += B[j][al][de].const * A[i][de][ga].const
-                    for be in range(r):
-                        out[al, be] += up * v * conn.fiber[ga][be].const
-    return out
+    n = mj.n
+    A, B = conn.amats, conn.bmats
+    g = np.concatenate([point_derivatives(A), point_derivatives(B)])
+    dg = np.concatenate([point_derivatives(A, 1), point_derivatives(B, 1)],
+                        axis=1)
+    R = connection_curvature(g, dg, point_derivatives(conn.fiber))
+    return np.einsum("ij,ijab->ab", mj.hinv_at0().T, R[:n, n:])

@@ -31,6 +31,7 @@ __all__ = [
     "variable",
     "constant",
     "truncate",
+    "point_derivatives",
 ]
 
 
@@ -99,6 +100,18 @@ class _Algebra:
         self.conj_perm = np.array(
             [self.index[e[n:] + e[:n]] for e in self.exponents]
         )
+
+        # basis positions of the point derivatives, by degree up to 2: the
+        # constant, each variable slot v in 0..2n-1, each z^k zbar^l at [k, l]
+        unit = np.eye(2 * n, dtype=int)
+        self.point_index = [np.array(0)]
+        if order >= 1:
+            self.point_index.append(np.array(
+                [self.index[tuple(u.tolist())] for u in unit]))
+        if order >= 2:
+            self.point_index.append(np.array(
+                [[self.index[tuple((unit[k] + unit[n + l]).tolist())]
+                  for l in range(n)] for k in range(n)]))
 
 
 @lru_cache(maxsize=None)
@@ -295,6 +308,34 @@ def wirtinger(a: Jet, which: str, index: int) -> Jet:
     out = np.zeros(low.size, dtype=complex)
     out[alg.deriv_dst[v]] = alg.deriv_fac[v] * a.coeffs[alg.deriv_src[v]]
     return Jet(a.n, a.order - 1, out, _alg=low)
+
+
+def point_derivatives(jets, degree: int = 0) -> np.ndarray:
+    """Point values (degree 0), first derivatives (1) or mixed second
+    derivatives d^2/dz^k dzbar^l (2) of an array of jets of one (n, order).
+
+    The result is one dense complex array, derivative axes first:
+    ``jets.shape`` for degree 0, ``(2n,) + jets.shape`` for degree 1 (axis 0
+    runs over z^0..z^{n-1}, then zbar^0..zbar^{n-1}) and
+    ``(n, n) + jets.shape`` for degree 2 (axes k, l).  Each entry is one
+    coefficient read by basis index: the derivative of a monomial at 0 is its
+    coefficient times the multi-index factorial, and that factorial is 1 for
+    every monomial read here, so the entries equal the ``wirtinger(...).const``
+    route bit for bit.
+    """
+    if degree not in (0, 1, 2):
+        raise StructuralError(f"point derivatives of degree {degree} are not read")
+    a = np.asarray(jets, dtype=object)
+    flat = a.ravel()
+    alg = flat[0]._alg if flat.size else None
+    if alg is None or any(j._alg is not alg for j in flat):
+        raise StructuralError("point derivatives need jets of one (n, order)")
+    if degree > alg.order:
+        raise OrderExhaustedError(
+            f"cannot read degree-{degree} derivatives off an order-{alg.order} jet")
+    idx = alg.point_index[degree]
+    coeffs = np.stack([j.coeffs for j in flat])
+    return coeffs[:, idx.ravel()].T.reshape(idx.shape + a.shape)
 
 
 def jet_inverse(a: Jet) -> Jet:

@@ -27,7 +27,8 @@ import numpy as np
 
 from .errors import (DomainError, OrderExhaustedError, ParseError,
                      StructuralError, ValidationError)
-from .jets import Jet, constant, jet_matrix_inverse, variable, wirtinger
+from .jets import (Jet, constant, jet_matrix_inverse, point_derivatives,
+                   variable)
 
 __all__ = [
     "MetricField",
@@ -77,12 +78,10 @@ class MetricJet:
         return self.hinv[j][i]
 
     def h_at0(self) -> np.ndarray:
-        return np.array([[self.h[i][j].const for j in range(self.n)]
-                         for i in range(self.n)])
+        return point_derivatives(self.h)
 
     def hinv_at0(self) -> np.ndarray:
-        return np.array([[self.hinv[i][j].const for j in range(self.n)]
-                         for i in range(self.n)])
+        return point_derivatives(self.hinv)
 
 
 def _read_only(value):
@@ -121,21 +120,9 @@ def derivative_tables(mj: MetricJet):
     order-1 jet."""
     if mj.order < 1:
         raise OrderExhaustedError("metric jet order must be >= 1")
-    n = mj.n
-    d1 = np.zeros((n, n, n), dtype=complex)
-    db1 = np.zeros((n, n, n), dtype=complex)
-    d2 = np.zeros((n, n, n, n), dtype=complex) if mj.order >= 2 else None
-    for i in range(n):
-        for j in range(n):
-            jet = mj.h[i][j]
-            for k in range(n):
-                dk = wirtinger(jet, "holo", k)
-                d1[k, i, j] = dk.const
-                db1[k, i, j] = wirtinger(jet, "antiholo", k).const
-                if d2 is not None:
-                    for l in range(n):
-                        d2[k, l, i, j] = wirtinger(dk, "antiholo", l).const
-    return d1, db1, d2
+    d = point_derivatives(mj.h, 1)
+    d2 = point_derivatives(mj.h, 2) if mj.order >= 2 else None
+    return d[:mj.n], d[mj.n:], d2
 
 
 @dataclass(frozen=True)
@@ -614,7 +601,7 @@ def metric_jet(field: MetricField, z, order: int = 3) -> MetricJet:
     else:
         raise StructuralError(f"unknown metric kind {field.kind!r}")
 
-    h0 = np.array([[h[i][j].const for j in range(n)] for i in range(n)])
+    h0 = point_derivatives(h)
     w = np.linalg.eigvalsh((h0 + h0.conj().T) / 2)
     if w.min() <= _POS_EIG_TOL:
         raise ValidationError(

@@ -14,7 +14,7 @@ import numpy as np
 
 from .connection import levi_civita
 from .errors import OrderExhaustedError
-from .jets import Jet, wirtinger
+from .jets import Jet, point_derivatives
 from .metric import MetricJet, derivative_tables
 
 __all__ = [
@@ -76,21 +76,12 @@ def laplacian_compare(mj: MetricJet, f: Jet):
     if f.order < 2:
         raise OrderExhaustedError("scalar jet order must be >= 2")
     n = mj.n
+    up = mj.hinv_at0().T          # h^{i jbar} at [i, j]
     g = levi_civita(mj).const_table()
-    can = 0.0 + 0.0j
-    for i in range(n):
-        fi = wirtinger(f, "holo", i)
-        for j in range(n):
-            can -= mj.h_up(i, j).const * wirtinger(fi, "antiholo", j).const
-    corr_bar = 0.0 + 0.0j
-    corr_hol = 0.0 + 0.0j
-    for l in range(n):
-        dfb = wirtinger(f, "antiholo", l).const
-        dfh = wirtinger(f, "holo", l).const
-        for i in range(n):
-            for j in range(n):
-                corr_bar += 2 * mj.h_up(i, j).const * g[i, n + j, n + l] * dfb
-                corr_hol += 2 * mj.h_up(i, j).const * g[j, n + i, l] * dfh
+    df = point_derivatives(f, 1)  # d/dz^l at [l], d/dzbar^l at [n + l]
+    can = -np.sum(up * point_derivatives(f, 2))
+    corr_bar = 2 * np.einsum("ij,ijl,l->", up, g[:n, n:, n:], df[n:])
+    corr_hol = 2 * np.einsum("ij,jil,l->", up, g[:n, n:, :n], df[:n])
     return complex(can + corr_bar), complex(can + corr_hol), complex(can)
 
 

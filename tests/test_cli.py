@@ -145,6 +145,37 @@ def test_flow_rejects_cadence_below_one(capsys, value):
     assert "cadence" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("curvature", "--metric", "random-torus"),
+    ("check", "--metric", "random-torus"),
+    ("verify", "--suite", "hopf-oracle"),
+    ("verify", "--suite", "appendix", "--metric", "flat"),
+    ("verify", "--suite", "normal-form")])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_sample_below_one_is_a_usage_error(capsys, argv, value):
+    # over no points, every verdict would hold vacuously
+    assert main([*argv, "--sample", value]) == 2
+    assert "--sample" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", ["appendix", "bundle", "hopf-oracle",
+                                   "normal-form"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_trials_below_one_is_a_usage_error(capsys, suite, value):
+    code = main(["verify", "--suite", suite, "--metric", "flat",
+                 "--trials", value])
+    assert code == 2
+    assert "--trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("point", ["1,x,0,0", "1,,0,0", "1,nan,0,0",
+                                   "inf,0,0,0"])
+def test_point_that_is_not_a_number_is_a_usage_error(capsys, point):
+    code = main(["curvature", "--metric", "flat", "--point", point])
+    assert code == 2
+    assert "point components" in capsys.readouterr().err
+
+
 def _cli(*argv):
     """Exit code and stderr of ``hermitia`` in a fresh process that is
     stopped after 60 s, so an input that hangs fails the test."""

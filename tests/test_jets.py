@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermitia.errors import SingularSeriesError, StructuralError
+from hermitia.errors import (OrderExhaustedError, SingularSeriesError,
+                             StructuralError)
 from hermitia.jets import (Jet, constant, jet_conj, jet_inverse,
-                           jet_matrix_inverse, jet_mul, truncate, variable,
-                           wirtinger)
+                           jet_matrix_inverse, jet_mul, point_derivatives,
+                           truncate, variable, wirtinger)
 
 
 def _random_jet(n, order, rng):
@@ -167,3 +168,23 @@ def test_numpy_and_complex_scalar_operands():
     shifted = a + 1j
     assert shifted.const == a.const + 1j
     assert np.array_equal(shifted.coeffs[1:], a.coeffs[1:])
+
+
+def test_point_derivatives_layout_and_errors():
+    a = jet_mul(variable(2, 2, 0), variable(2, 2, 1, barred=True)) * 3.0 \
+        + variable(2, 2, 1) * 2.0 + constant(0.5, 2, 2)
+    arr = np.array([[a, a * 2.0]], dtype=object)
+    assert point_derivatives(arr).shape == (1, 2)
+    d1 = point_derivatives(arr, 1)
+    assert d1.shape == (4, 1, 2)
+    assert d1[:, 0, 0].tolist() == [0, 2, 0, 0]   # d/dz^0, d/dz^1, d/dzbar^*
+    d2 = point_derivatives(a, 2)
+    assert d2.shape == (2, 2) and d2.tolist() == [[0, 3], [0, 0]]
+    with pytest.raises(OrderExhaustedError):
+        point_derivatives(constant(1.0, 2, 1), 2)
+    with pytest.raises(OrderExhaustedError):
+        point_derivatives(constant(1.0, 2, 0), 1)
+    with pytest.raises(StructuralError):
+        point_derivatives(np.array([a, constant(1.0, 2, 3)], dtype=object))
+    with pytest.raises(StructuralError):
+        point_derivatives(a, 3)

@@ -9,8 +9,9 @@ import pytest
 
 from hermitia import connection
 from hermitia.connection import levi_civita
-from hermitia.curvature import (complexified_ricci, curvature_bismut,
-                                curvature_chern, curvature_induced,
+from hermitia.curvature import (complexified_ricci, connection_curvature,
+                                curvature_bismut, curvature_chern,
+                                curvature_induced,
                                 curvature_lc, lc_curvature_full,
                                 normal_point_suite, ricci_panel, scalars)
 from hermitia.errors import OrderExhaustedError
@@ -94,5 +95,13 @@ def test_riemann_kernel_matches_entrywise_loops(n):
     full = _riemann_loops(mj, 2 * n)
     induced = _riemann_loops(mj, n)[:n, n:, :n, n:]
     assert np.max(np.abs(full)) > 1e-3
+    lc = levi_civita(mj)
+    g, dg, h0 = lc.const_table(), lc.dconst_table(), mj.h_at0()
+    H = np.block([[np.zeros((n, n)), h0], [h0.T, np.zeros((n, n))]])
+    # the one curvature formula: LC on its full table, induced on the
+    # block of fiber indices < n
+    assert np.max(np.abs(connection_curvature(g, dg, H) - full)) < 1e-12
+    got = connection_curvature(g[:, :n, :n], dg[..., :n, :n], h0)[:n, n:]
+    assert np.max(np.abs(got - induced)) < 1e-12
     assert np.max(np.abs(lc_curvature_full(mj) - full)) < 1e-12
     assert np.max(np.abs(curvature_induced(mj).components - induced)) < 1e-12
