@@ -89,9 +89,17 @@ def _envelope(args, results) -> dict:
 
 # -- metric sources and point sampling --------------------------------------
 
-_BUILTIN = ("flat", "hopf", "normal-form", "normal-form-balanced",
-            "normal-form-skt", "kahler-torus", "separable-kahler-torus",
-            "random-torus")
+# --metric name -> maker(n, seed)
+_BUILTIN = {
+    "flat": lambda n, seed: M.flat_metric(n),
+    "hopf": lambda n, seed: M.hopf_metric(n),
+    "normal-form": M.normal_form_random,
+    "normal-form-balanced": M.normal_form_balanced,
+    "normal-form-skt": M.normal_form_skt,
+    "kahler-torus": M.potential_kahler_torus,
+    "separable-kahler-torus": M.separable_kahler_torus,
+    "random-torus": M.random_torus_fourier,
+}
 
 
 def _field(args) -> M.MetricField:
@@ -102,23 +110,9 @@ def _field(args) -> M.MetricField:
     name, n, seed = args.metric, args.dim, getattr(args, "seed", 0) or 0
     if name is None:
         raise ValidationError("give exactly one of --metric/--metric-file")
-    if name == "flat":
-        return M.flat_metric(n)
-    if name == "hopf":
-        return M.hopf_metric(n)
-    if name == "normal-form":
-        return M.normal_form_random(n, seed)
-    if name == "normal-form-balanced":
-        return M.normal_form_balanced(n, seed)
-    if name == "normal-form-skt":
-        return M.normal_form_skt(n, seed)
-    if name == "kahler-torus":
-        return M.potential_kahler_torus(n, seed)
-    if name == "separable-kahler-torus":
-        return M.separable_kahler_torus(n, seed)
-    if name == "random-torus":
-        return M.random_torus_fourier(n, seed)
-    raise ValidationError(f"unknown metric {name!r}")
+    if name not in _BUILTIN:
+        raise ValidationError(f"unknown metric {name!r}")
+    return _BUILTIN[name](n, seed)
 
 
 def _parse_point(text: str, n: int) -> np.ndarray:
@@ -157,6 +151,16 @@ def _points(args, fld) -> list:
     if args.point:
         return [_parse_point(args.point, fld.n)]
     return _sample_points(fld, args.sample, args.seed or 0)
+
+
+def _worst_over_points(args, fld, suite) -> dict:
+    """The largest value of each residual of suite(mj) over the run's
+    points."""
+    worst: dict = {}
+    for z in _points(args, fld):
+        for k, v in suite(M.metric_jet(fld, z, order=3)).items():
+            worst[k] = max(worst.get(k, 0.0), v)
+    return worst
 
 
 def _require_counts(args, *names):
@@ -239,30 +243,17 @@ def cmd_check(args) -> int:
 
 def cmd_verify(args) -> int:
     _require_counts(args, "sample", "trials")
-    fld = _field(args) if args.suite in ("appendix", "bundle") else None
     seed = args.seed or 0
     failed = False
     results: dict = {"suite": args.suite, "tolerance": args.tol}
-    if args.suite == "appendix":
-        pts = _points(args, fld)
-        worst: dict = {}
-        for z in pts:
-            mj = M.metric_jet(fld, z, order=3)
-            res = FO.identity_suite(mj, trials=args.trials, seed=seed)
-            for k, v in res.items():
-                worst[k] = max(worst.get(k, 0.0), v)
-        results["residuals"] = worst
-        failed = any(v > args.tol for v in worst.values())
-    elif args.suite == "bundle":
-        pts = _points(args, fld)
-        worst = {}
-        for z in pts:
-            mj = M.metric_jet(fld, z, order=3)
+    if args.suite in ("appendix", "bundle"):
+        def suite(mj):
+            if args.suite == "appendix":
+                return FO.identity_suite(mj, trials=args.trials, seed=seed)
             conn = FO.random_metric_connection(mj, r=2, seed=seed)
-            res = FO.bundle_identity_suite(mj, conn, trials=args.trials,
-                                           seed=seed)
-            for k, v in res.items():
-                worst[k] = max(worst.get(k, 0.0), v)
+            return FO.bundle_identity_suite(mj, conn, trials=args.trials,
+                                            seed=seed)
+        worst = _worst_over_points(args, _field(args), suite)
         results["residuals"] = worst
         failed = any(v > args.tol for v in worst.values())
     elif args.suite == "hopf-oracle":
@@ -356,7 +347,7 @@ def cmd_flow(args) -> int:
 
 
 def _common(sp, sample_default=1):
-    sp.add_argument("--metric", choices=_BUILTIN)
+    sp.add_argument("--metric", choices=tuple(_BUILTIN))
     sp.add_argument("--metric-file")
     sp.add_argument("--dim", type=int, default=2)
     sp.add_argument("--point")

@@ -21,34 +21,24 @@ from .metric import MetricJet, per_point
 __all__ = ["ChristoffelTable", "levi_civita", "chern", "bismut"]
 
 
-def _dz(jet: Jet, A: int, n: int) -> Jet:
-    """Formal derivative along z^A (A < n) or zbar^{A-n}."""
-    if A < n:
-        return wirtinger(jet, "holo", A)
-    return wirtinger(jet, "antiholo", A - n)
-
-
-def _H_low(mj: MetricJet):
-    """Complexified metric H_{AB} as a (2n, 2n) object array of Jets."""
+def _first_derivatives(mj: MetricJet) -> np.ndarray:
+    """d[0|1, i, a, q] = d h_{a qbar} / dz^i | dzbar^i, a (2, n, n, n) jet
+    array of order K-1."""
+    if mj.order < 1:
+        raise OrderExhaustedError("metric jet order must be >= 1")
     n = mj.n
-    zero = constant(0.0, n, mj.order)
-    H = np.full((2 * n, 2 * n), zero, dtype=object)
-    for i in range(n):
-        for j in range(n):
-            H[i][n + j] = mj.h[i][j]
-            H[n + i][j] = mj.h[j][i]
-    return H
+    d = np.empty((2, n, n, n), dtype=object)
+    for s, i, a, q in np.ndindex(d.shape):
+        d[s, i, a, q] = wirtinger(mj.h[a][q], ("holo", "antiholo")[s], i)
+    return d
 
 
 def _H_up(mj: MetricJet):
     """Inverse complexified metric H^{AB} as a (2n, 2n) object array."""
     n = mj.n
-    zero = constant(0.0, n, mj.order)
-    U = np.full((2 * n, 2 * n), zero, dtype=object)
-    for i in range(n):
-        for j in range(n):
-            U[i][n + j] = mj.hinv[j][i]
-            U[n + i][j] = mj.hinv[i][j]
+    U = np.full((2 * n, 2 * n), constant(0.0, n, mj.order), dtype=object)
+    U[:n, n:] = mj.hinv.T
+    U[n:, :n] = mj.hinv
     return U
 
 
@@ -83,22 +73,18 @@ class ChristoffelTable:
 @per_point
 def levi_civita(mj: MetricJet) -> ChristoffelTable:
     """Gamma_{AB}^C = (1/2) H^{CE} (d_B H_{AE} + d_A H_{BE} - d_E H_{AB})."""
-    if mj.order < 1:
-        raise OrderExhaustedError("metric jet order must be >= 1")
-    n = mj.n
-    K = mj.order - 1
-    H = _H_low(mj)
+    d = _first_derivatives(mj)
+    n, K = mj.n, mj.order - 1
+    zero = constant(0.0, n, K)
     U = _H_up(mj)
     Ut = np.empty_like(U)
     for idx in np.ndindex(U.shape):
         Ut[idx] = truncate(U[idx], K)
-    dH = np.empty((2 * n, 2 * n, 2 * n), dtype=object)  # dH[B][A][E]
-    for A in range(2 * n):
-        for E in range(2 * n):
-            jet = H[A][E]
-            for B in range(2 * n):
-                dH[B][A][E] = _dz(jet, B, n)
-    zero = constant(0.0, n, K)
+    # dH[B][A][E] = d H_{AE} / dz^B: H_{a ebar} = h_{a ebar} and
+    # H_{abar e} = h_{e abar}, the unmixed blocks vanish
+    dH = np.full((2 * n, 2 * n, 2 * n), zero, dtype=object)
+    dH[:, :n, n:] = d.reshape(2 * n, n, n)
+    dH[:, n:, :n] = d.transpose(0, 1, 3, 2).reshape(2 * n, n, n)
     G = np.full((2 * n, 2 * n, 2 * n), zero, dtype=object)
     for A in range(2 * n):
         for B in range(A, 2 * n):
@@ -116,52 +102,25 @@ def levi_civita(mj: MetricJet) -> ChristoffelTable:
 
 
 def chern(mj: MetricJet) -> ChristoffelTable:
-    """Gamma_{i a}^b = h^{b qbar} d h_{a qbar} / dz^i; barred directions zero."""
-    if mj.order < 1:
-        raise OrderExhaustedError("metric jet order must be >= 1")
-    n = mj.n
-    K = mj.order - 1
-    zero = constant(0.0, n, K)
-    G = np.full((2 * n, n, n), zero, dtype=object)
-    for i in range(n):
-        for a in range(n):
-            for b in range(n):
-                acc = zero
-                for q in range(n):
-                    acc = acc + truncate(mj.hinv[q][b], K) * \
-                        wirtinger(mj.h[a][q], "holo", i)
-                G[i][a][b] = acc
+    """Gamma_{i a}^b = d h_{a qbar} / dz^i h^{b qbar}, that is dh . h^-1 on
+    the unbarred directions; barred directions zero."""
+    d = _first_derivatives(mj)
+    n, K = mj.n, mj.order - 1
+    G = np.concatenate([d[0] @ mj.hinv,
+                        np.full((n, n, n), constant(0.0, n, K), dtype=object)])
     return ChristoffelTable(kind="Chern", n=n, order=K, entries=G)
 
 
 def bismut(mj: MetricJet) -> ChristoffelTable:
-    """Unbarred direction: Gamma~_{i a}^b = h^{b qbar} d h_{i qbar} / dz^a
-    (the direction index sits on the metric, the acted index differentiates).
-    Barred direction: twice the Levi-Civita coefficient,
-    Gamma~_{jbar a}^b = h^{b ebar} (d h_{a ebar}/dzbar^j - d h_{a jbar}/dzbar^e).
+    """Unbarred direction: Gamma~_{i a}^b = h^{b qbar} d h_{i qbar} / dz^a,
+    the Chern tensor with direction and acted index swapped.  Barred
+    direction: twice the Levi-Civita coefficient,
+    Gamma~_{jbar a}^b
+        = h^{b ebar} (d h_{a ebar}/dzbar^j - d h_{a jbar}/dzbar^e),
+    that is (dbar h - dbar h^T) . h^-1 with dbar h[j, a, e].
     """
-    if mj.order < 1:
-        raise OrderExhaustedError("metric jet order must be >= 1")
-    n = mj.n
-    K = mj.order - 1
-    zero = constant(0.0, n, K)
-    G = np.full((2 * n, n, n), zero, dtype=object)
-    hinv_t = np.empty((n, n), dtype=object)
-    for q in range(n):
-        for b in range(n):
-            hinv_t[q][b] = truncate(mj.hinv[q][b], K)
-    for a in range(n):
-        for b in range(n):
-            for i in range(n):
-                acc = zero
-                for q in range(n):
-                    acc = acc + hinv_t[q][b] * wirtinger(mj.h[i][q], "holo", a)
-                G[i][a][b] = acc
-            for j in range(n):
-                acc = zero
-                for e in range(n):
-                    acc = acc + hinv_t[e][b] * (
-                        wirtinger(mj.h[a][e], "antiholo", j)
-                        - wirtinger(mj.h[a][j], "antiholo", e))
-                G[n + j][a][b] = acc
+    d = _first_derivatives(mj)
+    n, K = mj.n, mj.order - 1
+    G = np.concatenate([(d[0] @ mj.hinv).transpose(1, 0, 2),
+                        (d[1] - d[1].transpose(2, 1, 0)) @ mj.hinv])
     return ChristoffelTable(kind="Bismut", n=n, order=K, entries=G)

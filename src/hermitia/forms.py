@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .connection import levi_civita
+from .connection import chern, levi_civita
 from .curvature import connection_curvature, det_jet
 from .errors import StructuralError, ValidationError
 from .jets import (Jet, constant, jet_conj, jet_matrix_inverse,
@@ -163,17 +163,24 @@ def form_from_scalar(mj: MetricJet, f: Jet, r: int = 1,
     return out
 
 
+def _random_jets(n: int, order: int, shape: tuple, rng) -> np.ndarray:
+    """Jets with standard complex normal coefficients, drawn entry by entry
+    in C order, each one's real parts before its imaginary parts."""
+    size = _zero(n, order).coeffs.size
+    x = rng.standard_normal(shape + (2, size))
+    out = np.empty(int(np.prod(shape)), dtype=object)
+    out[:] = [Jet(n, order, c) for c in
+              (x[..., 0, :] + 1j * x[..., 1, :]).reshape(-1, size)]
+    return out.reshape(shape)
+
+
 def random_form(mj: MetricJet, p: int, q: int, rng, r: int = 1,
                 order: int | None = None) -> FormJet:
     """Random FormJet with dense random polynomial jet coefficients."""
-    n = mj.n
-    out = zero_form(mj, p, q, r, order)
-    for idx in np.ndindex(out.coeffs.shape):
-        base = out.coeffs[idx]
-        vals = (rng.standard_normal(base.coeffs.shape)
-                + 1j * rng.standard_normal(base.coeffs.shape))
-        out.coeffs[idx] = Jet(n, base.order, vals)
-    return out
+    z = zero_form(mj, p, q, r, order)  # the clamped bidegree and shape
+    order = mj.order if order is None else order
+    return FormJet(mj, z.p, z.q, r,
+                   _random_jets(mj.n, order, z.coeffs.shape, rng))
 
 
 # -- basis bookkeeping -----------------------------------------------------
@@ -326,18 +333,16 @@ def form_conj(phi: FormJet) -> FormJet:
 # -- differential operators ------------------------------------------------
 
 
+def _derive(jets: np.ndarray, side: int, i: int) -> np.ndarray:
+    """Every jet of an array differentiated along z^i (HOLO) or zbar^i
+    (ANTI)."""
+    kind = ("holo", "antiholo")[side]
+    return np.frompyfunc(lambda c: wirtinger(c, kind, i), 1, 1)(jets)
+
+
 def _dcoeffs(phi: FormJet, side: int, i: int) -> FormJet:
     """Every coefficient differentiated along z^i (HOLO) or zbar^i (ANTI)."""
-    kind = ("holo", "antiholo")[side]
-    d = np.frompyfunc(lambda c: wirtinger(c, kind, i), 1, 1)
-    return FormJet(phi.mj, phi.p, phi.q, phi.r, d(phi.coeffs))
-
-
-def _fiber_apply(out: FormJet, phi: FormJet, mat) -> None:
-    """out += phi . mat in place, mat[al][be] a fiber connection matrix."""
-    for al in range(phi.r):
-        out.coeffs[...] = (out.coeffs + phi.coeffs[..., al:al + 1]
-                           * np.array(mat[al], dtype=object))
+    return FormJet(phi.mj, phi.p, phi.q, phi.r, _derive(phi.coeffs, side, i))
 
 
 def _d(phi: FormJet, side: int, conn: "ConnectionJet | None" = None) -> FormJet:
@@ -346,7 +351,7 @@ def _d(phi: FormJet, side: int, conn: "ConnectionJet | None" = None) -> FormJet:
     for i in range(phi.n):
         d = _dcoeffs(phi, side, i)
         if conn is not None:
-            _fiber_apply(d, phi, (conn.amats, conn.bmats)[side][i])
+            d.coeffs[...] += phi.coeffs @ (conn.amats, conn.bmats)[side][i]
         out = out + _wedge1(d, side, i)
     return out
 
@@ -379,7 +384,7 @@ def _nabla(phi: FormJet, side: int, i: int,
         terms = _side_view(phi.coeffs, slots)[src[live]] * coef[:, None, None]
         np.add.at(_side_view(out.coeffs, slots), dst[live], terms)
     if conn is not None:
-        _fiber_apply(out, phi, (conn.amats, conn.bmats)[side][i])
+        out.coeffs[...] += phi.coeffs @ (conn.amats, conn.bmats)[side][i]
     return out
 
 
@@ -778,86 +783,61 @@ def identity_suite(mj: MetricJet, trials: int, seed: int) -> dict:
 
 @dataclass(frozen=True)
 class ConnectionJet:
+    """A metric connection on a rank-r bundle E at the point, as jet arrays:
+    nabla_{z^i} e_al = amats[i, al, be] e_be and nabla_{zbar^j} e_al =
+    bmats[j, al, be] e_be, both (n, r, r), and the (r, r) fiber metric
+    fiber[al, be] = <e_al, e_be>."""
     r: int
-    amats: tuple  # amats[i][al][be]: Jet, direction z^i
-    bmats: tuple  # bmats[j][al][be]: Jet, direction zbar^j
-    fiber: tuple  # fiber[al][be]: Jet, <e_al, e_be>
+    amats: np.ndarray
+    bmats: np.ndarray
+    fiber: np.ndarray
+
+
+def _unit_fiber(mj: MetricJet, r: int) -> np.ndarray:
+    """The identity fiber metric, an (r, r) jet array."""
+    one = constant(1.0 + 0.0j, mj.n, mj.order)
+    return np.where(np.eye(r, dtype=bool), one, _zero(mj.n, mj.order))
 
 
 def trivial_connection(mj: MetricJet, r: int = 1) -> ConnectionJet:
-    n = mj.n
-    z = _zero(n, mj.order)
-    one = constant(1.0 + 0.0j, n, mj.order)
-    amats = tuple(tuple(tuple(z for _ in range(r)) for _ in range(r))
-                  for _ in range(n))
-    fiber = tuple(tuple(one if a == b else z for b in range(r))
-                  for a in range(r))
-    return ConnectionJet(r=r, amats=amats, bmats=amats, fiber=fiber)
+    amats = np.full((mj.n, r, r), _zero(mj.n, mj.order), dtype=object)
+    return ConnectionJet(r=r, amats=amats, bmats=amats,
+                         fiber=_unit_fiber(mj, r))
 
 
 def chern_connection(mj: MetricJet) -> ConnectionJet:
     """The tangent bundle E = T^{1,0}M with its holomorphic-metric
-    connection: fiber metric h, (1,0)-part from the metric, (0,1)-part 0."""
-    from .connection import chern as chern_table
-    n = mj.n
-    tab = chern_table(mj)
-    z = _zero(n, mj.order - 1)
-    amats = tuple(tuple(tuple(tab.entries[i][a][b] for b in range(n))
-                        for a in range(n)) for i in range(n))
-    bz = tuple(tuple(tuple(z for _ in range(n)) for _ in range(n))
-               for _ in range(n))
-    fiber = tuple(tuple(mj.h[a][b] for b in range(n)) for a in range(n))
-    return ConnectionJet(r=n, amats=amats, bmats=bz, fiber=fiber)
+    connection: fiber metric h, (1,0)-part the Chern table, (0,1)-part 0."""
+    tab = chern(mj).entries
+    return ConnectionJet(r=mj.n, amats=tab[:mj.n], bmats=tab[mj.n:],
+                         fiber=mj.h)
 
 
 def random_metric_connection(mj: MetricJet, r: int, seed: int) -> ConnectionJet:
     """Random connection jets compatible with the identity fiber metric:
     B_j = -A_j^H at jet level."""
-    n = mj.n
     rng = np.random.default_rng(seed)
-    z = _zero(n, mj.order)
-    one = constant(1.0 + 0.0j, n, mj.order)
-    amats = []
-    bmats = []
-    for _ in range(n):
-        A = [[None] * r for _ in range(r)]
-        B = [[None] * r for _ in range(r)]
-        for al in range(r):
-            for be in range(r):
-                shape = z.coeffs.shape
-                A[al][be] = Jet(n, z.order,
-                                (rng.standard_normal(shape)
-                                 + 1j * rng.standard_normal(shape)) * 0.3)
-        for al in range(r):
-            for be in range(r):
-                B[al][be] = jet_conj(A[be][al]) * (-1.0)
-        amats.append(tuple(tuple(row) for row in A))
-        bmats.append(tuple(tuple(row) for row in B))
-    fiber = tuple(tuple(one if a == b else z for b in range(r))
-                  for a in range(r))
-    return ConnectionJet(r=r, amats=tuple(amats), bmats=tuple(bmats),
-                         fiber=fiber)
+    amats = _random_jets(mj.n, mj.order, (mj.n, r, r), rng) * 0.3
+    bmats = _jets_conj(amats).transpose(0, 2, 1) * -1.0
+    return ConnectionJet(r=r, amats=amats, bmats=bmats,
+                         fiber=_unit_fiber(mj, r))
 
 
 def check_metric_compatible(conn: ConnectionJet, n: int,
                             tol: float = 1e-10) -> None:
-    """d<s,t> = <nabla s, t> + <s, nabla t> at jet level; raises naming the
-    violated coefficient."""
-    r = conn.r
-    for i in range(n):
-        for al in range(r):
-            for be in range(r):
-                lhs = wirtinger(conn.fiber[al][be], "holo", i)
-                rhs = _zero(n, lhs.order)
-                for ga in range(r):
-                    rhs = rhs + conn.amats[i][al][ga] * conn.fiber[ga][be]
-                    rhs = rhs + (jet_conj(conn.bmats[i][be][ga])
-                                 * conn.fiber[al][ga])
-                d = lhs + rhs * (-1.0)
-                if d.max_abs() > tol:
-                    raise ValidationError(
-                        "connection not metric-compatible at fiber entry "
-                        f"({al}, {be}), direction z^{i + 1}")
+    """d<s,t> = <nabla s, t> + <s, nabla t> at jet level, that is
+    dF/dz^i - A_i F - F conj(B_i)^T = 0 for each direction; raises naming
+    the first violated coefficient."""
+    F = conn.fiber
+    dF = np.array([_derive(F, HOLO, i) for i in range(n)])
+    resid = (dF - conn.amats @ F
+             - F @ _jets_conj(conn.bmats).transpose(0, 2, 1))
+    bad = np.argwhere(np.frompyfunc(Jet.max_abs, 1, 1)(resid) > tol)
+    if len(bad):
+        i, al, be = bad[0]
+        raise ValidationError(
+            "connection not metric-compatible at fiber entry "
+            f"({al}, {be}), direction z^{i + 1}")
 
 
 def partial_e(phi: FormJet, conn: ConnectionJet) -> FormJet:
@@ -868,29 +848,20 @@ def dbar_e(phi: FormJet, conn: ConnectionJet) -> FormJet:
     return _d(phi, ANTI, conn)
 
 
-def _fiber_split(phi: FormJet):
-    """Scalar forms phi^alpha such that phi = sum phi^alpha x e_alpha."""
-    return [FormJet(phi.mj, phi.p, phi.q, 1, phi.coeffs[..., al:al + 1].copy())
-            for al in range(phi.r)]
-
-
 def _d_e_star(phi: FormJet, conn: ConnectionJet, side: int) -> FormJet:
-    """Local formula on ANTI: (dbar* phi^al) x e_al
-    - h^{i jbar} (I_jbar phi^al) nabla_i e_al; on HOLO its conjugate dual
-    (partial* phi^al) x e_al - h^{j ibar} (I_j phi^al) nabla''_ibar e_al."""
-    mj = phi.mj
-    comps = _fiber_split(phi)
-    stars = [_d_star(c, side) for c in comps]
-    acc = np.concatenate([d.coeffs for d in stars], axis=2)
-    mats = (conn.bmats, conn.amats)[side]  # the other side's direction
-    for al, c in enumerate(comps):
-        for k in range(phi.n):
-            ck = _contract(c, side, k).coeffs
-            for m in range(phi.n):
-                coef = np.array([_h_up(mj, side, k, m) * mats[m][al][be]
-                                 for be in range(phi.r)], dtype=object)
-                acc = acc + ck * (coef * (-1.0))
-    return FormJet(mj, stars[0].p, stars[0].q, phi.r, acc)
+    """Local formula on ANTI: dbar* phi - h^{i jbar} (I_jbar phi) nabla_i e,
+    dbar* acting on each fiber component; on HOLO its conjugate dual
+    partial* phi - h^{j ibar} (I_j phi) nabla''_ibar e.  The connection term
+    is sum_k (I_k phi) @ C_k with C_k = -sum_m h_up(k, m) M_m, M the other
+    side's matrices."""
+    mj, n, r = phi.mj, phi.n, phi.r
+    up = mj.hinv.T if side == HOLO else mj.hinv  # _h_up(mj, side, k, m)
+    mats = (conn.bmats, conn.amats)[side]
+    C = (up @ mats.reshape(n, r * r)).reshape(n, r, r) * -1.0
+    ik = np.array([_contract(phi, side, k).coeffs for k in range(n)])
+    out = _d_star(phi, side)
+    return FormJet(mj, out.p, out.q, r,
+                   out.coeffs + (ik @ C[:, None]).sum(axis=0))
 
 
 def dbar_e_star(phi: FormJet, conn: ConnectionJet) -> FormJet:
@@ -905,6 +876,8 @@ def bundle_identity_suite(mj: MetricJet, conn: ConnectionJet,
                           trials: int, seed: int) -> dict:
     """Residuals of the bundle commutator identities, curvature tensoriality
     and the torsion/section identity on random E-valued forms."""
+    if trials < 1:
+        raise ValidationError("trials must be >= 1")
     check_metric_compatible(conn, mj.n)
     rng = np.random.default_rng(seed)
     n, r = mj.n, conn.r
@@ -936,7 +909,7 @@ def bundle_identity_suite(mj: MetricJet, conn: ConnectionJet,
         # curvature tensoriality on a product phi_scalar x s
         phis = random_form(mj, p, q, rng, r=1)
         s = random_form(mj, 0, 0, rng, r=r)
-        prod = _tensor(phis, s)
+        prod = FormJet(mj, p, q, r, phis.coeffs * s.coeffs[0, 0])
         lhs = pe(de(prod)) + de(pe(prod))
         rhs_s = pe(de(s)) + de(pe(s))
         rhs = wedge(phis, rhs_s)
@@ -950,18 +923,11 @@ def bundle_identity_suite(mj: MetricJet, conn: ConnectionJet,
     return res
 
 
-def _tensor(phis: FormJet, s: FormJet) -> FormJet:
-    """(scalar form) x (section): multiply the section coefficients in."""
-    return FormJet(phis.mj, phis.p, phis.q, s.r, phis.coeffs * s.coeffs[0, 0])
-
-
 def second_hermitian_ricci(conn: ConnectionJet, mj: MetricJet) -> np.ndarray:
     """Tr_omega R^E lowered with the fiber metric: an r x r Hermitian
     matrix with entries h^{i jbar} R_{i jbar al}^{ga} <e_ga, e_be>."""
     n = mj.n
-    A, B = conn.amats, conn.bmats
-    g = np.concatenate([point_derivatives(A), point_derivatives(B)])
-    dg = np.concatenate([point_derivatives(A, 1), point_derivatives(B, 1)],
-                        axis=1)
-    R = connection_curvature(g, dg, point_derivatives(conn.fiber))
+    tab = np.concatenate([conn.amats, conn.bmats])
+    R = connection_curvature(point_derivatives(tab), point_derivatives(tab, 1),
+                             point_derivatives(conn.fiber))
     return np.einsum("ij,ijab->ab", mj.hinv_at0().T, R[:n, n:])

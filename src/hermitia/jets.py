@@ -171,16 +171,6 @@ class Jet:
             raise StructuralError(f"multi-degree {key} exceeds order {self.order}")
         return complex(self.coeffs[idx])
 
-    def eval(self, dz) -> complex:
-        """Evaluate the series at displacement dz (zbar slots get conj(dz))."""
-        dz = np.asarray(dz, dtype=complex)
-        vals = np.concatenate([dz, np.conj(dz)])
-        total = 0.0 + 0.0j
-        for e, c in zip(self._alg.exponents, self.coeffs):
-            if c != 0:
-                total += c * np.prod(vals ** np.array(e))
-        return complex(total)
-
     # -- arithmetic --------------------------------------------------------
 
     def _match(self, other: "Jet"):

@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import (DomainError, OrderExhaustedError, ParseError,
                      StructuralError, ValidationError)
-from .jets import (Jet, constant, jet_matrix_inverse, point_derivatives,
-                   variable)
+from .jets import (Jet, constant, jet_inverse, jet_matrix_inverse,
+                   point_derivatives, variable)
 
 __all__ = [
     "MetricField",
@@ -564,7 +564,6 @@ def metric_jet(field: MetricField, z, order: int = 3) -> MetricJet:
                               const=float(np.sum(np.abs(z) ** 2)))
         for k in range(n):
             r2 = r2 + variable(n, order, k) * variable(n, order, k, barred=True)
-        from .jets import jet_inverse
         inv_r2 = jet_inverse(r2)
         for i in range(n):
             for j in range(n):

@@ -140,6 +140,17 @@ def test_bundle_identity_suite():
     assert max(res.values()) < 1e-11, res
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_suites_refuse_a_run_over_no_trials(trials):
+    mj = _hopf()
+    conn = random_metric_connection(mj, r=2, seed=1)
+    for run in (lambda: identity_suite(mj, trials=trials, seed=0),
+                lambda: bundle_identity_suite(mj, conn, trials=trials,
+                                              seed=0)):
+        with pytest.raises(ValidationError, match="trials must be >= 1"):
+            run()
+
+
 def test_bundle_operators_on_the_trivial_line_are_the_scalar_ones():
     mj = _hopf()
     triv = trivial_connection(mj, r=1)
@@ -237,7 +248,7 @@ def test_bundle_trial_star_calls(monkeypatch):
     conn = random_metric_connection(mj, r=2, seed=1)
     calls = _count_star(monkeypatch)
     bundle_identity_suite(mj, conn, trials=1, seed=0)
-    assert len(calls) == 20
+    assert len(calls) == 12
 
 
 # -- compound-matrix Gram factors and the mat-vec adjoint ------------------
@@ -428,7 +439,8 @@ def _reference_star(op, phi, ddeg, fiber=None):
     mj, r = phi.mj, phi.r
     sp, sq = phi.p - ddeg[0], phi.q - ddeg[1]
     one = constant(1.0, mj.n, mj.order)
-    f = fiber or [[one * float(a == b) for b in range(r)] for a in range(r)]
+    f = fiber if fiber is not None else \
+        [[one * float(a == b) for b in range(r)] for a in range(r)]
 
     def with_fiber(g):
         return np.array([[g[a // r, b // r] * f[a % r][b % r]

@@ -23,13 +23,13 @@ from hermitia.structure import kahler_defect, skt_defect, structure_report
 
 def test_levi_civita_built_once_across_the_point_pipeline(monkeypatch):
     calls = []
-    h_low = connection._H_low   # called by levi_civita alone
+    h_up = connection._H_up   # called by levi_civita alone
 
     def spy(mj):
         calls.append(mj)
-        return h_low(mj)
+        return h_up(mj)
 
-    monkeypatch.setattr(connection, "_H_low", spy)
+    monkeypatch.setattr(connection, "_H_up", spy)
     mj = metric_jet(normal_form_skt(3, 0), np.zeros(3, complex), order=3)
     ricci_panel(mj)
     scalars(mj)
