@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -191,9 +192,9 @@ def cmd_curvature(args) -> int:
         if what in ("tensor", "all"):
             entry["tensor"] = tensor.components
         if what in ("ricci1", "all"):
-            entry["ricci1"] = C.ricci(tensor, mj, "first").matrix
+            entry["ricci1"] = C.ricci(tensor, mj, "first")
         if what in ("ricci2", "all"):
-            entry["ricci2"] = C.ricci(tensor, mj, "second").matrix
+            entry["ricci2"] = C.ricci(tensor, mj, "second")
         if what in ("ricci-panel", "all"):
             entry["ricci_panel"] = C.ricci_panel(mj)
         if what in ("scalars", "all"):
@@ -346,14 +347,39 @@ def cmd_flow(args) -> int:
 # -- parser -----------------------------------------------------------------
 
 
+def _tolerance(text: str) -> float:
+    """--tol: a finite number >= 0.  Every comparison with NaN is false, so
+    a NaN tolerance would fail no residual."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """--seed: an integer >= 0, as numpy's generators require."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 0, got {text!r}")
+    return value
+
+
 def _common(sp, sample_default=1):
     sp.add_argument("--metric", choices=tuple(_BUILTIN))
     sp.add_argument("--metric-file")
     sp.add_argument("--dim", type=int, default=2)
     sp.add_argument("--point")
     sp.add_argument("--sample", type=int, default=sample_default)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--seed", type=_seed, default=0)
+    sp.add_argument("--tol", type=_tolerance, default=1e-9)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OrderExhaustedError
 from .jets import Jet, constant, point_derivatives, truncate, wirtinger
 from .metric import MetricJet, per_point
 
@@ -24,8 +23,6 @@ __all__ = ["ChristoffelTable", "levi_civita", "chern", "bismut"]
 def _first_derivatives(mj: MetricJet) -> np.ndarray:
     """d[0|1, i, a, q] = d h_{a qbar} / dz^i | dzbar^i, a (2, n, n, n) jet
     array of order K-1."""
-    if mj.order < 1:
-        raise OrderExhaustedError("metric jet order must be >= 1")
     n = mj.n
     d = np.empty((2, n, n, n), dtype=object)
     for s, i, a, q in np.ndindex(d.shape):

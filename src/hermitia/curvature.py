@@ -13,12 +13,11 @@ import numpy as np
 
 from .connection import bismut, chern, levi_civita
 from .errors import OrderExhaustedError, StructuralError
-from .jets import Jet, point_derivatives
+from .jets import Jet
 from .metric import MetricJet, derivative_tables, per_point
 
 __all__ = [
     "CurvatureTensor",
-    "RicciMatrix",
     "ScalarReport",
     "curvature_lc",
     "curvature_induced",
@@ -29,11 +28,8 @@ __all__ = [
     "ricci",
     "complexified_ricci",
     "complexified_ricci_bianchi",
-    "ricci_first_chern_logdet",
     "scalars",
-    "hup_at0",
     "det_jet",
-    "log_det_jet",
     "ricci_panel",
     "curvature_comparison",
     "normal_point_suite",
@@ -45,15 +41,6 @@ class CurvatureTensor:
     kind: str  # LeviCivita | Induced | Chern | Bismut
     n: int
     components: np.ndarray  # (n, n, n, n), indexed (i, jbar, k, lbar)
-    point: np.ndarray
-
-
-@dataclass(frozen=True)
-class RicciMatrix:
-    flavor: str
-    kind: str
-    n: int
-    matrix: np.ndarray
     point: np.ndarray
 
 
@@ -71,7 +58,7 @@ class ScalarReport:
                 "S_CH": self.S_CH, "S_BM": self.S_BM}
 
 
-def hup_at0(mj: MetricJet) -> np.ndarray:
+def _hup_at0(mj: MetricJet) -> np.ndarray:
     """h^{i jbar} at the point as a matrix indexed [i, j]."""
     return mj.hinv_at0().T
 
@@ -158,59 +145,36 @@ def curvature_bismut(mj: MetricJet) -> CurvatureTensor:
 # -- Ricci contractions ----------------------------------------------------
 
 
-def ricci(t: CurvatureTensor, mj: MetricJet, flavor: str) -> RicciMatrix:
-    """Contract a curvature tensor to a Ricci matrix.
-
-    flavors: 'first' (trace over the bundle pair, matrix indexed by the form
-    pair), 'second' (trace over the form pair), 'hermitian' (the 'second'
-    contraction of the Levi-Civita tensor), 'complexified' (Levi-Civita only,
-    computed from the full curvature).
-    """
-    up = hup_at0(mj)
+def ricci(t: CurvatureTensor, mj: MetricJet, flavor: str) -> np.ndarray:
+    """Contract a curvature tensor to a Ricci matrix: flavor 'first' traces
+    the bundle pair (the matrix is indexed by the form pair), 'second' the
+    form pair.  The 'second' trace of the Levi-Civita tensor is the
+    Hermitian Ricci matrix."""
+    up = _hup_at0(mj)
     if flavor == "first":
-        m = np.einsum("kl,ijkl->ij", up, t.components)
-    elif flavor == "second":
-        m = np.einsum("ij,ijkl->kl", up, t.components)
-    elif flavor == "hermitian":
-        if t.kind != "LeviCivita":
-            raise StructuralError("hermitian Ricci requires the LeviCivita kind")
-        m = np.einsum("ij,ijkl->kl", up, t.components)
-    elif flavor == "complexified":
-        if t.kind != "LeviCivita":
-            raise StructuralError(
-                "complexified Ricci requires the LeviCivita kind")
-        return complexified_ricci(mj)
-    else:
-        raise StructuralError(f"unknown Ricci flavor {flavor!r}")
-    return RicciMatrix(flavor=flavor, kind=t.kind, n=t.n, matrix=m,
-                       point=t.point)
+        return np.einsum("kl,ijkl->ij", up, t.components)
+    if flavor == "second":
+        return np.einsum("ij,ijkl->kl", up, t.components)
+    raise StructuralError(f"unknown Ricci flavor {flavor!r}")
 
 
 @per_point
-def complexified_ricci(mj: MetricJet) -> RicciMatrix:
+def complexified_ricci(mj: MetricJet) -> np.ndarray:
     """R_{k lbar} = h^{i jbar} (R_{k jbar i lbar} + R_{k i jbar lbar})."""
     n = mj.n
     full = lc_curvature_full(mj)
-    up = hup_at0(mj)
-    m = (np.einsum("ij,kjil->kl", up, full[:n, n:, :n, n:])
-         + np.einsum("ij,kijl->kl", up, full[:n, :n, n:, n:]))
-    return RicciMatrix(flavor="complexified", kind="LeviCivita", n=n,
-                       matrix=m, point=mj.point)
+    up = _hup_at0(mj)
+    return (np.einsum("ij,kjil->kl", up, full[:n, n:, :n, n:])
+            + np.einsum("ij,kijl->kl", up, full[:n, :n, n:, n:]))
 
 
-def complexified_ricci_bianchi(mj: MetricJet) -> RicciMatrix:
+def complexified_ricci_bianchi(mj: MetricJet) -> np.ndarray:
     """Second route: R_{k lbar} = h^{i jbar} (2 R_{k jbar i lbar}
     - R_{k lbar i jbar}), using only the (1,1)-slice."""
-    n = mj.n
     slice11 = curvature_lc(mj).components
-    up = hup_at0(mj)
-    m = (2 * np.einsum("ij,kjil->kl", up, slice11)
-         - np.einsum("ij,klij->kl", up, slice11))
-    return RicciMatrix(flavor="complexified-bianchi", kind="LeviCivita", n=n,
-                       matrix=m, point=mj.point)
-
-
-# -- determinant route for the first Ricci-Chern curvature -----------------
+    up = _hup_at0(mj)
+    return (2 * np.einsum("ij,kjil->kl", up, slice11)
+            - np.einsum("ij,klij->kl", up, slice11))
 
 
 def det_jet(m: np.ndarray) -> Jet:
@@ -228,31 +192,8 @@ def det_jet(m: np.ndarray) -> Jet:
     return acc
 
 
-def log_det_jet(m: np.ndarray) -> Jet:
-    """log det of a matrix of Jets with positive-definite constant term,
-    up to an additive constant (log of the constant determinant, which the
-    derivatives never see)."""
-    d = det_jet(m)
-    c = d.const
-    u = d * (1.0 / c) - 1.0  # zero constant term
-    out = u * 0.0
-    term = u * 0.0 + 1.0
-    for k in range(1, d.order + 1):
-        term = term * u
-        out = out + term * ((-1.0) ** (k + 1) / k)
-    return out
-
-
-def ricci_first_chern_logdet(mj: MetricJet) -> RicciMatrix:
-    """First Ricci-Chern curvature as -d^2 log det(h) / dz^i dzbar^j."""
-    _require_order(mj, 2)
-    m = -point_derivatives(log_det_jet(mj.h), 2)
-    return RicciMatrix(flavor="first", kind="Chern-logdet", n=mj.n, matrix=m,
-                       point=mj.point)
-
-
 def scalars(mj: MetricJet) -> ScalarReport:
-    up = hup_at0(mj)
+    up = _hup_at0(mj)
     R_full = curvature_lc(mj).components
     R_hat = curvature_induced(mj).components
     Theta = curvature_chern(mj).components
@@ -261,7 +202,7 @@ def scalars(mj: MetricJet) -> ScalarReport:
     S_LC = np.einsum("kl,ij,ijkl->", up, up, R_hat)
     S_CH = np.einsum("kl,ij,ijkl->", up, up, Theta)
     S_BM = np.einsum("kl,ij,ijkl->", up, up, B)
-    Rc = complexified_ricci(mj).matrix
+    Rc = complexified_ricci(mj)
     s_h = np.einsum("kl,kl->", up, Rc)
     return ScalarReport(s_h=complex(s_h), S=complex(S), S_LC=complex(S_LC),
                         S_CH=complex(S_CH), S_BM=complex(S_BM), point=mj.point)
@@ -289,14 +230,14 @@ def ricci_panel(mj: MetricJet) -> dict:
     rch = curvature_chern(mj)
     rbm = curvature_bismut(mj)
     return {
-        "chern_first": ricci(rch, mj, "first").matrix,
-        "chern_second": ricci(rch, mj, "second").matrix,
-        "induced_first": ricci(rind, mj, "first").matrix,
-        "induced_second": ricci(rind, mj, "second").matrix,
-        "bismut_first": ricci(rbm, mj, "first").matrix,
-        "bismut_second": ricci(rbm, mj, "second").matrix,
-        "hermitian": ricci(rlc, mj, "hermitian").matrix,
-        "complexified": complexified_ricci(mj).matrix,
+        "chern_first": ricci(rch, mj, "first"),
+        "chern_second": ricci(rch, mj, "second"),
+        "induced_first": ricci(rind, mj, "first"),
+        "induced_second": ricci(rind, mj, "second"),
+        "bismut_first": ricci(rbm, mj, "first"),
+        "bismut_second": ricci(rbm, mj, "second"),
+        "hermitian": ricci(rlc, mj, "second"),
+        "complexified": complexified_ricci(mj),
     }
 
 
@@ -320,9 +261,9 @@ def curvature_comparison(mj: MetricJet, trials: int, seed: int) -> dict:
         val = np.einsum("ijkl,i,j,k,l->", diff, u, u.conj(), v, v.conj())
         worst = max(worst, val.real)
         max_imag = max(max_imag, abs(val.imag))
-    herm = ricci(curvature_lc(mj), mj, "hermitian").matrix
-    first = ricci(curvature_induced(mj), mj, "first").matrix
-    second = ricci(curvature_induced(mj), mj, "second").matrix
+    herm = ricci(curvature_lc(mj), mj, "second")
+    first = ricci(curvature_induced(mj), mj, "first")
+    second = ricci(curvature_induced(mj), mj, "second")
     return {
         "max_contraction": worst,
         "max_contraction_imag": max_imag,

@@ -38,7 +38,6 @@ __all__ = [
     "hopf_self_similar",
     "hopf_extinction_time",
     "write_grid_dump",
-    "read_grid_dump",
     "write_diagnostics_csv",
 ]
 
@@ -648,23 +647,6 @@ def write_grid_dump(state: FlowState, path):
                     v = flat[s, i, j]
                     w.writerow([s, i, j, repr(float(v.real)),
                                 repr(float(v.imag))])
-
-
-def read_grid_dump(path) -> FlowState:
-    with open(path) as f:
-        header = f.readline()
-        if not header.startswith("#"):
-            raise StructuralError("grid dump must start with a '#' header")
-        meta = dict(tok.split("=", 1) for tok in header[1:].split())
-        n, N = int(meta["dims"]), int(meta["N"])
-        t, mu = float(meta["t"]), float(meta["mu"])
-        rows = list(csv.reader(f))
-    flat = np.zeros((N ** (2 * n), n, n), dtype=complex)
-    for row in rows[1:]:
-        s, i, j = int(row[0]), int(row[1]), int(row[2])
-        flat[s, i, j] = float(row[3]) + 1j * float(row[4])
-    h = flat.reshape((N,) * (2 * n) + (n, n))
-    return FlowState(n=n, N=N, h=h, t=t, mu=mu)
 
 
 def write_diagnostics_csv(series, path):

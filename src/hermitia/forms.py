@@ -38,12 +38,9 @@ __all__ = [
     "FormJet",
     "ConnectionJet",
     "zero_form",
-    "form_from_scalar",
     "random_form",
-    "two_omega",
     "omega_form",
     "wedge",
-    "form_conj",
     "partial",
     "dbar",
     "d_prime",
@@ -52,7 +49,6 @@ __all__ = [
     "delta0_second",
     "l_op",
     "lambda_op",
-    "lambda_matrix_adjoint",
     "a_op",
     "b_op",
     "c_op",
@@ -61,8 +57,6 @@ __all__ = [
     "star",
     "partial_star",
     "dbar_star",
-    "apply",
-    "OPERATORS",
     "inner",
     "gram",
     "identity_suite",
@@ -154,13 +148,6 @@ def zero_form(mj: MetricJet, p: int, q: int, r: int = 1,
     z = _zero(n, order)
     coeffs[...] = z
     return FormJet(mj, p, q, r, coeffs)
-
-
-def form_from_scalar(mj: MetricJet, f: Jet, r: int = 1,
-                     component: int = 0) -> FormJet:
-    out = zero_form(mj, 0, 0, r, order=f.order)
-    out.coeffs[0, 0, component] = f
-    return out
 
 
 def _random_jets(n: int, order: int, shape: tuple, rng) -> np.ndarray:
@@ -323,13 +310,6 @@ def wedge(phi: FormJet, psi: FormJet) -> FormJet:
     return out
 
 
-def form_conj(phi: FormJet) -> FormJet:
-    """Complex conjugate; bidegree (p, q) -> (q, p)."""
-    out = _jets_conj(phi.coeffs.swapaxes(0, 1))
-    return FormJet(phi.mj, phi.q, phi.p, phi.r,
-                   out * float((-1) ** (phi.p * phi.q)))
-
-
 # -- differential operators ------------------------------------------------
 
 
@@ -435,12 +415,9 @@ def delta0_second(phi: FormJet, conn=None) -> FormJet:
 # -- omega and the algebraic operators -------------------------------------
 
 
-def two_omega(mj: MetricJet) -> FormJet:
-    return FormJet(mj, 1, 1, 1, (mj.h * 1j)[..., None])
-
-
 def omega_form(mj: MetricJet) -> FormJet:
-    return two_omega(mj) * 0.5
+    """The fundamental form omega = (sqrt(-1)/2) h_{i jbar} dz^i ^ dzbar^j."""
+    return FormJet(mj, 1, 1, 1, (mj.h * 1j)[..., None]) * 0.5
 
 
 def _assemble(n: int, p: int, q: int, side: int, moves: tuple,
@@ -652,39 +629,11 @@ def star(op: _Algebraic, phi: FormJet, fiber=None) -> FormJet:
     return FormJet(mj, sp, sq, r, _jets_conj(x).reshape(shape))
 
 
-def lambda_matrix_adjoint(phi: FormJet) -> FormJet:
-    """Lambda realized as the matrix adjoint of L; ground-truth cross-check
-    for lambda_op."""
-    return star(l_op, phi)
-
-
-def _adjoint(op):
-    """Pointwise adjoint of op; star is looked up at call time."""
-    def op_star(phi, fiber=None):
-        return star(op, phi, fiber)
-    return op_star
-
-
-_a_star = _adjoint(a_op)
-_b_star = _adjoint(b_op)
-_c_star = _adjoint(c_op)
-_tau_star = _adjoint(tau)
-_abar_star = _adjoint(_a_bar)
-_bbar_star = _adjoint(_b_bar)
-_cbar_star = _adjoint(_c_bar)
-_tau_bar_star = _adjoint(tau_bar)
-
-
 def _d_star(phi: FormJet, side: int) -> FormJet:
     """Local formula: delta0 - (B* + C*)/2 on HOLO (partial*), the
     conjugates on ANTI (dbar*)."""
-    b_star, c_star = ((_b_star, _c_star), (_bbar_star, _cbar_star))[side]
-    return _delta0(phi, side) - (b_star(phi) + c_star(phi)) * 0.5
-
-
-def _delta(phi: FormJet, side: int) -> FormJet:
-    """delta0 - C*/2 on HOLO, delta0 - Cbar*/2 on ANTI."""
-    return _delta0(phi, side) - (_c_star, _cbar_star)[side](phi) * 0.5
+    b, c = ((b_op, c_op), (_b_bar, _c_bar))[side]
+    return _delta0(phi, side) - (star(b, phi) + star(c, phi)) * 0.5
 
 
 def dbar_star(phi: FormJet) -> FormJet:
@@ -693,49 +642,6 @@ def dbar_star(phi: FormJet) -> FormJet:
 
 def partial_star(phi: FormJet) -> FormJet:
     return _d_star(phi, HOLO)
-
-
-def delta_prime(phi: FormJet) -> FormJet:
-    return _delta(phi, HOLO)
-
-
-def delta_second(phi: FormJet) -> FormJet:
-    return _delta(phi, ANTI)
-
-
-OPERATORS = {
-    "L": l_op,
-    "Lambda": lambda_op,
-    "partial": partial,
-    "dbar": dbar,
-    "Dprime": d_prime,
-    "Dsecond": d_second,
-    "delta0prime": delta0_prime,
-    "delta0second": delta0_second,
-    "deltaprime": delta_prime,
-    "deltasecond": delta_second,
-    "A": a_op,
-    "B": b_op,
-    "C": c_op,
-    "tau": tau,
-    "taubar": tau_bar,
-    "Astar": _a_star,
-    "Bstar": _b_star,
-    "Cstar": _c_star,
-    "Abarstar": _abar_star,
-    "Bbarstar": _bbar_star,
-    "Cbarstar": _cbar_star,
-    "taustar": _tau_star,
-    "taubarstar": _tau_bar_star,
-    "partialstar": partial_star,
-    "dbarstar": dbar_star,
-}
-
-
-def apply(name: str, phi: FormJet) -> FormJet:
-    if name not in OPERATORS:
-        raise ValidationError(f"unknown operator {name!r}")
-    return OPERATORS[name](phi)
 
 
 # -- identity suite --------------------------------------------------------
@@ -757,7 +663,7 @@ def identity_suite(mj: MetricJet, trials: int, seed: int) -> dict:
         phi = random_form(mj, p, q, rng)
         # each operator value on phi once: the adjoints dominate a trial
         lam, d_phi, ds = lambda_op(phi), partial(phi), dbar_star(phi)
-        ab, bb, cb = _abar_star(phi), _bbar_star(phi), _cbar_star(phi)
+        ab, bb, cb = star(_a_bar, phi), star(_b_bar, phi), star(_c_bar, phi)
         comm = lambda op: lambda_op(op(phi)) - op(lam)
         r1 = comm(a_op) + bb * 1j
         res["lambda_a"] = max(res["lambda_a"], r1.max_const())
@@ -770,7 +676,7 @@ def identity_suite(mj: MetricJet, trials: int, seed: int) -> dict:
         r5 = ds - delta0_second(phi) + (bb + cb) * 0.5
         res["dbar_star_split"] = max(res["dbar_star_split"], r5.max_const())
         r6 = (lambda_op(d_phi) - partial(lam)
-              - (ds + _tau_bar_star(phi)) * 1j)
+              - (ds + star(tau_bar, phi)) * 1j)
         res["kahler_torsion"] = max(res["kahler_torsion"], r6.max_const())
     w = omega_form(mj)
     r7 = dbar_star(w) - lambda_op(partial(w)) * 1j
@@ -901,10 +807,10 @@ def bundle_identity_suite(mj: MetricJet, conn: ConnectionJet,
         r2 = pes(l_phi) - l_op(pes_phi) + (de_phi + tau_bar(phi)) * 1j
         res["partial_e_star_L"] = max(res["partial_e_star_L"], r2.max_const())
         r3 = (lambda_op(pe_phi) - pe(lam)
-              - (des_phi + _tau_bar_star(phi, fib)) * 1j)
+              - (des_phi + star(tau_bar, phi, fib)) * 1j)
         res["lambda_partial_e"] = max(res["lambda_partial_e"], r3.max_const())
         r4 = (lambda_op(de_phi) - de(lam)
-              + (pes_phi + _tau_star(phi, fib)) * 1j)
+              + (pes_phi + star(tau, phi, fib)) * 1j)
         res["lambda_dbar_e"] = max(res["lambda_dbar_e"], r4.max_const())
         # curvature tensoriality on a product phi_scalar x s
         phis = random_form(mj, p, q, rng, r=1)

@@ -110,19 +110,19 @@ def oracle_vs_pipeline(p: HopfPoint) -> dict:
                                 abs(g[n:, :n, :n] - g_bu).max()))
     th = curvature_chern(mj)
     out["theta"] = float(abs(th.components - oracle(p, "theta")).max())
-    out["theta1"] = float(abs(ricci(th, mj, "first").matrix
+    out["theta1"] = float(abs(ricci(th, mj, "first")
                               - oracle(p, "theta1")).max())
-    out["theta2"] = float(abs(ricci(th, mj, "second").matrix
+    out["theta2"] = float(abs(ricci(th, mj, "second")
                               - oracle(p, "theta2")).max())
     rlc = curvature_lc(mj)
     out["riemann"] = float(abs(rlc.components - oracle(p, "riemann")).max())
-    out["ricci_lc"] = float(abs(ricci(rlc, mj, "hermitian").matrix
+    out["ricci_lc"] = float(abs(ricci(rlc, mj, "second")
                                 - oracle(p, "ricci_lc")).max())
     bt = curvature_bismut(mj)
     out["bismut_tensor"] = float(abs(bt.components
                                      - oracle(p, "bismut_tensor")).max())
-    b1 = ricci(bt, mj, "first").matrix
-    b2 = ricci(bt, mj, "second").matrix
+    b1 = ricci(bt, mj, "first")
+    b2 = ricci(bt, mj, "second")
     out["b1_printed"] = float(abs(b1 - oracle(p, "b1_printed")).max())
     out["b1_corrected"] = float(abs(b1 - oracle(p, "b1_corrected")).max())
     out["b2_printed"] = float(abs(b2 - oracle(p, "b2_printed")).max())

@@ -23,7 +23,6 @@ from .errors import OrderExhaustedError, SingularSeriesError, StructuralError
 
 __all__ = [
     "Jet",
-    "jet_mul",
     "wirtinger",
     "jet_conj",
     "jet_inverse",
@@ -261,10 +260,6 @@ def variable(n: int, order: int, index: int, barred: bool = False) -> Jet:
     c = np.zeros(alg.size, dtype=complex)
     c[alg.index[tuple(e)]] = 1.0
     return Jet(n, order, c)
-
-
-def jet_mul(a: Jet, b: Jet) -> Jet:
-    return a * b
 
 
 def jet_conj(a: Jet) -> Jet:

@@ -8,7 +8,6 @@ Supported kinds:
   term, so h(0) = identity and all Christoffel symbols vanish at 0.
 - ``TorusFourier``: finite Fourier series over the real torus [0,1)^{2n},
   with z^j = x^j + i x^{n+j}.
-- ``Scaled``: positive constant multiple of a base field.
 
 ``metric_jet`` produces exact Taylor jets of h and h^{-1} at a point; all
 connection and curvature computations downstream consume only ``MetricJet``.
@@ -25,8 +24,7 @@ from math import factorial
 
 import numpy as np
 
-from .errors import (DomainError, OrderExhaustedError, ParseError,
-                     StructuralError, ValidationError)
+from .errors import DomainError, ParseError, StructuralError, ValidationError
 from .jets import (Jet, constant, jet_inverse, jet_matrix_inverse,
                    point_derivatives, variable)
 
@@ -46,7 +44,6 @@ __all__ = [
     "potential_kahler_torus",
     "separable_kahler_torus",
     "random_torus_fourier",
-    "scaled",
     "evaluate",
     "metric_jet",
     "ingest_torus_metric",
@@ -118,8 +115,6 @@ def derivative_tables(mj: MetricJet):
     d1[k, i, j] = dh_{i jbar}/dz^k, db1[k, i, j] = dh_{i jbar}/dzbar^k and
     d2[k, l, i, j] = d^2 h_{i jbar}/dz^k dzbar^l.  d2 is None on an
     order-1 jet."""
-    if mj.order < 1:
-        raise OrderExhaustedError("metric jet order must be >= 1")
     d = point_derivatives(mj.h, 1)
     d2 = point_derivatives(mj.h, 2) if mj.order >= 2 else None
     return d[:mj.n], d[mj.n:], d2
@@ -130,20 +125,16 @@ class MetricField:
     """A Hermitian metric field on a chart of C^n (or the torus)."""
 
     n: int
-    kind: str  # Flat | Hopf | NormalForm | TorusFourier | Scaled
+    kind: str  # Flat | Hopf | NormalForm | TorusFourier
     # NormalForm: list of (alpha, beta, M) monomial terms; the field value is
     #   identity + sum M z^alpha zbar^beta (conjugate partners included).
     terms: tuple = ()
     # TorusFourier: list of (m, A) with m an int vector of length 2n.
     modes: tuple = ()
-    base: "MetricField | None" = None
-    factor: float = 1.0
 
     def admissible(self, z) -> bool:
         if self.kind == "Hopf":
             return float(np.linalg.norm(z)) > 0
-        if self.kind == "Scaled":
-            return self.base.admissible(z)
         return True
 
 
@@ -167,12 +158,6 @@ def hopf_metric(n: int) -> MetricField:
     if n < 2:
         raise StructuralError("the Hopf family needs n >= 2")
     return MetricField(n=n, kind="Hopf")
-
-
-def scaled(base: MetricField, factor: float) -> MetricField:
-    if factor <= 0:
-        raise ValidationError("scale factor must be positive")
-    return MetricField(n=base.n, kind="Scaled", base=base, factor=factor)
 
 
 def polynomial_metric(n: int, terms, allow_linear: bool = False) -> MetricField:
@@ -235,42 +220,37 @@ def _assemble_polynomial(n, d, p, cubic=None):
     return polynomial_metric(n, terms)
 
 
-def normal_form_random(n: int, seed: int, scale: float = 0.1,
-                       with_cubic: bool = True) -> MetricField:
-    """Random zero-linear-term polynomial metric: generic second derivatives."""
+def normal_form_random(n: int, seed: int) -> MetricField:
+    """Random zero-linear-term polynomial metric: generic second and third
+    derivatives."""
     _check_dim(n)
     rng = np.random.default_rng(seed)
 
     def cplx(shape):
-        return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        return 0.1 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
     d = cplx((n, n, n, n))
     p = cplx((n, n, n, n))
-    cubic = []
-    if with_cubic:
-        e = np.eye(n, dtype=int)
-        for k in range(n):
-            for l in range(n):
-                for m in range(n):
-                    M = cplx((n, n)) * 0.3
-                    cubic.append((tuple(e[k] + e[l]), tuple(e[m]), M))
+    e = np.eye(n, dtype=int)
+    cubic = [(tuple(e[k] + e[l]), tuple(e[m]), cplx((n, n)) * 0.3)
+             for k in range(n) for l in range(n) for m in range(n)]
     return _assemble_polynomial(n, d, p, cubic)
 
 
-def normal_coordinates_random(n: int, seed: int, scale: float = 0.1) -> MetricField:
+def normal_coordinates_random(n: int, seed: int) -> MetricField:
     """Polynomial metric with h(0) = identity and vanishing symmetrized
     Christoffels at 0, but generically nonzero first derivatives: the linear
     coefficient tensor is antisymmetric in (derivative, row) so that
     dh_{i qbar}/dz^j + dh_{j qbar}/dz^i = 0 at the origin."""
     _check_dim(n)
     rng = np.random.default_rng(seed)
-    t = scale * (rng.standard_normal((n, n, n))
+    t = 0.1 * (rng.standard_normal((n, n, n))
                  + 1j * rng.standard_normal((n, n, n)))
     t = t - np.transpose(t, (1, 0, 2))
     e = np.eye(n, dtype=int)
     terms = [(tuple(e[k]), (0,) * n, t[k]) for k in range(n)]
     rng2 = np.random.default_rng(seed + 1)
-    d = scale * (rng2.standard_normal((n, n, n, n))
+    d = 0.1 * (rng2.standard_normal((n, n, n, n))
                  + 1j * rng2.standard_normal((n, n, n, n)))
     d = _hermitize_quadratic(n, d)
     mixed, _ = _quadratic_terms(n, d, np.zeros((n, n, n, n)))
@@ -278,15 +258,15 @@ def normal_coordinates_random(n: int, seed: int, scale: float = 0.1) -> MetricFi
     return polynomial_metric(n, terms, allow_linear=True)
 
 
-def _constrained_quadratic(n, seed, scale, balanced, skt):
+def _constrained_quadratic(n, seed, balanced, skt):
     """Random Hermitian mixed/pure quadratic tensors projected onto the
     requested linear constraint set (trace conditions at the origin)."""
     _check_dim(n)
     rng = np.random.default_rng(seed)
-    d0 = scale * (rng.standard_normal((n, n, n, n)) +
+    d0 = 0.1 * (rng.standard_normal((n, n, n, n)) +
                   1j * rng.standard_normal((n, n, n, n)))
     d0 = _hermitize_quadratic(n, d0)
-    p0 = scale * (rng.standard_normal((n, n, n, n)) +
+    p0 = 0.1 * (rng.standard_normal((n, n, n, n)) +
                   1j * rng.standard_normal((n, n, n, n)))
     p0 = (p0 + np.transpose(p0, (0, 1, 3, 2))) / 2
 
@@ -341,19 +321,16 @@ def _constrained_quadratic(n, seed, scale, balanced, skt):
     return d, p0
 
 
-def normal_form_balanced(n: int, seed: int, scale: float = 0.1) -> MetricField:
-    d, p = _constrained_quadratic(n, seed, scale, balanced=True, skt=False)
-    return _assemble_polynomial(n, d, p)
+def normal_form_balanced(n: int, seed: int) -> MetricField:
+    return _assemble_polynomial(n, *_constrained_quadratic(n, seed, True, False))
 
 
-def normal_form_skt(n: int, seed: int, scale: float = 0.1) -> MetricField:
-    d, p = _constrained_quadratic(n, seed, scale, balanced=False, skt=True)
-    return _assemble_polynomial(n, d, p)
+def normal_form_skt(n: int, seed: int) -> MetricField:
+    return _assemble_polynomial(n, *_constrained_quadratic(n, seed, False, True))
 
 
-def normal_form_balanced_skt(n: int, seed: int, scale: float = 0.1) -> MetricField:
-    d, p = _constrained_quadratic(n, seed, scale, balanced=True, skt=True)
-    return _assemble_polynomial(n, d, p)
+def normal_form_balanced_skt(n: int, seed: int) -> MetricField:
+    return _assemble_polynomial(n, *_constrained_quadratic(n, seed, True, True))
 
 
 def _mu(m: np.ndarray, n: int) -> np.ndarray:
@@ -385,35 +362,55 @@ def torus_fourier(n: int, modes) -> MetricField:
                        modes=tuple(sorted(table.items())))
 
 
-def potential_kahler_torus(n: int, seed: int, nmodes: int = 3,
-                           amp: float = 0.02, max_freq: int = 2) -> MetricField:
-    """Kahler metric h = identity + (d^2 phi / dz dzbar) from a random real
-    Fourier potential phi; dw = 0 holds by construction."""
-    _check_dim(n)
-    rng = np.random.default_rng(seed)
+def _torus_from(n: int, pairs) -> MetricField:
+    """Identity plus each Fourier mode (m, A) of ``pairs`` with its conjugate
+    partner (-m, A^H), which keeps h Hermitian.  The nonconstant modes are
+    then rescaled so that their operator norms sum to at most 0.5, which
+    keeps h positive definite everywhere."""
     modes = {}
-    count = 0
-    while count < nmodes:
-        m = rng.integers(-max_freq, max_freq + 1, size=2 * n)
-        if not np.any(m):
-            continue
-        c = amp * (rng.standard_normal() + 1j * rng.standard_normal())
-        mu = _mu(m, n)
-        A = -np.pi**2 * c * np.outer(mu, np.conj(mu))
+    for m, A in pairs:
         key = tuple(int(v) for v in m)
         negkey = tuple(-v for v in key)
         modes[key] = modes.get(key, 0) + A
-        # conjugate mode keeps phi (hence h) real/Hermitian
         modes[negkey] = modes.get(negkey, 0) + A.conj().T
-        count += 1
-    _cap_perturbation(modes, 0.5)
-    zero = tuple([0] * (2 * n))
+    total = sum(np.linalg.norm(A, 2) for A in modes.values())
+    if total > 0.5:
+        s = 0.5 / total
+        modes = {key: A * s for key, A in modes.items()}
+    zero = (0,) * (2 * n)
     modes[zero] = modes.get(zero, 0) + np.eye(n)
     return torus_fourier(n, list(modes.items()))
 
 
-def separable_kahler_torus(n: int, seed: int, amp: float = 0.05,
-                           max_freq: int = 2) -> MetricField:
+def _frequencies(n: int, rng):
+    """Three nonzero frequency vectors with entries in [-2, 2], drawn lazily,
+    so that each one's amplitude is drawn before the next frequency."""
+    count = 0
+    while count < 3:
+        m = rng.integers(-2, 3, size=2 * n)
+        if np.any(m):
+            count += 1
+            yield m
+
+
+def _potential_mode(m, n: int, rng, amp: float):
+    """The mode of d^2 phi / dz dzbar for the potential term
+    phi = c exp(2 pi i m.x), c complex of size amp."""
+    c = amp * (rng.standard_normal() + 1j * rng.standard_normal())
+    mu = _mu(m, n)
+    return m, -np.pi**2 * c * np.outer(mu, np.conj(mu))
+
+
+def potential_kahler_torus(n: int, seed: int) -> MetricField:
+    """Kahler metric h = identity + (d^2 phi / dz dzbar) from a random real
+    Fourier potential phi; dw = 0 holds by construction."""
+    _check_dim(n)
+    rng = np.random.default_rng(seed)
+    return _torus_from(n, (_potential_mode(m, n, rng, 0.02)
+                           for m in _frequencies(n, rng)))
+
+
+def separable_kahler_torus(n: int, seed: int) -> MetricField:
     """Kahler potential metric whose entries each depend on a single complex
     coordinate: h is diagonal with h_{k kbar} a function of z^k alone.  Any
     translation-invariant first-difference operator then annihilates the
@@ -421,55 +418,23 @@ def separable_kahler_torus(n: int, seed: int, amp: float = 0.05,
     at machine precision."""
     _check_dim(n)
     rng = np.random.default_rng(seed)
-    modes = {}
-    for k in range(n):
-        m = np.zeros(2 * n, dtype=int)
-        m[k] = int(rng.integers(1, max_freq + 1))
-        m[n + k] = int(rng.integers(-max_freq, max_freq + 1))
-        c = amp * (rng.standard_normal() + 1j * rng.standard_normal())
-        mu = _mu(m, n)
-        A = -np.pi**2 * c * np.outer(mu, np.conj(mu))
-        key = tuple(int(v) for v in m)
-        negkey = tuple(-v for v in key)
-        modes[key] = modes.get(key, 0) + A
-        modes[negkey] = modes.get(negkey, 0) + A.conj().T
-    _cap_perturbation(modes, 0.5)
-    zero = tuple([0] * (2 * n))
-    modes[zero] = modes.get(zero, 0) + np.eye(n)
-    return torus_fourier(n, list(modes.items()))
+
+    def modes():
+        for k in range(n):
+            m = np.zeros(2 * n, dtype=int)
+            m[k] = int(rng.integers(1, 3))
+            m[n + k] = int(rng.integers(-2, 3))
+            yield _potential_mode(m, n, rng, 0.05)
+    return _torus_from(n, modes())
 
 
-def _cap_perturbation(modes: dict, cap: float):
-    """Rescale the nonconstant Fourier modes in place so their operator-norm
-    sum stays below cap, keeping the field positive definite everywhere."""
-    total = sum(np.linalg.norm(A, 2) for A in modes.values())
-    if total > cap:
-        s = cap / total
-        for key in modes:
-            modes[key] = modes[key] * s
-
-
-def random_torus_fourier(n: int, seed: int, nmodes: int = 3,
-                         amp: float = 0.03, max_freq: int = 2) -> MetricField:
+def random_torus_fourier(n: int, seed: int) -> MetricField:
     """Generic (non-Kahler) Hermitian Fourier metric."""
     _check_dim(n)
     rng = np.random.default_rng(seed)
-    modes = {}
-    count = 0
-    while count < nmodes:
-        m = rng.integers(-max_freq, max_freq + 1, size=2 * n)
-        if not np.any(m):
-            continue
-        A = amp * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        key = tuple(int(v) for v in m)
-        negkey = tuple(-v for v in key)
-        modes[key] = modes.get(key, 0) + A
-        modes[negkey] = modes.get(negkey, 0) + A.conj().T
-        count += 1
-    _cap_perturbation(modes, 0.5)
-    zero = tuple([0] * (2 * n))
-    modes[zero] = modes.get(zero, 0) + np.eye(n)
-    return torus_fourier(n, list(modes.items()))
+    return _torus_from(n, ((m, 0.03 * (rng.standard_normal((n, n))
+                                       + 1j * rng.standard_normal((n, n))))
+                           for m in _frequencies(n, rng)))
 
 
 # -- evaluation ------------------------------------------------------------
@@ -503,8 +468,6 @@ def evaluate(field: MetricField, z) -> np.ndarray:
             phase = np.exp(1j * np.pi * (z @ mu + np.conj(z) @ np.conj(mu)))
             h += A * phase[..., None, None]
         return h
-    if field.kind == "Scaled":
-        return field.factor * evaluate(field.base, z)
     raise StructuralError(f"unknown metric kind {field.kind!r}")
 
 
@@ -546,7 +509,9 @@ def _jet_monomial(n, order, point, alpha, beta):
 
 
 def metric_jet(field: MetricField, z, order: int = 3) -> MetricJet:
-    """Exact Taylor jets of h and h^{-1} at the point z."""
+    """Exact Taylor jets of h and h^{-1} at the point z, to ``order`` >= 1."""
+    if order < 1:
+        raise ValidationError(f"metric jet order must be >= 1, got {order}")
     z = np.array(z, dtype=complex)  # a copy: memoized results make it read-only
     n = field.n
     if not field.admissible(z):
@@ -592,11 +557,6 @@ def metric_jet(field: MetricField, z, order: int = 3) -> MetricJet:
                 for j in range(n):
                     if A[i, j] != 0:
                         h[i][j] = h[i][j] + A[i, j] * mode_jet
-    elif field.kind == "Scaled":
-        base = metric_jet(field.base, z, order)
-        for i in range(n):
-            for j in range(n):
-                h[i][j] = field.factor * base.h[i][j]
     else:
         raise StructuralError(f"unknown metric kind {field.kind!r}")
 

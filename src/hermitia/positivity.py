@@ -9,7 +9,6 @@ of the sorted spectrum decide every verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -20,7 +19,6 @@ __all__ = [
     "GriffithsReport",
     "HypothesisReport",
     "p_positivity",
-    "p_positivity_bruteforce",
     "griffiths_sample",
     "vanishing_hypothesis_report",
 ]
@@ -90,19 +88,6 @@ def p_positivity(m: np.ndarray, tol: float = DEFAULT_TOL) -> PositivityReport:
     for p in range(1, r + 1):
         verdicts.append(_verdict(float(lam[:p].sum()),
                                  float(lam[r - p:].sum()), tol))
-    return PositivityReport(eigenvalues=lam, verdicts=tuple(verdicts), tol=tol)
-
-
-def p_positivity_bruteforce(m: np.ndarray,
-                            tol: float = DEFAULT_TOL) -> PositivityReport:
-    """Exhaustive all-subsets route; reference oracle for small matrices."""
-    m = _check_hermitian(m)
-    lam = np.linalg.eigvalsh(m)
-    r = len(lam)
-    verdicts = []
-    for p in range(1, r + 1):
-        sums = [sum(lam[i] for i in c) for c in combinations(range(r), p)]
-        verdicts.append(_verdict(float(min(sums)), float(max(sums)), tol))
     return PositivityReport(eigenvalues=lam, verdicts=tuple(verdicts), tol=tol)
 
 

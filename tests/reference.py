@@ -1,0 +1,121 @@
+"""Reference code the tests compare the package against: second routes to
+quantities the package computes one way, readers of what it writes, and the
+point makers several test modules share."""
+
+import csv
+from itertools import combinations
+
+import numpy as np
+
+from hermitia import forms as FO
+from hermitia.curvature import det_jet
+from hermitia.flow import FlowState
+from hermitia.jets import wirtinger
+from hermitia.metric import (hopf_metric, metric_jet,
+                             normal_coordinates_random, normal_form_skt,
+                             random_torus_fourier)
+from hermitia.positivity import _check_hermitian, _verdict
+
+
+def hopf_jet(n=2):
+    z = np.array([1.0 + 0.0j] + [0.4 - 0.3j] * (n - 1))
+    return metric_jet(hopf_metric(n), z, order=3)
+
+
+def point(family, n):
+    """A metric field and a point of it, one per family."""
+    rng = np.random.default_rng(10 * n + len(family))
+    if family == "hopf":
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        return hopf_metric(n), v * (1.5 / np.linalg.norm(v))
+    if family == "skt":
+        return normal_form_skt(n, 3), np.zeros(n, complex)
+    if family == "normal-coordinates":    # dh(0) != 0
+        return normal_coordinates_random(n, 4), np.zeros(n, complex)
+    x = rng.uniform(0.0, 1.0, 2 * n)
+    return random_torus_fourier(n, 5), x[:n] + 1j * x[n:]
+
+
+# (family, n, jet order) of every point case; no Hopf point at n = 1
+CASES = [(family, n, order)
+         for family in ("hopf", "skt", "normal-coordinates", "random-torus")
+         for n in (1, 2, 3, 4) for order in (1, 2, 3)
+         if not (family == "hopf" and n == 1)]
+
+
+def dz(jet, A, n):
+    """d/dz^A for A < n, d/dzbar^(A - n) otherwise."""
+    if A < n:
+        return wirtinger(jet, "holo", A)
+    return wirtinger(jet, "antiholo", A - n)
+
+
+def derivative_tables_loops(mj):
+    """(d1, db1, d2) of ``metric.derivative_tables``, one ``wirtinger``
+    call per entry."""
+    n = mj.n
+    d1 = np.zeros((n, n, n), dtype=complex)
+    db1 = np.zeros((n, n, n), dtype=complex)
+    d2 = np.zeros((n, n, n, n), dtype=complex) if mj.order >= 2 else None
+    for i in range(n):
+        for j in range(n):
+            jet = mj.h[i][j]
+            for k in range(n):
+                dk = wirtinger(jet, "holo", k)
+                d1[k, i, j] = dk.const
+                db1[k, i, j] = wirtinger(jet, "antiholo", k).const
+                if d2 is not None:
+                    for l in range(n):
+                        d2[k, l, i, j] = wirtinger(dk, "antiholo", l).const
+    return d1, db1, d2
+
+
+def log_det_jet(m):
+    """log det of a matrix of Jets with positive-definite constant term,
+    up to an additive constant (log of the constant determinant, which the
+    derivatives never see)."""
+    d = det_jet(m)
+    c = d.const
+    u = d * (1.0 / c) - 1.0  # zero constant term
+    out = u * 0.0
+    term = u * 0.0 + 1.0
+    for k in range(1, d.order + 1):
+        term = term * u
+        out = out + term * ((-1.0) ** (k + 1) / k)
+    return out
+
+
+def p_positivity_verdicts_bruteforce(m, tol=1e-10):
+    """The p-positivity verdicts, p = 1..r, from every p-subset of the
+    eigenvalues."""
+    lam = np.linalg.eigvalsh(_check_hermitian(m))
+    sums = [[sum(c) for c in combinations(lam, p)]
+            for p in range(1, len(lam) + 1)]
+    return tuple(_verdict(float(min(s)), float(max(s)), tol) for s in sums)
+
+
+def lambda_matrix_adjoint(phi):
+    """Lambda as the pointwise adjoint of L."""
+    return FO.star(FO.l_op, phi)
+
+
+def form_conj(phi):
+    """Complex conjugate form; bidegree (p, q) -> (q, p)."""
+    out = FO._jets_conj(phi.coeffs.swapaxes(0, 1))
+    return FO.FormJet(phi.mj, phi.q, phi.p, phi.r,
+                      out * float((-1) ** (phi.p * phi.q)))
+
+
+def read_grid_dump(path):
+    """The FlowState that ``flow.write_grid_dump`` wrote to path."""
+    with open(path) as f:
+        meta = dict(tok.split("=", 1) for tok in f.readline()[1:].split())
+        n, N = int(meta["dims"]), int(meta["N"])
+        t, mu = float(meta["t"]), float(meta["mu"])
+        rows = list(csv.reader(f))
+    flat = np.zeros((N ** (2 * n), n, n), dtype=complex)
+    for row in rows[1:]:
+        s, i, j = int(row[0]), int(row[1]), int(row[2])
+        flat[s, i, j] = float(row[3]) + 1j * float(row[4])
+    h = flat.reshape((N,) * (2 * n) + (n, n))
+    return FlowState(n=n, N=N, h=h, t=t, mu=mu)

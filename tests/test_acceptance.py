@@ -134,8 +134,8 @@ def test_criterion_4_bianchi_route_equality():
         metrics.append(metric_jet(random_torus_fourier(2, seed), zt, order=3))
     worst = 0.0
     for mj in metrics:
-        a = complexified_ricci(mj).matrix
-        b = complexified_ricci_bianchi(mj).matrix
+        a = complexified_ricci(mj)
+        b = complexified_ricci_bianchi(mj)
         worst = max(worst, float(np.max(np.abs(a - b))))
     ok = worst <= 1e-10
     _line(4, ok, f"two-route trace equality on {len(metrics)} metrics: "

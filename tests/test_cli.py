@@ -168,6 +168,15 @@ def test_trials_below_one_is_a_usage_error(capsys, suite, value):
     assert "--trials" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--tol", "nan"), ("--tol", "inf"),
+                                         ("--tol", "-1"), ("--seed", "-1")])
+def test_tol_or_seed_out_of_range_is_a_usage_error(capsys, flag, value):
+    code = main(["verify", "--suite", "appendix", "--metric", "flat", flag,
+                 value])
+    assert code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("point", ["1,x,0,0", "1,,0,0", "1,nan,0,0",
                                    "inf,0,0,0"])
 def test_point_that_is_not_a_number_is_a_usage_error(capsys, point):
@@ -176,16 +185,16 @@ def test_point_that_is_not_a_number_is_a_usage_error(capsys, point):
     assert "point components" in capsys.readouterr().err
 
 
-def _cli(*argv):
-    """Exit code and stderr of ``hermitia`` in a fresh process that is
-    stopped after 60 s, so an input that hangs fails the test."""
+def _cli(*argv, timeout=60, cwd=None):
+    """``hermitia`` in a fresh process that is stopped after ``timeout`` s,
+    so an input that hangs fails the test."""
     src = str(Path(hermitia.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src,
                                                       env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-m", "hermitia.cli", *argv],
-                          env=env, capture_output=True, text=True, timeout=60)
-    return done.returncode, done.stderr
+    return subprocess.run([sys.executable, "-m", "hermitia.cli", *argv],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=timeout)
 
 
 @pytest.mark.parametrize("command", ["check", "flow"])
@@ -194,7 +203,8 @@ def _cli(*argv):
     ("separable-kahler-torus", "0"), ("separable-kahler-torus", "-1"),
     ("random-torus", "-1")])
 def test_dimension_below_one_is_a_usage_error(command, metric, dim):
-    code, err = _cli(command, "--metric", metric, "--dim", dim)
+    done = _cli(command, "--metric", metric, "--dim", dim)
+    code, err = done.returncode, done.stderr
     assert code == 2, err[-2000:]
     assert "dimension must be >= 1" in err
 
@@ -270,11 +280,5 @@ def _readme_cli_lines():
 
 @pytest.mark.parametrize("command", _readme_cli_lines())
 def test_readme_commands_run(command, tmp_path):
-    src = str(Path(hermitia.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src,
-                                                      env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "hermitia.cli", *shlex.split(command)[1:]],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600)
+    done = _cli(*shlex.split(command)[1:], timeout=600, cwd=tmp_path)
     assert done.returncode == 0, done.stderr[-2000:]

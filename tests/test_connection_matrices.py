@@ -9,24 +9,17 @@ import pytest
 
 from hermitia import forms as FO
 from hermitia.connection import _H_up, bismut, chern, levi_civita
-from hermitia.errors import OrderExhaustedError, ValidationError
+from hermitia.errors import ValidationError
 from hermitia.forms import (ConnectionJet, FormJet, chern_connection,
                             check_metric_compatible, dbar_e_star,
                             partial_e_star, random_form,
                             random_metric_connection, trivial_connection)
 from hermitia.jets import Jet, constant, jet_conj, truncate, wirtinger
-from hermitia.metric import (flat_metric, hopf_metric, metric_jet,
-                             normal_coordinates_random, normal_form_skt,
-                             random_torus_fourier)
+from hermitia.metric import metric_jet, normal_form_skt
+from reference import CASES, dz, hopf_jet, point
 
 
 # -- the loop references ----------------------------------------------------
-
-
-def _dz(jet, A, n):
-    if A < n:
-        return wirtinger(jet, "holo", A)
-    return wirtinger(jet, "antiholo", A - n)
 
 
 def _H_low(mj):
@@ -40,8 +33,6 @@ def _H_low(mj):
 
 
 def _ref_levi_civita(mj):
-    if mj.order < 1:
-        raise OrderExhaustedError("metric jet order must be >= 1")
     n = mj.n
     K = mj.order - 1
     H = _H_low(mj)
@@ -53,7 +44,7 @@ def _ref_levi_civita(mj):
     for A in range(2 * n):
         for E in range(2 * n):
             for B in range(2 * n):
-                dH[B][A][E] = _dz(H[A][E], B, n)
+                dH[B][A][E] = dz(H[A][E], B, n)
     zero = constant(0.0, n, K)
     G = np.full((2 * n, 2 * n, 2 * n), zero, dtype=object)
     for A in range(2 * n):
@@ -188,28 +179,9 @@ def _rel_gap(got, want):
     return gap / scale if scale else gap
 
 
-def _point(family, n):
-    rng = np.random.default_rng(10 * n + len(family))
-    if family == "hopf":
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        return hopf_metric(n), v * (1.5 / np.linalg.norm(v))
-    if family == "skt":
-        return normal_form_skt(n, 3), np.zeros(n, complex)
-    if family == "normal-coordinates":
-        return normal_coordinates_random(n, 4), np.zeros(n, complex)
-    x = rng.uniform(0.0, 1.0, 2 * n)
-    return random_torus_fourier(n, 5), x[:n] + 1j * x[n:]
-
-
-CASES = [(family, n, order)
-         for family in ("hopf", "skt", "normal-coordinates", "random-torus")
-         for n in (1, 2, 3, 4) for order in (1, 2, 3)
-         if not (family == "hopf" and n == 1)]
-
-
 @pytest.mark.parametrize("family,n,order", CASES)
 def test_tables_match_loop_references(family, n, order):
-    fld, z = _point(family, n)
+    fld, z = point(family, n)
     mj = metric_jet(fld, z, order=order)
     got = levi_civita(mj).entries
     want = _ref_levi_civita(mj)
@@ -219,21 +191,9 @@ def test_tables_match_loop_references(family, n, order):
     assert _rel_gap(bismut(mj).entries, _ref_bismut(mj)) <= 1e-15
 
 
-def test_order_zero_jet_has_no_tables():
-    mj = metric_jet(flat_metric(2), np.zeros(2, complex), order=0)
-    for table in (levi_civita, chern, bismut):
-        with pytest.raises(OrderExhaustedError):
-            table(mj)
-
-
-def _hopf(n):
-    return metric_jet(hopf_metric(n),
-                      np.array([1.0 + 0.0j] + [0.4 - 0.3j] * (n - 1)), order=3)
-
-
 @pytest.mark.parametrize("n,r", [(2, 1), (2, 2), (3, 2)])
 def test_random_metric_connection_matches_tuple_build_bitwise(n, r):
-    mj = _hopf(n)
+    mj = hopf_jet(n)
     conn = random_metric_connection(mj, r=r, seed=7)
     assert isinstance(conn, ConnectionJet)
     assert conn.amats.shape == conn.bmats.shape == (n, r, r)
@@ -245,7 +205,7 @@ def test_random_metric_connection_matches_tuple_build_bitwise(n, r):
 
 
 def test_trivial_and_chern_connections_match_tuple_build():
-    mj = _hopf(3)
+    mj = hopf_jet(3)
     triv = trivial_connection(mj, r=2)
     assert all(j.max_abs() == 0 for j in triv.amats.flat)
     assert triv.bmats.shape == (3, 2, 2)
@@ -259,7 +219,7 @@ def test_trivial_and_chern_connections_match_tuple_build():
 
 
 def _bundle_cases():
-    hopf, skt = _hopf(2), metric_jet(normal_form_skt(3, 5),
+    hopf, skt = hopf_jet(2), metric_jet(normal_form_skt(3, 5),
                                      0.05 * (1 + 1j) * np.ones(3), order=3)
     return [(mj, conn) for mj in (hopf, skt)
             for conn in (random_metric_connection(mj, r=2, seed=3),
@@ -292,7 +252,7 @@ def _message(check, conn, n):
 
 
 def test_metric_compatibility_names_the_reference_entry():
-    mj = _hopf(2)
+    mj = hopf_jet(2)
     triv = trivial_connection(mj, r=2)
     bad = chern_connection(mj)
     broken = ConnectionJet(r=2, amats=triv.amats, bmats=triv.bmats,

@@ -25,8 +25,13 @@ def test_every_export_exists():
 
 
 def test_every_export_is_used_outside_its_module():
-    sources = {path: path.read_text() for top in ("src", "tests", "perfbench")
+    """Tests are no users: a name passes if another package module,
+    perfbench or a row of the claims ledger uses it."""
+    sources = {path: path.read_text() for top in ("src", "perfbench")
                for path in (ROOT / top).rglob("*.py")}
+    ledger = ROOT / "docs" / "claims.md"
+    sources[ledger] = "\n".join(line for line in ledger.read_text().splitlines()
+                                if line.startswith("|"))
     unused = []
     for mod in _modules():
         own = Path(mod.__file__).resolve()

@@ -60,8 +60,8 @@ def test_unitary_equivariance():
         q, _ = np.linalg.qr(a)
         mj1 = metric_jet(hopf_metric(n), z, order=3)
         mj2 = metric_jet(hopf_metric(n), q @ z, order=3)
-        r1 = ricci(curvature_chern(mj1), mj1, "second").matrix
-        r2 = ricci(curvature_chern(mj2), mj2, "second").matrix
+        r1 = ricci(curvature_chern(mj1), mj1, "second")
+        r2 = ricci(curvature_chern(mj2), mj2, "second")
         # theta2 is (n-1)/|z|^2 * identity, invariant under unitaries
         assert np.max(np.abs(r2 - r1)) < 1e-10
 
@@ -71,6 +71,6 @@ def test_scale_relation():
     z = np.array([1.0, 0.5j, -0.3])
     mj1 = metric_jet(hopf_metric(n), z, order=3)
     mj2 = metric_jet(hopf_metric(n), c * z, order=3)
-    r1 = ricci(curvature_chern(mj1), mj1, "second").matrix
-    r2 = ricci(curvature_chern(mj2), mj2, "second").matrix
+    r1 = ricci(curvature_chern(mj1), mj1, "second")
+    r2 = ricci(curvature_chern(mj2), mj2, "second")
     assert np.max(np.abs(r2 - r1 / c**2)) < 1e-10

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 from hermitia.errors import (OrderExhaustedError, SingularSeriesError,
                              StructuralError)
 from hermitia.jets import (Jet, constant, jet_conj, jet_inverse,
-                           jet_matrix_inverse, jet_mul, point_derivatives,
-                           truncate, variable, wirtinger)
+                           jet_matrix_inverse, point_derivatives, truncate,
+                           variable, wirtinger)
 
 
 def _random_jet(n, order, rng):
@@ -21,7 +21,7 @@ def test_constant_and_variable():
     assert c.const == 2.5 - 1j
     z0 = variable(2, 3, 0)
     zb1 = variable(2, 3, 1, barred=True)
-    prod = jet_mul(z0, zb1)
+    prod = z0 * zb1
     assert prod.const == 0
     assert wirtinger(wirtinger(prod, "holo", 0), "antiholo", 1).const == 1
 
@@ -29,10 +29,10 @@ def test_constant_and_variable():
 def test_mul_commutative_associative():
     rng = np.random.default_rng(0)
     a, b, c = (_random_jet(2, 3, rng) for _ in range(3))
-    ab = jet_mul(a, b)
-    ba = jet_mul(b, a)
+    ab = a * b
+    ba = b * a
     assert np.allclose(ab.coeffs, ba.coeffs)
-    assert np.allclose(jet_mul(ab, c).coeffs, jet_mul(a, jet_mul(b, c)).coeffs)
+    assert np.allclose((ab * c).coeffs, (a * (b * c)).coeffs)
 
 
 @settings(max_examples=25, deadline=None)
@@ -41,9 +41,9 @@ def test_wirtinger_product_rule(seed, which_idx):
     which = ("holo", "antiholo")[which_idx]
     rng = np.random.default_rng(seed)
     a, b = _random_jet(2, 3, rng), _random_jet(2, 3, rng)
-    lhs = wirtinger(jet_mul(a, b), which, 0)
-    rhs1 = jet_mul(wirtinger(a, which, 0), truncate(b, 2))
-    rhs2 = jet_mul(truncate(a, 2), wirtinger(b, which, 0))
+    lhs = wirtinger(a * b, which, 0)
+    rhs1 = wirtinger(a, which, 0) * truncate(b, 2)
+    rhs2 = truncate(a, 2) * wirtinger(b, which, 0)
     assert np.max(np.abs(lhs.coeffs - rhs1.coeffs - rhs2.coeffs)) < 1e-12
 
 
@@ -53,8 +53,8 @@ def test_conj_involution_and_antihomomorphism(seed):
     rng = np.random.default_rng(seed)
     a, b = _random_jet(2, 3, rng), _random_jet(2, 3, rng)
     assert np.allclose(jet_conj(jet_conj(a)).coeffs, a.coeffs)
-    assert np.allclose(jet_conj(jet_mul(a, b)).coeffs,
-                       jet_mul(jet_conj(a), jet_conj(b)).coeffs)
+    assert np.allclose(jet_conj(a * b).coeffs,
+                       (jet_conj(a) * jet_conj(b)).coeffs)
 
 
 def test_conj_swaps_derivative_type():
@@ -72,7 +72,7 @@ def test_inverse(seed):
     coeffs = _random_jet(2, 3, rng).coeffs.copy()
     coeffs[0] = 2.0 + 0.3j  # keep away from zero
     a = Jet(2, 3, coeffs)
-    prod = jet_mul(a, jet_inverse(a))
+    prod = a * jet_inverse(a)
     unit = constant(1.0, 2, 3)
     assert np.max(np.abs(prod.coeffs - unit.coeffs)) < 1e-10
 
@@ -93,7 +93,7 @@ def test_matrix_inverse():
     inv = jet_matrix_inverse(m)
     for i in range(2):
         for j in range(2):
-            acc = sum((jet_mul(m[i, k], inv[k, j]).coeffs for k in range(2)))
+            acc = sum(((m[i, k] * inv[k, j]).coeffs for k in range(2)))
             want = constant(1.0 if i == j else 0.0, 2, 3).coeffs
             assert np.max(np.abs(acc - want)) < 1e-10
 
@@ -171,7 +171,7 @@ def test_numpy_and_complex_scalar_operands():
 
 
 def test_point_derivatives_layout_and_errors():
-    a = jet_mul(variable(2, 2, 0), variable(2, 2, 1, barred=True)) * 3.0 \
+    a = (variable(2, 2, 0) * variable(2, 2, 1, barred=True)) * 3.0 \
         + variable(2, 2, 1) * 2.0 + constant(0.5, 2, 2)
     arr = np.array([[a, a * 2.0]], dtype=object)
     assert point_derivatives(arr).shape == (1, 2)

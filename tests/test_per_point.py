@@ -50,7 +50,7 @@ def test_metric_jet_is_freed_after_identity_suite():
 def test_memoized_arrays_are_read_only():
     mj = metric_jet(hopf_metric(2), np.array([1.0, 0.5j]), order=3)
     arrays = [*derivative_tables(mj), levi_civita(mj).entries,
-              lc_curvature_full(mj), complexified_ricci(mj).matrix]
+              lc_curvature_full(mj), complexified_ricci(mj)]
     arrays += [f(mj).components for f in (curvature_lc, curvature_induced,
                                           curvature_chern, curvature_bismut)]
     for a in arrays:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hermitia.jets import constant, jet_mul, variable
+from hermitia.jets import constant, variable
 from hermitia.metric import (derivative_tables, flat_metric, hopf_metric,
                              metric_jet, normal_form_balanced,
                              normal_form_balanced_skt, normal_form_random,
@@ -11,9 +11,8 @@ from hermitia.structure import (StructureReport, kahler_defect,
                                 structure_report)
 
 
-def _hopf(n, z=None):
-    if z is None:
-        z = np.array([1.2 + 0.0j] + [0.4 - 0.3j] * (n - 1))
+def _hopf(n):
+    z = np.array([1.2 + 0.0j] + [0.4 - 0.3j] * (n - 1))
     return metric_jet(hopf_metric(n), z, order=3)
 
 
@@ -52,7 +51,7 @@ def test_laplacians_coincide_on_kahler():
     fld = potential_kahler_torus(2, 7)
     z = rng.uniform(0, 1, 2) + 1j * rng.uniform(0, 1, 2)
     mj = metric_jet(fld, z, order=3)
-    f = jet_mul(variable(2, 3, 0), variable(2, 3, 1, barred=True)) \
+    f = (variable(2, 3, 0) * variable(2, 3, 1, barred=True)) \
         + variable(2, 3, 1) + constant(0.3, 2, 3)
     a, b, c = laplacian_compare(mj, f)
     assert abs(a - c) < 1e-9 and abs(b - c) < 1e-9
@@ -60,8 +59,8 @@ def test_laplacians_coincide_on_kahler():
 
 def test_laplacians_differ_on_hopf():
     mj = _hopf(2)
-    f = variable(2, 3, 0) + jet_mul(variable(2, 3, 0),
-                                    variable(2, 3, 0, barred=True))
+    f = variable(2, 3, 0) + (variable(2, 3, 0)
+                             * variable(2, 3, 0, barred=True))
     a, b, c = laplacian_compare(mj, f)
     assert abs(a - c) > 1e-6 or abs(b - c) > 1e-6
 
