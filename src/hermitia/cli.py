@@ -190,7 +190,7 @@ def cmd_curvature(args) -> int:
         entry = {"point": np.stack([z.real, z.imag], axis=-1).reshape(-1)}
         what = args.what
         if what in ("tensor", "all"):
-            entry["tensor"] = tensor.components
+            entry["tensor"] = tensor
         if what in ("ricci1", "all"):
             entry["ricci1"] = C.ricci(tensor, mj, "first")
         if what in ("ricci2", "all"):
@@ -347,17 +347,27 @@ def cmd_flow(args) -> int:
 # -- parser -----------------------------------------------------------------
 
 
-def _tolerance(text: str) -> float:
-    """--tol: a finite number >= 0.  Every comparison with NaN is false, so
-    a NaN tolerance would fail no residual."""
+def _finite(text: str, nonnegative: bool = False, name: str = "") -> float:
+    """A finite number, >= 0 if ``nonnegative``: --mu and --c0, --tol and
+    --T.  Every comparison with NaN is false, so a NaN tolerance would fail
+    no residual and a NaN horizon would end no run."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not (math.isfinite(value) and value >= 0):
+    if not (math.isfinite(value) and (value >= 0 or not nonnegative)):
         raise argparse.ArgumentTypeError(
-            f"must be a finite number >= 0, got {text!r}")
+            f"{name}must be a finite number{' >= 0' * nonnegative}, "
+            f"got {text!r}")
     return value
+
+
+def _tolerance(text: str) -> float:
+    return _finite(text, nonnegative=True)
+
+
+def _horizon(text: str) -> float:
+    return _finite(text, nonnegative=True, name="the horizon ")
 
 
 def _seed(text: str) -> int:
@@ -419,9 +429,9 @@ def build_parser() -> argparse.ArgumentParser:
     _common(sp)
     sp.add_argument("--hopf-ode", action="store_true",
                     help="exact scale-factor reduction instead of a grid run")
-    sp.add_argument("--mu", type=float, default=0.0)
-    sp.add_argument("--c0", type=float, default=1.0)
-    sp.add_argument("--T", type=float, default=0.01)
+    sp.add_argument("--mu", type=_finite, default=0.0)
+    sp.add_argument("--c0", type=_finite, default=1.0)
+    sp.add_argument("--T", type=_horizon, default=0.01)
     sp.add_argument("--steps", type=int, default=50,
                     help="sample count for the ODE series")
     sp.add_argument("--grid", type=int, default=12)

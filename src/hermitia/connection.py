@@ -1,5 +1,12 @@
 """Christoffel symbols of the complexified Levi-Civita connection and the
-coefficient tables of the Chern and Bismut connections, as Jets.
+coefficient tables of the Chern and Bismut connections, as arrays of Jets of
+order K-1.
+
+``levi_civita`` holds Gamma_{AB}^C at [A, B, C], shape (2n, 2n, 2n).
+``chern`` and ``bismut`` have shape (2n, n, n): [d, a, b] is the coefficient
+of nabla_d acting on the frame field e_a with output component e_b
+(directions d may be barred; bundle indices are unbarred).  Point values and
+first derivatives are read with ``jets.point_derivatives``.
 
 Index conventions (see docs/conventions.md): capital indices A, B, C run over
 0..2n-1 where 0..n-1 are unbarred (z) and n..2n-1 are barred (zbar)
@@ -10,14 +17,12 @@ and the inverse blocks are H^{i jbar} = hinv[j][i], H^{ibar j} = hinv[i][j].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .jets import Jet, constant, point_derivatives, truncate, wirtinger
+from .jets import constant, truncate, wirtinger
 from .metric import MetricJet, per_point
 
-__all__ = ["ChristoffelTable", "levi_civita", "chern", "bismut"]
+__all__ = ["levi_civita", "chern", "bismut"]
 
 
 def _first_derivatives(mj: MetricJet) -> np.ndarray:
@@ -39,36 +44,8 @@ def _H_up(mj: MetricJet):
     return U
 
 
-@dataclass(frozen=True)
-class ChristoffelTable:
-    """Christoffel symbols as Jets of order K-1.
-
-    For ``kind='LeviCivita'`` the entries array has shape (2n, 2n, 2n) and
-    holds Gamma_{AB}^C at ``entries[A][B][C]``.  For ``kind='Chern'`` and
-    ``kind='Bismut'`` the array has shape (2n, n, n): ``entries[d][a][b]`` is
-    the coefficient of nabla_d acting on the frame field e_a with output
-    component e_b (directions d may be barred; bundle indices are unbarred).
-    """
-
-    kind: str
-    n: int
-    order: int
-    entries: np.ndarray
-
-    def entry(self, *idx) -> Jet:
-        return self.entries[idx]
-
-    def const_table(self) -> np.ndarray:
-        return point_derivatives(self.entries)
-
-    def dconst_table(self) -> np.ndarray:
-        """d(Gamma)/dz^E at the point: axis 0 is the derivative direction E;
-        OrderExhaustedError on a table of order 0."""
-        return point_derivatives(self.entries, 1)
-
-
 @per_point
-def levi_civita(mj: MetricJet) -> ChristoffelTable:
+def levi_civita(mj: MetricJet) -> np.ndarray:
     """Gamma_{AB}^C = (1/2) H^{CE} (d_B H_{AE} + d_A H_{BE} - d_E H_{AB})."""
     d = _first_derivatives(mj)
     n, K = mj.n, mj.order - 1
@@ -95,20 +72,19 @@ def levi_civita(mj: MetricJet) -> ChristoffelTable:
                                            - dH[E][A][B])
                 G[A][B][C] = acc
                 G[B][A][C] = acc  # torsion-free symmetry
-    return ChristoffelTable(kind="LeviCivita", n=n, order=K, entries=G)
+    return G
 
 
-def chern(mj: MetricJet) -> ChristoffelTable:
+def chern(mj: MetricJet) -> np.ndarray:
     """Gamma_{i a}^b = d h_{a qbar} / dz^i h^{b qbar}, that is dh . h^-1 on
     the unbarred directions; barred directions zero."""
     d = _first_derivatives(mj)
-    n, K = mj.n, mj.order - 1
-    G = np.concatenate([d[0] @ mj.hinv,
-                        np.full((n, n, n), constant(0.0, n, K), dtype=object)])
-    return ChristoffelTable(kind="Chern", n=n, order=K, entries=G)
+    n = mj.n
+    return np.concatenate([d[0] @ mj.hinv, np.full(
+        (n, n, n), constant(0.0, n, mj.order - 1), dtype=object)])
 
 
-def bismut(mj: MetricJet) -> ChristoffelTable:
+def bismut(mj: MetricJet) -> np.ndarray:
     """Unbarred direction: Gamma~_{i a}^b = h^{b qbar} d h_{i qbar} / dz^a,
     the Chern tensor with direction and acted index swapped.  Barred
     direction: twice the Levi-Civita coefficient,
@@ -117,7 +93,5 @@ def bismut(mj: MetricJet) -> ChristoffelTable:
     that is (dbar h - dbar h^T) . h^-1 with dbar h[j, a, e].
     """
     d = _first_derivatives(mj)
-    n, K = mj.n, mj.order - 1
-    G = np.concatenate([(d[0] @ mj.hinv).transpose(1, 0, 2),
-                        (d[1] - d[1].transpose(2, 1, 0)) @ mj.hinv])
-    return ChristoffelTable(kind="Bismut", n=n, order=K, entries=G)
+    return np.concatenate([(d[0] @ mj.hinv).transpose(1, 0, 2),
+                           (d[1] - d[1].transpose(2, 1, 0)) @ mj.hinv])

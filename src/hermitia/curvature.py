@@ -13,11 +13,10 @@ import numpy as np
 
 from .connection import bismut, chern, levi_civita
 from .errors import OrderExhaustedError, StructuralError
-from .jets import Jet
+from .jets import Jet, point_derivatives
 from .metric import MetricJet, derivative_tables, per_point
 
 __all__ = [
-    "CurvatureTensor",
     "ScalarReport",
     "curvature_lc",
     "curvature_induced",
@@ -34,14 +33,6 @@ __all__ = [
     "curvature_comparison",
     "normal_point_suite",
 ]
-
-
-@dataclass(frozen=True)
-class CurvatureTensor:
-    kind: str  # LeviCivita | Induced | Chern | Bismut
-    n: int
-    components: np.ndarray  # (n, n, n, n), indexed (i, jbar, k, lbar)
-    point: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -96,15 +87,14 @@ def lc_curvature_full(mj: MetricJet) -> np.ndarray:
     h0 = mj.h_at0()
     H[:n, n:] = h0
     H[n:, :n] = h0.T
-    return connection_curvature(lc.const_table(), lc.dconst_table(), H)
+    return connection_curvature(point_derivatives(lc),
+                                point_derivatives(lc, 1), H)
 
 
 @per_point
-def curvature_lc(mj: MetricJet) -> CurvatureTensor:
+def curvature_lc(mj: MetricJet) -> np.ndarray:
     n = mj.n
-    return CurvatureTensor(kind="LeviCivita", n=n,
-                           components=lc_curvature_full(mj)[:n, n:, :n, n:],
-                           point=mj.point)
+    return lc_curvature_full(mj)[:n, n:, :n, n:]
 
 
 def _tangent_curvature(connection, mj: MetricJet) -> np.ndarray:
@@ -113,48 +103,42 @@ def _tangent_curvature(connection, mj: MetricJet) -> np.ndarray:
     _require_order(mj, 2)
     n = mj.n
     table = connection(mj)
-    g = table.const_table()[:, :n, :n]
-    dg = table.dconst_table()[..., :n, :n]
+    g = point_derivatives(table)[:, :n, :n]
+    dg = point_derivatives(table, 1)[..., :n, :n]
     return connection_curvature(g, dg, mj.h_at0())[:n, n:]
 
 
 @per_point
-def curvature_induced(mj: MetricJet) -> CurvatureTensor:
+def curvature_induced(mj: MetricJet) -> np.ndarray:
     """Curvature of the projection of the Levi-Civita connection onto the
     holomorphic tangent bundle: the Levi-Civita table restricted to fiber
     indices < n."""
-    return CurvatureTensor(kind="Induced", n=mj.n,
-                           components=_tangent_curvature(levi_civita, mj),
-                           point=mj.point)
+    return _tangent_curvature(levi_civita, mj)
 
 
 @per_point
-def curvature_chern(mj: MetricJet) -> CurvatureTensor:
-    return CurvatureTensor(kind="Chern", n=mj.n,
-                           components=_tangent_curvature(chern, mj),
-                           point=mj.point)
+def curvature_chern(mj: MetricJet) -> np.ndarray:
+    return _tangent_curvature(chern, mj)
 
 
 @per_point
-def curvature_bismut(mj: MetricJet) -> CurvatureTensor:
-    return CurvatureTensor(kind="Bismut", n=mj.n,
-                           components=_tangent_curvature(bismut, mj),
-                           point=mj.point)
+def curvature_bismut(mj: MetricJet) -> np.ndarray:
+    return _tangent_curvature(bismut, mj)
 
 
 # -- Ricci contractions ----------------------------------------------------
 
 
-def ricci(t: CurvatureTensor, mj: MetricJet, flavor: str) -> np.ndarray:
-    """Contract a curvature tensor to a Ricci matrix: flavor 'first' traces
-    the bundle pair (the matrix is indexed by the form pair), 'second' the
-    form pair.  The 'second' trace of the Levi-Civita tensor is the
-    Hermitian Ricci matrix."""
+def ricci(t: np.ndarray, mj: MetricJet, flavor: str) -> np.ndarray:
+    """Contract a curvature tensor t[i, jbar, k, lbar] to a Ricci matrix:
+    flavor 'first' traces the bundle pair (the matrix is indexed by the form
+    pair), 'second' the form pair.  The 'second' trace of the Levi-Civita
+    tensor is the Hermitian Ricci matrix."""
     up = _hup_at0(mj)
     if flavor == "first":
-        return np.einsum("kl,ijkl->ij", up, t.components)
+        return np.einsum("kl,ijkl->ij", up, t)
     if flavor == "second":
-        return np.einsum("ij,ijkl->kl", up, t.components)
+        return np.einsum("ij,ijkl->kl", up, t)
     raise StructuralError(f"unknown Ricci flavor {flavor!r}")
 
 
@@ -171,7 +155,7 @@ def complexified_ricci(mj: MetricJet) -> np.ndarray:
 def complexified_ricci_bianchi(mj: MetricJet) -> np.ndarray:
     """Second route: R_{k lbar} = h^{i jbar} (2 R_{k jbar i lbar}
     - R_{k lbar i jbar}), using only the (1,1)-slice."""
-    slice11 = curvature_lc(mj).components
+    slice11 = curvature_lc(mj)
     up = _hup_at0(mj)
     return (2 * np.einsum("ij,kjil->kl", up, slice11)
             - np.einsum("ij,klij->kl", up, slice11))
@@ -194,10 +178,10 @@ def det_jet(m: np.ndarray) -> Jet:
 
 def scalars(mj: MetricJet) -> ScalarReport:
     up = _hup_at0(mj)
-    R_full = curvature_lc(mj).components
-    R_hat = curvature_induced(mj).components
-    Theta = curvature_chern(mj).components
-    B = curvature_bismut(mj).components
+    R_full = curvature_lc(mj)
+    R_hat = curvature_induced(mj)
+    Theta = curvature_chern(mj)
+    B = curvature_bismut(mj)
     S = np.einsum("kl,ij,ijkl->", up, up, R_full)
     S_LC = np.einsum("kl,ij,ijkl->", up, up, R_hat)
     S_CH = np.einsum("kl,ij,ijkl->", up, up, Theta)
@@ -248,8 +232,8 @@ def curvature_comparison(mj: MetricJet, trials: int, seed: int) -> dict:
     dominate the Hermitian Ricci matrix."""
     n = mj.n
     rng = np.random.default_rng(seed)
-    r11 = curvature_lc(mj).components
-    rhat = curvature_induced(mj).components
+    r11 = curvature_lc(mj)
+    rhat = curvature_induced(mj)
     diff = r11 - rhat
     worst = -np.inf
     max_imag = 0.0
@@ -285,10 +269,9 @@ def normal_point_suite(mj: MetricJet, balanced: bool = False,
     n = mj.n
     d1, db1, d2 = derivative_tables(mj)
 
-    r11 = curvature_lc(mj).components
-    rhat = curvature_induced(mj).components
-    theta = curvature_chern(mj).components
-    bis = curvature_bismut(mj).components
+    r11 = curvature_lc(mj)
+    rhat = curvature_induced(mj)
+    bis = curvature_bismut(mj)
     panel = ricci_panel(mj)
 
     def second(k, j, i, l):

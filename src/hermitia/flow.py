@@ -146,9 +146,13 @@ def grid_points(n: int, N: int) -> np.ndarray:
 
 
 def sample_on_grid(fld: MetricField, N: int) -> np.ndarray:
-    """Per-site metric values of a torus metric field: Fourier fields from
-    their per-axis phases (``_sample_fourier``), other kinds through
-    ``evaluate`` at ``grid_points``."""
+    """Per-site metric values of a periodic metric field: Fourier fields
+    from their per-axis phases (``_sample_fourier``), the flat metric through
+    ``evaluate`` at ``grid_points``.  Any other kind is not periodic on
+    [0,1)^{2n}, so its grid would wrap across a jump: DomainError."""
+    if fld.kind not in ("TorusFourier", "Flat"):
+        raise DomainError(f"the grid flow needs a periodic metric "
+                          f"(TorusFourier or Flat), got {fld.kind}")
     _check_fits(fld.n, N)
     if fld.kind == "TorusFourier":
         return _sample_fourier(fld, N)
@@ -561,6 +565,8 @@ def run(initial, mu: float, T: float, config: FlowConfig = FlowConfig(),
     """
     if not (math.isfinite(T) and T >= 0):
         raise ValidationError(f"horizon T must be finite and >= 0, got {T}")
+    if not math.isfinite(mu):
+        raise ValidationError(f"mu must be finite, got {mu}")
     if isinstance(initial, MetricField):
         n = initial.n
         _check_stencil(N)

@@ -350,7 +350,7 @@ def _nabla(phi: FormJet, side: int, i: int,
     zbar^i (ANTI): d_X - sum Gamma dz^c ^ I_k on each slot group, plus a
     fiber connection."""
     n = phi.n
-    gamma = levi_civita(phi.mj).entries[n * side + i]
+    gamma = levi_civita(phi.mj)[n * side + i]
     out = _dcoeffs(phi, side, i)
     for slots, deg in ((HOLO, phi.p), (ANTI, phi.q)):
         if deg == 0:
@@ -456,7 +456,7 @@ def _a_coefficients(mj: MetricJet) -> np.ndarray:
     coefficients of a_op in the order of its slot moves, built once per
     point and kept with it, so the vanishing entries share one zero jet."""
     n = mj.n
-    gam = levi_civita(mj).entries[:n, n:, n:]  # [s, l, m]
+    gam = levi_civita(mj)[:n, n:, n:]  # [s, l, m]
     coef = (mj.hinv.T @ (gam @ mj.h.T)).transpose(1, 2, 0) * -1.0
     coef[~_jets_nonzero(coef).astype(bool)] = _zero(n, mj.order - 1)
     return coef
@@ -471,7 +471,7 @@ def _a_matrix(mj: MetricJet, p: int, q: int, side: int) -> np.ndarray:
 def _b_matrix(mj: MetricJet, p: int, q: int, side: int) -> np.ndarray:
     """B = -2 Gamma_{i jbar}^{lbar} dz^i ^ dzbar^j ^ I_lbar."""
     n = mj.n
-    gam = levi_civita(mj).entries[:n, n:, n:].T  # [l, j, i]
+    gam = levi_civita(mj)[:n, n:, n:].T  # [l, j, i]
     return _assemble(n, p, q, side, ((ANTI, -1), (ANTI, 1), (HOLO, 1)),
                      gam * -2.0)
 
@@ -479,7 +479,7 @@ def _b_matrix(mj: MetricJet, p: int, q: int, side: int) -> np.ndarray:
 def _c_matrix(mj: MetricJet, p: int, q: int, side: int) -> np.ndarray:
     """C = 2 Gamma_{j lbar}^{lbar} dz^j ^, the torsion (1,0)-form."""
     n = mj.n
-    eta = np.trace(levi_civita(mj).entries[:n, n:, n:], axis1=1, axis2=2)
+    eta = np.trace(levi_civita(mj)[:n, n:, n:], axis1=1, axis2=2)
     return _assemble(n, p, q, side, ((HOLO, 1),), eta * 2.0)
 
 
@@ -714,7 +714,7 @@ def trivial_connection(mj: MetricJet, r: int = 1) -> ConnectionJet:
 def chern_connection(mj: MetricJet) -> ConnectionJet:
     """The tangent bundle E = T^{1,0}M with its holomorphic-metric
     connection: fiber metric h, (1,0)-part the Chern table, (0,1)-part 0."""
-    tab = chern(mj).entries
+    tab = chern(mj)
     return ConnectionJet(r=mj.n, amats=tab[:mj.n], bmats=tab[mj.n:],
                          fiber=mj.h)
 

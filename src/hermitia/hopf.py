@@ -17,6 +17,7 @@ from .connection import levi_civita
 from .curvature import (curvature_bismut, curvature_chern, curvature_lc,
                         ricci)
 from .errors import DomainError
+from .jets import point_derivatives
 from .metric import derivative_tables, hopf_metric, metric_jet
 
 __all__ = ["HopfPoint", "oracle", "oracle_vs_pipeline"]
@@ -104,23 +105,22 @@ def oracle_vs_pipeline(p: HopfPoint) -> dict:
     dh, _, d2h = derivative_tables(mj)
     out["dh"] = float(abs(dh - oracle(p, "dh")).max())
     out["d2h"] = float(abs(d2h - oracle(p, "d2h")).max())
-    g = levi_civita(mj).const_table()
+    g = point_derivatives(levi_civita(mj))
     g_uu, g_bu = oracle(p, "gamma_lc")
     out["gamma_lc"] = float(max(abs(g[:n, :n, :n] - g_uu).max(),
                                 abs(g[n:, :n, :n] - g_bu).max()))
     th = curvature_chern(mj)
-    out["theta"] = float(abs(th.components - oracle(p, "theta")).max())
+    out["theta"] = float(abs(th - oracle(p, "theta")).max())
     out["theta1"] = float(abs(ricci(th, mj, "first")
                               - oracle(p, "theta1")).max())
     out["theta2"] = float(abs(ricci(th, mj, "second")
                               - oracle(p, "theta2")).max())
     rlc = curvature_lc(mj)
-    out["riemann"] = float(abs(rlc.components - oracle(p, "riemann")).max())
+    out["riemann"] = float(abs(rlc - oracle(p, "riemann")).max())
     out["ricci_lc"] = float(abs(ricci(rlc, mj, "second")
                                 - oracle(p, "ricci_lc")).max())
     bt = curvature_bismut(mj)
-    out["bismut_tensor"] = float(abs(bt.components
-                                     - oracle(p, "bismut_tensor")).max())
+    out["bismut_tensor"] = float(abs(bt - oracle(p, "bismut_tensor")).max())
     b1 = ricci(bt, mj, "first")
     b2 = ricci(bt, mj, "second")
     out["b1_printed"] = float(abs(b1 - oracle(p, "b1_printed")).max())

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from math import factorial
 
 import numpy as np
 
@@ -27,7 +28,6 @@ __all__ = [
     "jet_conj",
     "jet_inverse",
     "jet_matrix_inverse",
-    "variable",
     "constant",
     "truncate",
     "point_derivatives",
@@ -59,7 +59,12 @@ class _Algebra:
         self.exponents = _monomials(2 * n, order)
         self.index = {e: i for i, e in enumerate(self.exponents)}
         self.size = len(self.exponents)
-        self.degrees = np.array([sum(e) for e in self.exponents])
+        # the basis as an (S, 2n) exponent array and the multi-index
+        # factorials prod_v e_v!, for coefficients written in closed form
+        self.exponent_array = np.array(self.exponents)
+        fact = np.array([factorial(k) for k in range(order + 1)], float)
+        self.factorials = fact[self.exponent_array].prod(axis=1)
+        self.degrees = self.exponent_array.sum(axis=1)
         # number of monomials of total degree <= d, for prefix truncation
         self.size_at = [int(np.sum(self.degrees <= d)) for d in range(order + 1)]
 
@@ -246,20 +251,6 @@ def constant(value: complex, n: int, order: int) -> Jet:
     c = np.zeros(alg.size, dtype=complex)
     c[0] = value
     return Jet(n, order, c, _alg=alg)
-
-
-def variable(n: int, order: int, index: int, barred: bool = False) -> Jet:
-    """The formal variable z^index (or zbar^index), index in 0..n-1."""
-    if not 0 <= index < n:
-        raise StructuralError(f"variable index {index} out of range for n={n}")
-    if order < 1:
-        raise StructuralError("order must be >= 1 to hold a linear term")
-    alg = _algebra(n, order)
-    e = [0] * (2 * n)
-    e[index + (n if barred else 0)] = 1
-    c = np.zeros(alg.size, dtype=complex)
-    c[alg.index[tuple(e)]] = 1.0
-    return Jet(n, order, c)
 
 
 def jet_conj(a: Jet) -> Jet:

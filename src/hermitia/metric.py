@@ -19,14 +19,13 @@ with the jet.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field as dc_field, fields, is_dataclass
-from math import factorial
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .errors import DomainError, ParseError, StructuralError, ValidationError
-from .jets import (Jet, constant, jet_inverse, jet_matrix_inverse,
-                   point_derivatives, variable)
+from .jets import (Jet, _algebra, jet_inverse, jet_matrix_inverse,
+                   point_derivatives)
 
 __all__ = [
     "MetricField",
@@ -82,17 +81,14 @@ class MetricJet:
 
 
 def _read_only(value):
-    """Mark the numpy arrays in a memoized result (bare, in a tuple, or as
-    dataclass fields) read-only, so no caller can alter what the next caller
-    at the same point receives."""
+    """Mark the numpy arrays in a memoized result (bare or in a tuple)
+    read-only, so no caller can alter what the next caller at the same
+    point receives."""
     if isinstance(value, np.ndarray):
         value.flags.writeable = False
     elif isinstance(value, tuple):
         for item in value:
             _read_only(item)
-    elif is_dataclass(value):
-        for f in fields(value):
-            _read_only(getattr(value, f.name))
     return value
 
 
@@ -336,7 +332,7 @@ def normal_form_balanced_skt(n: int, seed: int) -> MetricField:
 def _mu(m: np.ndarray, n: int) -> np.ndarray:
     """Holomorphic frequency: the phase is exp(i pi (mu.z + conj(mu).zbar))."""
     m = np.asarray(m)
-    return m[:n] - 1j * m[n:]
+    return m[..., :n] - 1j * m[..., n:]
 
 
 def torus_fourier(n: int, modes) -> MetricField:
@@ -447,125 +443,94 @@ def evaluate(field: MetricField, z) -> np.ndarray:
     n = field.n
     if z.ndim == 0 or z.shape[-1] != n:
         raise StructuralError(f"point must be a complex {n}-vector")
-    eye = np.broadcast_to(np.eye(n, dtype=complex), z.shape[:-1] + (n, n))
-    if field.kind == "Flat":
-        return eye.copy()
     if field.kind == "Hopf":
         r2 = np.sum(np.abs(z) ** 2, axis=-1)
         if np.any(r2 == 0):
             raise DomainError("the Hopf metric is undefined at z = 0")
-        return (4.0 / r2)[..., None, None] * eye
-    if field.kind == "NormalForm":
-        h = eye.copy()
-        for alpha, beta, M in field.terms:
-            h = h + M * np.prod(z ** np.array(alpha), axis=-1)[..., None, None] \
-                * np.prod(np.conj(z) ** np.array(beta), axis=-1)[..., None, None]
-        return h
+        return (4.0 / r2)[..., None, None] * np.eye(n, dtype=complex)
+    return _taylor(field, z, 0)[..., 0]
+
+
+def _powers(x: np.ndarray, top: int) -> np.ndarray:
+    """x^0 .. x^top along a new last axis, by repeated multiplication."""
+    return np.cumprod(np.stack([np.ones_like(x)] + [x] * top, -1), -1)
+
+
+def _monomial_taylor(rows: np.ndarray, p: np.ndarray, alg):
+    """Taylor coefficients of the monomials (p + zeta)^rows[t] around the
+    points p (..., 2n) over the basis exponents e_s of ``alg``: the pairs
+    (t, s) with e_s <= A = rows[t], row-major, and there the coefficients
+    prod_v C(A_v, e_v) p_v^(A_v - e_v), shape (..., P); all others are 0."""
+    t, s = np.nonzero((rows[:, None] >= alg.exponent_array).all(axis=-1))
+    A, e = rows[t], alg.exponent_array[s]
+    top = int(rows.max(initial=0))
+    fact = np.cumprod(np.r_[1.0, 1:top + 1])  # k! for k = 0..top
+    binom = (fact[A] / (fact[e] * fact[A - e])).prod(axis=-1)
+    v = np.arange(p.shape[-1])
+    return t, s, binom * _powers(p, top)[..., v, A - e].prod(axis=-1)
+
+
+def _taylor(field: MetricField, z: np.ndarray, order: int) -> np.ndarray:
+    """Taylor coefficients of h around the points z (..., n) over the basis
+    of ``jets._algebra(n, order)``, shape (..., n, n, S): [..., i, j, s] is
+    the coefficient of zeta^e_s in h_{i jbar}(z + zeta).  A polynomial term
+    adds its matrix times ``_monomial_taylor`` (the identity is the term with
+    row 0), a Fourier mode its matrix times phase(z) prod_v c_v^e_v / e_v!,
+    c = i pi (mu, conj(mu)); Hopf (one point) is 4 jet_inverse(r^2) I, r^2
+    the polynomial with rows (e_k, e_k).  ``np.add.at`` adds the terms one
+    by one in their order, as the jet sums did; a matrix product would
+    reorder the sum and can leave -0.0 where they left +0.0."""
+    n = field.n
+    alg = _algebra(n, order)
+    p = np.concatenate([z, np.conj(z)], axis=-1)
     if field.kind == "TorusFourier":
-        h = np.zeros(eye.shape, dtype=complex)
-        for m, A in field.modes:
-            mu = _mu(m, n)
-            phase = np.exp(1j * np.pi * (z @ mu + np.conj(z) @ np.conj(mu)))
-            h += A * phase[..., None, None]
-        return h
-    raise StructuralError(f"unknown metric kind {field.kind!r}")
-
-
-def _jet_prod_linear(n, order, coeffs_z, coeffs_zb, const=0.0):
-    """Jet of const + sum_i coeffs_z[i] z_i + coeffs_zb[i] zbar_i."""
-    out = constant(const, n, order)
-    for i in range(n):
-        if coeffs_z[i] != 0:
-            out = out + coeffs_z[i] * variable(n, order, i)
-        if coeffs_zb[i] != 0:
-            out = out + coeffs_zb[i] * variable(n, order, i, barred=True)
-    return out
-
-
-def _jet_exp_linear(lin: Jet) -> Jet:
-    """exp of a jet with zero constant term, truncated at its order."""
-    out = constant(1.0, lin.n, lin.order)
-    term = constant(1.0, lin.n, lin.order)
-    for k in range(1, lin.order + 1):
-        term = term * lin
-        out = out + term * (1.0 / factorial(k))
-    return out
-
-
-def _jet_monomial(n, order, point, alpha, beta):
-    """Jet of (p+zeta)^alpha * conj(p+zeta)^beta around the point p."""
-    out = constant(1.0, n, order)
-    for i in range(n):
-        if alpha[i]:
-            base = constant(point[i], n, order) + variable(n, order, i)
-            for _ in range(alpha[i]):
-                out = out * base
-        if beta[i]:
-            base = constant(np.conj(point[i]), n, order) + \
-                variable(n, order, i, barred=True)
-            for _ in range(beta[i]):
-                out = out * base
+        freqs, mats = zip(*field.modes) if field.modes else ((), ())
+        mu = _mu(np.array(freqs).reshape(-1, 2 * n), n)
+        c = 1j * np.pi * np.concatenate([mu, np.conj(mu)], axis=-1)
+        coef = _powers(c, order)[:, range(2 * n), alg.exponent_array].prod(
+            axis=-1) / alg.factorials
+        phase = np.exp(1j * np.pi * (z @ mu.T + np.conj(z) @ np.conj(mu).T))
+        t, s = np.indices(coef.shape).reshape(2, -1)
+        vals = (phase[..., None] * coef).reshape(phase.shape[:-1] + (-1,))
+    elif field.kind in ("Flat", "NormalForm"):
+        alpha, beta, mats = zip(((0,) * n, (0,) * n, np.eye(n)), *field.terms)
+        t, s, vals = _monomial_taylor(np.hstack([alpha, beta]), p, alg)
+    elif field.kind == "Hopf":  # r^2 I, inverted below
+        t, s, vals = _monomial_taylor(np.tile(np.identity(n, int), 2), p, alg)
+        mats = [np.eye(n)] * n
+    else:
+        raise StructuralError(f"unknown metric kind {field.kind!r}")
+    mats = np.moveaxis(np.array(mats, complex).reshape(-1, n, n)[t], 0, -1)
+    out = np.zeros(z.shape[:-1] + (n, n, alg.size), dtype=complex)
+    np.add.at(out, (..., s), vals[..., None, None, :] * mats)
+    if field.kind == "Hopf":
+        out[range(n), range(n)] = 4.0 * jet_inverse(
+            Jet(n, order, out[0, 0])).coeffs
     return out
 
 
 def metric_jet(field: MetricField, z, order: int = 3) -> MetricJet:
-    """Exact Taylor jets of h and h^{-1} at the point z, to ``order`` >= 1."""
+    """Exact Taylor jets of h and h^{-1} at the point z, to ``order`` >= 1.
+    A point where some coefficient of h or h^{-1} is not finite, or where
+    h(z) is not positive definite, is refused with ValidationError."""
     if order < 1:
         raise ValidationError(f"metric jet order must be >= 1, got {order}")
     z = np.array(z, dtype=complex)  # a copy: memoized results make it read-only
     n = field.n
     if not field.admissible(z):
         raise DomainError(f"point {z} outside the field's domain")
-
-    h = np.empty((n, n), dtype=object)
-
-    if field.kind == "Flat":
-        for i in range(n):
-            for j in range(n):
-                h[i][j] = constant(1.0 if i == j else 0.0, n, order)
-    elif field.kind == "Hopf":
-        # |p + zeta|^2 as an exact jet, then invert
-        r2 = _jet_prod_linear(n, order, np.conj(z), z,
-                              const=float(np.sum(np.abs(z) ** 2)))
-        for k in range(n):
-            r2 = r2 + variable(n, order, k) * variable(n, order, k, barred=True)
-        inv_r2 = jet_inverse(r2)
-        for i in range(n):
-            for j in range(n):
-                h[i][j] = (4.0 * inv_r2) if i == j else constant(0.0, n, order)
-    elif field.kind == "NormalForm":
-        for i in range(n):
-            for j in range(n):
-                h[i][j] = constant(1.0 if i == j else 0.0, n, order)
-        for alpha, beta, M in field.terms:
-            mono = _jet_monomial(n, order, z, alpha, beta)
-            for i in range(n):
-                for j in range(n):
-                    if M[i, j] != 0:
-                        h[i][j] = h[i][j] + M[i, j] * mono
-    elif field.kind == "TorusFourier":
-        for i in range(n):
-            for j in range(n):
-                h[i][j] = constant(0.0, n, order)
-        for m, A in field.modes:
-            mu = _mu(m, n)
-            phase0 = np.exp(1j * np.pi * (mu @ z + np.conj(mu) @ np.conj(z)))
-            lin = _jet_prod_linear(n, order, 1j * np.pi * mu,
-                                   1j * np.pi * np.conj(mu))
-            mode_jet = phase0 * _jet_exp_linear(lin)
-            for i in range(n):
-                for j in range(n):
-                    if A[i, j] != 0:
-                        h[i][j] = h[i][j] + A[i, j] * mode_jet
-    else:
-        raise StructuralError(f"unknown metric kind {field.kind!r}")
-
-    h0 = point_derivatives(h)
-    w = np.linalg.eigvalsh((h0 + h0.conj().T) / 2)
-    if w.min() <= _POS_EIG_TOL:
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = _taylor(field, z, order)
+        h = np.array([[Jet(n, order, c) for c in row] for row in coeffs],
+                     dtype=object)
+        h0 = coeffs[..., 0]
+        w_min = (np.linalg.eigvalsh((h0 + h0.conj().T) / 2).min()
+                 if np.isfinite(coeffs).all() else np.nan)
+        hinv = jet_matrix_inverse(h) if w_min > _POS_EIG_TOL else None
+    if hinv is None or not np.isfinite([j.coeffs for j in hinv.flat]).all():
         raise ValidationError(
-            f"metric not positive definite at {z}: min eigenvalue {w.min():.3e}")
-    hinv = jet_matrix_inverse(h)
+            f"metric not positive definite, or its jets not finite, at {z}: "
+            f"min eigenvalue {w_min:.3e}")
     return MetricJet(n=n, order=order, point=z, h=h, hinv=hinv)
 
 
@@ -650,10 +615,12 @@ def _weyl_margin(field: MetricField) -> float:
 def _positivity_sweep(field: MetricField, chunk: int = 4096):
     """Raise ValidationError at the first point, in np.ndindex order over
     x in {0, 0.2, ..., 0.8}^{2n}, where h is not positive definite.  Points
-    go through ``evaluate`` ``chunk`` at a time, so memory stays flat in n."""
+    go through ``evaluate`` ``chunk`` mode-points at a time (one matrix per
+    point and mode), so memory stays flat in n and in the mode count."""
     n = field.n
     shape = (5,) * (2 * n)
     grid = np.linspace(0.0, 0.8, 5)
+    chunk = max(1, chunk // max(1, len(field.modes)))
     for lo in range(0, 5 ** (2 * n), chunk):
         idx = np.arange(lo, min(lo + chunk, 5 ** (2 * n)))
         x = grid[np.stack(np.unravel_index(idx, shape), axis=-1)]

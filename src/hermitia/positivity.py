@@ -93,12 +93,12 @@ def p_positivity(m: np.ndarray, tol: float = DEFAULT_TOL) -> PositivityReport:
 
 def griffiths_sample(t, trials: int, seed: int,
                      tol: float = DEFAULT_TOL) -> GriffithsReport:
-    """Minimum of the (u, ubar, v, vbar) pairing of a curvature tensor over
-    random unit vectors, normalized by |u|^2 |v|^2."""
+    """Minimum of the (u, ubar, v, vbar) pairing of a curvature tensor
+    t[i, jbar, k, lbar] over random unit vectors, normalized by
+    |u|^2 |v|^2."""
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    comp = t.components
-    n = t.n
+    n = t.shape[0]
     rng = np.random.default_rng(seed)
     best = np.inf
     wu = wv = None
@@ -107,7 +107,7 @@ def griffiths_sample(t, trials: int, seed: int,
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         u /= np.linalg.norm(u)
         v /= np.linalg.norm(v)
-        val = np.einsum("ijkl,i,j,k,l->", comp, u, np.conj(u), v,
+        val = np.einsum("ijkl,i,j,k,l->", t, u, np.conj(u), v,
                         np.conj(v)).real
         if val < best:
             best, wu, wv = float(val), u, v

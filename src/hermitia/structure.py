@@ -53,7 +53,7 @@ def kahler_defect(mj: MetricJet):
 def balanced_torsion(mj: MetricJet) -> np.ndarray:
     """The torsion 1-form coefficients eta_l = Gamma_{l jbar}^{jbar}."""
     n = mj.n
-    g = levi_civita(mj).const_table()
+    g = point_derivatives(levi_civita(mj))
     return np.array([sum(g[l, n + j, n + j] for j in range(n))
                      for l in range(n)])
 
@@ -77,7 +77,7 @@ def laplacian_compare(mj: MetricJet, f: Jet):
         raise OrderExhaustedError("scalar jet order must be >= 2")
     n = mj.n
     up = mj.hinv_at0().T          # h^{i jbar} at [i, j]
-    g = levi_civita(mj).const_table()
+    g = point_derivatives(levi_civita(mj))
     df = point_derivatives(f, 1)  # d/dz^l at [l], d/dzbar^l at [n + l]
     can = -np.sum(up * point_derivatives(f, 2))
     corr_bar = 2 * np.einsum("ij,ijl,l->", up, g[:n, n:, n:], df[n:])

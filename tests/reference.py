@@ -4,17 +4,105 @@ point makers several test modules share."""
 
 import csv
 from itertools import combinations
+from math import factorial
 
 import numpy as np
 
 from hermitia import forms as FO
 from hermitia.curvature import det_jet
 from hermitia.flow import FlowState
-from hermitia.jets import wirtinger
-from hermitia.metric import (hopf_metric, metric_jet,
+from hermitia.jets import Jet, _algebra, constant, jet_inverse, wirtinger
+from hermitia.metric import (_mu, hopf_metric, metric_jet,
                              normal_coordinates_random, normal_form_skt,
                              random_torus_fourier)
 from hermitia.positivity import _check_hermitian, _verdict
+
+
+def variable(n, order, index, barred=False):
+    """The jet of the formal variable z^index, or zbar^index if barred."""
+    alg = _algebra(n, order)
+    e = [0] * (2 * n)
+    e[index + (n if barred else 0)] = 1
+    c = np.zeros(alg.size, dtype=complex)
+    c[alg.index[tuple(e)]] = 1.0
+    return Jet(n, order, c)
+
+
+def metric_jet_by_jets(field, z, order=3):
+    """The (n, n) jets of h around z built by jet arithmetic, one term or
+    mode and one entry at a time: the route ``metric_jet`` took before it
+    wrote the Taylor coefficients in closed form."""
+    n = field.n
+    z = np.asarray(z, dtype=complex)
+
+    def linear(coeffs_z, coeffs_zb, const=0.0):
+        """const + sum_i coeffs_z[i] z_i + coeffs_zb[i] zbar_i."""
+        out = constant(const, n, order)
+        for i in range(n):
+            if coeffs_z[i] != 0:
+                out = out + coeffs_z[i] * variable(n, order, i)
+            if coeffs_zb[i] != 0:
+                out = out + coeffs_zb[i] * variable(n, order, i, barred=True)
+        return out
+
+    def exp_linear(lin):
+        """exp of a jet with zero constant term, truncated at its order."""
+        out = constant(1.0, n, order)
+        term = constant(1.0, n, order)
+        for k in range(1, order + 1):
+            term = term * lin
+            out = out + term * (1.0 / factorial(k))
+        return out
+
+    def monomial(alpha, beta):
+        """(z + zeta)^alpha conj(z + zeta)^beta."""
+        out = constant(1.0, n, order)
+        for i in range(n):
+            if alpha[i]:
+                base = constant(z[i], n, order) + variable(n, order, i)
+                for _ in range(alpha[i]):
+                    out = out * base
+            if beta[i]:
+                base = constant(np.conj(z[i]), n, order) + \
+                    variable(n, order, i, barred=True)
+                for _ in range(beta[i]):
+                    out = out * base
+        return out
+
+    h = np.empty((n, n), dtype=object)
+    if field.kind == "Hopf":
+        r2 = linear(np.conj(z), z, const=float(np.sum(np.abs(z) ** 2)))
+        for k in range(n):
+            r2 = r2 + variable(n, order, k) * \
+                variable(n, order, k, barred=True)
+        inv_r2 = jet_inverse(r2)
+        for i in range(n):
+            for j in range(n):
+                h[i][j] = (4.0 * inv_r2) if i == j else constant(0.0, n, order)
+    elif field.kind in ("Flat", "NormalForm"):
+        for i in range(n):
+            for j in range(n):
+                h[i][j] = constant(1.0 if i == j else 0.0, n, order)
+        for alpha, beta, M in field.terms:
+            mono = monomial(alpha, beta)
+            for i in range(n):
+                for j in range(n):
+                    if M[i, j] != 0:
+                        h[i][j] = h[i][j] + M[i, j] * mono
+    else:
+        for i in range(n):
+            for j in range(n):
+                h[i][j] = constant(0.0, n, order)
+        for m, A in field.modes:
+            mu = _mu(m, n)
+            phase0 = np.exp(1j * np.pi * (mu @ z + np.conj(mu) @ np.conj(z)))
+            mode_jet = phase0 * exp_linear(linear(1j * np.pi * mu,
+                                                  1j * np.pi * np.conj(mu)))
+            for i in range(n):
+                for j in range(n):
+                    if A[i, j] != 0:
+                        h[i][j] = h[i][j] + A[i, j] * mode_jet
+    return h
 
 
 def hopf_jet(n=2):

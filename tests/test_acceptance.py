@@ -77,11 +77,11 @@ def test_criterion_2_kahler_coincidence():
         for _ in range(20):
             z = rng.uniform(0, 1, 2) + 1j * rng.uniform(0, 1, 2)
             mj = metric_jet(fld, z, order=3)
-            base = curvature_lc(mj).components
+            base = curvature_lc(mj)
             for t in (curvature_chern(mj), curvature_induced(mj),
                       curvature_bismut(mj)):
                 worst_t = max(worst_t,
-                              float(np.max(np.abs(t.components - base))))
+                              float(np.max(np.abs(t - base))))
             panel = list(ricci_panel(mj).values())
             for m in panel[1:]:
                 worst_r = max(worst_r,

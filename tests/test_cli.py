@@ -177,6 +177,43 @@ def test_tol_or_seed_out_of_range_is_a_usage_error(capsys, flag, value):
     assert f"argument {flag}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("--hopf-ode", "--mu", "nan", "--T", "1"), "--mu"),
+    (("--hopf-ode", "--c0", "inf"), "--c0"),
+    (("--hopf-ode", "--T", "-1"), "--T"),
+    (("--metric", "random-torus", "--mu", "nan", "--grid", "8"), "--mu")])
+def test_flow_number_out_of_range_is_a_usage_error(capsys, argv, flag):
+    # a NaN mu ran to a NaN series (exit 0) or was reported as a singular
+    # grid metric (exit 3); a negative horizon ran (exit 0)
+    assert main(["flow", *argv]) == 2
+    assert f"argument {flag}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, where", [
+    (("curvature", "--metric", "hopf", "--point", "1e-150,0,0,0",
+      "--what", "ricci2"), "1.e-150"),
+    (("check", "--metric", "normal-form", "--point", "1e200,0,0,0"),
+     "1.e+200"),
+    (("verify", "--suite", "appendix", "--metric", "hopf",
+      "--point", "1e-150,0,0,0", "--trials", "2"), "1.e-150")])
+def test_point_with_a_non_finite_jet_is_refused(capsys, argv, where):
+    # h(z) = 4e300 is finite at 1e-150, but its derivative coefficients
+    # overflow (a NaN report, exit 0, or exit 3); at 1e200 the normal form
+    # itself overflows (NaN defects, exit 0)
+    assert main(list(argv)) == 2
+    err = capsys.readouterr().err
+    assert "not positive definite, or its jets not finite" in err
+    assert where in err
+
+
+def test_grid_flow_refuses_a_metric_that_is_not_periodic(capsys):
+    # a polynomial wraps across a jump on [0,1)^{2n}: this ran to an
+    # einstein_residual of 1.97 with exit 0
+    assert main(["flow", "--metric", "normal-form", "--dim", "1", "--grid",
+                 "8", "--T", "0.001"]) == 3
+    assert "periodic" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("point", ["1,x,0,0", "1,,0,0", "1,nan,0,0",
                                    "inf,0,0,0"])
 def test_point_that_is_not_a_number_is_a_usage_error(capsys, point):

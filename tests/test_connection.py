@@ -1,7 +1,7 @@
 import numpy as np
 
 from hermitia.connection import bismut, chern, levi_civita
-from hermitia.jets import wirtinger
+from hermitia.jets import point_derivatives, wirtinger
 from hermitia.metric import (flat_metric, hopf_metric, metric_jet,
                              normal_form_random)
 from reference import derivative_tables_loops
@@ -20,12 +20,12 @@ def _mj(kind="hopf", n=2, seed=0):
 def test_flat_christoffels_vanish():
     mj = _mj("flat")
     for table in (levi_civita(mj), chern(mj), bismut(mj)):
-        assert np.max(np.abs(table.const_table())) < 1e-14
+        assert np.max(np.abs(point_derivatives(table))) < 1e-14
 
 
 def test_levi_civita_symmetric_lower_indices():
     mj = _mj("rand", seed=3)
-    g = levi_civita(mj).const_table()
+    g = point_derivatives(levi_civita(mj))
     assert np.max(np.abs(g - np.transpose(g, (1, 0, 2)))) < 1e-12
 
 
@@ -33,7 +33,7 @@ def test_chern_matches_direct_formula():
     # Gamma_{ik}^s = h^{s lbar} d h_{k lbar} / d z^i
     mj = _mj("rand", seed=5)
     n = mj.n
-    table = chern(mj).const_table()
+    table = point_derivatives(chern(mj))
     h0inv = np.linalg.inv(mj.h_at0())
     dh = derivative_tables_loops(mj)[0]
     # h^{s lbar} = (H^{-1})_{ls} with H_{kl} = h_{k lbar}
@@ -53,8 +53,8 @@ def test_levi_civita_metric_compatibility():
                 lhs = wirtinger(mj.h[b][c], "holo", a).const
                 rhs = 0.0 + 0.0j
                 for d in range(n):
-                    rhs += lc.entry(a, b, d).const * mj.h[d][c].const
-                    rhs += (lc.entry(a, n + c, n + d).const
+                    rhs += lc[a, b, d].const * mj.h[d][c].const
+                    rhs += (lc[a, n + c, n + d].const
                             * mj.h[b][d].const)
                 assert abs(lhs - rhs) < 1e-10
 
@@ -64,7 +64,7 @@ def test_bismut_hermitian_compatibility():
     # conjugate-pair derivative identity mirrored on the antiholomorphic side.
     mj = _mj("rand", seed=1)
     n = mj.n
-    t = bismut(mj).const_table()
+    t = point_derivatives(bismut(mj))
     tb = np.conj(t)
     # d_A h pairing via both one-sided tables must reproduce dh on constants
     # (entries [d][a][b] with derivative direction d in 0..2n-1).
@@ -78,6 +78,6 @@ def test_bismut_hermitian_compatibility():
 def test_chern_no_antiholomorphic_part():
     mj = _mj("rand", seed=2)
     n = mj.n
-    t = chern(mj).const_table()
+    t = point_derivatives(chern(mj))
     assert t.shape == (2 * n, n, n)
     assert np.max(np.abs(t[n:])) < 1e-14

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hermitia.connection import bismut, chern
-from hermitia.curvature import (CurvatureTensor, ScalarReport,
+from hermitia.curvature import (ScalarReport,
                                 complexified_ricci,
                                 complexified_ricci_bianchi,
                                 connection_curvature,
@@ -29,8 +29,8 @@ def test_flat_all_zero():
     mj = metric_jet(flat_metric(2), np.zeros(2), order=3)
     for t in (curvature_lc(mj), curvature_induced(mj), curvature_chern(mj),
               curvature_bismut(mj)):
-        assert isinstance(t, CurvatureTensor)
-        assert np.max(np.abs(t.components)) < 1e-14
+        assert t.shape == (2, 2, 2, 2)
+        assert np.max(np.abs(t)) < 1e-14
     assert np.max(np.abs(complexified_ricci(mj))) < 1e-14
 
 
@@ -75,10 +75,10 @@ def test_kahler_all_tensors_coincide():
     fld = potential_kahler_torus(2, seed=6)
     z = rng.uniform(0, 1, 2) + 1j * rng.uniform(0, 1, 2)
     mj = metric_jet(fld, z, order=3)
-    base = curvature_lc(mj).components
+    base = curvature_lc(mj)
     for t in (curvature_induced(mj), curvature_chern(mj),
               curvature_bismut(mj)):
-        assert np.max(np.abs(t.components - base)) < 1e-9
+        assert np.max(np.abs(t - base)) < 1e-9
     panel = ricci_panel(mj)
     mats = list(panel.values())
     for m in mats[1:]:
@@ -150,7 +150,7 @@ def _ricci_loops(mj):
     """Reference: both complexified Ricci routes, entry by entry."""
     n = mj.n
     full = lc_curvature_full(mj)
-    s11 = curvature_lc(mj).components
+    s11 = curvature_lc(mj)
     up = mj.hinv_at0().T
     m1 = np.zeros((n, n), dtype=complex)
     m2 = np.zeros((n, n), dtype=complex)
@@ -168,7 +168,7 @@ def _ricci_loops(mj):
 def _bundle_curvature_loops(table, mj):
     """Reference: the raised (1,1)-curvature, one (i, j) block at a time."""
     n = mj.n
-    g, dg = table.const_table(), table.dconst_table()
+    g, dg = point_derivatives(table), point_derivatives(table, 1)
     r_up = np.zeros((n, n, n, n), dtype=complex)
     for i in range(n):
         for j in range(n):
@@ -190,8 +190,9 @@ def test_einsum_contractions_match_loops(n):
         for table in (chern(mj), bismut(mj)):
             want = _bundle_curvature_loops(table, mj)
             # the identity fiber metric leaves the raised tensor as it is
-            got = connection_curvature(table.const_table(),
-                                       table.dconst_table(), np.eye(n))[:n, n:]
+            got = connection_curvature(point_derivatives(table),
+                                       point_derivatives(table, 1),
+                                       np.eye(n))[:n, n:]
             assert np.max(np.abs(got - want)) <= 1e-13
 
 

@@ -10,8 +10,9 @@ import pytest
 from hermitia import flow as F
 from hermitia import metric as M
 from hermitia.errors import DomainError, ValidationError
-from hermitia.metric import (flat_metric, potential_kahler_torus,
-                             random_torus_fourier, separable_kahler_torus)
+from hermitia.metric import (flat_metric, hopf_metric, normal_form_random,
+                             potential_kahler_torus, random_torus_fourier,
+                             separable_kahler_torus)
 from reference import read_grid_dump
 
 
@@ -499,6 +500,19 @@ def test_other_fields_are_sampled_through_evaluate(monkeypatch):
     h = F.sample_on_grid(flat_metric(2), 8)
     assert calls == ["Flat"]
     assert np.array_equal(h, np.broadcast_to(np.eye(2), h.shape))
+
+
+@pytest.mark.parametrize("make", [lambda: normal_form_random(1, 0),
+                                  lambda: hopf_metric(2)])
+def test_run_refuses_a_field_that_is_not_periodic(make):
+    with pytest.raises(DomainError, match="periodic"):
+        F.run(make(), mu=0.0, T=0.001, N=8)
+
+
+@pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+def test_run_refuses_a_mu_that_is_not_finite(mu):
+    with pytest.raises(ValidationError, match="mu"):
+        F.run(random_torus_fourier(2, 1), mu=mu, T=0.001, N=8)
 
 
 def test_fourier_run_neither_evaluates_nor_rediffers(monkeypatch):

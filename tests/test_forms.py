@@ -336,7 +336,7 @@ def _ref_c_op(phi):
     for j in range(n):
         eta = FO._zero(n, mj.order - 1)
         for l in range(n):
-            eta = eta + lc.entry(j, n + l, n + l)
+            eta = eta + lc[j, n + l, n + l]
         out = out + FO._wedge1(phi, FO.HOLO, j) * (eta * 2.0)
     return out
 
@@ -353,7 +353,7 @@ def _ref_b_op(phi):
         cl = FO._contract(phi, FO.ANTI, l)
         for i in range(n):
             for j in range(n):
-                gam = lc.entry(i, n + j, n + l)
+                gam = lc[i, n + j, n + l]
                 if gam.max_abs() == 0.0:
                     continue
                 out = out + FO._wedge1(FO._wedge1(cl, FO.ANTI, j),
@@ -374,7 +374,7 @@ def _ref_a_coefficients(mj):
                 coef = FO._zero(n, mj.order - 1)
                 for l in range(n):
                     for m in range(n):
-                        gam = lc.entry(s, n + l, n + m)
+                        gam = lc[s, n + l, n + m]
                         if gam.max_abs() != 0.0:
                             coef = coef + mj.h_up(k, l) * mj.h[i][m] * gam
                 if coef.max_abs() != 0.0:
@@ -688,7 +688,7 @@ def _reference_nabla(phi, side, i, conn=None):
                 res, other = views[slots], (b, a)[slots]
                 for t, slot in enumerate(T):
                     for c in range(n):
-                        gam = lc.entry(direction, off + c, off + slot)
+                        gam = lc[direction, off + c, off + slot]
                         if gam.max_abs() == 0.0:
                             continue
                         ins = _insert(T[:t] + T[t + 1:], c)

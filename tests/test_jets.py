@@ -6,7 +6,8 @@ from hermitia.errors import (OrderExhaustedError, SingularSeriesError,
                              StructuralError)
 from hermitia.jets import (Jet, constant, jet_conj, jet_inverse,
                            jet_matrix_inverse, point_derivatives, truncate,
-                           variable, wirtinger)
+                           wirtinger)
+from reference import variable
 
 
 def _random_jet(n, order, rng):

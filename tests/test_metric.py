@@ -17,7 +17,7 @@ from hermitia.metric import (evaluate, flat_metric, hopf_metric,
                              separable_kahler_torus, torus_fourier,
                              write_torus_metric)
 from hermitia.structure import balanced_torsion, skt_defect
-from reference import derivative_tables_loops
+from reference import derivative_tables_loops, metric_jet_by_jets
 
 
 def test_flat_and_hopf_values():
@@ -171,6 +171,80 @@ def test_evaluate_batch_hopf_origin_and_shape_errors():
         evaluate(flat_metric(2), np.zeros((4, 3)))
     with pytest.raises(StructuralError):
         evaluate(flat_metric(2), 0.5)
+
+
+def test_metric_jet_refuses_an_inverse_that_is_not_finite():
+    # h(z) = 1e-6 is positive and every coefficient of h is finite, but the
+    # zeta^2 coefficient of 1/h is about c / h(z)^2 = 5e311: NaN jets before
+    fld = polynomial_metric(1, [((2,), (0,), [[-0.4999995e300]])])
+    with pytest.raises(ValidationError, match="jets not finite"):
+        metric_jet(fld, np.array([1e-150]), order=3)
+
+
+# -- closed-form Taylor coefficients against the jet-built route ------------
+
+_NORMAL_FORMS = (normal_form_random, normal_coordinates_random,
+                 normal_form_balanced, normal_form_skt,
+                 normal_form_balanced_skt)
+_TORI = (random_torus_fourier, potential_kahler_torus, separable_kahler_torus)
+
+
+def _coeffs(jets):
+    return np.stack([j.coeffs for j in jets.ravel()])
+
+
+def _taylor_cases(n):
+    """(field, point) of every kind at n: the normal forms and flat at 0 and
+    at a sampled point near it, the tori at 0 and at a uniform point, Hopf
+    at a point of norm 1.5."""
+    rng = np.random.default_rng(70 + n)
+    zero = np.zeros(n, complex)
+    near = 0.15 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    x = rng.uniform(0.0, 1.0, 2 * n)
+    cases = [(make(n, 1), z) for make in (lambda n, s: flat_metric(n),
+                                           *_NORMAL_FORMS)
+             for z in (zero, near)]
+    cases += [(make(n, 2), z) for make in _TORI
+              for z in (zero, x[:n] + 1j * x[n:])]
+    if n >= 2:
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        cases.append((hopf_metric(n), v * (1.5 / np.linalg.norm(v))))
+    return cases
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_taylor_coefficients_match_jet_arithmetic(n):
+    for fld, z in _taylor_cases(n):
+        for order in (1, 2, 3):
+            got = _coeffs(metric_jet(fld, z, order=order).h)
+            want = _coeffs(metric_jet_by_jets(fld, z, order))
+            gap = np.max(np.abs(got - want)) / np.max(np.abs(want))
+            assert gap <= 1e-14, (fld.kind, n, order, z)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_taylor_coefficients_at_the_origin_are_bit_identical(n):
+    fields = [flat_metric(n)] + [make(n, s) for make in _NORMAL_FORMS
+                                 for s in (0, 1)]
+    for fld in fields:
+        for order in (1, 2, 3):
+            z = np.zeros(n, complex)
+            got = _coeffs(metric_jet(fld, z, order=order).h)
+            want = _coeffs(metric_jet_by_jets(fld, z, order))
+            assert got.tobytes() == want.tobytes(), (fld.kind, n, order)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_evaluate_is_the_degree_zero_coefficient(n):
+    for fld, z in _taylor_cases(n):
+        rng = np.random.default_rng(n)
+        batch = z + 0.05 * (rng.standard_normal((2, 3, n))
+                            + 1j * rng.standard_normal((2, 3, n)))
+        values = evaluate(fld, batch)
+        for idx in np.ndindex(2, 3):
+            want = metric_jet(fld, batch[idx], order=3).h_at0()
+            assert np.max(np.abs(values[idx] - want)) <= \
+                1e-14 * np.max(np.abs(want)), (fld.kind, n, idx)
 
 
 # -- ingest positivity: Weyl certificate, then the sweep --------------------

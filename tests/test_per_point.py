@@ -16,6 +16,7 @@ from hermitia.curvature import (complexified_ricci, connection_curvature,
                                 normal_point_suite, ricci_panel, scalars)
 from hermitia.errors import OrderExhaustedError
 from hermitia.forms import identity_suite
+from hermitia.jets import point_derivatives
 from hermitia.metric import (derivative_tables, hopf_metric, metric_jet,
                              normal_form_skt, random_torus_fourier)
 from hermitia.structure import kahler_defect, skt_defect, structure_report
@@ -49,10 +50,10 @@ def test_metric_jet_is_freed_after_identity_suite():
 
 def test_memoized_arrays_are_read_only():
     mj = metric_jet(hopf_metric(2), np.array([1.0, 0.5j]), order=3)
-    arrays = [*derivative_tables(mj), levi_civita(mj).entries,
+    arrays = [*derivative_tables(mj), levi_civita(mj),
               lc_curvature_full(mj), complexified_ricci(mj)]
-    arrays += [f(mj).components for f in (curvature_lc, curvature_induced,
-                                          curvature_chern, curvature_bismut)]
+    arrays += [f(mj) for f in (curvature_lc, curvature_induced,
+                               curvature_chern, curvature_bismut)]
     for a in arrays:
         with pytest.raises(ValueError):
             a.flat[0] = a.flat[0]
@@ -71,7 +72,7 @@ def _riemann_loops(mj, m):
     """Reference: R_{ABCD} entry by entry, intermediate index over range(m)."""
     n = mj.n
     lc = levi_civita(mj)
-    g, dg = lc.const_table(), lc.dconst_table()
+    g, dg = point_derivatives(lc), point_derivatives(lc, 1)
     r_up = np.zeros((2 * n,) * 4, dtype=complex)
     for A in range(2 * n):
         for B in range(2 * n):
@@ -96,7 +97,7 @@ def test_riemann_kernel_matches_entrywise_loops(n):
     induced = _riemann_loops(mj, n)[:n, n:, :n, n:]
     assert np.max(np.abs(full)) > 1e-3
     lc = levi_civita(mj)
-    g, dg, h0 = lc.const_table(), lc.dconst_table(), mj.h_at0()
+    g, dg, h0 = point_derivatives(lc), point_derivatives(lc, 1), mj.h_at0()
     H = np.block([[np.zeros((n, n)), h0], [h0.T, np.zeros((n, n))]])
     # the one curvature formula: LC on its full table, induced on the
     # block of fiber indices < n
@@ -104,4 +105,4 @@ def test_riemann_kernel_matches_entrywise_loops(n):
     got = connection_curvature(g[:, :n, :n], dg[..., :n, :n], h0)[:n, n:]
     assert np.max(np.abs(got - induced)) < 1e-12
     assert np.max(np.abs(lc_curvature_full(mj) - full)) < 1e-12
-    assert np.max(np.abs(curvature_induced(mj).components - induced)) < 1e-12
+    assert np.max(np.abs(curvature_induced(mj) - induced)) < 1e-12
