@@ -13,75 +13,102 @@ Index conventions (see docs/conventions.md): capital indices A, B, C run over
 directions.  The complexified metric has the block structure
 H_{i jbar} = h_{i jbar}, H_{ibar j} = h_{j ibar}, H_{ij} = H_{ibar jbar} = 0,
 and the inverse blocks are H^{i jbar} = hinv[j][i], H^{ibar j} = hinv[i][j].
+
+The tables are computed on dense coefficient arrays of shape (..., S) over
+the order-(K-1) jet basis, with the operations the jet arithmetic would do
+in the same order (products by ``_Algebra.mul``), so every table is bit for
+bit the one the entry-by-entry jet loops give; Jets are built only at the
+end.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .jets import constant, truncate, wirtinger
+from .jets import _algebra, coefficients, constant, jet_array
 from .metric import MetricJet, per_point
 
 __all__ = ["levi_civita", "chern", "bismut"]
 
 
-def _first_derivatives(mj: MetricJet) -> np.ndarray:
-    """d[0|1, i, a, q] = d h_{a qbar} / dz^i | dzbar^i, a (2, n, n, n) jet
-    array of order K-1."""
-    n = mj.n
-    d = np.empty((2, n, n, n), dtype=object)
-    for s, i, a, q in np.ndindex(d.shape):
-        d[s, i, a, q] = wirtinger(mj.h[a][q], ("holo", "antiholo")[s], i)
-    return d
+def _derivatives(mj: MetricJet) -> np.ndarray:
+    """d[v, a, q] = d h_{a qbar} / dz^v (v < n) or dzbar^(v - n), the
+    (2n, n, n, S) coefficients of order K-1."""
+    h = coefficients(mj.h)
+    alg = _algebra(mj.n, mj.order)
+    return np.stack([alg.derivative(h, v) for v in range(2 * mj.n)])
 
 
-def _H_up(mj: MetricJet):
-    """Inverse complexified metric H^{AB} as a (2n, 2n) object array."""
+def _times_hinv(d: np.ndarray, mj: MetricJet) -> np.ndarray:
+    """The jet-matrix product d . h^-1 over the last two index axes of
+    d (..., a, q, S): [..., a, b] = sum_q d[..., a, q] h^{b qbar}, summed
+    from the q = 0 product on, as object ``@`` sums."""
+    alg = _algebra(mj.n, mj.order - 1)
+    hinv = coefficients(mj.hinv)[..., :alg.size]
+    out = alg.mul(d[..., 0, None, :], hinv[0])
+    for q in range(1, mj.n):
+        out = out + alg.mul(d[..., q, None, :], hinv[q])
+    return out
+
+
+def _H_inverse(mj: MetricJet, size: int) -> np.ndarray:
+    """H^{CE}, the inverse complexified metric, as (2n, 2n, size)
+    coefficients truncated to the first ``size`` basis monomials."""
     n = mj.n
-    U = np.full((2 * n, 2 * n), constant(0.0, n, mj.order), dtype=object)
-    U[:n, n:] = mj.hinv.T
-    U[n:, :n] = mj.hinv
+    hinv = coefficients(mj.hinv)[..., :size]
+    U = np.zeros((2 * n, 2 * n, size), dtype=complex)
+    U[:n, n:] = hinv.swapaxes(0, 1)
+    U[n:, :n] = hinv
     return U
+
+
+def _bracket(d: np.ndarray, E: int, A: np.ndarray, B: np.ndarray):
+    """x[p] = d_B H_{A E} + d_A H_{B E} - d_E H_{A B} at the index pairs
+    (A[p], B[p]), a (P, S) array, from d = ``_derivatives``."""
+    n = d.shape[1]
+    # col[v, A] = d H_{AE} / dz^v and row[A, B] = d H_{AB} / dz^E; the
+    # unmixed blocks of H vanish
+    col = np.zeros((2 * n, 2 * n, d.shape[-1]), dtype=complex)
+    if E < n:
+        col[:, n:] = d[:, E]
+    else:
+        col[:, :n] = d[:, :, E - n]
+    row = np.zeros_like(col)
+    row[:n, n:] = d[E]
+    row[n:, :n] = d[E].swapaxes(0, 1)
+    return col[B, A] + col[A, B] - row[A, B]
 
 
 @per_point
 def levi_civita(mj: MetricJet) -> np.ndarray:
-    """Gamma_{AB}^C = (1/2) H^{CE} (d_B H_{AE} + d_A H_{BE} - d_E H_{AB})."""
-    d = _first_derivatives(mj)
+    """Gamma_{AB}^C = (1/2) H^{CE} (d_B H_{AE} + d_A H_{BE} - d_E H_{AB}).
+
+    Each entry with A <= B sums its E terms in order from +0, skipping the
+    E with a zero H^{CE} jet; [B, A, C] is the same Jet (torsion-free).
+    One E at a time keeps the products at (P, n, S), P = n (2n + 1)."""
     n, K = mj.n, mj.order - 1
-    zero = constant(0.0, n, K)
-    U = _H_up(mj)
-    Ut = np.empty_like(U)
-    for idx in np.ndindex(U.shape):
-        Ut[idx] = truncate(U[idx], K)
-    # dH[B][A][E] = d H_{AE} / dz^B: H_{a ebar} = h_{a ebar} and
-    # H_{abar e} = h_{e abar}, the unmixed blocks vanish
-    dH = np.full((2 * n, 2 * n, 2 * n), zero, dtype=object)
-    dH[:, :n, n:] = d.reshape(2 * n, n, n)
-    dH[:, n:, :n] = d.transpose(0, 1, 3, 2).reshape(2 * n, n, n)
-    G = np.full((2 * n, 2 * n, 2 * n), zero, dtype=object)
-    for A in range(2 * n):
-        for B in range(A, 2 * n):
-            for C in range(2 * n):
-                acc = zero
-                for E in range(2 * n):
-                    u = Ut[C][E]
-                    if u.max_abs() == 0:
-                        continue
-                    acc = acc + 0.5 * u * (dH[B][A][E] + dH[A][B][E]
-                                           - dH[E][A][B])
-                G[A][B][C] = acc
-                G[B][A][C] = acc  # torsion-free symmetry
+    alg = _algebra(n, K)
+    d = _derivatives(mj)
+    U = _H_inverse(mj, alg.size)
+    live = (U != 0).any(axis=-1)
+    A, B = np.triu_indices(2 * n)
+    acc = np.zeros((len(A), 2 * n, alg.size), dtype=complex)
+    for E in range(2 * n):
+        C = np.flatnonzero(live[:, E])
+        x = _bracket(d, E, A, B)
+        acc[:, C] += alg.mul(0.5 * U[C, E], x[:, None])
+    G = np.empty((2 * n,) * 3, dtype=object)
+    G[A, B] = G[B, A] = jet_array(acc, n, K)
     return G
 
 
 def chern(mj: MetricJet) -> np.ndarray:
     """Gamma_{i a}^b = d h_{a qbar} / dz^i h^{b qbar}, that is dh . h^-1 on
     the unbarred directions; barred directions zero."""
-    d = _first_derivatives(mj)
-    n = mj.n
-    return np.concatenate([d[0] @ mj.hinv, np.full(
-        (n, n, n), constant(0.0, n, mj.order - 1), dtype=object)])
+    n, K = mj.n, mj.order - 1
+    return np.concatenate([
+        jet_array(_times_hinv(_derivatives(mj)[:n], mj), n, K),
+        np.full((n, n, n), constant(0.0, n, K), dtype=object)])
 
 
 def bismut(mj: MetricJet) -> np.ndarray:
@@ -92,6 +119,9 @@ def bismut(mj: MetricJet) -> np.ndarray:
         = h^{b ebar} (d h_{a ebar}/dzbar^j - d h_{a jbar}/dzbar^e),
     that is (dbar h - dbar h^T) . h^-1 with dbar h[j, a, e].
     """
-    d = _first_derivatives(mj)
-    return np.concatenate([(d[0] @ mj.hinv).transpose(1, 0, 2),
-                           (d[1] - d[1].transpose(2, 1, 0)) @ mj.hinv])
+    n = mj.n
+    d = _derivatives(mj)
+    db = d[n:]
+    return jet_array(np.concatenate([
+        _times_hinv(d[:n], mj).swapaxes(0, 1),
+        _times_hinv(db - db.transpose(2, 1, 0, 3), mj)]), n, mj.order - 1)

@@ -172,8 +172,7 @@ def _sample_fourier(fld: MetricField, N: int) -> np.ndarray:
     n = fld.n
     k = np.arange(N)
     roots = np.exp(2j * np.pi * k / N)
-    m = np.array([mode for mode, _ in fld.modes], int).reshape(-1, 2, n)
-    a = np.array([A for _, A in fld.modes], complex).reshape(-1, n, n)
+    m, a = fld.rows.reshape(-1, 2, n), fld.mats
     phases = roots[np.multiply.outer(m.swapaxes(1, 2), k) % N]
     phases = phases.reshape(len(m), 2 * n, N)  # (mode, grid axis, k)
     u, v = np.ones((2, len(m), 1), complex)

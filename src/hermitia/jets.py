@@ -29,8 +29,9 @@ __all__ = [
     "jet_inverse",
     "jet_matrix_inverse",
     "constant",
-    "truncate",
     "point_derivatives",
+    "coefficients",
+    "jet_array",
 ]
 
 
@@ -81,6 +82,16 @@ class _Algebra:
         self.mul_i = np.array(mi)
         self.mul_j = np.array(mj)
         self.mul_t = np.array(mt)
+        # the same triples in rank passes: pass r holds the r-th triple of
+        # each output monomial that has one, in the order above
+        rank = np.zeros(len(mt), dtype=int)
+        seen = {}
+        for k, t in enumerate(mt):
+            rank[k] = seen.get(t, 0)
+            seen[t] = rank[k] + 1
+        self.mul_passes = [
+            (self.mul_i[rank == r], self.mul_j[rank == r], self.mul_t[rank == r])
+            for r in range(rank.max() + 1)]
 
         # derivative gather maps, one per variable slot v in 0..2n-1
         self.deriv_src = []
@@ -116,6 +127,32 @@ class _Algebra:
             self.point_index.append(np.array(
                 [[self.index[tuple((unit[k] + unit[n + l]).tolist())]
                   for l in range(n)] for k in range(n)]))
+
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Jet products of coefficient arrays of shape (..., size), broadcast
+        over their leading axes, bit for bit ``Jet.__mul__`` on each pair.
+        Every output monomial sums its products from +0 in triple order, as
+        ``np.add.at`` does; a pass adds one product into each monomial, so
+        no index repeats within a pass and a plain scatter suffices.  The
+        passes run with the coefficient axis first, on whole rows; the
+        result is a view with that axis moved back to the end."""
+        shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+        a, b = (np.ascontiguousarray(np.moveaxis(
+            x.reshape((1,) * (len(shape) + 1 - x.ndim) + x.shape), -1, 0))
+            for x in (a, b))
+        out = np.zeros((self.size,) + shape, dtype=complex)
+        for i, j, t in self.mul_passes:
+            out[t] += a[i] * b[j]
+        return np.moveaxis(out, 0, -1)
+
+    def derivative(self, a: np.ndarray, v: int) -> np.ndarray:
+        """d/d(variable slot v) of coefficient arrays of shape (..., size),
+        over the basis of order - 1."""
+        out = np.zeros(a.shape[:-1] + (self.size_at[self.order - 1],),
+                       dtype=complex)
+        out[..., self.deriv_dst[v]] = (self.deriv_fac[v]
+                                       * a[..., self.deriv_src[v]])
+        return out
 
 
 @lru_cache(maxsize=None)
@@ -257,16 +294,6 @@ def jet_conj(a: Jet) -> Jet:
     return a.conj()
 
 
-def truncate(a: Jet, order: int) -> Jet:
-    """Restrict a jet to a lower truncation order (prefix of the basis)."""
-    if order > a.order:
-        raise StructuralError(f"cannot raise order {a.order} to {order}")
-    if order == a.order:
-        return a
-    m = a._alg.size_at[order]
-    return Jet(a.n, order, a.coeffs[:m])
-
-
 def wirtinger(a: Jet, which: str, index: int) -> Jet:
     """Formal d/dz^index ('holo') or d/dzbar^index ('antiholo'); index 0-based.
 
@@ -284,6 +311,28 @@ def wirtinger(a: Jet, which: str, index: int) -> Jet:
     out = np.zeros(low.size, dtype=complex)
     out[alg.deriv_dst[v]] = alg.deriv_fac[v] * a.coeffs[alg.deriv_src[v]]
     return Jet(a.n, a.order - 1, out, _alg=low)
+
+
+def coefficients(jets) -> np.ndarray:
+    """The coefficients of an array of jets of one (n, order), stacked into
+    one complex array of shape ``jets.shape + (size,)``."""
+    a = np.asarray(jets, dtype=object)
+    return np.stack([j.coeffs for j in a.flat]).reshape(a.shape + (-1,))
+
+
+def jet_array(coeffs: np.ndarray, n: int, order: int) -> np.ndarray:
+    """The object array of Jets over the leading axes of a coefficient array
+    of shape (..., size).  Each jet owns a copy of its row, so a kept jet
+    holds its own coefficients and not the whole array."""
+    alg = _algebra(n, order)
+    c = np.asarray(coeffs, dtype=complex)
+    if c.shape[-1:] != (alg.size,):
+        raise StructuralError(
+            f"coefficient array has shape {c.shape}, expected (..., {alg.size})")
+    out = np.empty(c.shape[:-1], dtype=object)
+    out.reshape(-1)[:] = [Jet(n, order, row.copy(), _alg=alg)
+                          for row in c.reshape(-1, alg.size)]
+    return out
 
 
 def point_derivatives(jets, degree: int = 0) -> np.ndarray:

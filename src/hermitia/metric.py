@@ -23,8 +23,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import DomainError, ParseError, StructuralError, ValidationError
-from .jets import (Jet, _algebra, jet_inverse, jet_matrix_inverse,
+from .errors import (DomainError, ParseError, SingularSeriesError,
+                     StructuralError, ValidationError)
+from .jets import (Jet, _algebra, jet_array, jet_inverse, jet_matrix_inverse,
                    point_derivatives)
 
 __all__ = [
@@ -122,15 +123,40 @@ class MetricField:
 
     n: int
     kind: str  # Flat | Hopf | NormalForm | TorusFourier
-    # NormalForm: list of (alpha, beta, M) monomial terms; the field value is
-    #   identity + sum M z^alpha zbar^beta (conjugate partners included).
-    terms: tuple = ()
-    # TorusFourier: list of (m, A) with m an int vector of length 2n.
-    modes: tuple = ()
+    # The polynomial terms or Fourier modes as two read-only arrays, rows
+    # (T, 2n) of integers and mats (T, n, n) complex; None for Flat and Hopf.
+    # NormalForm: the given half of the monomial terms, rows[t] = (alpha,
+    #   beta) as int8 and mats[t] = M.  The field value is identity +
+    #   sum_t (M z^alpha zbar^beta + M^H z^beta zbar^alpha); the conjugate
+    #   partners are never stored.
+    # TorusFourier: the modes in sorted frequency order, rows[t] = m and
+    #   mats[t] = A^(m).
+    rows: np.ndarray = None
+    mats: np.ndarray = None
+
+    @property
+    def terms(self) -> tuple:
+        """The NormalForm monomial terms (alpha, beta, M), each followed by
+        its conjugate partner (beta, alpha, M^H); () for the other kinds."""
+        if self.kind != "NormalForm":
+            return ()
+        n, out = self.n, []
+        for row, M in zip(self.rows.tolist(), self.mats):
+            alpha, beta = tuple(row[:n]), tuple(row[n:])
+            out += [(alpha, beta, M), (beta, alpha, M.conj().T)]
+        return tuple(out)
+
+    @property
+    def modes(self) -> tuple:
+        """The TorusFourier modes (m, A), m a tuple of length 2n; () for the
+        other kinds."""
+        if self.kind != "TorusFourier":
+            return ()
+        return tuple(zip(map(tuple, self.rows.tolist()), self.mats))
 
     def admissible(self, z) -> bool:
         if self.kind == "Hopf":
-            return float(np.linalg.norm(z)) > 0
+            return bool(np.any(np.asarray(z) != 0))
         return True
 
 
@@ -164,18 +190,31 @@ def polynomial_metric(n: int, terms, allow_linear: bool = False) -> MetricField:
     (beta, alpha, M^H) is added automatically so the field is Hermitian.
     """
     _check_dim(n)
-    full = []
+    rows, mats = [], []
     for alpha, beta, M in terms:
-        alpha, beta = tuple(alpha), tuple(beta)
-        M = np.asarray(M, dtype=complex)
-        deg = sum(alpha) + sum(beta)
+        row = tuple(alpha) + tuple(beta)
+        if len(row) != 2 * n or not all(0 <= e <= 127 for e in row):
+            raise StructuralError(
+                f"term exponents must be 2 x {n} integers in 0..127, got {row}")
+        deg = sum(row)
         if deg == 0:
             raise StructuralError("degree-0 terms are not allowed; h(0) = identity")
         if deg == 1 and not allow_linear:
             raise StructuralError("normal-form fields have zero linear term")
-        full.append((alpha, beta, M))
-        full.append((beta, alpha, M.conj().T))
-    return MetricField(n=n, kind="NormalForm", terms=tuple(full))
+        M = np.asarray(M, dtype=complex)
+        if M.shape != (n, n):
+            raise StructuralError(f"term matrix must be {n}x{n}")
+        rows.append(row)
+        mats.append(M)
+    return _tabled(n, "NormalForm", np.array(rows, dtype=np.int8), mats)
+
+
+def _tabled(n: int, kind: str, rows: np.ndarray, mats) -> MetricField:
+    """A field whose rows (T, 2n) and matrices (T, n, n) are read-only."""
+    rows = rows.reshape(-1, 2 * n)
+    mats = np.array(mats, dtype=complex).reshape(-1, n, n)
+    rows.flags.writeable = mats.flags.writeable = False
+    return MetricField(n=n, kind=kind, rows=rows, mats=mats)
 
 
 def _hermitize_quadratic(n, d):
@@ -354,8 +393,9 @@ def torus_fourier(n: int, modes) -> MetricField:
         if partner is None or not np.allclose(partner, A.conj().T, atol=1e-12):
             raise ValidationError(
                 f"Hermitian frequency constraint violated at m={key}")
-    return MetricField(n=n, kind="TorusFourier",
-                       modes=tuple(sorted(table.items())))
+    keys = sorted(table)
+    return _tabled(n, "TorusFourier", np.array(keys, dtype=int),
+                   [table[key] for key in keys])
 
 
 def _torus_from(n: int, pairs) -> MetricField:
@@ -484,8 +524,7 @@ def _taylor(field: MetricField, z: np.ndarray, order: int) -> np.ndarray:
     alg = _algebra(n, order)
     p = np.concatenate([z, np.conj(z)], axis=-1)
     if field.kind == "TorusFourier":
-        freqs, mats = zip(*field.modes) if field.modes else ((), ())
-        mu = _mu(np.array(freqs).reshape(-1, 2 * n), n)
+        mu, mats = _mu(field.rows, n), field.mats
         c = 1j * np.pi * np.concatenate([mu, np.conj(mu)], axis=-1)
         coef = _powers(c, order)[:, range(2 * n), alg.exponent_array].prod(
             axis=-1) / alg.factorials
@@ -493,8 +532,15 @@ def _taylor(field: MetricField, z: np.ndarray, order: int) -> np.ndarray:
         t, s = np.indices(coef.shape).reshape(2, -1)
         vals = (phase[..., None] * coef).reshape(phase.shape[:-1] + (-1,))
     elif field.kind in ("Flat", "NormalForm"):
-        alpha, beta, mats = zip(((0,) * n, (0,) * n, np.eye(n)), *field.terms)
-        t, s, vals = _monomial_taylor(np.hstack([alpha, beta]), p, alg)
+        rows, mats = np.zeros((1, 2 * n), dtype=int), np.eye(n)[None]
+        if field.kind == "NormalForm":  # each stored term, then its partner
+            rows = np.concatenate([rows, np.stack(
+                [field.rows, np.roll(field.rows, n, axis=1)], 1)
+                .reshape(-1, 2 * n)])
+            mats = np.concatenate([mats, np.stack(
+                [field.mats, field.mats.conj().swapaxes(1, 2)], 1)
+                .reshape(-1, n, n)])
+        t, s, vals = _monomial_taylor(rows, p, alg)
     elif field.kind == "Hopf":  # r^2 I, inverted below
         t, s, vals = _monomial_taylor(np.tile(np.identity(n, int), 2), p, alg)
         mats = [np.eye(n)] * n
@@ -519,14 +565,18 @@ def metric_jet(field: MetricField, z, order: int = 3) -> MetricJet:
     n = field.n
     if not field.admissible(z):
         raise DomainError(f"point {z} outside the field's domain")
+    w_min, hinv = np.nan, None
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = _taylor(field, z, order)
-        h = np.array([[Jet(n, order, c) for c in row] for row in coeffs],
-                     dtype=object)
-        h0 = coeffs[..., 0]
-        w_min = (np.linalg.eigvalsh((h0 + h0.conj().T) / 2).min()
-                 if np.isfinite(coeffs).all() else np.nan)
-        hinv = jet_matrix_inverse(h) if w_min > _POS_EIG_TOL else None
+        try:
+            coeffs = _taylor(field, z, order)
+        except SingularSeriesError:  # Hopf: r^2 = sum z zbar underflowed
+            coeffs = np.array(np.nan)
+        if np.isfinite(coeffs).all():
+            h0 = coeffs[..., 0]
+            w_min = np.linalg.eigvalsh((h0 + h0.conj().T) / 2).min()
+        if w_min > _POS_EIG_TOL:
+            h = jet_array(coeffs, n, order)
+            hinv = jet_matrix_inverse(h)
     if hinv is None or not np.isfinite([j.coeffs for j in hinv.flat]).all():
         raise ValidationError(
             f"metric not positive definite, or its jets not finite, at {z}: "

@@ -10,6 +10,7 @@ import numpy as np
 
 from hermitia import forms as FO
 from hermitia.curvature import det_jet
+from hermitia.errors import StructuralError
 from hermitia.flow import FlowState
 from hermitia.jets import Jet, _algebra, constant, jet_inverse, wirtinger
 from hermitia.metric import (_mu, hopf_metric, metric_jet,
@@ -26,6 +27,15 @@ def variable(n, order, index, barred=False):
     c = np.zeros(alg.size, dtype=complex)
     c[alg.index[tuple(e)]] = 1.0
     return Jet(n, order, c)
+
+
+def truncate(a, order):
+    """Restrict a jet to a lower truncation order (prefix of the basis)."""
+    if order > a.order:
+        raise StructuralError(f"cannot raise order {a.order} to {order}")
+    if order == a.order:
+        return a
+    return Jet(a.n, order, a.coeffs[:a._alg.size_at[order]])
 
 
 def metric_jet_by_jets(field, z, order=3):

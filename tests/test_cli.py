@@ -206,6 +206,19 @@ def test_point_with_a_non_finite_jet_is_refused(capsys, argv, where):
     assert where in err
 
 
+def test_hopf_point_near_the_origin_is_refused_alike(capsys):
+    # below |z| ~ 1e-162 the norm underflowed to 0 and the point was called
+    # outside the field's domain (exit 3); at 1e-160 h overflows (exit 2)
+    seen = []
+    for x in ("1e-160", "1e-170"):
+        code = main(["curvature", "--metric", "hopf", "--point", f"{x},0,0,0"])
+        err = capsys.readouterr().err
+        assert f"1.{x[1:]}" in err
+        seen.append((code, err.replace(f"1.{x[1:]}", "<x>")))
+    assert seen[0] == seen[1]
+    assert seen[0][0] == 2 and "jets not finite" in seen[0][1]
+
+
 def test_grid_flow_refuses_a_metric_that_is_not_periodic(capsys):
     # a polynomial wraps across a jump on [0,1)^{2n}: this ran to an
     # einstein_residual of 1.97 with exit 0

@@ -8,18 +8,27 @@ import numpy as np
 import pytest
 
 from hermitia import forms as FO
-from hermitia.connection import _H_up, bismut, chern, levi_civita
+from hermitia.connection import bismut, chern, levi_civita
 from hermitia.errors import ValidationError
 from hermitia.forms import (ConnectionJet, FormJet, chern_connection,
                             check_metric_compatible, dbar_e_star,
                             partial_e_star, random_form,
                             random_metric_connection, trivial_connection)
-from hermitia.jets import Jet, constant, jet_conj, truncate, wirtinger
+from hermitia.jets import Jet, constant, jet_conj, wirtinger
 from hermitia.metric import metric_jet, normal_form_skt
-from reference import CASES, dz, hopf_jet, point
+from reference import CASES, dz, hopf_jet, point, truncate
 
 
 # -- the loop references ----------------------------------------------------
+
+
+def _H_up(mj):
+    """Inverse complexified metric H^{AB} as a (2n, 2n) object array."""
+    n = mj.n
+    U = np.full((2 * n, 2 * n), constant(0.0, n, mj.order), dtype=object)
+    U[:n, n:] = mj.hinv.T
+    U[n:, :n] = mj.hinv
+    return U
 
 
 def _H_low(mj):

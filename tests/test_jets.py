@@ -5,9 +5,8 @@ from hypothesis import given, settings, strategies as st
 from hermitia.errors import (OrderExhaustedError, SingularSeriesError,
                              StructuralError)
 from hermitia.jets import (Jet, constant, jet_conj, jet_inverse,
-                           jet_matrix_inverse, point_derivatives, truncate,
-                           wirtinger)
-from reference import variable
+                           jet_matrix_inverse, point_derivatives, wirtinger)
+from reference import truncate, variable
 
 
 def _random_jet(n, order, rng):

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,16 @@ def test_polynomial_metric_rejects_non_hermitian_use():
     z = np.array([0.1, 0.2j])
     h = evaluate(fld, z)
     assert np.max(np.abs(h - h.conj().T)) < 1e-12
+
+
+@pytest.mark.parametrize("term", [
+    ((1, 0), (-1, 2), np.eye(2)),     # a negative exponent
+    ((128, 0), (0, 0), np.eye(2)),    # beyond the int8 exponent rows
+    ((1, 0, 0), (0, 1), np.eye(2)),   # a row of the wrong length
+    ((1, 0), (0, 1), np.eye(3))])     # a matrix of the wrong shape
+def test_polynomial_metric_rejects_a_malformed_term(term):
+    with pytest.raises(StructuralError):
+        polynomial_metric(2, [term])
 
 
 def test_torus_fourier_needs_hermitian_pairing():
@@ -179,6 +190,27 @@ def test_metric_jet_refuses_an_inverse_that_is_not_finite():
     fld = polynomial_metric(1, [((2,), (0,), [[-0.4999995e300]])])
     with pytest.raises(ValidationError, match="jets not finite"):
         metric_jet(fld, np.array([1e-150]), order=3)
+
+
+def test_polynomial_and_fourier_fields_are_read_only_arrays():
+    # the given terms as (T, 2n) exponent rows and (T, n, n) matrices, no
+    # conjugate partners: 29 KB at n = 4 when every term and its partner
+    # were tuples of their own
+    normal_form_skt(4, 0)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fld = normal_form_skt(4, 1)
+        size = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert size <= 10_000
+    assert fld.rows.dtype == np.int8 and len(fld.terms) == 2 * len(fld.rows)
+    torus = random_torus_fourier(2, 0)
+    assert len(torus.modes) == len(torus.rows) == len(torus.mats)
+    for a in (fld.rows, fld.mats, torus.rows, torus.mats):
+        with pytest.raises(ValueError):
+            a[0] = a[0]
 
 
 # -- closed-form Taylor coefficients against the jet-built route ------------
