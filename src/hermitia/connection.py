@@ -1,12 +1,12 @@
 """Christoffel symbols of the complexified Levi-Civita connection and the
-coefficient tables of the Chern and Bismut connections, as arrays of Jets of
-order K-1.
+coefficient tables of the Chern and Bismut connections, as coefficient
+arrays of jets of order K-1, the last axis over the order-(K-1) basis.
 
-``levi_civita`` holds Gamma_{AB}^C at [A, B, C], shape (2n, 2n, 2n).
-``chern`` and ``bismut`` have shape (2n, n, n): [d, a, b] is the coefficient
-of nabla_d acting on the frame field e_a with output component e_b
-(directions d may be barred; bundle indices are unbarred).  Point values and
-first derivatives are read with ``jets.point_derivatives``.
+``levi_civita`` holds Gamma_{AB}^C at [A, B, C], shape (2n, 2n, 2n, S).
+``chern`` and ``bismut`` have shape (2n, n, n, S): [d, a, b] is the
+coefficient of nabla_d acting on the frame field e_a with output component
+e_b (directions d may be barred; bundle indices are unbarred).  Point values
+and first derivatives are read with ``jets.point_derivatives``.
 
 Index conventions (see docs/conventions.md): capital indices A, B, C run over
 0..2n-1 where 0..n-1 are unbarred (z) and n..2n-1 are barred (zbar)
@@ -14,18 +14,17 @@ directions.  The complexified metric has the block structure
 H_{i jbar} = h_{i jbar}, H_{ibar j} = h_{j ibar}, H_{ij} = H_{ibar jbar} = 0,
 and the inverse blocks are H^{i jbar} = hinv[j][i], H^{ibar j} = hinv[i][j].
 
-The tables are computed on dense coefficient arrays of shape (..., S) over
-the order-(K-1) jet basis, with the operations the jet arithmetic would do
-in the same order (products by ``_Algebra.mul``), so every table is bit for
-bit the one the entry-by-entry jet loops give; Jets are built only at the
-end.
+The tables are computed from ``MetricJet.h`` and ``hinv`` with the
+operations the jet arithmetic would do in the same order (products by
+``_Algebra.mul``), so every table is bit for bit the one the entry-by-entry
+jet loops give.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .jets import _algebra, coefficients, constant, jet_array
+from .jets import _algebra
 from .metric import MetricJet, per_point
 
 __all__ = ["levi_civita", "chern", "bismut"]
@@ -34,9 +33,8 @@ __all__ = ["levi_civita", "chern", "bismut"]
 def _derivatives(mj: MetricJet) -> np.ndarray:
     """d[v, a, q] = d h_{a qbar} / dz^v (v < n) or dzbar^(v - n), the
     (2n, n, n, S) coefficients of order K-1."""
-    h = coefficients(mj.h)
     alg = _algebra(mj.n, mj.order)
-    return np.stack([alg.derivative(h, v) for v in range(2 * mj.n)])
+    return np.stack([alg.derivative(mj.h, v) for v in range(2 * mj.n)])
 
 
 def _times_hinv(d: np.ndarray, mj: MetricJet) -> np.ndarray:
@@ -44,7 +42,7 @@ def _times_hinv(d: np.ndarray, mj: MetricJet) -> np.ndarray:
     d (..., a, q, S): [..., a, b] = sum_q d[..., a, q] h^{b qbar}, summed
     from the q = 0 product on, as object ``@`` sums."""
     alg = _algebra(mj.n, mj.order - 1)
-    hinv = coefficients(mj.hinv)[..., :alg.size]
+    hinv = mj.hinv[..., :alg.size]
     out = alg.mul(d[..., 0, None, :], hinv[0])
     for q in range(1, mj.n):
         out = out + alg.mul(d[..., q, None, :], hinv[q])
@@ -55,7 +53,7 @@ def _H_inverse(mj: MetricJet, size: int) -> np.ndarray:
     """H^{CE}, the inverse complexified metric, as (2n, 2n, size)
     coefficients truncated to the first ``size`` basis monomials."""
     n = mj.n
-    hinv = coefficients(mj.hinv)[..., :size]
+    hinv = mj.hinv[..., :size]
     U = np.zeros((2 * n, 2 * n, size), dtype=complex)
     U[:n, n:] = hinv.swapaxes(0, 1)
     U[n:, :n] = hinv
@@ -84,10 +82,9 @@ def levi_civita(mj: MetricJet) -> np.ndarray:
     """Gamma_{AB}^C = (1/2) H^{CE} (d_B H_{AE} + d_A H_{BE} - d_E H_{AB}).
 
     Each entry with A <= B sums its E terms in order from +0, skipping the
-    E with a zero H^{CE} jet; [B, A, C] is the same Jet (torsion-free).
+    E with a zero H^{CE} jet; [B, A, C] equals [A, B, C] (torsion-free).
     One E at a time keeps the products at (P, n, S), P = n (2n + 1)."""
-    n, K = mj.n, mj.order - 1
-    alg = _algebra(n, K)
+    n, alg = mj.n, _algebra(mj.n, mj.order - 1)
     d = _derivatives(mj)
     U = _H_inverse(mj, alg.size)
     live = (U != 0).any(axis=-1)
@@ -97,18 +94,17 @@ def levi_civita(mj: MetricJet) -> np.ndarray:
         C = np.flatnonzero(live[:, E])
         x = _bracket(d, E, A, B)
         acc[:, C] += alg.mul(0.5 * U[C, E], x[:, None])
-    G = np.empty((2 * n,) * 3, dtype=object)
-    G[A, B] = G[B, A] = jet_array(acc, n, K)
+    G = np.empty((2 * n,) * 3 + (alg.size,), dtype=complex)
+    G[A, B] = G[B, A] = acc
     return G
 
 
 def chern(mj: MetricJet) -> np.ndarray:
     """Gamma_{i a}^b = d h_{a qbar} / dz^i h^{b qbar}, that is dh . h^-1 on
     the unbarred directions; barred directions zero."""
-    n, K = mj.n, mj.order - 1
-    return np.concatenate([
-        jet_array(_times_hinv(_derivatives(mj)[:n], mj), n, K),
-        np.full((n, n, n), constant(0.0, n, K), dtype=object)])
+    n = mj.n
+    table = _times_hinv(_derivatives(mj)[:n], mj)
+    return np.concatenate([table, np.zeros_like(table)])
 
 
 def bismut(mj: MetricJet) -> np.ndarray:
@@ -122,6 +118,5 @@ def bismut(mj: MetricJet) -> np.ndarray:
     n = mj.n
     d = _derivatives(mj)
     db = d[n:]
-    return jet_array(np.concatenate([
-        _times_hinv(d[:n], mj).swapaxes(0, 1),
-        _times_hinv(db - db.transpose(2, 1, 0, 3), mj)]), n, mj.order - 1)
+    return np.concatenate([_times_hinv(d[:n], mj).swapaxes(0, 1),
+                           _times_hinv(db - db.transpose(2, 1, 0, 3), mj)])

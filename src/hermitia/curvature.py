@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connection import bismut, chern, levi_civita
-from .errors import OrderExhaustedError, StructuralError
-from .jets import Jet, point_derivatives
+from .errors import OrderExhaustedError, StructuralError, ValidationError
+from .jets import point_derivatives
 from .metric import MetricJet, derivative_tables, per_point
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "complexified_ricci",
     "complexified_ricci_bianchi",
     "scalars",
-    "det_jet",
     "ricci_panel",
     "curvature_comparison",
     "normal_point_suite",
@@ -47,11 +46,6 @@ class ScalarReport:
     def as_dict(self):
         return {"s_h": self.s_h, "S": self.S, "S_LC": self.S_LC,
                 "S_CH": self.S_CH, "S_BM": self.S_BM}
-
-
-def _hup_at0(mj: MetricJet) -> np.ndarray:
-    """h^{i jbar} at the point as a matrix indexed [i, j]."""
-    return mj.hinv_at0().T
 
 
 def _require_order(mj: MetricJet, k: int):
@@ -82,13 +76,10 @@ def lc_curvature_full(mj: MetricJet) -> np.ndarray:
     the Levi-Civita table on the full tangent bundle, lowered with H_{DE}."""
     _require_order(mj, 2)
     n = mj.n
-    lc = levi_civita(mj)
-    H = np.zeros((2 * n, 2 * n), dtype=complex)
-    h0 = mj.h_at0()
-    H[:n, n:] = h0
-    H[n:, :n] = h0.T
-    return connection_curvature(point_derivatives(lc),
-                                point_derivatives(lc, 1), H)
+    lc, h0, zero = levi_civita(mj), mj.h_at0(), np.zeros((n, n))
+    H = np.block([[zero, h0], [h0.T, zero]])
+    return connection_curvature(point_derivatives(lc, n),
+                                point_derivatives(lc, n, 1), H)
 
 
 @per_point
@@ -103,8 +94,8 @@ def _tangent_curvature(connection, mj: MetricJet) -> np.ndarray:
     _require_order(mj, 2)
     n = mj.n
     table = connection(mj)
-    g = point_derivatives(table)[:, :n, :n]
-    dg = point_derivatives(table, 1)[..., :n, :n]
+    g = point_derivatives(table, n)[:, :n, :n]
+    dg = point_derivatives(table, n, 1)[..., :n, :n]
     return connection_curvature(g, dg, mj.h_at0())[:n, n:]
 
 
@@ -134,7 +125,7 @@ def ricci(t: np.ndarray, mj: MetricJet, flavor: str) -> np.ndarray:
     flavor 'first' traces the bundle pair (the matrix is indexed by the form
     pair), 'second' the form pair.  The 'second' trace of the Levi-Civita
     tensor is the Hermitian Ricci matrix."""
-    up = _hup_at0(mj)
+    up = mj.hinv_at0().T   # h^{i jbar} at [i, j]
     if flavor == "first":
         return np.einsum("kl,ijkl->ij", up, t)
     if flavor == "second":
@@ -147,7 +138,7 @@ def complexified_ricci(mj: MetricJet) -> np.ndarray:
     """R_{k lbar} = h^{i jbar} (R_{k jbar i lbar} + R_{k i jbar lbar})."""
     n = mj.n
     full = lc_curvature_full(mj)
-    up = _hup_at0(mj)
+    up = mj.hinv_at0().T
     return (np.einsum("ij,kjil->kl", up, full[:n, n:, :n, n:])
             + np.einsum("ij,kijl->kl", up, full[:n, :n, n:, n:]))
 
@@ -156,28 +147,13 @@ def complexified_ricci_bianchi(mj: MetricJet) -> np.ndarray:
     """Second route: R_{k lbar} = h^{i jbar} (2 R_{k jbar i lbar}
     - R_{k lbar i jbar}), using only the (1,1)-slice."""
     slice11 = curvature_lc(mj)
-    up = _hup_at0(mj)
+    up = mj.hinv_at0().T
     return (2 * np.einsum("ij,kjil->kl", up, slice11)
             - np.einsum("ij,klij->kl", up, slice11))
 
 
-def det_jet(m: np.ndarray) -> Jet:
-    """Determinant of a square matrix of Jets by Laplace expansion."""
-    k = m.shape[0]
-    if k == 1:
-        return m[0][0]
-    acc = None
-    for j in range(k):
-        minor = np.delete(np.delete(m, 0, axis=0), j, axis=1)
-        term = m[0][j] * det_jet(minor)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
-
-
 def scalars(mj: MetricJet) -> ScalarReport:
-    up = _hup_at0(mj)
+    up = mj.hinv_at0().T
     R_full = curvature_lc(mj)
     R_hat = curvature_induced(mj)
     Theta = curvature_chern(mj)
@@ -230,6 +206,8 @@ def curvature_comparison(mj: MetricJet, trials: int, seed: int) -> dict:
     induced-connection curvature: the (u, ubar, v, vbar) contraction of
     R - Rhat is real and nonpositive, and both induced Ricci traces
     dominate the Hermitian Ricci matrix."""
+    if trials < 1:
+        raise ValidationError("trials must be >= 1")
     n = mj.n
     rng = np.random.default_rng(seed)
     r11 = curvature_lc(mj)
@@ -245,9 +223,8 @@ def curvature_comparison(mj: MetricJet, trials: int, seed: int) -> dict:
         val = np.einsum("ijkl,i,j,k,l->", diff, u, u.conj(), v, v.conj())
         worst = max(worst, val.real)
         max_imag = max(max_imag, abs(val.imag))
-    herm = ricci(curvature_lc(mj), mj, "second")
-    first = ricci(curvature_induced(mj), mj, "first")
-    second = ricci(curvature_induced(mj), mj, "second")
+    herm = ricci(r11, mj, "second")
+    first, second = ricci(rhat, mj, "first"), ricci(rhat, mj, "second")
     return {
         "max_contraction": worst,
         "max_contraction_imag": max_imag,

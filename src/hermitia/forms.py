@@ -22,15 +22,16 @@ identities close (see docs/conventions.md).
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .connection import chern, levi_civita
-from .curvature import connection_curvature, det_jet
+from .curvature import connection_curvature
 from .errors import StructuralError, ValidationError
-from .jets import (Jet, constant, jet_conj, jet_matrix_inverse,
+from .jets import (Jet, coefficients, constant, jet_array, jet_matrix_inverse,
                    point_derivatives, wirtinger)
 from .metric import MetricJet, per_point
 
@@ -88,8 +89,22 @@ def _zero(n, order):
 
 
 # entrywise Jet maps on object arrays
-_jets_conj = np.frompyfunc(jet_conj, 1, 1)
+_jets_conj = np.frompyfunc(Jet.conj, 1, 1)
 _jets_nonzero = np.frompyfunc(lambda a: a.max_abs() != 0.0, 1, 1)
+
+_PointJets = namedtuple("_PointJets", "h hinv lc")
+
+
+@per_point
+def _point_jets(mj: MetricJet) -> _PointJets:
+    """h, h^-1 and the Levi-Civita table at the point as object arrays of
+    Jets, each Jet a view of its row in the coefficient array; [A, B] and
+    [B, A] of the symmetric table share one Jet."""
+    n, K = mj.n, mj.order
+    lc = jet_array(levi_civita(mj), n, K - 1)
+    A, B = np.triu_indices(2 * n)
+    lc[B, A] = lc[A, B]
+    return _PointJets(jet_array(mj.h, n, K), jet_array(mj.hinv, n, K), lc)
 
 
 @dataclass(frozen=True)
@@ -350,7 +365,7 @@ def _nabla(phi: FormJet, side: int, i: int,
     zbar^i (ANTI): d_X - sum Gamma dz^c ^ I_k on each slot group, plus a
     fiber connection."""
     n = phi.n
-    gamma = levi_civita(phi.mj)[n * side + i]
+    gamma = _point_jets(phi.mj).lc[n * side + i]
     out = _dcoeffs(phi, side, i)
     for slots, deg in ((HOLO, phi.p), (ANTI, phi.q)):
         if deg == 0:
@@ -387,7 +402,7 @@ def d_second(phi: FormJet, conn=None) -> FormJet:
 def _h_up(mj: MetricJet, side: int, k: int, m: int) -> Jet:
     """The raised metric pairing a `side` index k with an other-side index
     m: h^{k mbar} on HOLO, h^{m kbar} on ANTI."""
-    return mj.h_up(k, m) if side == HOLO else mj.h_up(m, k)
+    return _point_jets(mj).hinv[(m, k) if side == HOLO else (k, m)]
 
 
 def _delta0(phi: FormJet, side: int, conn=None) -> FormJet:
@@ -417,7 +432,7 @@ def delta0_second(phi: FormJet, conn=None) -> FormJet:
 
 def omega_form(mj: MetricJet) -> FormJet:
     """The fundamental form omega = (sqrt(-1)/2) h_{i jbar} dz^i ^ dzbar^j."""
-    return FormJet(mj, 1, 1, 1, (mj.h * 1j)[..., None]) * 0.5
+    return FormJet(mj, 1, 1, 1, (_point_jets(mj).h * 1j)[..., None]) * 0.5
 
 
 def _assemble(n: int, p: int, q: int, side: int, moves: tuple,
@@ -442,12 +457,14 @@ def _assemble(n: int, p: int, q: int, side: int, moves: tuple,
 def _l_matrix(mj: MetricJet, p: int, q: int, side: int) -> np.ndarray:
     """L = 2 omega ^ = sqrt(-1) h_{i jbar} dz^i ^ dzbar^j ^ (L is real, so
     side is unused)."""
-    return _assemble(mj.n, p, q, HOLO, ((ANTI, 1), (HOLO, 1)), mj.h.T * 1j)
+    return _assemble(mj.n, p, q, HOLO, ((ANTI, 1), (HOLO, 1)),
+                     _point_jets(mj).h.T * 1j)
 
 
 def _lambda_matrix(mj: MetricJet, p: int, q: int, side: int) -> np.ndarray:
     """Lambda = sqrt(-1) h^{i jbar} I_i I_jbar (real, side unused)."""
-    return _assemble(mj.n, p, q, HOLO, ((ANTI, -1), (HOLO, -1)), mj.hinv * 1j)
+    return _assemble(mj.n, p, q, HOLO, ((ANTI, -1), (HOLO, -1)),
+                     _point_jets(mj).hinv * 1j)
 
 
 @per_point
@@ -455,9 +472,9 @@ def _a_coefficients(mj: MetricJet) -> np.ndarray:
     """-h^{k lbar} h_{i mbar} Gamma_{s lbar}^{mbar} at [k, i, s]: the
     coefficients of a_op in the order of its slot moves, built once per
     point and kept with it, so the vanishing entries share one zero jet."""
-    n = mj.n
-    gam = levi_civita(mj)[:n, n:, n:]  # [s, l, m]
-    coef = (mj.hinv.T @ (gam @ mj.h.T)).transpose(1, 2, 0) * -1.0
+    n, (h, hinv, lc) = mj.n, _point_jets(mj)
+    gam = lc[:n, n:, n:]  # [s, l, m]
+    coef = (hinv.T @ (gam @ h.T)).transpose(1, 2, 0) * -1.0
     coef[~_jets_nonzero(coef).astype(bool)] = _zero(n, mj.order - 1)
     return coef
 
@@ -471,7 +488,7 @@ def _a_matrix(mj: MetricJet, p: int, q: int, side: int) -> np.ndarray:
 def _b_matrix(mj: MetricJet, p: int, q: int, side: int) -> np.ndarray:
     """B = -2 Gamma_{i jbar}^{lbar} dz^i ^ dzbar^j ^ I_lbar."""
     n = mj.n
-    gam = levi_civita(mj)[:n, n:, n:].T  # [l, j, i]
+    gam = _point_jets(mj).lc[:n, n:, n:].T  # [l, j, i]
     return _assemble(n, p, q, side, ((ANTI, -1), (ANTI, 1), (HOLO, 1)),
                      gam * -2.0)
 
@@ -479,15 +496,15 @@ def _b_matrix(mj: MetricJet, p: int, q: int, side: int) -> np.ndarray:
 def _c_matrix(mj: MetricJet, p: int, q: int, side: int) -> np.ndarray:
     """C = 2 Gamma_{j lbar}^{lbar} dz^j ^, the torsion (1,0)-form."""
     n = mj.n
-    eta = np.trace(levi_civita(mj)[:n, n:, n:], axis1=1, axis2=2)
+    eta = np.trace(_point_jets(mj).lc[:n, n:, n:], axis1=1, axis2=2)
     return _assemble(n, p, q, side, ((HOLO, 1),), eta * 2.0)
 
 
 def _w_matrix(mj: MetricJet, p: int, q: int, side: int) -> np.ndarray:
     """Wedge with w = 2 d'omega = sqrt(-1) d_a h_{b cbar} dz^a ^ dz^b ^ dzbar^c
     (HOLO) or with its conjugate (ANTI)."""
-    n = mj.n
-    dh = np.array([[[wirtinger(mj.h[b][c], "holo", a) * 1j for a in range(n)]
+    n, h = mj.n, _point_jets(mj).h
+    dh = np.array([[[wirtinger(h[b][c], "holo", a) * 1j for a in range(n)]
                     for b in range(n)] for c in range(n)], dtype=object)
     return _assemble(n, p, q, side, ((ANTI, 1), (HOLO, 1), (HOLO, 1)), dh)
 
@@ -549,6 +566,21 @@ _c_bar = _Algebraic(_c_matrix, (0, 1), ANTI)
 # -- inner product and adjoints --------------------------------------------
 
 
+def _det_jet(m: np.ndarray) -> Jet:
+    """Determinant of a square matrix of Jets by Laplace expansion."""
+    k = m.shape[0]
+    if k == 1:
+        return m[0][0]
+    acc = None
+    for j in range(k):
+        minor = np.delete(np.delete(m, 0, axis=0), j, axis=1)
+        term = m[0][j] * _det_jet(minor)
+        if j % 2:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
+
+
 def _compound(m: np.ndarray, k: int) -> np.ndarray:
     """The k x k minors of the n x n Jet matrix m, rows and columns in
     _combos(n, k) order; C_0(m) = [[1]]."""
@@ -560,7 +592,7 @@ def _compound(m: np.ndarray, k: int) -> np.ndarray:
     out = np.empty((len(combos), len(combos)), dtype=object)
     for a, I in enumerate(combos):
         for b, K in enumerate(combos):
-            out[a, b] = det_jet(m[np.ix_(I, K)])
+            out[a, b] = _det_jet(m[np.ix_(I, K)])
     return out
 
 
@@ -575,13 +607,13 @@ def _gram_over(m: np.ndarray, p: int, q: int) -> np.ndarray:
 def gram(mj: MetricJet, p: int, q: int) -> np.ndarray:
     """Gram matrix of the basis forms; entries are Jets.  It is
     kron(C_p(Hup), conj C_q(Hup)) for Hup[i, k] = h^{i kbar}."""
-    return _gram_over(mj.hinv.T, p, q)
+    return _gram_over(_point_jets(mj).hinv.T, p, q)
 
 
 def _gram_inverse(mj: MetricJet, p: int, q: int) -> np.ndarray:
     """gram(mj, p, q)^-1 without a solve: by Cauchy-Binet C_k(Hup)^-1 =
     C_k(Hup^-1), and Hup^-1[i, k] = h_{k ibar} is the lower metric."""
-    return _gram_over(mj.h.T, p, q)
+    return _gram_over(_point_jets(mj).h.T, p, q)
 
 
 def _metric(g: np.ndarray, x: np.ndarray, fiber) -> np.ndarray:
@@ -606,6 +638,12 @@ def inner(phi: FormJet, psi: FormJet, fiber: np.ndarray | None = None) -> Jet:
                                    fiber).reshape(-1)
 
 
+def _jets_inverse(m: np.ndarray) -> np.ndarray:
+    """The inverse of a square matrix of Jets of one (n, order), as Jets."""
+    a = m.flat[0]
+    return jet_array(jet_matrix_inverse(coefficients(m), a.n), a.n, a.order)
+
+
 def star(op: _Algebraic, phi: FormJet, fiber=None) -> FormJet:
     """Exact pointwise adjoint of an algebraic operator (l_op, lambda_op,
     a_op, b_op, c_op, tau, tau_bar or a conjugate), which maps (p,q) ->
@@ -623,7 +661,7 @@ def star(op: _Algebraic, phi: FormJet, fiber=None) -> FormJet:
         return zero_form(mj, max(sp, 0), max(sq, 0), r)
     y = _metric(gram(mj, phi.p, phi.q),
                 _jets_conj(phi.coeffs.reshape(-1, r)), fiber)
-    f_inv = None if fiber is None else jet_matrix_inverse(fiber)
+    f_inv = None if fiber is None else _jets_inverse(fiber)
     x = _metric(_gram_inverse(mj, sp, sq), op.matrix(mj, sp, sq).T @ y, f_inv)
     shape = (len(_combos(mj.n, sp)), len(_combos(mj.n, sq)), r)
     return FormJet(mj, sp, sq, r, _jets_conj(x).reshape(shape))
@@ -714,9 +752,9 @@ def trivial_connection(mj: MetricJet, r: int = 1) -> ConnectionJet:
 def chern_connection(mj: MetricJet) -> ConnectionJet:
     """The tangent bundle E = T^{1,0}M with its holomorphic-metric
     connection: fiber metric h, (1,0)-part the Chern table, (0,1)-part 0."""
-    tab = chern(mj)
+    tab = jet_array(chern(mj), mj.n, mj.order - 1)
     return ConnectionJet(r=mj.n, amats=tab[:mj.n], bmats=tab[mj.n:],
-                         fiber=mj.h)
+                         fiber=_point_jets(mj).h)
 
 
 def random_metric_connection(mj: MetricJet, r: int, seed: int) -> ConnectionJet:
@@ -761,7 +799,8 @@ def _d_e_star(phi: FormJet, conn: ConnectionJet, side: int) -> FormJet:
     is sum_k (I_k phi) @ C_k with C_k = -sum_m h_up(k, m) M_m, M the other
     side's matrices."""
     mj, n, r = phi.mj, phi.n, phi.r
-    up = mj.hinv.T if side == HOLO else mj.hinv  # _h_up(mj, side, k, m)
+    hinv = _point_jets(mj).hinv
+    up = hinv.T if side == HOLO else hinv  # _h_up(mj, side, k, m)
     mats = (conn.bmats, conn.amats)[side]
     C = (up @ mats.reshape(n, r * r)).reshape(n, r, r) * -1.0
     ik = np.array([_contract(phi, side, k).coeffs for k in range(n)])
@@ -833,7 +872,8 @@ def second_hermitian_ricci(conn: ConnectionJet, mj: MetricJet) -> np.ndarray:
     """Tr_omega R^E lowered with the fiber metric: an r x r Hermitian
     matrix with entries h^{i jbar} R_{i jbar al}^{ga} <e_ga, e_be>."""
     n = mj.n
-    tab = np.concatenate([conn.amats, conn.bmats])
-    R = connection_curvature(point_derivatives(tab), point_derivatives(tab, 1),
-                             point_derivatives(conn.fiber))
+    tab = coefficients(np.concatenate([conn.amats, conn.bmats]))
+    R = connection_curvature(point_derivatives(tab, n),
+                             point_derivatives(tab, n, 1),
+                             point_derivatives(coefficients(conn.fiber), n))
     return np.einsum("ij,ijab->ab", mj.hinv_at0().T, R[:n, n:])

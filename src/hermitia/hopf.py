@@ -105,7 +105,7 @@ def oracle_vs_pipeline(p: HopfPoint) -> dict:
     dh, _, d2h = derivative_tables(mj)
     out["dh"] = float(abs(dh - oracle(p, "dh")).max())
     out["d2h"] = float(abs(d2h - oracle(p, "d2h")).max())
-    g = point_derivatives(levi_civita(mj))
+    g = point_derivatives(levi_civita(mj), n)
     g_uu, g_bu = oracle(p, "gamma_lc")
     out["gamma_lc"] = float(max(abs(g[:n, :n, :n] - g_uu).max(),
                                 abs(g[n:, :n, :n] - g_bu).max()))

@@ -15,8 +15,8 @@ order, the one to which both are known; jets of different n never combine.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations_with_replacement
-from math import factorial
+from itertools import combinations_with_replacement, count
+from math import comb, factorial
 
 import numpy as np
 
@@ -25,8 +25,6 @@ from .errors import OrderExhaustedError, SingularSeriesError, StructuralError
 __all__ = [
     "Jet",
     "wirtinger",
-    "jet_conj",
-    "jet_inverse",
     "jet_matrix_inverse",
     "constant",
     "point_derivatives",
@@ -171,9 +169,8 @@ class Jet:
 
     def __init__(self, n: int, order: int, coeffs=None, *, _alg=None):
         if _alg is not None:
-            # private path: a coefficient array that this module's own
-            # arithmetic has just computed for algebra _alg, owned by no one
-            # else, so it is neither validated nor copied
+            # private path: fresh coefficients of this module's arithmetic,
+            # or a row of an array no one writes (jet_array); kept as given
             c, alg = coeffs, _alg
         else:
             if order < 0:
@@ -203,14 +200,6 @@ class Jet:
     def const(self) -> complex:
         """Constant term (value of the series at 0)."""
         return complex(self.coeffs[0])
-
-    def coeff(self, alpha, beta) -> complex:
-        """Coefficient of z^alpha zbar^beta."""
-        key = tuple(alpha) + tuple(beta)
-        idx = self._alg.index.get(key)
-        if idx is None:
-            raise StructuralError(f"multi-degree {key} exceeds order {self.order}")
-        return complex(self.coeffs[idx])
 
     # -- arithmetic --------------------------------------------------------
 
@@ -290,10 +279,6 @@ def constant(value: complex, n: int, order: int) -> Jet:
     return Jet(n, order, c, _alg=alg)
 
 
-def jet_conj(a: Jet) -> Jet:
-    return a.conj()
-
-
 def wirtinger(a: Jet, which: str, index: int) -> Jet:
     """Formal d/dz^index ('holo') or d/dzbar^index ('antiholo'); index 0-based.
 
@@ -316,98 +301,102 @@ def wirtinger(a: Jet, which: str, index: int) -> Jet:
 def coefficients(jets) -> np.ndarray:
     """The coefficients of an array of jets of one (n, order), stacked into
     one complex array of shape ``jets.shape + (size,)``."""
-    a = np.asarray(jets, dtype=object)
-    return np.stack([j.coeffs for j in a.flat]).reshape(a.shape + (-1,))
+    return np.stack([j.coeffs for j in jets.flat]).reshape(jets.shape + (-1,))
+
+
+def _algebra_of(n: int, size: int) -> _Algebra:
+    """The algebra of n variables whose basis has ``size`` monomials; the
+    size alone does not fix it, (n, order) = (1, 4) and (2, 2) both give 15."""
+    order = next(k for k in count() if comb(2 * n + k, k) >= size)
+    if comb(2 * n + order, order) != size:
+        raise StructuralError(
+            f"no jet basis in {n} complex variables has {size} monomials")
+    return _algebra(n, order)
 
 
 def jet_array(coeffs: np.ndarray, n: int, order: int) -> np.ndarray:
     """The object array of Jets over the leading axes of a coefficient array
-    of shape (..., size).  Each jet owns a copy of its row, so a kept jet
-    holds its own coefficients and not the whole array."""
+    of shape (..., size) that is not written afterwards.  Each jet is a
+    read-only view of its row, so the jets share the array and keep all of
+    it alive."""
     alg = _algebra(n, order)
-    c = np.asarray(coeffs, dtype=complex)
-    if c.shape[-1:] != (alg.size,):
-        raise StructuralError(
-            f"coefficient array has shape {c.shape}, expected (..., {alg.size})")
-    out = np.empty(c.shape[:-1], dtype=object)
-    out.reshape(-1)[:] = [Jet(n, order, row.copy(), _alg=alg)
-                          for row in c.reshape(-1, alg.size)]
+    if coeffs.shape[-1:] != (alg.size,):
+        raise StructuralError(f"coefficient array has shape {coeffs.shape}, "
+                              f"expected (..., {alg.size})")
+    out = np.empty(coeffs.shape[:-1], dtype=object)
+    out.reshape(-1)[:] = [Jet(n, order, row, _alg=alg)
+                          for row in coeffs.reshape(-1, alg.size)]
     return out
 
 
-def point_derivatives(jets, degree: int = 0) -> np.ndarray:
+def point_derivatives(coeffs: np.ndarray, n: int,
+                      degree: int = 0) -> np.ndarray:
     """Point values (degree 0), first derivatives (1) or mixed second
-    derivatives d^2/dz^k dzbar^l (2) of an array of jets of one (n, order).
+    derivatives d^2/dz^k dzbar^l (2) of jets in n complex variables, given
+    by their coefficient array of shape (..., size).
 
-    The result is one dense complex array, derivative axes first:
-    ``jets.shape`` for degree 0, ``(2n,) + jets.shape`` for degree 1 (axis 0
-    runs over z^0..z^{n-1}, then zbar^0..zbar^{n-1}) and
-    ``(n, n) + jets.shape`` for degree 2 (axes k, l).  Each entry is one
-    coefficient read by basis index: the derivative of a monomial at 0 is its
-    coefficient times the multi-index factorial, and that factorial is 1 for
-    every monomial read here, so the entries equal the ``wirtinger(...).const``
-    route bit for bit.
+    The result is one dense complex array, derivative axes first: ``...``
+    for degree 0, ``(2n, ...)`` for degree 1 (z^0..z^{n-1}, then
+    zbar^0..zbar^{n-1}) and ``(n, n, ...)`` for degree 2 (axes k, l).  Each
+    entry is one coefficient read by basis index: the multi-index factorial
+    of every monomial read here is 1, so the entries equal the
+    ``wirtinger(...).const`` route bit for bit.
     """
     if degree not in (0, 1, 2):
         raise StructuralError(f"point derivatives of degree {degree} are not read")
-    a = np.asarray(jets, dtype=object)
-    flat = a.ravel()
-    alg = flat[0]._alg if flat.size else None
-    if alg is None or any(j._alg is not alg for j in flat):
-        raise StructuralError("point derivatives need jets of one (n, order)")
+    alg = _algebra_of(n, coeffs.shape[-1])
     if degree > alg.order:
         raise OrderExhaustedError(
             f"cannot read degree-{degree} derivatives off an order-{alg.order} jet")
     idx = alg.point_index[degree]
-    coeffs = np.stack([j.coeffs for j in flat])
-    return coeffs[:, idx.ravel()].T.reshape(idx.shape + a.shape)
+    rows = coeffs.reshape(-1, alg.size)
+    return rows[:, idx.ravel()].T.reshape(idx.shape + coeffs.shape[:-1])
+
+
+def _inverse(alg: _Algebra, a: np.ndarray) -> np.ndarray:
+    """The inverse of one jet's coefficients a (size,) by Newton's
+    iteration from 1 / a_0, which doubles the correct degree each pass."""
+    c0 = complex(a[0])
+    if c0 == 0:
+        raise SingularSeriesError("series has zero constant term")
+    x = np.zeros(alg.size, dtype=complex)
+    x[0] = 1.0 / c0
+    for _ in range(max(1, int(np.ceil(np.log2(alg.order + 1))) + 1)):
+        t = -alg.mul(a, x)
+        t[0] += 2.0
+        x = alg.mul(x, t)
+    return x
 
 
 def jet_inverse(a: Jet) -> Jet:
     """Multiplicative inverse: a * jet_inverse(a) = 1 through degree K."""
-    c0 = a.const
-    if c0 == 0:
-        raise SingularSeriesError("series has zero constant term")
-    x = constant(1.0 / c0, a.n, a.order)
-    # Newton iteration doubles the correct degree each pass
-    passes = max(1, int(np.ceil(np.log2(a.order + 1))) + 1)
-    for _ in range(passes):
-        x = x * (2.0 - a * x)
-    return x
+    return Jet(a.n, a.order, _inverse(a._alg, a.coeffs), _alg=a._alg)
 
 
-def jet_matrix_inverse(m) -> np.ndarray:
-    """Inverse of a square matrix of Jets by Gaussian elimination.
+def jet_matrix_inverse(m: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of a square matrix of jets in n complex variables, given and
+    returned as a coefficient array (k, k, size), by Gaussian elimination
+    on whole rows of the augmented matrix [m | I].
 
-    Pivots are chosen by largest constant-term modulus, which is safe because
-    the intended inputs have Hermitian positive-definite constant term.
+    The pivot is the first row of largest constant-term modulus, which is
+    safe because the intended inputs have Hermitian positive-definite
+    constant term.  Rows with an identically zero entry in the pivot column
+    are skipped; the others are reduced together.
     """
-    m = np.asarray(m, dtype=object)
     k = m.shape[0]
-    if m.shape != (k, k):
-        raise StructuralError(f"matrix must be square, got {m.shape}")
-    proto = m[0, 0]
-    n, order = proto.n, proto.order
-    aug = np.empty((k, 2 * k), dtype=object)
-    for i in range(k):
-        for j in range(k):
-            aug[i, j] = m[i, j]
-            aug[i, k + j] = constant(1.0 if i == j else 0.0, n, order)
+    if m.ndim != 3 or m.shape[1] != k:
+        raise StructuralError(f"matrix must be square, got {m.shape[:-1]}")
+    alg = _algebra_of(n, m.shape[-1])
+    aug = np.zeros((k, 2 * k, alg.size), dtype=complex)
+    aug[:, :k] = m
+    aug[range(k), range(k, 2 * k), 0] = 1.0
     for col in range(k):
-        piv = max(range(col, k), key=lambda r: abs(aug[r, col].const))
-        if abs(aug[piv, col].const) == 0:
+        piv = max(range(col, k), key=lambda r: abs(complex(aug[r, col, 0])))
+        if abs(complex(aug[piv, col, 0])) == 0:
             raise SingularSeriesError("matrix of jets has singular constant term")
-        if piv != col:
-            aug[[col, piv]] = aug[[piv, col]]
-        inv_piv = jet_inverse(aug[col, col])
-        for j in range(2 * k):
-            aug[col, j] = aug[col, j] * inv_piv
-        for r in range(k):
-            if r == col:
-                continue
-            f = aug[r, col]
-            if f.max_abs() == 0:
-                continue
-            for j in range(2 * k):
-                aug[r, j] = aug[r, j] - f * aug[col, j]
+        aug[[col, piv]] = aug[[piv, col]]
+        aug[col] = alg.mul(aug[col], _inverse(alg, aug[col, col]))
+        rows = [r for r in range(k) if r != col and aug[r, col].any()]
+        if rows:
+            aug[rows] -= alg.mul(aug[rows, col, None], aug[col])
     return aug[:, k:].copy()

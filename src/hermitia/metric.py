@@ -25,8 +25,7 @@ import numpy as np
 
 from .errors import (DomainError, ParseError, SingularSeriesError,
                      StructuralError, ValidationError)
-from .jets import (Jet, _algebra, jet_array, jet_inverse, jet_matrix_inverse,
-                   point_derivatives)
+from .jets import _algebra, _inverse, jet_matrix_inverse, point_derivatives
 
 __all__ = [
     "MetricField",
@@ -57,28 +56,26 @@ _POS_EIG_TOL = 1e-10
 class MetricJet:
     """Jets of h and h^{-1} at a point, the input to every curvature routine.
 
-    ``h[i][j]`` is the Jet of h_{i jbar}; ``hinv`` is the matrix inverse, so
-    the tensor h^{i jbar} is ``hinv[j][i]``.
+    ``h[i, j]`` holds the Taylor coefficients of h_{i jbar} over the basis
+    of ``jets._algebra(n, order)``; ``hinv`` is the matrix inverse, so the
+    tensor h^{i jbar} is ``hinv[j, i]``.  Both are read-only (n, n, S)
+    complex arrays.
     """
 
     n: int
     order: int
     point: np.ndarray
-    h: np.ndarray      # (n, n) object array of Jets
-    hinv: np.ndarray   # (n, n) object array of Jets
+    h: np.ndarray
+    hinv: np.ndarray
     # per_point results, keyed by the wrapped function
     _memo: dict = dc_field(default_factory=dict, init=False, repr=False,
                            compare=False)
 
-    def h_up(self, i: int, j: int) -> Jet:
-        """The inverse-metric tensor entry h^{i jbar}."""
-        return self.hinv[j][i]
-
     def h_at0(self) -> np.ndarray:
-        return point_derivatives(self.h)
+        return point_derivatives(self.h, self.n)
 
     def hinv_at0(self) -> np.ndarray:
-        return point_derivatives(self.hinv)
+        return point_derivatives(self.hinv, self.n)
 
 
 def _read_only(value):
@@ -112,8 +109,8 @@ def derivative_tables(mj: MetricJet):
     d1[k, i, j] = dh_{i jbar}/dz^k, db1[k, i, j] = dh_{i jbar}/dzbar^k and
     d2[k, l, i, j] = d^2 h_{i jbar}/dz^k dzbar^l.  d2 is None on an
     order-1 jet."""
-    d = point_derivatives(mj.h, 1)
-    d2 = point_derivatives(mj.h, 2) if mj.order >= 2 else None
+    d = point_derivatives(mj.h, mj.n, 1)
+    d2 = point_derivatives(mj.h, mj.n, 2) if mj.order >= 2 else None
     return d[:mj.n], d[mj.n:], d2
 
 
@@ -516,7 +513,7 @@ def _taylor(field: MetricField, z: np.ndarray, order: int) -> np.ndarray:
     the coefficient of zeta^e_s in h_{i jbar}(z + zeta).  A polynomial term
     adds its matrix times ``_monomial_taylor`` (the identity is the term with
     row 0), a Fourier mode its matrix times phase(z) prod_v c_v^e_v / e_v!,
-    c = i pi (mu, conj(mu)); Hopf (one point) is 4 jet_inverse(r^2) I, r^2
+    c = i pi (mu, conj(mu)); Hopf (one point) is 4 (r^2)^-1 I, r^2
     the polynomial with rows (e_k, e_k).  ``np.add.at`` adds the terms one
     by one in their order, as the jet sums did; a matrix product would
     reorder the sum and can leave -0.0 where they left +0.0."""
@@ -550,8 +547,7 @@ def _taylor(field: MetricField, z: np.ndarray, order: int) -> np.ndarray:
     out = np.zeros(z.shape[:-1] + (n, n, alg.size), dtype=complex)
     np.add.at(out, (..., s), vals[..., None, None, :] * mats)
     if field.kind == "Hopf":
-        out[range(n), range(n)] = 4.0 * jet_inverse(
-            Jet(n, order, out[0, 0])).coeffs
+        out[range(n), range(n)] = 4.0 * _inverse(alg, out[0, 0])
     return out
 
 
@@ -563,25 +559,27 @@ def metric_jet(field: MetricField, z, order: int = 3) -> MetricJet:
         raise ValidationError(f"metric jet order must be >= 1, got {order}")
     z = np.array(z, dtype=complex)  # a copy: memoized results make it read-only
     n = field.n
+    if z.shape != (n,):
+        raise StructuralError(f"point must be a complex {n}-vector")
     if not field.admissible(z):
         raise DomainError(f"point {z} outside the field's domain")
     w_min, hinv = np.nan, None
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            coeffs = _taylor(field, z, order)
+            h = _taylor(field, z, order)
         except SingularSeriesError:  # Hopf: r^2 = sum z zbar underflowed
-            coeffs = np.array(np.nan)
-        if np.isfinite(coeffs).all():
-            h0 = coeffs[..., 0]
+            h = np.array(np.nan)
+        if np.isfinite(h).all():
+            h0 = h[..., 0]
             w_min = np.linalg.eigvalsh((h0 + h0.conj().T) / 2).min()
         if w_min > _POS_EIG_TOL:
-            h = jet_array(coeffs, n, order)
-            hinv = jet_matrix_inverse(h)
-    if hinv is None or not np.isfinite([j.coeffs for j in hinv.flat]).all():
+            hinv = jet_matrix_inverse(h, n)
+    if hinv is None or not np.isfinite(hinv).all():
         raise ValidationError(
             f"metric not positive definite, or its jets not finite, at {z}: "
             f"min eigenvalue {w_min:.3e}")
-    return MetricJet(n=n, order=order, point=z, h=h, hinv=hinv)
+    return MetricJet(n=n, order=order, point=z, h=_read_only(h),
+                     hinv=_read_only(hinv))
 
 
 # -- torus metric files ----------------------------------------------------

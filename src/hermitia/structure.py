@@ -53,7 +53,7 @@ def kahler_defect(mj: MetricJet):
 def balanced_torsion(mj: MetricJet) -> np.ndarray:
     """The torsion 1-form coefficients eta_l = Gamma_{l jbar}^{jbar}."""
     n = mj.n
-    g = point_derivatives(levi_civita(mj))
+    g = point_derivatives(levi_civita(mj), n)
     return np.array([sum(g[l, n + j, n + j] for j in range(n))
                      for l in range(n)])
 
@@ -77,9 +77,9 @@ def laplacian_compare(mj: MetricJet, f: Jet):
         raise OrderExhaustedError("scalar jet order must be >= 2")
     n = mj.n
     up = mj.hinv_at0().T          # h^{i jbar} at [i, j]
-    g = point_derivatives(levi_civita(mj))
-    df = point_derivatives(f, 1)  # d/dz^l at [l], d/dzbar^l at [n + l]
-    can = -np.sum(up * point_derivatives(f, 2))
+    g = point_derivatives(levi_civita(mj), n)
+    df = point_derivatives(f.coeffs, f.n, 1)  # d/dz^l, then d/dzbar^l
+    can = -np.sum(up * point_derivatives(f.coeffs, f.n, 2))
     corr_bar = 2 * np.einsum("ij,ijl,l->", up, g[:n, n:, n:], df[n:])
     corr_hol = 2 * np.einsum("ij,jil,l->", up, g[:n, n:, :n], df[:n])
     return complex(can + corr_bar), complex(can + corr_hol), complex(can)

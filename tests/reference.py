@@ -9,10 +9,10 @@ from math import factorial
 import numpy as np
 
 from hermitia import forms as FO
-from hermitia.curvature import det_jet
 from hermitia.errors import StructuralError
 from hermitia.flow import FlowState
-from hermitia.jets import Jet, _algebra, constant, jet_inverse, wirtinger
+from hermitia.jets import (Jet, _algebra, constant, jet_array, jet_inverse,
+                           wirtinger)
 from hermitia.metric import (_mu, hopf_metric, metric_jet,
                              normal_coordinates_random, normal_form_skt,
                              random_torus_fourier)
@@ -29,6 +29,16 @@ def variable(n, order, index, barred=False):
     return Jet(n, order, c)
 
 
+def h_jets(mj):
+    """h and h^-1 of a MetricJet as (n, n) object arrays of Jets."""
+    return jet_array(mj.h, mj.n, mj.order), jet_array(mj.hinv, mj.n, mj.order)
+
+
+def table_jets(mj, table):
+    """A connection table of ``mj`` as an object array of order-(K-1) Jets."""
+    return jet_array(table, mj.n, mj.order - 1)
+
+
 def truncate(a, order):
     """Restrict a jet to a lower truncation order (prefix of the basis)."""
     if order > a.order:
@@ -36,6 +46,34 @@ def truncate(a, order):
     if order == a.order:
         return a
     return Jet(a.n, order, a.coeffs[:a._alg.size_at[order]])
+
+
+def jet_matrix_inverse_by_jets(m):
+    """Inverse of a square object array of Jets by Gaussian elimination one
+    entry at a time: the route ``jet_matrix_inverse`` took before it worked
+    on whole rows of a coefficient array.  Same pivots (the first row of
+    largest constant-term modulus), same skipped zero rows."""
+    k = m.shape[0]
+    n, order = m[0, 0].n, m[0, 0].order
+    aug = np.empty((k, 2 * k), dtype=object)
+    for i in range(k):
+        for j in range(k):
+            aug[i, j] = m[i, j]
+            aug[i, k + j] = constant(1.0 if i == j else 0.0, n, order)
+    for col in range(k):
+        piv = max(range(col, k), key=lambda r: abs(aug[r, col].const))
+        if piv != col:
+            aug[[col, piv]] = aug[[piv, col]]
+        inv_piv = jet_inverse(aug[col, col])
+        for j in range(2 * k):
+            aug[col, j] = aug[col, j] * inv_piv
+        for r in range(k):
+            f = aug[r, col]
+            if r == col or f.max_abs() == 0:
+                continue
+            for j in range(2 * k):
+                aug[r, j] = aug[r, j] - f * aug[col, j]
+    return aug[:, k:].copy()
 
 
 def metric_jet_by_jets(field, z, order=3):
@@ -155,9 +193,10 @@ def derivative_tables_loops(mj):
     d1 = np.zeros((n, n, n), dtype=complex)
     db1 = np.zeros((n, n, n), dtype=complex)
     d2 = np.zeros((n, n, n, n), dtype=complex) if mj.order >= 2 else None
+    h = h_jets(mj)[0]
     for i in range(n):
         for j in range(n):
-            jet = mj.h[i][j]
+            jet = h[i][j]
             for k in range(n):
                 dk = wirtinger(jet, "holo", k)
                 d1[k, i, j] = dk.const
@@ -172,7 +211,7 @@ def log_det_jet(m):
     """log det of a matrix of Jets with positive-definite constant term,
     up to an additive constant (log of the constant determinant, which the
     derivatives never see)."""
-    d = det_jet(m)
+    d = FO._det_jet(m)
     c = d.const
     u = d * (1.0 / c) - 1.0  # zero constant term
     out = u * 0.0

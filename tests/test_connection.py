@@ -4,7 +4,7 @@ from hermitia.connection import bismut, chern, levi_civita
 from hermitia.jets import point_derivatives, wirtinger
 from hermitia.metric import (flat_metric, hopf_metric, metric_jet,
                              normal_form_random)
-from reference import derivative_tables_loops
+from reference import derivative_tables_loops, h_jets
 
 
 def _mj(kind="hopf", n=2, seed=0):
@@ -20,12 +20,12 @@ def _mj(kind="hopf", n=2, seed=0):
 def test_flat_christoffels_vanish():
     mj = _mj("flat")
     for table in (levi_civita(mj), chern(mj), bismut(mj)):
-        assert np.max(np.abs(point_derivatives(table))) < 1e-14
+        assert np.max(np.abs(point_derivatives(table, mj.n))) < 1e-14
 
 
 def test_levi_civita_symmetric_lower_indices():
     mj = _mj("rand", seed=3)
-    g = point_derivatives(levi_civita(mj))
+    g = point_derivatives(levi_civita(mj), mj.n)
     assert np.max(np.abs(g - np.transpose(g, (1, 0, 2)))) < 1e-12
 
 
@@ -33,7 +33,7 @@ def test_chern_matches_direct_formula():
     # Gamma_{ik}^s = h^{s lbar} d h_{k lbar} / d z^i
     mj = _mj("rand", seed=5)
     n = mj.n
-    table = point_derivatives(chern(mj))
+    table = point_derivatives(chern(mj), n)
     h0inv = np.linalg.inv(mj.h_at0())
     dh = derivative_tables_loops(mj)[0]
     # h^{s lbar} = (H^{-1})_{ls} with H_{kl} = h_{k lbar}
@@ -46,16 +46,17 @@ def test_levi_civita_metric_compatibility():
     # metric pairing g(d_B, d_Cbar) = h_{B Cbar}; checked on the mixed block.
     mj = _mj("hopf", n=2)
     n = mj.n
-    lc = levi_civita(mj)
+    lc = levi_civita(mj)[..., 0]
+    h = h_jets(mj)[0]
     for a in range(n):          # derivative along z^a
         for b in range(n):      # unbarred slot
             for c in range(n):  # barred slot
-                lhs = wirtinger(mj.h[b][c], "holo", a).const
+                lhs = wirtinger(h[b][c], "holo", a).const
                 rhs = 0.0 + 0.0j
                 for d in range(n):
-                    rhs += lc[a, b, d].const * mj.h[d][c].const
-                    rhs += (lc[a, n + c, n + d].const
-                            * mj.h[b][d].const)
+                    rhs += lc[a, b, d] * h[d][c].const
+                    rhs += (lc[a, n + c, n + d]
+                            * h[b][d].const)
                 assert abs(lhs - rhs) < 1e-10
 
 
@@ -64,7 +65,7 @@ def test_bismut_hermitian_compatibility():
     # conjugate-pair derivative identity mirrored on the antiholomorphic side.
     mj = _mj("rand", seed=1)
     n = mj.n
-    t = point_derivatives(bismut(mj))
+    t = point_derivatives(bismut(mj), n)
     tb = np.conj(t)
     # d_A h pairing via both one-sided tables must reproduce dh on constants
     # (entries [d][a][b] with derivative direction d in 0..2n-1).
@@ -78,6 +79,6 @@ def test_bismut_hermitian_compatibility():
 def test_chern_no_antiholomorphic_part():
     mj = _mj("rand", seed=2)
     n = mj.n
-    t = point_derivatives(chern(mj))
+    t = point_derivatives(chern(mj), n)
     assert t.shape == (2 * n, n, n)
     assert np.max(np.abs(t[n:])) < 1e-14

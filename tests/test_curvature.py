@@ -11,13 +11,13 @@ from hermitia.curvature import (ScalarReport,
                                 curvature_lc, lc_curvature_full,
                                 normal_point_suite, ricci, ricci_panel,
                                 scalars)
-from hermitia.errors import StructuralError
+from hermitia.errors import StructuralError, ValidationError
 from hermitia.jets import point_derivatives, wirtinger
 from hermitia.metric import (derivative_tables, flat_metric, hopf_metric,
                              metric_jet, normal_coordinates_random,
                              normal_form_balanced, normal_form_random,
                              normal_form_skt, potential_kahler_torus)
-from reference import log_det_jet
+from reference import h_jets, log_det_jet
 
 
 def _hopf(n=2):
@@ -48,10 +48,19 @@ def test_ricci_flavor_validation():
         ricci(curvature_chern(mj), mj, "hermitian")
 
 
+def test_curvature_comparison_refuses_no_trials():
+    # trials = 0 used to report max_contraction = -inf, a pass over nothing
+    mj = metric_jet(normal_form_skt(2, 1), np.zeros(2), order=3)
+    for trials in (0, -1):
+        with pytest.raises(ValidationError, match="trials must be >= 1"):
+            curvature_comparison(mj, trials=trials, seed=0)
+    assert curvature_comparison(mj, trials=1, seed=0)["max_contraction"] <= 0
+
+
 def test_first_chern_logdet_route():
     mj = metric_jet(normal_form_random(2, 3), 0.05 * np.ones(2), order=3)
     a = ricci(curvature_chern(mj), mj, "first")
-    b = -point_derivatives(log_det_jet(mj.h), 2)
+    b = -point_derivatives(log_det_jet(h_jets(mj)[0]).coeffs, 2, 2)
     assert np.max(np.abs(a - b)) < 1e-10
 
 
@@ -168,7 +177,7 @@ def _ricci_loops(mj):
 def _bundle_curvature_loops(table, mj):
     """Reference: the raised (1,1)-curvature, one (i, j) block at a time."""
     n = mj.n
-    g, dg = point_derivatives(table), point_derivatives(table, 1)
+    g, dg = point_derivatives(table, n), point_derivatives(table, n, 1)
     r_up = np.zeros((n, n, n, n), dtype=complex)
     for i in range(n):
         for j in range(n):
@@ -190,8 +199,8 @@ def test_einsum_contractions_match_loops(n):
         for table in (chern(mj), bismut(mj)):
             want = _bundle_curvature_loops(table, mj)
             # the identity fiber metric leaves the raised tensor as it is
-            got = connection_curvature(point_derivatives(table),
-                                       point_derivatives(table, 1),
+            got = connection_curvature(point_derivatives(table, n),
+                                       point_derivatives(table, n, 1),
                                        np.eye(n))[:n, n:]
             assert np.max(np.abs(got - want)) <= 1e-13
 
@@ -201,6 +210,6 @@ def test_log_det_jet_derivative_is_trace_of_inverse_times_derivative():
     mj = _hopf(3)
     d1 = derivative_tables(mj)[0]
     want = np.einsum("ji,kij->k", mj.hinv_at0(), d1)
-    ld = log_det_jet(mj.h)
+    ld = log_det_jet(h_jets(mj)[0])
     got = [wirtinger(ld, "holo", k).const for k in range(3)]
     assert np.max(np.abs(np.array(got) - want)) < 1e-12

@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import pkgutil
 import re
 from pathlib import Path
@@ -41,3 +42,19 @@ def test_every_export_is_used_outside_its_module():
                        if path.resolve() != own):
                 unused.append(f"{mod.__name__}.{name}")
     assert not unused, unused
+
+
+def test_every_perfbench_span_resolves():
+    """The benchmark tracer rebinds each (module, attr) of its SPANNED and
+    COUNTED lists by name; one deleted or renamed here would silently drop
+    out of a ``--trace 1`` run.  spans.py is read, not installed."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    pairs = spans.SPANNED + spans.COUNTED
+    assert len(pairs) > 20
+    missing = [f"{mod}.{attr}" for mod, attr in pairs
+               if not callable(getattr(importlib.import_module(
+                   f"hermitia.{mod}"), attr, None))]
+    assert not missing, missing

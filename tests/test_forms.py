@@ -15,12 +15,12 @@ from hermitia.forms import (ConnectionJet, FormJet, bundle_identity_suite,
                             random_form, random_metric_connection,
                             second_hermitian_ricci, trivial_connection,
                             wedge, zero_form)
-from hermitia.curvature import det_jet
-from hermitia.jets import constant, jet_matrix_inverse
+from hermitia.jets import constant
 from hermitia.metric import (flat_metric, metric_jet, normal_form_random,
                              normal_form_skt, per_point,
                              potential_kahler_torus)
-from reference import form_conj, hopf_jet as _hopf, lambda_matrix_adjoint
+from reference import (form_conj, h_jets, hopf_jet as _hopf,
+                       lambda_matrix_adjoint, table_jets)
 
 
 def _flat(n=2):
@@ -271,10 +271,12 @@ def test_gram_times_compound_inverse_is_identity(n):
 def _det_gram(mj, p, q):
     """The Gram matrix one determinant per entry:
     det(h^{i kbar})_{i in I, k in K} conj det(h^{j lbar})_{j in J, l in L}."""
+    hinv = h_jets(mj)[1]
+
     def det_up(rows, cols):
         if not rows:
             return constant(1.0, mj.n, mj.order)
-        return det_jet(np.array([[mj.h_up(i, k) for k in cols] for i in rows],
+        return FO._det_jet(np.array([[hinv[k][i] for k in cols] for i in rows],
                                 dtype=object))
     basis = [(I, J) for I in FO._combos(mj.n, p) for J in FO._combos(mj.n, q)]
     return np.array([[det_up(I, K) * det_up(J, L).conj() for K, L in basis]
@@ -313,13 +315,14 @@ def _op_matrix(op, mj, p, q, r, dst):
 def _ref_lambda_op(phi):
     """sqrt(-1) h^{i jbar} I_i I_jbar"""
     mj = phi.mj
+    hinv = h_jets(mj)[1]
     out = zero_form(mj, phi.p - 1, phi.q - 1, phi.r)
     if phi.p == 0 or phi.q == 0:
         return out
     for j in range(phi.n):
         cj = FO._contract(phi, FO.ANTI, j)
         for i in range(phi.n):
-            out = out + FO._contract(cj, FO.HOLO, i) * (mj.h_up(i, j) * 1j)
+            out = out + FO._contract(cj, FO.HOLO, i) * (hinv[j][i] * 1j)
     return out
 
 
@@ -330,7 +333,7 @@ def _ref_l_op(phi):
 def _ref_c_op(phi):
     """Multiplication by the torsion (1,0)-form 2 Gamma_{j lbar}^{lbar} dz^j."""
     mj = phi.mj
-    lc = FO.levi_civita(mj)
+    lc = table_jets(mj, FO.levi_civita(mj))
     n = mj.n
     out = zero_form(mj, phi.p + 1, phi.q, phi.r)
     for j in range(n):
@@ -344,7 +347,7 @@ def _ref_c_op(phi):
 def _ref_b_op(phi):
     """-2 Gamma_{i jbar}^{lbar} dz^i ^ dzbar^j I_lbar"""
     mj = phi.mj
-    lc = FO.levi_civita(mj)
+    lc = table_jets(mj, FO.levi_civita(mj))
     n = mj.n
     out = zero_form(mj, phi.p + 1, phi.q, phi.r)
     if phi.q == 0:
@@ -365,7 +368,8 @@ def _ref_b_op(phi):
 def _ref_a_coefficients(mj):
     """-h^{k lbar} h_{i mbar} Gamma_{s lbar}^{mbar} at [k, s, i], None where
     it vanishes."""
-    lc = FO.levi_civita(mj)
+    lc = table_jets(mj, FO.levi_civita(mj))
+    h, hinv = h_jets(mj)
     n = mj.n
     out = np.full((n, n, n), None, dtype=object)
     for k in range(n):
@@ -376,7 +380,7 @@ def _ref_a_coefficients(mj):
                     for m in range(n):
                         gam = lc[s, n + l, n + m]
                         if gam.max_abs() != 0.0:
-                            coef = coef + mj.h_up(k, l) * mj.h[i][m] * gam
+                            coef = coef + hinv[l][k] * h[i][m] * gam
                 if coef.max_abs() != 0.0:
                     out[k, s, i] = coef * (-1.0)
     return out
@@ -431,7 +435,7 @@ def _reference_star(op, phi, ddeg, fiber=None):
                          for a in range(len(g) * r)], dtype=object)
 
     t = _op_matrix(op, mj, sp, sq, r, (phi.p, phi.q))
-    gs_inv = jet_matrix_inverse(with_fiber(_det_gram(mj, sp, sq)))
+    gs_inv = FO._jets_inverse(with_fiber(_det_gram(mj, sp, sq)))
     tstar = FO._jets_conj(_mm(_mm(gs_inv, t.T),
                               with_fiber(_det_gram(mj, phi.p, phi.q))))
     return _mm(tstar, phi.coeffs.reshape(-1, 1)).reshape(-1)
@@ -676,7 +680,7 @@ def _reference_wedge(phi, psi):
 def _reference_nabla(phi, side, i, conn=None):
     """_nabla with its Levi-Civita part walked slot by slot."""
     n = phi.n
-    lc = FO.levi_civita(phi.mj)
+    lc = table_jets(phi.mj, FO.levi_civita(phi.mj))
     out = FO._dcoeffs(phi, side, i)
     direction = n * side + i
     views = (out.coeffs, FO._side_view(out.coeffs, FO.ANTI))

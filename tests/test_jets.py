@@ -4,9 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from hermitia.errors import (OrderExhaustedError, SingularSeriesError,
                              StructuralError)
-from hermitia.jets import (Jet, constant, jet_conj, jet_inverse,
+from hermitia.jets import (Jet, coefficients, constant, jet_array, jet_inverse,
                            jet_matrix_inverse, point_derivatives, wirtinger)
-from reference import truncate, variable
+from hermitia.metric import metric_jet
+from reference import (CASES, h_jets, jet_matrix_inverse_by_jets, point,
+                       truncate, variable)
 
 
 def _random_jet(n, order, rng):
@@ -52,16 +54,16 @@ def test_wirtinger_product_rule(seed, which_idx):
 def test_conj_involution_and_antihomomorphism(seed):
     rng = np.random.default_rng(seed)
     a, b = _random_jet(2, 3, rng), _random_jet(2, 3, rng)
-    assert np.allclose(jet_conj(jet_conj(a)).coeffs, a.coeffs)
-    assert np.allclose(jet_conj(a * b).coeffs,
-                       (jet_conj(a) * jet_conj(b)).coeffs)
+    assert np.allclose(a.conj().conj().coeffs, a.coeffs)
+    assert np.allclose((a * b).conj().coeffs,
+                       (a.conj() * b.conj()).coeffs)
 
 
 def test_conj_swaps_derivative_type():
     rng = np.random.default_rng(5)
     a = _random_jet(2, 3, rng)
-    lhs = wirtinger(jet_conj(a), "holo", 1)
-    rhs = jet_conj(wirtinger(a, "antiholo", 1))
+    lhs = wirtinger(a.conj(), "holo", 1)
+    rhs = wirtinger(a, "antiholo", 1).conj()
     assert np.allclose(lhs.coeffs, rhs.coeffs)
 
 
@@ -90,7 +92,7 @@ def test_matrix_inverse():
         for j in range(2):
             m[i, j] = _random_jet(2, 3, rng)
         m[i, i] = Jet(2, 3, m[i, i].coeffs + constant(4.0, 2, 3).coeffs)
-    inv = jet_matrix_inverse(m)
+    inv = jet_array(jet_matrix_inverse(coefficients(m), 2), 2, 3)
     for i in range(2):
         for j in range(2):
             acc = sum(((m[i, k] * inv[k, j]).coeffs for k in range(2)))
@@ -173,18 +175,44 @@ def test_numpy_and_complex_scalar_operands():
 def test_point_derivatives_layout_and_errors():
     a = (variable(2, 2, 0) * variable(2, 2, 1, barred=True)) * 3.0 \
         + variable(2, 2, 1) * 2.0 + constant(0.5, 2, 2)
-    arr = np.array([[a, a * 2.0]], dtype=object)
-    assert point_derivatives(arr).shape == (1, 2)
-    d1 = point_derivatives(arr, 1)
+    arr = coefficients(np.array([[a, a * 2.0]], dtype=object))
+    assert point_derivatives(arr, 2).shape == (1, 2)
+    d1 = point_derivatives(arr, 2, 1)
     assert d1.shape == (4, 1, 2)
     assert d1[:, 0, 0].tolist() == [0, 2, 0, 0]   # d/dz^0, d/dz^1, d/dzbar^*
-    d2 = point_derivatives(a, 2)
+    d2 = point_derivatives(a.coeffs, 2, 2)
     assert d2.shape == (2, 2) and d2.tolist() == [[0, 3], [0, 0]]
     with pytest.raises(OrderExhaustedError):
-        point_derivatives(constant(1.0, 2, 1), 2)
+        point_derivatives(constant(1.0, 2, 1).coeffs, 2, 2)
     with pytest.raises(OrderExhaustedError):
-        point_derivatives(constant(1.0, 2, 0), 1)
+        point_derivatives(constant(1.0, 2, 0).coeffs, 2, 1)
+    with pytest.raises(StructuralError):   # no basis in 2 variables has 14
+        point_derivatives(np.zeros((3, 14), complex), 2)
     with pytest.raises(StructuralError):
-        point_derivatives(np.array([a, constant(1.0, 2, 3)], dtype=object))
-    with pytest.raises(StructuralError):
-        point_derivatives(a, 3)
+        point_derivatives(a.coeffs, 2, 3)
+    # S = 15 is the order-4 basis at n = 1 and the order-2 basis at n = 2
+    c = constant(0.0, 1, 4).coeffs
+    assert c.size == a.coeffs.size
+    assert point_derivatives(c, 1, 1).shape == (2,)
+    assert point_derivatives(a.coeffs, 2, 1).shape == (4,)
+
+
+@pytest.mark.parametrize("family,n,order", CASES)
+def test_matrix_inverse_matches_entrywise_elimination_bitwise(family, n, order):
+    fld, z = point(family, n)
+    mj = metric_jet(fld, z, order=order)
+    want = coefficients(jet_matrix_inverse_by_jets(h_jets(mj)[0]))
+    assert mj.hinv.shape == want.shape
+    assert mj.hinv.tobytes() == want.tobytes()
+
+
+def test_matrix_inverse_skips_zero_rows_and_refuses_singular():
+    one, zero = constant(1.0, 2, 2), constant(0.0, 2, 2)
+    z1 = variable(2, 2, 0)
+    m = np.array([[one * 2.0, zero, z1], [zero, one, zero],
+                  [z1, zero, one * 3.0]], dtype=object)
+    got = jet_matrix_inverse(coefficients(m), 2)
+    assert got.tobytes() == coefficients(jet_matrix_inverse_by_jets(m)).tobytes()
+    with pytest.raises(SingularSeriesError):   # no constant term at all
+        jet_matrix_inverse(coefficients(np.array([[z1, z1], [z1, z1]],
+                                                 dtype=object)), 2)

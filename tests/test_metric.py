@@ -222,6 +222,10 @@ _TORI = (random_torus_fourier, potential_kahler_torus, separable_kahler_torus)
 
 
 def _coeffs(jets):
+    """One row of coefficients per jet, of an object array of Jets or of a
+    coefficient array (..., S)."""
+    if jets.dtype != object:
+        return jets.reshape(-1, jets.shape[-1])
     return np.stack([j.coeffs for j in jets.ravel()])
 
 
@@ -362,6 +366,18 @@ def test_order_zero_jet_is_refused_for_every_kind():
         for order in (0, -1):
             with pytest.raises(ValidationError, match="order must be >= 1"):
                 metric_jet(fld, z, order=order)
+
+
+@pytest.mark.parametrize("point", [np.array([1.0, 0.5j, 0.2]), 0.5,
+                                   np.array([[1.0, 0.5j]]), np.array([])])
+def test_metric_jet_refuses_a_point_that_is_not_an_n_vector(point):
+    # length 3 used to leak an IndexError (polynomial kinds, Hopf) or a matmul
+    # ValueError (Fourier), a scalar a ValueError on zero-dimensional arrays
+    for fld in (flat_metric(2), hopf_metric(2), normal_form_skt(2, 3),
+                random_torus_fourier(2, 5)):
+        with pytest.raises(StructuralError, match="point must be a complex "
+                                                  "2-vector"):
+            metric_jet(fld, point, order=3)
 
 
 # The first 128 bits of a sha256 over the terms (normal forms) or modes

@@ -17,7 +17,8 @@ from hermitia.curvature import (complexified_ricci, connection_curvature,
                                 normal_point_suite, ricci_panel, scalars)
 from hermitia.errors import OrderExhaustedError
 from hermitia.forms import identity_suite
-from hermitia.jets import point_derivatives
+from hermitia.hopf import HopfPoint, oracle_vs_pipeline
+from hermitia.jets import Jet, point_derivatives
 from hermitia.metric import (derivative_tables, hopf_metric, metric_jet,
                              normal_form_skt, random_torus_fourier)
 from hermitia.structure import kahler_defect, skt_defect, structure_report
@@ -38,6 +39,32 @@ def test_levi_civita_built_once_across_the_point_pipeline(monkeypatch):
     structure_report(mj)
     normal_point_suite(mj, skt=True)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_point_pipeline_builds_no_jet(monkeypatch, n):
+    # every point-layer tensor is a coefficient array; 512 Jets per op at
+    # n = 4 when the tables were object arrays
+    made = []
+    init = Jet.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Jet, "__init__", counting)
+    rng = np.random.default_rng(n)
+    x = rng.uniform(0.0, 1.0, 2 * n)
+    for fld, z in ((normal_form_skt(n, 0), np.zeros(n, complex)),
+                   (random_torus_fourier(n, 5), x[:n] + 1j * x[n:])):
+        mj = metric_jet(fld, z, order=3)
+        ricci_panel(mj)
+        scalars(mj)
+        structure_report(mj)
+    normal_point_suite(metric_jet(normal_form_skt(n, 0),
+                                  np.zeros(n, complex), order=3), skt=True)
+    oracle_vs_pipeline(HopfPoint(n, x[:n] + 1j * x[n:]))
+    assert made == []
 
 
 def test_point_pipeline_peak_memory():
@@ -92,7 +119,7 @@ def _riemann_loops(mj, m):
     """Reference: R_{ABCD} entry by entry, intermediate index over range(m)."""
     n = mj.n
     lc = levi_civita(mj)
-    g, dg = point_derivatives(lc), point_derivatives(lc, 1)
+    g, dg = point_derivatives(lc, n), point_derivatives(lc, n, 1)
     r_up = np.zeros((2 * n,) * 4, dtype=complex)
     for A in range(2 * n):
         for B in range(2 * n):
@@ -117,7 +144,8 @@ def test_riemann_kernel_matches_entrywise_loops(n):
     induced = _riemann_loops(mj, n)[:n, n:, :n, n:]
     assert np.max(np.abs(full)) > 1e-3
     lc = levi_civita(mj)
-    g, dg, h0 = point_derivatives(lc), point_derivatives(lc, 1), mj.h_at0()
+    g, dg = point_derivatives(lc, n), point_derivatives(lc, n, 1)
+    h0 = mj.h_at0()
     H = np.block([[np.zeros((n, n)), h0], [h0.T, np.zeros((n, n))]])
     # the one curvature formula: LC on its full table, induced on the
     # block of fiber indices < n

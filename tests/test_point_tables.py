@@ -12,7 +12,8 @@ from hermitia.forms import (chern_connection, random_metric_connection,
 from hermitia.jets import constant, point_derivatives, wirtinger
 from hermitia.metric import derivative_tables, metric_jet
 from hermitia.structure import laplacian_compare
-from reference import CASES, derivative_tables_loops, dz, point, variable
+from reference import (CASES, derivative_tables_loops, dz, h_jets, point,
+                       table_jets, variable)
 
 
 def _const_loops(jets):
@@ -39,8 +40,9 @@ def _same_bits(got, want):
 def test_point_tables_match_wirtinger_loops_bitwise(family, n, order):
     fld, z = point(family, n)
     mj = metric_jet(fld, z, order=order)
-    assert _same_bits(mj.h_at0(), _const_loops(mj.h))
-    assert _same_bits(mj.hinv_at0(), _const_loops(mj.hinv))
+    h, hinv = h_jets(mj)
+    assert _same_bits(mj.h_at0(), _const_loops(h))
+    assert _same_bits(mj.hinv_at0(), _const_loops(hinv))
     got, want = derivative_tables(mj), derivative_tables_loops(mj)
     for a, b in zip(got[:2], want[:2]):
         assert _same_bits(a, b)
@@ -49,13 +51,14 @@ def test_point_tables_match_wirtinger_loops_bitwise(family, n, order):
     else:
         assert _same_bits(got[2], want[2])
     for table in (levi_civita(mj), chern(mj), bismut(mj)):
-        assert _same_bits(point_derivatives(table), _const_loops(table))
+        jets = table_jets(mj, table)
+        assert _same_bits(point_derivatives(table, n), _const_loops(jets))
         if order == 1:   # the table is of order 0
             with pytest.raises(OrderExhaustedError):
-                point_derivatives(table, 1)
+                point_derivatives(table, n, 1)
         else:
-            assert _same_bits(point_derivatives(table, 1),
-                              _dconst_table_loops(table, n))
+            assert _same_bits(point_derivatives(table, n, 1),
+                              _dconst_table_loops(jets, n))
     if family == "normal-coordinates" and n >= 2:   # antisymmetric: 0 at n=1
         assert np.max(np.abs(got[0])) > 1e-3
 
@@ -70,19 +73,20 @@ def test_point_consumers_match_wirtinger_loops(family, n):
     f = (variable(n, 3, 0) * variable(n, 3, n - 1, barred=True)) \
         + (variable(n, 3, 0) * variable(n, 3, 0)) \
         + variable(n, 3, n - 1) + constant(0.3, n, 3)
-    g = _const_loops(levi_civita(mj))
+    g = _const_loops(table_jets(mj, levi_civita(mj)))
+    up = _const_loops(h_jets(mj)[1]).T   # h^{i jbar} at [i, j]
     can = corr_bar = corr_hol = 0.0 + 0.0j
     for i in range(n):
         fi = wirtinger(f, "holo", i)
         for j in range(n):
-            can -= mj.h_up(i, j).const * wirtinger(fi, "antiholo", j).const
+            can -= up[i, j] * wirtinger(fi, "antiholo", j).const
     for l in range(n):
         dfb = wirtinger(f, "antiholo", l).const
         dfh = wirtinger(f, "holo", l).const
         for i in range(n):
             for j in range(n):
-                corr_bar += 2 * mj.h_up(i, j).const * g[i, n + j, n + l] * dfb
-                corr_hol += 2 * mj.h_up(i, j).const * g[j, n + i, l] * dfh
+                corr_bar += 2 * up[i, j] * g[i, n + j, n + l] * dfb
+                corr_hol += 2 * up[i, j] * g[j, n + i, l] * dfh
     got = np.array(laplacian_compare(mj, f))
     want = np.array([can + corr_bar, can + corr_hol, can])
     assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
@@ -93,7 +97,6 @@ def test_point_consumers_match_wirtinger_loops(family, n):
         want = np.zeros((r, r), dtype=complex)
         for i in range(n):
             for j in range(n):
-                up = mj.h_up(i, j).const
                 for al in range(r):
                     for ga in range(r):
                         v = (-wirtinger(A[i][al][ga], "antiholo", j).const
@@ -102,7 +105,8 @@ def test_point_consumers_match_wirtinger_loops(family, n):
                             v -= A[i][al][de].const * B[j][de][ga].const
                             v += B[j][al][de].const * A[i][de][ga].const
                         for be in range(r):
-                            want[al, be] += up * v * conn.fiber[ga][be].const
+                            want[al, be] += (up[i, j] * v
+                                             * conn.fiber[ga][be].const)
         got = second_hermitian_ricci(conn, mj)
         assert np.max(np.abs(got - want)) <= \
             1e-13 * max(1.0, np.max(np.abs(want)))
