@@ -1,38 +1,37 @@
-"""Pointwise exterior algebra of (p, q)-forms with Jet coefficients.
+"""Pointwise exterior algebra of (p, q)-forms with jet coefficients.
 
-A FormJet stores coefficients over strictly increasing index tuples
-I (unbarred slots) and J (barred slots) in the ordered basis
-dz^I wedge dzbar^J, optionally valued in a rank-r bundle with a metric
-connection.  All first-order operators act at jet level, so compositions
-(commutator identities) are exact up to the available jet order.
+A FormJet holds one complex array (C(n, p), C(n, q), r, S): [a, b, al] is
+the jet coefficient of dz^I wedge dzbar^J on the fiber vector e_al (r = 1
+for scalar forms) over the basis of jets._algebra(n, order), I and J the
+a-th and b-th increasing index tuples.  h, h^-1, the Levi-Civita table and
+fiber connections are such arrays too; no Jet is built.  All first-order
+operators act at jet level, so compositions (commutator identities) are
+exact up to the available jet order.
 
-Coefficient arrays combine with numpy's +, *, @ and sum on object arrays
-(a sum or product of jets of two orders is taken at the lower one).  Slot
-moves are cached integer tables of source rows, destination rows and signs:
+Slot moves are cached integer tables acting on the leading axes:
 _slot_table (dz^k ^ and the interior product), _merge_table (wedge) and
-_term_table (a chain of slot moves, such as dz^c ^ I_k in nabla).  The
-algebraic operators (L, Lambda, A, B, C, tau and the conjugates) are Jet
-matrices assembled from _term_table and their point coefficients; the value
-is T x and star, the exact adjoint under the determinant pairing
+_term_table (a chain of slot moves, such as dz^c ^ I_k in nabla).  A jet
+product is one batched _Algebra.mul and a sum (_matmul), at the lower of
+two orders, a prefix of the degree-sorted basis.  The algebraic operators
+(L, Lambda, A, B, C, tau and the conjugates) are jet matrices T built from
+_term_table; the value is T x and star, the exact adjoint under the pairing
   < dz^I ^ dzbar^J, dz^K ^ dzbar^L > = det(h^{i kbar}) conj(det(h^{j lbar})),
-uses T^T.  Under this pairing, with no per-degree factor, the commutator
-identities close (see docs/conventions.md).
+uses T^T between Gram factors applied one compound matrix at a time.  With
+no per-degree factor the commutator identities close (docs/conventions.md).
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .connection import chern, levi_civita
+from .connection import _levi_civita, chern
 from .curvature import connection_curvature
 from .errors import StructuralError, ValidationError
-from .jets import (Jet, coefficients, constant, jet_array, jet_matrix_inverse,
-                   point_derivatives, wirtinger)
+from .jets import _algebra, _algebra_of, jet_matrix_inverse, point_derivatives
 from .metric import MetricJet, per_point
 
 __all__ = [
@@ -84,27 +83,41 @@ def _combo_index(n: int, p: int):
     return {c: k for k, c in enumerate(_combos(n, p))}
 
 
-def _zero(n, order):
-    return constant(0.0 + 0.0j, n, order)
+# -- jet arithmetic on coefficient arrays ----------------------------------
 
 
-# entrywise Jet maps on object arrays
-_jets_conj = np.frompyfunc(Jet.conj, 1, 1)
-_jets_nonzero = np.frompyfunc(lambda a: a.max_abs() != 0.0, 1, 1)
+def _mul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Jet products of coefficient arrays in n variables, broadcast over
+    their leading axes, at the lower of the two orders (a prefix of both)."""
+    size = min(a.shape[-1], b.shape[-1])
+    return _algebra_of(n, size).mul(a[..., :size], b[..., :size])
 
-_PointJets = namedtuple("_PointJets", "h hinv lc")
+
+def _matmul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """The jet-matrix product over the last two index axes, (..., i, k, S)
+    times (..., k, j, S), the other leading axes broadcast: one batched
+    product, then the sum over k."""
+    return _mul(a[..., :, :, None, :], b[..., None, :, :, :], n).sum(axis=-3)
 
 
-@per_point
-def _point_jets(mj: MetricJet) -> _PointJets:
-    """h, h^-1 and the Levi-Civita table at the point as object arrays of
-    Jets, each Jet a view of its row in the coefficient array; [A, B] and
-    [B, A] of the symmetric table share one Jet."""
-    n, K = mj.n, mj.order
-    lc = jet_array(levi_civita(mj), n, K - 1)
-    A, B = np.triu_indices(2 * n)
-    lc[B, A] = lc[A, B]
-    return _PointJets(jet_array(mj.h, n, K), jet_array(mj.hinv, n, K), lc)
+def _conj(x: np.ndarray, n: int) -> np.ndarray:
+    """Conjugate jets: conjugate coefficients, z and zbar swapped."""
+    return np.conj(x[..., _algebra_of(n, x.shape[-1]).conj_perm])
+
+
+def _derivative(x: np.ndarray, n: int, v: int) -> np.ndarray:
+    """d/dz^v (v < n) or d/dzbar^(v - n) of every jet, one order lower."""
+    return _algebra_of(n, x.shape[-1]).derivative(x, v)
+
+
+def _random_jets(shape: tuple, rng) -> np.ndarray:
+    """A coefficient array (..., S) of standard complex normal jets, drawn
+    in C order, each jet's real parts before its imaginary parts."""
+    x = rng.standard_normal(shape[:-1] + (2, shape[-1]))
+    return x[..., 0, :] + 1j * x[..., 1, :]
+
+
+# -- forms -----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -113,22 +126,23 @@ class FormJet:
     p: int
     q: int
     r: int
-    coeffs: np.ndarray  # object array (C(n,p), C(n,q), r) of Jets
+    coeffs: np.ndarray  # complex (C(n, p), C(n, q), r, S)
 
     @property
     def n(self):
         return self.mj.n
 
-    def coeff(self, I, J, alpha=0) -> Jet:
-        n = self.n
-        return self.coeffs[_combo_index(n, self.p)[tuple(I)],
-                           _combo_index(n, self.q)[tuple(J)], alpha]
+    @property
+    def order(self) -> int:
+        """The jet order, one for every coefficient."""
+        return _algebra_of(self.n, self.coeffs.shape[-1]).order
 
     def max_const(self) -> float:
-        return max((abs(c.const) for c in self.coeffs.flat), default=0.0)
+        """The largest modulus of a coefficient's constant term."""
+        return float(np.abs(self.coeffs[..., 0]).max(initial=0.0))
 
     def is_zero(self) -> bool:
-        return all(c.max_abs() == 0.0 for c in self.coeffs.flat)
+        return not self.coeffs.any()
 
     def __add__(self, other):
         if (self.p, self.q, self.r) != (other.p, other.q, other.r):
@@ -138,14 +152,15 @@ class FormJet:
             if other.is_zero():
                 return self
             raise StructuralError("bidegree/rank mismatch in form addition")
+        size = min(self.coeffs.shape[-1], other.coeffs.shape[-1])
         return FormJet(self.mj, self.p, self.q, self.r,
-                       self.coeffs + other.coeffs)
+                       self.coeffs[..., :size] + other.coeffs[..., :size])
 
     def __sub__(self, other):
         return self + other * (-1.0)
 
     def __mul__(self, s):
-        """Times a scalar or a scalar Jet."""
+        """Times a scalar."""
         return FormJet(self.mj, self.p, self.q, self.r, self.coeffs * s)
 
     __rmul__ = __mul__
@@ -153,36 +168,24 @@ class FormJet:
 
 def zero_form(mj: MetricJet, p: int, q: int, r: int = 1,
               order: int | None = None) -> FormJet:
+    """The zero (p, q)-form; a bidegree outside 0..n is clamped into it."""
     n = mj.n
-    if order is None:
-        order = mj.order
-    p = min(max(p, 0), n)
-    q = min(max(q, 0), n)
-    shape = (len(_combos(n, p)), len(_combos(n, q)), r)
-    coeffs = np.empty(shape, dtype=object)
-    z = _zero(n, order)
-    coeffs[...] = z
-    return FormJet(mj, p, q, r, coeffs)
+    p, q = min(max(p, 0), n), min(max(q, 0), n)
+    size = _algebra(n, mj.order if order is None else order).size
+    return FormJet(mj, p, q, r, np.zeros(
+        (len(_combos(n, p)), len(_combos(n, q)), r, size), dtype=complex))
 
 
-def _random_jets(n: int, order: int, shape: tuple, rng) -> np.ndarray:
-    """Jets with standard complex normal coefficients, drawn entry by entry
-    in C order, each one's real parts before its imaginary parts."""
-    size = _zero(n, order).coeffs.size
-    x = rng.standard_normal(shape + (2, size))
-    out = np.empty(int(np.prod(shape)), dtype=object)
-    out[:] = [Jet(n, order, c) for c in
-              (x[..., 0, :] + 1j * x[..., 1, :]).reshape(-1, size)]
-    return out.reshape(shape)
+def _zeros_like(phi: FormJet, p: int, q: int) -> FormJet:
+    """The zero (p, q)-form of phi's rank and jet order."""
+    return zero_form(phi.mj, p, q, phi.r, phi.order)
 
 
 def random_form(mj: MetricJet, p: int, q: int, rng, r: int = 1,
                 order: int | None = None) -> FormJet:
     """Random FormJet with dense random polynomial jet coefficients."""
     z = zero_form(mj, p, q, r, order)  # the clamped bidegree and shape
-    order = mj.order if order is None else order
-    return FormJet(mj, z.p, z.q, r,
-                   _random_jets(mj.n, order, z.coeffs.shape, rng))
+    return FormJet(mj, z.p, z.q, r, _random_jets(z.coeffs.shape, rng))
 
 
 # -- basis bookkeeping -----------------------------------------------------
@@ -201,7 +204,7 @@ def _bumped(phi: FormJet, side: int, d: int):
 
 
 def _side_view(coeffs: np.ndarray, side: int) -> np.ndarray:
-    """coeffs with the `side` block on axis 0; a view, so writes go through."""
+    """coeffs with the `side` block on axis 0, as a view."""
     return coeffs if side == HOLO else coeffs.swapaxes(0, 1)
 
 
@@ -231,31 +234,6 @@ def _slot_table(n: int, deg: int, k: int, d: int):
     return _columns(rows, 3)
 
 
-def _slot_map(phi: FormJet, side: int, k: int, d: int) -> FormJet:
-    """Slot k into (d = 1) or out of (d = -1) the `side` block of phi; a
-    barred slot passes the p unbarred ones."""
-    out = zero_form(phi.mj, *_bumped(phi, side, d), phi.r)
-    deg = (phi.p, phi.q)[side]
-    if not 0 <= deg + d <= phi.n:
-        return out
-    src, dst, sign = _slot_table(phi.n, deg, k, d)
-    if side == ANTI:
-        sign = sign * (-1) ** phi.p
-    _side_view(out.coeffs, side)[dst] = (_side_view(phi.coeffs, side)[src]
-                                         * sign[:, None, None])
-    return out
-
-
-def _wedge1(phi: FormJet, side: int, k: int) -> FormJet:
-    """dz^k (HOLO) or dzbar^k (ANTI) wedge phi."""
-    return _slot_map(phi, side, k, 1)
-
-
-def _contract(phi: FormJet, side: int, k: int) -> FormJet:
-    """Interior product with d/dz^k (HOLO) or d/dzbar^k (ANTI)."""
-    return _slot_map(phi, side, k, -1)
-
-
 def _dim(n: int, p: int, q: int) -> int:
     """Length of the (p, q) coefficient vector of a scalar form."""
     return len(_combos(n, p)) * len(_combos(n, q))
@@ -265,9 +243,10 @@ def _dim(n: int, p: int, q: int) -> int:
 def _term_table(n: int, p: int, q: int, moves: tuple):
     """The terms of a chain of slot moves on (p, q)-forms.  Each move
     (side, d) slots an index k into (d = 1) or out of (d = -1) that side's
-    block as _slot_map does, the first move applied first.  Columns: the
-    flat source row a * C(n, q) + b, the flat destination row, the k of each
-    move in order and the product of the signs."""
+    block, the first move applied first; a barred slot passes the p
+    unbarred ones reached so far.  Columns: the flat source row
+    a * C(n, q) + b, the flat destination row, the k of each move in order
+    and the product of the signs."""
     nq = len(_combos(n, q))
     terms = [(s, divmod(s, nq), (), 1) for s in range(_dim(n, p, q))]
     deg = [p, q]
@@ -289,6 +268,19 @@ def _term_table(n: int, p: int, q: int, moves: tuple):
     nq = len(_combos(n, deg[ANTI]))
     return _columns([(src, a * nq + b, *ks, sign)
                      for src, (a, b), ks, sign in terms], 3 + len(moves))
+
+
+def _slot_sum(phi: FormJet, side: int, d: int, parts: np.ndarray) -> FormJet:
+    """sum_k dz^k ^ parts[k] (d = 1) or sum_k I_k parts[k] (d = -1) on the
+    `side` block (dzbar^k and I_kbar on ANTI), for parts (n, ..., r, S) at
+    phi's bidegree and rank: one gather and scatter of the (side, d) chain."""
+    r, size = parts.shape[-2:]
+    out = zero_form(phi.mj, *_bumped(phi, side, d), phi.r,
+                    _algebra_of(phi.n, size).order)
+    src, dst, k, sign = _term_table(phi.n, phi.p, phi.q, ((side, d),))
+    terms = parts.reshape(len(parts), -1, r, size)[k, src] * sign[:, None, None]
+    np.add.at(out.coeffs.reshape(-1, r, size), dst, terms)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -313,14 +305,15 @@ def wedge(phi: FormJet, psi: FormJet) -> FormJet:
         raise StructuralError("wedge of two bundle-valued forms")
     n = phi.n
     p, q = phi.p + psi.p, phi.q + psi.q
-    out = zero_form(phi.mj, p, q, max(phi.r, psi.r))
+    out = zero_form(phi.mj, p, q, max(phi.r, psi.r),
+                    min(phi.order, psi.order))
     if p > n or q > n:
         return out
     a1, a2, a, sa = _merge_table(n, phi.p, psi.p)
     b1, b2, b, sb = _merge_table(n, phi.q, psi.q)
     sign = (-1) ** (phi.q * psi.p) * np.multiply.outer(sa, sb)
-    terms = (phi.coeffs[a1[:, None], b1] * psi.coeffs[a2[:, None], b2]
-             * sign[:, :, None])
+    terms = (_mul(phi.coeffs[a1[:, None], b1], psi.coeffs[a2[:, None], b2], n)
+             * sign[:, :, None, None])
     np.add.at(out.coeffs, (a[:, None], b), terms)
     return out
 
@@ -328,27 +321,38 @@ def wedge(phi: FormJet, psi: FormJet) -> FormJet:
 # -- differential operators ------------------------------------------------
 
 
-def _derive(jets: np.ndarray, side: int, i: int) -> np.ndarray:
-    """Every jet of an array differentiated along z^i (HOLO) or zbar^i
-    (ANTI)."""
-    kind = ("holo", "antiholo")[side]
-    return np.frompyfunc(lambda c: wirtinger(c, kind, i), 1, 1)(jets)
+@per_point
+def _gamma_holo(mj: MetricJet) -> np.ndarray:
+    """levi_civita(mj)[:, :n, :n], Gamma_{D c}^k for every direction D and
+    unbarred c, k: the one block of the table the form operators read, kept
+    per point in place of the whole table, a quarter of its size."""
+    return _levi_civita(mj)[:, :mj.n, :mj.n].copy()
 
 
-def _dcoeffs(phi: FormJet, side: int, i: int) -> FormJet:
-    """Every coefficient differentiated along z^i (HOLO) or zbar^i (ANTI)."""
-    return FormJet(phi.mj, phi.p, phi.q, phi.r, _derive(phi.coeffs, side, i))
+def _gamma(mj: MetricJet, side: int) -> np.ndarray:
+    """Gamma_{D c}^k at [D, c, k] with c, k on the `side` block; the barred
+    block is conj(Gamma_{Dbar c}^k), the direction conjugated too."""
+    g, n = _gamma_holo(mj), mj.n
+    return g if side == HOLO else _conj(np.concatenate([g[n:], g[:n]]), n)
+
+
+def _dcoeffs(phi: FormJet, side: int,
+             conn: "ConnectionJet | None" = None) -> np.ndarray:
+    """The coefficients differentiated along z^i (HOLO) or zbar^i (ANTI),
+    i = 0..n-1, plus phi @ M_i on the fiber axis for the matrices M of a
+    fiber connection: an (n,) + phi.coeffs.shape array, one order lower."""
+    n = phi.n
+    out = np.stack([_derivative(phi.coeffs, n, n * side + i)
+                    for i in range(n)])
+    if conn is not None:
+        mats = (conn.amats, conn.bmats)[side]
+        out += _matmul(phi.coeffs[..., :out.shape[-1]], mats[:, None], n)
+    return out
 
 
 def _d(phi: FormJet, side: int, conn: "ConnectionJet | None" = None) -> FormJet:
     """partial (HOLO) or dbar (ANTI), twisted by a fiber connection."""
-    out = zero_form(phi.mj, *_bumped(phi, side, 1), phi.r)
-    for i in range(phi.n):
-        d = _dcoeffs(phi, side, i)
-        if conn is not None:
-            d.coeffs[...] += phi.coeffs @ (conn.amats, conn.bmats)[side][i]
-        out = out + _wedge1(d, side, i)
-    return out
+    return _slot_sum(phi, side, 1, _dcoeffs(phi, side, conn))
 
 
 def partial(phi: FormJet) -> FormJet:
@@ -359,36 +363,33 @@ def dbar(phi: FormJet) -> FormJet:
     return _d(phi, ANTI)
 
 
-def _nabla(phi: FormJet, side: int, i: int,
-           conn: "ConnectionJet | None" = None) -> FormJet:
-    """Type-preserving covariant derivative in direction z^i (HOLO) or
-    zbar^i (ANTI): d_X - sum Gamma dz^c ^ I_k on each slot group, plus a
-    fiber connection."""
+def _nabla(phi: FormJet, side: int,
+           conn: "ConnectionJet | None" = None) -> np.ndarray:
+    """The type-preserving covariant derivatives in the directions z^i
+    (HOLO) or zbar^i (ANTI), i = 0..n-1, as in _dcoeffs:
+    d_X - sum Gamma dz^c ^ I_k on each slot group, plus a fiber
+    connection."""
     n = phi.n
-    gamma = _point_jets(phi.mj).lc[n * side + i]
-    out = _dcoeffs(phi, side, i)
+    out = _dcoeffs(phi, side, conn)
+    # the derivative has the lowest order of every term
+    x = phi.coeffs[..., :out.shape[-1]]
     for slots, deg in ((HOLO, phi.p), (ANTI, phi.q)):
         if deg == 0:
             continue
-        block = slice(n * slots, n * (slots + 1))
-        g = gamma[block, block]  # g[c, k] = Gamma_{X c}^k on this group
+        # g[i, c, k] = Gamma_{X_i c}^k on this group
+        g = _gamma(phi.mj, slots)[n * side:n * (side + 1)]
         # dz^c ^ I_k on the block alone: the chain on a (deg, 0) HOLO block
         src, dst, k, c, sign = _term_table(n, deg, 0, ((HOLO, -1), (HOLO, 1)))
-        live = _jets_nonzero(g).astype(bool)[c, k]
-        coef = np.where(sign > 0, (g * -1.0)[c, k], g[c, k])[live]
-        terms = _side_view(phi.coeffs, slots)[src[live]] * coef[:, None, None]
-        np.add.at(_side_view(out.coeffs, slots), dst[live], terms)
-    if conn is not None:
-        out.coeffs[...] += phi.coeffs @ (conn.amats, conn.bmats)[side][i]
+        terms = _mul(_side_view(x, slots)[src],
+                     (g[:, c, k] * -sign[:, None])[:, :, None, None], n)
+        view = out if slots == HOLO else out.swapaxes(1, 2)
+        np.add.at(view, (slice(None), dst), terms)
     return out
 
 
 def _big_d(phi: FormJet, side: int, conn=None) -> FormJet:
     """D' (HOLO) or D'' (ANTI): the covariant exterior derivative parts."""
-    out = zero_form(phi.mj, *_bumped(phi, side, 1), phi.r)
-    for i in range(phi.n):
-        out = out + _wedge1(_nabla(phi, side, i, conn), side, i)
-    return out
+    return _slot_sum(phi, side, 1, _nabla(phi, side, conn))
 
 
 def d_prime(phi: FormJet, conn=None) -> FormJet:
@@ -399,24 +400,20 @@ def d_second(phi: FormJet, conn=None) -> FormJet:
     return _big_d(phi, ANTI, conn)
 
 
-def _h_up(mj: MetricJet, side: int, k: int, m: int) -> Jet:
+def _h_up(mj: MetricJet, side: int) -> np.ndarray:
     """The raised metric pairing a `side` index k with an other-side index
-    m: h^{k mbar} on HOLO, h^{m kbar} on ANTI."""
-    return _point_jets(mj).hinv[(m, k) if side == HOLO else (k, m)]
+    m, at [k, m]: h^{k mbar} on HOLO, h^{m kbar} on ANTI."""
+    return mj.hinv.swapaxes(0, 1) if side == HOLO else mj.hinv
 
 
 def _delta0(phi: FormJet, side: int, conn=None) -> FormJet:
     """-h^{i jbar} I_i nabla''_jbar (HOLO) or -h^{j ibar} I_ibar nabla'_j
     (ANTI)."""
-    mj = phi.mj
-    out = zero_form(mj, *_bumped(phi, side, -1), phi.r)
     if (phi.p, phi.q)[side] == 0:
-        return out
-    for j in range(phi.n):
-        nb = _nabla(phi, 1 - side, j, conn)
-        for i in range(phi.n):
-            out = out + _contract(nb, side, i) * (_h_up(mj, side, i, j) * (-1.0))
-    return out
+        return _zeros_like(phi, *_bumped(phi, side, -1))
+    up = _h_up(phi.mj, side)[:, :, None, None, None] * -1.0  # [i, j]
+    nab = _nabla(phi, 1 - side, conn)
+    return _slot_sum(phi, side, -1, _mul(up, nab, phi.n).sum(axis=1))
 
 
 def delta0_prime(phi: FormJet, conn=None) -> FormJet:
@@ -432,25 +429,26 @@ def delta0_second(phi: FormJet, conn=None) -> FormJet:
 
 def omega_form(mj: MetricJet) -> FormJet:
     """The fundamental form omega = (sqrt(-1)/2) h_{i jbar} dz^i ^ dzbar^j."""
-    return FormJet(mj, 1, 1, 1, (_point_jets(mj).h * 1j)[..., None]) * 0.5
+    return FormJet(mj, 1, 1, 1, (mj.h * 1j)[:, :, None]) * 0.5
 
 
 def _assemble(n: int, p: int, q: int, side: int, moves: tuple,
               coef: np.ndarray) -> np.ndarray:
-    """The Jet matrix of sum_k coef[k] M_k from the (p, q) coefficient
-    vectors to those at the bidegree the moves reach, M_k the chain of slot
-    `moves` (see _term_table) with indices k = (k_1, ..., k_m).  moves and
-    coef are those of the HOLO operator; on ANTI the sides swap and the
-    coefficients are conjugated, which gives the conjugate operator."""
+    """The jet matrix (rows, columns, S) of sum_k coef[k] M_k from the
+    (p, q) coefficient vectors to those at the bidegree the moves reach,
+    M_k the chain of slot `moves` (see _term_table) with indices
+    k = (k_1, ..., k_m).  moves and coef are those of the HOLO operator; on
+    ANTI the sides swap and the coefficients are conjugated, which gives the
+    conjugate operator."""
     moves = tuple((s ^ side, d) for s, d in moves)
     if side == ANTI:
-        coef = _jets_conj(coef)
+        coef = _conj(coef, n)
     src, dst, *ks, sign = _term_table(n, p, q, moves)
     dp = sum(d for s, d in moves if s == HOLO)
     dq = sum(d for s, d in moves if s == ANTI)
-    zero = _zero(n, min(c.order for c in coef.flat))
-    t = np.full((_dim(n, p + dp, q + dq), _dim(n, p, q)), zero, dtype=object)
-    np.add.at(t, (dst, src), coef[tuple(ks)] * sign)
+    t = np.zeros((_dim(n, p + dp, q + dq), _dim(n, p, q), coef.shape[-1]),
+                 dtype=complex)
+    np.add.at(t, (dst, src), coef[tuple(ks)] * sign[:, None])
     return t
 
 
@@ -458,25 +456,25 @@ def _l_matrix(mj: MetricJet, p: int, q: int, side: int) -> np.ndarray:
     """L = 2 omega ^ = sqrt(-1) h_{i jbar} dz^i ^ dzbar^j ^ (L is real, so
     side is unused)."""
     return _assemble(mj.n, p, q, HOLO, ((ANTI, 1), (HOLO, 1)),
-                     _point_jets(mj).h.T * 1j)
+                     mj.h.swapaxes(0, 1) * 1j)
 
 
 def _lambda_matrix(mj: MetricJet, p: int, q: int, side: int) -> np.ndarray:
     """Lambda = sqrt(-1) h^{i jbar} I_i I_jbar (real, side unused)."""
-    return _assemble(mj.n, p, q, HOLO, ((ANTI, -1), (HOLO, -1)),
-                     _point_jets(mj).hinv * 1j)
+    return _assemble(mj.n, p, q, HOLO, ((ANTI, -1), (HOLO, -1)), mj.hinv * 1j)
 
 
 @per_point
 def _a_coefficients(mj: MetricJet) -> np.ndarray:
     """-h^{k lbar} h_{i mbar} Gamma_{s lbar}^{mbar} at [k, i, s]: the
     coefficients of a_op in the order of its slot moves, built once per
-    point and kept with it, so the vanishing entries share one zero jet."""
-    n, (h, hinv, lc) = mj.n, _point_jets(mj)
-    gam = lc[:n, n:, n:]  # [s, l, m]
-    coef = (hinv.T @ (gam @ h.T)).transpose(1, 2, 0) * -1.0
-    coef[~_jets_nonzero(coef).astype(bool)] = _zero(n, mj.order - 1)
-    return coef
+    point and kept with it."""
+    n = mj.n
+    gam = _gamma(mj, ANTI)[:n]  # [s, l, m]
+    # sum_m Gamma[s, l, m] h[i, m], then sum_l h^{k lbar} (...)[s, l, i]
+    gh = _matmul(gam, mj.h.swapaxes(0, 1), n)
+    return (_matmul(mj.hinv.swapaxes(0, 1), gh, n)
+            .transpose(1, 2, 0, 3) * -1.0)
 
 
 def _a_matrix(mj: MetricJet, p: int, q: int, side: int) -> np.ndarray:
@@ -488,7 +486,7 @@ def _a_matrix(mj: MetricJet, p: int, q: int, side: int) -> np.ndarray:
 def _b_matrix(mj: MetricJet, p: int, q: int, side: int) -> np.ndarray:
     """B = -2 Gamma_{i jbar}^{lbar} dz^i ^ dzbar^j ^ I_lbar."""
     n = mj.n
-    gam = _point_jets(mj).lc[:n, n:, n:].T  # [l, j, i]
+    gam = _gamma(mj, ANTI)[:n].transpose(2, 1, 0, 3)  # [l, j, i]
     return _assemble(n, p, q, side, ((ANTI, -1), (ANTI, 1), (HOLO, 1)),
                      gam * -2.0)
 
@@ -496,17 +494,17 @@ def _b_matrix(mj: MetricJet, p: int, q: int, side: int) -> np.ndarray:
 def _c_matrix(mj: MetricJet, p: int, q: int, side: int) -> np.ndarray:
     """C = 2 Gamma_{j lbar}^{lbar} dz^j ^, the torsion (1,0)-form."""
     n = mj.n
-    eta = np.trace(_point_jets(mj).lc[:n, n:, n:], axis1=1, axis2=2)
+    eta = np.trace(_gamma(mj, ANTI)[:n], axis1=1, axis2=2)
     return _assemble(n, p, q, side, ((HOLO, 1),), eta * 2.0)
 
 
 def _w_matrix(mj: MetricJet, p: int, q: int, side: int) -> np.ndarray:
     """Wedge with w = 2 d'omega = sqrt(-1) d_a h_{b cbar} dz^a ^ dz^b ^ dzbar^c
     (HOLO) or with its conjugate (ANTI)."""
-    n, h = mj.n, _point_jets(mj).h
-    dh = np.array([[[wirtinger(h[b][c], "holo", a) * 1j for a in range(n)]
-                    for b in range(n)] for c in range(n)], dtype=object)
-    return _assemble(n, p, q, side, ((ANTI, 1), (HOLO, 1), (HOLO, 1)), dh)
+    n = mj.n
+    dh = np.stack([_derivative(mj.h, n, a) for a in range(n)])  # [a, b, c]
+    return _assemble(n, p, q, side, ((ANTI, 1), (HOLO, 1), (HOLO, 1)),
+                     dh.transpose(2, 1, 0, 3) * 1j)
 
 
 def _tau_matrix(mj: MetricJet, p: int, q: int, side: int) -> np.ndarray:
@@ -514,21 +512,21 @@ def _tau_matrix(mj: MetricJet, p: int, q: int, side: int) -> np.ndarray:
     two matrices; tau_bar on ANTI."""
     n = mj.n
     wp, wq = (2, 1) if side == HOLO else (1, 2)
-    out = np.full((_dim(n, p + wp - 1, q + wq - 1), _dim(n, p, q)),
-                  _zero(n, mj.order - 1), dtype=object)
+    out = np.zeros((_dim(n, p + wp - 1, q + wq - 1), _dim(n, p, q),
+                    _algebra(n, mj.order - 1).size), dtype=complex)
     if p + wp <= n and q + wq <= n:
-        out = out + (_lambda_matrix(mj, p + wp, q + wq, side)
-                     @ _w_matrix(mj, p, q, side))
+        out = out + _matmul(_lambda_matrix(mj, p + wp, q + wq, side),
+                            _w_matrix(mj, p, q, side), n)
     if p and q:
-        out = out - (_w_matrix(mj, p - 1, q - 1, side)
-                     @ _lambda_matrix(mj, p, q, side))
+        out = out - _matmul(_w_matrix(mj, p - 1, q - 1, side),
+                            _lambda_matrix(mj, p, q, side), n)
     return out
 
 
 @dataclass(frozen=True)
 class _Algebraic:
-    """A Jet-linear operator without derivatives, given by its matrix:
-    body(mj, p, q, side) is the Jet matrix T from the (p, q) coefficient
+    """A jet-linear operator without derivatives, given by its matrix:
+    body(mj, p, q, side) is the jet matrix T from the (p, q) coefficient
     vectors to those at (p, q) + ddeg.  The value on phi is T x, taken on
     the form index of each fiber column; star uses T^T.  On ANTI it is the
     conjugate operator: the same slot moves with the sides swapped, and
@@ -544,11 +542,11 @@ class _Algebraic:
         n, (dp, dq) = phi.n, self.ddeg
         p, q = phi.p + dp, phi.q + dq
         if not (0 <= p <= n and 0 <= q <= n):
-            return zero_form(phi.mj, p, q, phi.r)
+            return _zeros_like(phi, p, q)
         t = self.matrix(phi.mj, phi.p, phi.q)
-        x = phi.coeffs.reshape(t.shape[1], phi.r)
-        shape = (len(_combos(n, p)), len(_combos(n, q)), phi.r)
-        return FormJet(phi.mj, p, q, phi.r, (t @ x).reshape(shape))
+        x = phi.coeffs.reshape(t.shape[1], phi.r, -1)
+        shape = (len(_combos(n, p)), len(_combos(n, q)), phi.r, -1)
+        return FormJet(phi.mj, p, q, phi.r, _matmul(t, x, n).reshape(shape))
 
 
 l_op = _Algebraic(_l_matrix, (1, 1))
@@ -566,82 +564,66 @@ _c_bar = _Algebraic(_c_matrix, (0, 1), ANTI)
 # -- inner product and adjoints --------------------------------------------
 
 
-def _det_jet(m: np.ndarray) -> Jet:
-    """Determinant of a square matrix of Jets by Laplace expansion."""
-    k = m.shape[0]
-    if k == 1:
-        return m[0][0]
-    acc = None
-    for j in range(k):
-        minor = np.delete(np.delete(m, 0, axis=0), j, axis=1)
-        term = m[0][j] * _det_jet(minor)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
+@lru_cache(maxsize=None)
+def _minor_table(n: int, k: int):
+    """For the k x k minors on rows I, columns K of _combos(n, k), k >= 2,
+    at [I, K, t]: the row I[0], the column K[t] and the rows I[1:] and
+    columns K without K[t] of a (k-1) x (k-1) minor in _combos(n, k - 1)."""
+    low, combos = _combo_index(n, k - 1), _combos(n, k)
+    rows = np.array([(I[0], low[I[1:]]) for I in combos]).T[..., None, None]
+    minors = np.array([[low[K[:t] + K[t + 1:]] for t in range(k)]
+                       for K in combos])
+    return rows[0], np.array(combos), rows[1], minors
 
 
-def _compound(m: np.ndarray, k: int) -> np.ndarray:
-    """The k x k minors of the n x n Jet matrix m, rows and columns in
-    _combos(n, k) order; C_0(m) = [[1]]."""
-    n = m.shape[0]
-    if k == 0:
-        return np.array([[constant(1.0 + 0.0j, n, m[0, 0].order)]],
-                        dtype=object)
-    combos = _combos(n, k)
-    out = np.empty((len(combos), len(combos)), dtype=object)
-    for a, I in enumerate(combos):
-        for b, K in enumerate(combos):
-            out[a, b] = _det_jet(m[np.ix_(I, K)])
+def _compounds(m: np.ndarray, top: int, n: int) -> list:
+    """C_0(m), ..., C_top(m): the k x k minors of the n x n jet matrix m
+    (n, n, S), rows and columns in _combos(n, k) order, C_0 = [[1]].  The
+    minor on rows I, columns K is sum_t (-1)^t m[I[0], K[t]] times the minor
+    on I[1:] and K without K[t]: one batched product per minor size."""
+    out = [np.eye(1, m.shape[-1], dtype=complex)[None], m]
+    for k in range(2, top + 1):
+        first, cols, rest, minors = _minor_table(n, k)
+        terms = _mul(m[first, cols], out[-1][rest, minors], n)
+        out.append((terms * (-1.0) ** np.arange(k)[:, None]).sum(axis=2))
     return out
 
 
-def _gram_over(m: np.ndarray, p: int, q: int) -> np.ndarray:
-    """kron(C_p(m), conj C_q(m)): the row of dz^I ^ dzbar^J is
-    a * C(n, q) + b for I, J the a-th and b-th combos."""
-    a, b = _compound(m, p), _jets_conj(_compound(m, q))
-    out = np.multiply.outer(a, b).transpose(0, 2, 1, 3)
-    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-
-
 def gram(mj: MetricJet, p: int, q: int) -> np.ndarray:
-    """Gram matrix of the basis forms; entries are Jets.  It is
-    kron(C_p(Hup), conj C_q(Hup)) for Hup[i, k] = h^{i kbar}."""
-    return _gram_over(_point_jets(mj).hinv.T, p, q)
+    """Gram matrix of the basis forms, a jet matrix (D, D, S), D = C(n,p)
+    C(n,q): kron(C_p(Hup), conj C_q(Hup)) for Hup[i, k] = h^{i kbar}, the
+    row of dz^I ^ dzbar^J a * C(n, q) + b, I, J the a-th and b-th combos."""
+    cs = _compounds(_h_up(mj, HOLO), max(p, q), mj.n)
+    a, b = cs[p], _conj(cs[q], mj.n)
+    out = _mul(a[:, None, :, None], b[None, :, None, :], mj.n)
+    return out.reshape(len(a) * len(b), len(a) * len(b), -1)
 
 
-def _gram_inverse(mj: MetricJet, p: int, q: int) -> np.ndarray:
-    """gram(mj, p, q)^-1 without a solve: by Cauchy-Binet C_k(Hup)^-1 =
-    C_k(Hup^-1), and Hup^-1[i, k] = h_{k ibar} is the lower metric."""
-    return _gram_over(_point_jets(mj).h.T, p, q)
+def _metric(m: np.ndarray, p: int, q: int, x: np.ndarray, fiber, n: int):
+    """kron(C_p(m), conj C_q(m)) tensored with the r x r fiber metric F (the
+    identity when None) on the (p, q) coefficients x (C(n,p), C(n,q), r, S),
+    one factor at a time: C_p x conj(C_q)^T on the form axes, then F^T on
+    the fiber axis; C_0 = [[1]] is not applied.  m = Hup gives the Gram
+    matrix; by Cauchy-Binet C_k(Hup)^-1 = C_k(Hup^-1), and Hup^-1 = h^T is
+    the lower metric, so m = h^T gives its inverse with no solve."""
+    P, Q, r, _ = x.shape
+    cs = _compounds(m, max(p, q), n)
+    if p:
+        x = _matmul(cs[p], x.reshape(P, Q * r, -1), n).reshape(P, Q, r, -1)
+    if q:
+        x = _matmul(_conj(cs[q], n), x, n)
+    return x if fiber is None else _matmul(x, fiber.swapaxes(0, 1), n)
 
 
-def _metric(g: np.ndarray, x: np.ndarray, fiber) -> np.ndarray:
-    """g tensored with the r x r fiber metric F (the identity when None),
-    applied to coefficients x of shape (len(g), r): g x F^T."""
-    y = g @ x
-    return y if fiber is None else y @ np.asarray(fiber, dtype=object).T
-
-
-def _flatten(phi: FormJet) -> np.ndarray:
-    """The coefficient vector, entry (a * C(n, q) + b) * r + al."""
-    return phi.coeffs.reshape(-1)
-
-
-def inner(phi: FormJet, psi: FormJet, fiber: np.ndarray | None = None) -> Jet:
-    """Pointwise Hermitian inner product; result is a Jet (conjugate linear
-    in psi).  fiber is an r x r matrix of Jets G[al][be] = <e_al, e_be>."""
+def inner(phi: FormJet, psi: FormJet, fiber: np.ndarray | None = None):
+    """Pointwise Hermitian inner product, a jet (S,) conjugate linear in
+    psi.  fiber is the (r, r, S) jet matrix G[al, be] = <e_al, e_be>."""
     if (phi.p, phi.q, phi.r) != (psi.p, psi.q, psi.r):
         raise StructuralError("bidegree/rank mismatch in inner product")
-    y = _jets_conj(psi.coeffs.reshape(-1, psi.r))
-    return _flatten(phi) @ _metric(gram(phi.mj, phi.p, phi.q), y,
-                                   fiber).reshape(-1)
-
-
-def _jets_inverse(m: np.ndarray) -> np.ndarray:
-    """The inverse of a square matrix of Jets of one (n, order), as Jets."""
-    a = m.flat[0]
-    return jet_array(jet_matrix_inverse(coefficients(m), a.n), a.n, a.order)
+    n = phi.n
+    y = _metric(_h_up(phi.mj, HOLO), phi.p, phi.q, _conj(psi.coeffs, n),
+                fiber, n)
+    return _mul(phi.coeffs, y, n).sum(axis=(0, 1, 2))
 
 
 def star(op: _Algebraic, phi: FormJet, fiber=None) -> FormJet:
@@ -655,16 +637,17 @@ def star(op: _Algebraic, phi: FormJet, fiber=None) -> FormJet:
     never applied.  Gs^-1 is a compound-matrix product and F^-1 the only
     solve."""
     dp, dq = op.ddeg
-    mj, r = phi.mj, phi.r
+    mj, n, r = phi.mj, phi.n, phi.r
     sp, sq = phi.p - dp, phi.q - dq
-    if not (0 <= sp <= phi.n and 0 <= sq <= phi.n):
-        return zero_form(mj, max(sp, 0), max(sq, 0), r)
-    y = _metric(gram(mj, phi.p, phi.q),
-                _jets_conj(phi.coeffs.reshape(-1, r)), fiber)
-    f_inv = None if fiber is None else _jets_inverse(fiber)
-    x = _metric(_gram_inverse(mj, sp, sq), op.matrix(mj, sp, sq).T @ y, f_inv)
-    shape = (len(_combos(mj.n, sp)), len(_combos(mj.n, sq)), r)
-    return FormJet(mj, sp, sq, r, _jets_conj(x).reshape(shape))
+    if not (0 <= sp <= n and 0 <= sq <= n):
+        return _zeros_like(phi, sp, sq)
+    y = _metric(_h_up(mj, HOLO), phi.p, phi.q, _conj(phi.coeffs, n), fiber, n)
+    t = op.matrix(mj, sp, sq)
+    x = _matmul(t.swapaxes(0, 1), y.reshape(len(t), r, -1), n)
+    f_inv = None if fiber is None else jet_matrix_inverse(fiber, n)
+    shape = (len(_combos(n, sp)), len(_combos(n, sq)), r, -1)
+    x = _metric(mj.h.swapaxes(0, 1), sp, sq, x.reshape(shape), f_inv, n)
+    return FormJet(mj, sp, sq, r, _conj(x, n))
 
 
 def _d_star(phi: FormJet, side: int) -> FormJet:
@@ -727,10 +710,10 @@ def identity_suite(mj: MetricJet, trials: int, seed: int) -> dict:
 
 @dataclass(frozen=True)
 class ConnectionJet:
-    """A metric connection on a rank-r bundle E at the point, as jet arrays:
-    nabla_{z^i} e_al = amats[i, al, be] e_be and nabla_{zbar^j} e_al =
-    bmats[j, al, be] e_be, both (n, r, r), and the (r, r) fiber metric
-    fiber[al, be] = <e_al, e_be>."""
+    """A metric connection on a rank-r bundle E at the point, as coefficient
+    arrays: nabla_{z^i} e_al = amats[i, al, be] e_be and nabla_{zbar^j} e_al
+    = bmats[j, al, be] e_be, both (n, r, r, S), and the (r, r, S) fiber
+    metric fiber[al, be] = <e_al, e_be>."""
     r: int
     amats: np.ndarray
     bmats: np.ndarray
@@ -738,33 +721,37 @@ class ConnectionJet:
 
 
 def _unit_fiber(mj: MetricJet, r: int) -> np.ndarray:
-    """The identity fiber metric, an (r, r) jet array."""
-    one = constant(1.0 + 0.0j, mj.n, mj.order)
-    return np.where(np.eye(r, dtype=bool), one, _zero(mj.n, mj.order))
+    """The identity fiber metric of a rank-r bundle, an (r, r, S) array;
+    refuses a rank below 1."""
+    if r < 1:
+        raise ValidationError(f"bundle rank r must be >= 1, got r={r}")
+    fiber = np.zeros((r, r, _algebra(mj.n, mj.order).size), dtype=complex)
+    fiber[range(r), range(r), 0] = 1.0
+    return fiber
 
 
 def trivial_connection(mj: MetricJet, r: int = 1) -> ConnectionJet:
-    amats = np.full((mj.n, r, r), _zero(mj.n, mj.order), dtype=object)
-    return ConnectionJet(r=r, amats=amats, bmats=amats,
-                         fiber=_unit_fiber(mj, r))
+    fiber = _unit_fiber(mj, r)
+    amats = np.zeros((mj.n,) + fiber.shape, dtype=complex)
+    return ConnectionJet(r=r, amats=amats, bmats=amats, fiber=fiber)
 
 
 def chern_connection(mj: MetricJet) -> ConnectionJet:
     """The tangent bundle E = T^{1,0}M with its holomorphic-metric
     connection: fiber metric h, (1,0)-part the Chern table, (0,1)-part 0."""
-    tab = jet_array(chern(mj), mj.n, mj.order - 1)
+    tab = chern(mj)
     return ConnectionJet(r=mj.n, amats=tab[:mj.n], bmats=tab[mj.n:],
-                         fiber=_point_jets(mj).h)
+                         fiber=mj.h)
 
 
 def random_metric_connection(mj: MetricJet, r: int, seed: int) -> ConnectionJet:
     """Random connection jets compatible with the identity fiber metric:
     B_j = -A_j^H at jet level."""
+    fiber = _unit_fiber(mj, r)
     rng = np.random.default_rng(seed)
-    amats = _random_jets(mj.n, mj.order, (mj.n, r, r), rng) * 0.3
-    bmats = _jets_conj(amats).transpose(0, 2, 1) * -1.0
-    return ConnectionJet(r=r, amats=amats, bmats=bmats,
-                         fiber=_unit_fiber(mj, r))
+    amats = _random_jets((mj.n,) + fiber.shape, rng) * 0.3
+    bmats = _conj(amats, mj.n).transpose(0, 2, 1, 3) * -1.0
+    return ConnectionJet(r=r, amats=amats, bmats=bmats, fiber=fiber)
 
 
 def check_metric_compatible(conn: ConnectionJet, n: int,
@@ -773,10 +760,12 @@ def check_metric_compatible(conn: ConnectionJet, n: int,
     dF/dz^i - A_i F - F conj(B_i)^T = 0 for each direction; raises naming
     the first violated coefficient."""
     F = conn.fiber
-    dF = np.array([_derive(F, HOLO, i) for i in range(n)])
-    resid = (dF - conn.amats @ F
-             - F @ _jets_conj(conn.bmats).transpose(0, 2, 1))
-    bad = np.argwhere(np.frompyfunc(Jet.max_abs, 1, 1)(resid) > tol)
+    terms = (np.stack([_derivative(F, n, i) for i in range(n)]),
+             _matmul(conn.amats, F, n) * -1.0,
+             _matmul(F, _conj(conn.bmats, n).swapaxes(1, 2), n) * -1.0)
+    size = min(t.shape[-1] for t in terms)
+    resid = sum(t[..., :size] for t in terms)
+    bad = np.argwhere(np.abs(resid).max(axis=-1) > tol)
     if len(bad):
         i, al, be = bad[0]
         raise ValidationError(
@@ -796,17 +785,13 @@ def _d_e_star(phi: FormJet, conn: ConnectionJet, side: int) -> FormJet:
     """Local formula on ANTI: dbar* phi - h^{i jbar} (I_jbar phi) nabla_i e,
     dbar* acting on each fiber component; on HOLO its conjugate dual
     partial* phi - h^{j ibar} (I_j phi) nabla''_ibar e.  The connection term
-    is sum_k (I_k phi) @ C_k with C_k = -sum_m h_up(k, m) M_m, M the other
+    is -sum_k (I_k phi) @ C_k with C_k = sum_m h_up(k, m) M_m, M the other
     side's matrices."""
-    mj, n, r = phi.mj, phi.n, phi.r
-    hinv = _point_jets(mj).hinv
-    up = hinv.T if side == HOLO else hinv  # _h_up(mj, side, k, m)
-    mats = (conn.bmats, conn.amats)[side]
-    C = (up @ mats.reshape(n, r * r)).reshape(n, r, r) * -1.0
-    ik = np.array([_contract(phi, side, k).coeffs for k in range(n)])
-    out = _d_star(phi, side)
-    return FormJet(mj, out.p, out.q, r,
-                   out.coeffs + (ik @ C[:, None]).sum(axis=0))
+    n, r = phi.n, phi.r
+    mats = (conn.bmats, conn.amats)[side].reshape(n, r * r, -1)
+    C = _matmul(_h_up(phi.mj, side), mats, n).reshape(n, r, r, -1)
+    return _d_star(phi, side) - _slot_sum(phi, side, -1,
+                                          _matmul(phi.coeffs, C[:, None], n))
 
 
 def dbar_e_star(phi: FormJet, conn: ConnectionJet) -> FormJet:
@@ -854,7 +839,7 @@ def bundle_identity_suite(mj: MetricJet, conn: ConnectionJet,
         # curvature tensoriality on a product phi_scalar x s
         phis = random_form(mj, p, q, rng, r=1)
         s = random_form(mj, 0, 0, rng, r=r)
-        prod = FormJet(mj, p, q, r, phis.coeffs * s.coeffs[0, 0])
+        prod = FormJet(mj, p, q, r, _mul(phis.coeffs, s.coeffs[0, 0], n))
         lhs = pe(de(prod)) + de(pe(prod))
         rhs_s = pe(de(s)) + de(pe(s))
         rhs = wedge(phis, rhs_s)
@@ -872,8 +857,8 @@ def second_hermitian_ricci(conn: ConnectionJet, mj: MetricJet) -> np.ndarray:
     """Tr_omega R^E lowered with the fiber metric: an r x r Hermitian
     matrix with entries h^{i jbar} R_{i jbar al}^{ga} <e_ga, e_be>."""
     n = mj.n
-    tab = coefficients(np.concatenate([conn.amats, conn.bmats]))
+    tab = np.concatenate([conn.amats, conn.bmats])
     R = connection_curvature(point_derivatives(tab, n),
                              point_derivatives(tab, n, 1),
-                             point_derivatives(coefficients(conn.fiber), n))
+                             point_derivatives(conn.fiber, n))
     return np.einsum("ij,ijab->ab", mj.hinv_at0().T, R[:n, n:])

@@ -26,10 +26,7 @@ __all__ = [
     "Jet",
     "wirtinger",
     "jet_matrix_inverse",
-    "constant",
     "point_derivatives",
-    "coefficients",
-    "jet_array",
 ]
 
 
@@ -128,24 +125,27 @@ class _Algebra:
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Jet products of coefficient arrays of shape (..., size), broadcast
-        over their leading axes, bit for bit ``Jet.__mul__`` on each pair.
-        Every output monomial sums its products from +0 in triple order, as
-        ``np.add.at`` does; a pass adds one product into each monomial, so
-        no index repeats within a pass and a plain scatter suffices.  The
-        passes run with the coefficient axis first, on whole rows; the
-        result is a view with that axis moved back to the end."""
+        over their leading axes; ``Jet.__mul__`` is this on one pair.  Every
+        output monomial sums its products from +0 in triple order; a pass
+        adds one product into each monomial, so no index repeats within a
+        pass and a plain scatter suffices.  The passes run with the
+        coefficient axis first, on whole rows; the result is a view with
+        that axis moved back to the end."""
         shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-        a, b = (np.ascontiguousarray(np.moveaxis(
-            x.reshape((1,) * (len(shape) + 1 - x.ndim) + x.shape), -1, 0))
-            for x in (a, b))
+        lead = (len(shape),) + tuple(range(len(shape)))
+        a, b = (np.ascontiguousarray(
+            x.reshape((1,) * (len(shape) + 1 - x.ndim) + x.shape)
+            .transpose(lead)) for x in (a, b))
         out = np.zeros((self.size,) + shape, dtype=complex)
         for i, j, t in self.mul_passes:
             out[t] += a[i] * b[j]
-        return np.moveaxis(out, 0, -1)
+        return out.transpose(tuple(range(1, len(shape) + 1)) + (0,))
 
     def derivative(self, a: np.ndarray, v: int) -> np.ndarray:
         """d/d(variable slot v) of coefficient arrays of shape (..., size),
         over the basis of order - 1."""
+        if self.order == 0:
+            raise OrderExhaustedError("cannot differentiate an order-0 jet")
         out = np.zeros(a.shape[:-1] + (self.size_at[self.order - 1],),
                        dtype=complex)
         out[..., self.deriv_dst[v]] = (self.deriv_fac[v]
@@ -170,7 +170,7 @@ class Jet:
     def __init__(self, n: int, order: int, coeffs=None, *, _alg=None):
         if _alg is not None:
             # private path: fresh coefficients of this module's arithmetic,
-            # or a row of an array no one writes (jet_array); kept as given
+            # kept as given
             c, alg = coeffs, _alg
         else:
             if order < 0:
@@ -237,9 +237,7 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             alg, a, b = self._match(other)
-            out = np.zeros(alg.size, dtype=complex)
-            np.add.at(out, alg.mul_t, a[alg.mul_i] * b[alg.mul_j])
-            return Jet(self.n, alg.order, out, _alg=alg)
+            return Jet(self.n, alg.order, alg.mul(a, b), _alg=alg)
         if isinstance(other, _SCALARS):
             return Jet(self.n, self.order, self.coeffs * other, _alg=self._alg)
         return NotImplemented
@@ -272,38 +270,21 @@ class Jet:
 # -- module-level operations ----------------------------------------------
 
 
-def constant(value: complex, n: int, order: int) -> Jet:
-    alg = _algebra(n, order)
-    c = np.zeros(alg.size, dtype=complex)
-    c[0] = value
-    return Jet(n, order, c, _alg=alg)
-
-
 def wirtinger(a: Jet, which: str, index: int) -> Jet:
     """Formal d/dz^index ('holo') or d/dzbar^index ('antiholo'); index 0-based.
 
     The result has order K-1.
     """
-    if a.order == 0:
-        raise OrderExhaustedError("cannot differentiate an order-0 jet")
     if which not in ("holo", "antiholo"):
         raise StructuralError(f"unknown derivative kind {which!r}")
     if not 0 <= index < a.n:
         raise StructuralError(f"derivative index {index} out of range for n={a.n}")
     v = index + (a.n if which == "antiholo" else 0)
-    alg = a._alg
-    low = _algebra(a.n, a.order - 1)
-    out = np.zeros(low.size, dtype=complex)
-    out[alg.deriv_dst[v]] = alg.deriv_fac[v] * a.coeffs[alg.deriv_src[v]]
-    return Jet(a.n, a.order - 1, out, _alg=low)
+    out = a._alg.derivative(a.coeffs, v)
+    return Jet(a.n, a.order - 1, out, _alg=_algebra(a.n, a.order - 1))
 
 
-def coefficients(jets) -> np.ndarray:
-    """The coefficients of an array of jets of one (n, order), stacked into
-    one complex array of shape ``jets.shape + (size,)``."""
-    return np.stack([j.coeffs for j in jets.flat]).reshape(jets.shape + (-1,))
-
-
+@lru_cache(maxsize=None)
 def _algebra_of(n: int, size: int) -> _Algebra:
     """The algebra of n variables whose basis has ``size`` monomials; the
     size alone does not fix it, (n, order) = (1, 4) and (2, 2) both give 15."""
@@ -312,21 +293,6 @@ def _algebra_of(n: int, size: int) -> _Algebra:
         raise StructuralError(
             f"no jet basis in {n} complex variables has {size} monomials")
     return _algebra(n, order)
-
-
-def jet_array(coeffs: np.ndarray, n: int, order: int) -> np.ndarray:
-    """The object array of Jets over the leading axes of a coefficient array
-    of shape (..., size) that is not written afterwards.  Each jet is a
-    read-only view of its row, so the jets share the array and keep all of
-    it alive."""
-    alg = _algebra(n, order)
-    if coeffs.shape[-1:] != (alg.size,):
-        raise StructuralError(f"coefficient array has shape {coeffs.shape}, "
-                              f"expected (..., {alg.size})")
-    out = np.empty(coeffs.shape[:-1], dtype=object)
-    out.reshape(-1)[:] = [Jet(n, order, row, _alg=alg)
-                          for row in coeffs.reshape(-1, alg.size)]
-    return out
 
 
 def point_derivatives(coeffs: np.ndarray, n: int,

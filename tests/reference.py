@@ -3,6 +3,7 @@ quantities the package computes one way, readers of what it writes, and the
 point makers several test modules share."""
 
 import csv
+from bisect import bisect_left
 from itertools import combinations
 from math import factorial
 
@@ -11,12 +12,35 @@ import numpy as np
 from hermitia import forms as FO
 from hermitia.errors import StructuralError
 from hermitia.flow import FlowState
-from hermitia.jets import (Jet, _algebra, constant, jet_array, jet_inverse,
-                           wirtinger)
+from hermitia.jets import Jet, _algebra, _algebra_of, jet_inverse, wirtinger
 from hermitia.metric import (_mu, hopf_metric, metric_jet,
                              normal_coordinates_random, normal_form_skt,
                              random_torus_fourier)
 from hermitia.positivity import _check_hermitian, _verdict
+
+
+def constant(value, n, order):
+    """The constant jet ``value``."""
+    c = np.zeros(_algebra(n, order).size, dtype=complex)
+    c[0] = value
+    return Jet(n, order, c)
+
+
+def coefficients(jets):
+    """The coefficients of an array of jets of one (n, order), stacked into
+    one complex array of shape ``jets.shape + (size,)``."""
+    return np.stack([j.coeffs for j in jets.flat]).reshape(jets.shape + (-1,))
+
+
+def jet_array(coeffs, n, order=None):
+    """The object array of Jets over the leading axes of a coefficient array
+    of shape (..., size); the order defaults to the one the size gives."""
+    if order is None:
+        order = _algebra_of(n, coeffs.shape[-1]).order
+    out = np.empty(coeffs.shape[:-1], dtype=object)
+    out.reshape(-1)[:] = [Jet(n, order, row)
+                          for row in coeffs.reshape(-1, coeffs.shape[-1])]
+    return out
 
 
 def variable(n, order, index, barred=False):
@@ -207,11 +231,26 @@ def derivative_tables_loops(mj):
     return d1, db1, d2
 
 
+def det_jet(m):
+    """Determinant of a square matrix of Jets by Laplace expansion."""
+    k = m.shape[0]
+    if k == 1:
+        return m[0][0]
+    acc = None
+    for j in range(k):
+        minor = np.delete(np.delete(m, 0, axis=0), j, axis=1)
+        term = m[0][j] * det_jet(minor)
+        if j % 2:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
+
+
 def log_det_jet(m):
     """log det of a matrix of Jets with positive-definite constant term,
     up to an additive constant (log of the constant determinant, which the
     derivatives never see)."""
-    d = FO._det_jet(m)
+    d = det_jet(m)
     c = d.const
     u = d * (1.0 / c) - 1.0  # zero constant term
     out = u * 0.0
@@ -238,9 +277,61 @@ def lambda_matrix_adjoint(phi):
 
 def form_conj(phi):
     """Complex conjugate form; bidegree (p, q) -> (q, p)."""
-    out = FO._jets_conj(phi.coeffs.swapaxes(0, 1))
+    out = FO._conj(phi.coeffs.swapaxes(0, 1), phi.n)
     return FO.FormJet(phi.mj, phi.q, phi.p, phi.r,
                       out * float((-1) ** (phi.p * phi.q)))
+
+
+def form_times(phi, c):
+    """The form phi times the scalar Jet c, each coefficient times c at the
+    lower of the two orders, as Jet * Jet takes it."""
+    size = min(phi.coeffs.shape[-1], c.coeffs.size)
+    alg = _algebra_of(phi.n, size)
+    return FO.FormJet(phi.mj, phi.p, phi.q, phi.r,
+                      alg.mul(phi.coeffs[..., :size], c.coeffs[:size]))
+
+
+def insert_slot(tup, k):
+    """Sign and tuple for dz^k moved into sorted position of tup; None if k
+    already present."""
+    if k in tup:
+        return None
+    pos = bisect_left(tup, k)
+    return (-1) ** pos, tup[:pos] + (k,) + tup[pos:]
+
+
+def remove_slot(tup, k):
+    if k not in tup:
+        return None
+    pos = tup.index(k)
+    return (-1) ** pos, tup[:pos] + tup[pos + 1:]
+
+
+def slot_map(phi, side, k, d):
+    """Slot k into (d = 1) or out of (d = -1) the `side` block of phi, as a
+    walk over the index tuples of that block; a barred slot passes the p
+    unbarred ones."""
+    out = FO.zero_form(phi.mj, *FO._bumped(phi, side, d), phi.r, phi.order)
+    deg = (phi.p, phi.q)[side]
+    if not 0 <= deg + d <= phi.n:
+        return out
+    n = phi.n
+    dst = FO._combo_index(n, deg + d)
+    move = insert_slot if d > 0 else remove_slot
+    base = 1 if side == FO.HOLO else (-1) ** phi.p
+    src = FO._side_view(phi.coeffs, side)
+    res = FO._side_view(out.coeffs, side)
+    for s, T in enumerate(FO._combos(n, deg)):
+        mv = move(T, k)
+        if mv is None:
+            continue
+        sgn, T2 = mv
+        f = float(base * sgn)
+        for o in range(src.shape[1]):
+            for al in range(phi.r):
+                c = src[s, o, al]
+                res[dst[T2], o, al] = res[dst[T2], o, al] + c * f
+    return out
 
 
 def read_grid_dump(path):

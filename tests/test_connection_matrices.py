@@ -14,10 +14,10 @@ from hermitia.forms import (ConnectionJet, FormJet, chern_connection,
                             check_metric_compatible, dbar_e_star,
                             partial_e_star, random_form,
                             random_metric_connection, trivial_connection)
-from hermitia.jets import Jet, constant, wirtinger
+from hermitia.jets import Jet, wirtinger
 from hermitia.metric import metric_jet, normal_form_skt
-from reference import (CASES, dz, h_jets, hopf_jet, point, table_jets,
-                       truncate)
+from reference import (CASES, constant, dz, h_jets, hopf_jet, jet_array,
+                       point, slot_map, table_jets, truncate)
 
 
 # -- the loop references ----------------------------------------------------
@@ -140,15 +140,17 @@ def _ref_random_metric_connection(mj, r, seed):
 
 def _ref_check_metric_compatible(conn, n, tol=1e-10):
     r = conn.r
+    fiber, amats, bmats = (jet_array(x, n)
+                           for x in (conn.fiber, conn.amats, conn.bmats))
     for i in range(n):
         for al in range(r):
             for be in range(r):
-                lhs = wirtinger(conn.fiber[al][be], "holo", i)
+                lhs = wirtinger(fiber[al][be], "holo", i)
                 rhs = constant(0.0, n, lhs.order)
                 for ga in range(r):
-                    rhs = rhs + conn.amats[i][al][ga] * conn.fiber[ga][be]
-                    rhs = rhs + (conn.bmats[i][be][ga].conj()
-                                 * conn.fiber[al][ga])
+                    rhs = rhs + amats[i][al][ga] * fiber[ga][be]
+                    rhs = rhs + (bmats[i][be][ga].conj()
+                                 * fiber[al][ga])
                 d = lhs + rhs * (-1.0)
                 if d.max_abs() > tol:
                     raise ValidationError(
@@ -159,17 +161,18 @@ def _ref_check_metric_compatible(conn, n, tol=1e-10):
 def _ref_d_e_star(phi, conn, side):
     """The scalar adjoint on each fiber component, then the connection term
     entry by entry."""
-    mj = phi.mj
-    comps = [FormJet(mj, phi.p, phi.q, 1, phi.coeffs[..., al:al + 1].copy())
+    mj, n = phi.mj, phi.n
+    comps = [FormJet(mj, phi.p, phi.q, 1, phi.coeffs[:, :, al:al + 1].copy())
              for al in range(phi.r)]
     stars = [FO._d_star(c, side) for c in comps]
-    acc = np.concatenate([d.coeffs for d in stars], axis=2)
-    mats = (conn.bmats, conn.amats)[side]
+    acc = jet_array(np.concatenate([d.coeffs for d in stars], axis=2), n)
+    mats = jet_array((conn.bmats, conn.amats)[side], n)
+    h_up = jet_array(FO._h_up(mj, side), n)
     for al, c in enumerate(comps):
         for k in range(phi.n):
-            ck = FO._contract(c, side, k).coeffs
+            ck = jet_array(slot_map(c, side, k, -1).coeffs, n)
             for m in range(phi.n):
-                coef = np.array([FO._h_up(mj, side, k, m) * mats[m][al][be]
+                coef = np.array([h_up[k, m] * mats[m][al][be]
                                  for be in range(phi.r)], dtype=object)
                 acc = acc + ck * (coef * (-1.0))
     return acc
@@ -210,27 +213,28 @@ def test_random_metric_connection_matches_tuple_build_bitwise(n, r):
     mj = hopf_jet(n)
     conn = random_metric_connection(mj, r=r, seed=7)
     assert isinstance(conn, ConnectionJet)
-    assert conn.amats.shape == conn.bmats.shape == (n, r, r)
-    assert conn.fiber.shape == (r, r)
+    assert conn.amats.shape[:-1] == conn.bmats.shape[:-1] == (n, r, r)
+    assert conn.fiber.shape[:-1] == (r, r)
     for got, want in zip((conn.amats, conn.bmats, conn.fiber),
                          _ref_random_metric_connection(mj, r, 7)):
         want = np.array(want, dtype=object)
-        assert _coeffs(got).tobytes() == _coeffs(want).tobytes()
+        assert _coeffs(jet_array(got, n)).tobytes() == _coeffs(want).tobytes()
 
 
 def test_trivial_and_chern_connections_match_tuple_build():
     mj = hopf_jet(3)
     triv = trivial_connection(mj, r=2)
-    assert all(j.max_abs() == 0 for j in triv.amats.flat)
-    assert triv.bmats.shape == (3, 2, 2)
-    assert _coeffs(triv.fiber).tobytes() == _coeffs(np.array(
+    assert not triv.amats.any()
+    assert triv.bmats.shape[:-1] == (3, 2, 2)
+    assert _coeffs(jet_array(triv.fiber, 3)).tobytes() == _coeffs(np.array(
         [[constant(float(a == b), 3, 3) for b in range(2)]
          for a in range(2)], dtype=object)).tobytes()
     conn = chern_connection(mj)
-    assert _rel_gap(conn.amats, _ref_chern(mj)[:3]) <= 1e-15
-    assert all(j.max_abs() == 0 and j.order == 2 for j in conn.bmats.flat)
-    assert conn.fiber is FO._point_jets(mj).h
-    assert _coeffs(conn.fiber).tobytes() == mj.h.tobytes()
+    assert _rel_gap(jet_array(conn.amats, 3), _ref_chern(mj)[:3]) <= 1e-15
+    assert all(j.max_abs() == 0 and j.order == 2
+               for j in jet_array(conn.bmats, 3).flat)
+    assert conn.fiber is mj.h
+    assert _coeffs(jet_array(conn.fiber, 3)).tobytes() == mj.h.tobytes()
 
 
 def _bundle_cases():
@@ -250,11 +254,11 @@ def test_bundle_adjoints_match_fiber_split_reference():
                 phi = random_form(mj, p, q, rng, r=conn.r)
                 for op, side in ((dbar_e_star, FO.ANTI),
                                  (partial_e_star, FO.HOLO)):
-                    got = op(phi, conn)
+                    got = jet_array(op(phi, conn).coeffs, n)
                     want = _ref_d_e_star(phi, conn, side)
-                    assert got.coeffs.shape == want.shape
+                    assert got.shape == want.shape
                     gap = max((x - y).max_abs()
-                              for x, y in zip(got.coeffs.flat, want.flat))
+                              for x, y in zip(got.flat, want.flat))
                     assert gap <= 1e-14, (n, p, q, side)
 
 

@@ -4,11 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from hermitia.errors import (OrderExhaustedError, SingularSeriesError,
                              StructuralError)
-from hermitia.jets import (Jet, coefficients, constant, jet_array, jet_inverse,
-                           jet_matrix_inverse, point_derivatives, wirtinger)
+from hermitia.jets import (Jet, jet_inverse, jet_matrix_inverse,
+                           point_derivatives, wirtinger)
 from hermitia.metric import metric_jet
-from reference import (CASES, h_jets, jet_matrix_inverse_by_jets, point,
-                       truncate, variable)
+from reference import (CASES, coefficients, constant, h_jets, jet_array,
+                       jet_matrix_inverse_by_jets, point, truncate, variable)
 
 
 def _random_jet(n, order, rng):

@@ -9,11 +9,11 @@ from hermitia.connection import bismut, chern, levi_civita
 from hermitia.errors import OrderExhaustedError
 from hermitia.forms import (chern_connection, random_metric_connection,
                             second_hermitian_ricci)
-from hermitia.jets import constant, point_derivatives, wirtinger
+from hermitia.jets import point_derivatives, wirtinger
 from hermitia.metric import derivative_tables, metric_jet
 from hermitia.structure import laplacian_compare
-from reference import (CASES, derivative_tables_loops, dz, h_jets, point,
-                       table_jets, variable)
+from reference import (CASES, constant, derivative_tables_loops, dz, h_jets,
+                       jet_array, point, table_jets, variable)
 
 
 def _const_loops(jets):
@@ -93,7 +93,8 @@ def test_point_consumers_match_wirtinger_loops(family, n):
 
     # the second Hermitian Ricci of a fiber connection
     for conn in (chern_connection(mj), random_metric_connection(mj, 2, 1)):
-        A, B, r = conn.amats, conn.bmats, conn.r
+        A, B, r = jet_array(conn.amats, n), jet_array(conn.bmats, n), conn.r
+        F = jet_array(conn.fiber, n)
         want = np.zeros((r, r), dtype=complex)
         for i in range(n):
             for j in range(n):
@@ -106,7 +107,7 @@ def test_point_consumers_match_wirtinger_loops(family, n):
                             v += B[j][al][de].const * A[i][de][ga].const
                         for be in range(r):
                             want[al, be] += (up[i, j] * v
-                                             * conn.fiber[ga][be].const)
+                                             * F[ga][be].const)
         got = second_hermitian_ricci(conn, mj)
         assert np.max(np.abs(got - want)) <= \
             1e-13 * max(1.0, np.max(np.abs(want)))

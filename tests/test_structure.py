@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from hermitia.jets import constant
 from hermitia.metric import (derivative_tables, flat_metric, hopf_metric,
                              metric_jet, normal_form_balanced,
                              normal_form_balanced_skt, normal_form_random,
@@ -9,7 +8,7 @@ from hermitia.metric import (derivative_tables, flat_metric, hopf_metric,
 from hermitia.structure import (StructureReport, kahler_defect,
                                 laplacian_compare, prop38_check, skt_defect,
                                 structure_report)
-from reference import variable
+from reference import constant, variable
 
 
 def _hopf(n):
