@@ -313,9 +313,16 @@ def cmd_flow(args) -> int:
         if n < 1:
             raise ValidationError(f"--dim must be >= 1, got {n}")
         ts = np.linspace(0.0, args.T, args.steps + 1)
-        series = [{"t": float(t), "c": FL.hopf_self_similar(n, c0, mu, t)}
-                  for t in ts]
-        ext = FL.hopf_extinction_time(n, c0, mu)
+        # an exp(mu t) or k / mu out of range is refused below, not warned of
+        with np.errstate(over="ignore", invalid="ignore"):
+            series = [{"t": float(t), "c": FL.hopf_self_similar(n, c0, mu, t)}
+                      for t in ts]
+            ext = FL.hopf_extinction_time(n, c0, mu)
+        for point in series:
+            if not math.isfinite(point["c"]):
+                raise DomainError(
+                    f"the scale factor c(t) is not finite at t = {point['t']!r}"
+                    f" with --mu {mu!r} --c0 {c0!r}")
         results = {"mode": "hopf-ode", "series": series,
                    "extinction_time": ext,
                    "extinct_within_horizon": ext is not None and ext <= args.T}

@@ -77,9 +77,9 @@ def _bracket(d: np.ndarray, E: int, A: np.ndarray, B: np.ndarray):
     return col[B, A] + col[A, B] - row[A, B]
 
 
-def _levi_civita(mj: MetricJet) -> np.ndarray:
-    """Gamma_{AB}^C = (1/2) H^{CE} (d_B H_{AE} + d_A H_{BE} - d_E H_{AB}),
-    built afresh; ``levi_civita`` keeps it per point.
+@per_point
+def levi_civita(mj: MetricJet) -> np.ndarray:
+    """Gamma_{AB}^C = (1/2) H^{CE} (d_B H_{AE} + d_A H_{BE} - d_E H_{AB}).
 
     Each entry with A <= B sums its E terms in order from +0, skipping the
     E with a zero H^{CE} jet; [B, A, C] equals [A, B, C] (torsion-free).
@@ -97,9 +97,6 @@ def _levi_civita(mj: MetricJet) -> np.ndarray:
     G = np.empty((2 * n,) * 3 + (alg.size,), dtype=complex)
     G[A, B] = G[B, A] = acc
     return G
-
-
-levi_civita = per_point(_levi_civita)
 
 
 def chern(mj: MetricJet) -> np.ndarray:

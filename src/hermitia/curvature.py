@@ -3,6 +3,9 @@
 Storage order for all (1,1)-type tensors is (i, jbar, k, lbar): the first
 pair are form indices, the second pair bundle indices.  Contractions use the
 inverse-metric tensor h^{i jbar} = hinv[j][i] (see docs/conventions.md).
+Every tensor here reads h to degree 2 (Gamma to degree 1) and is built on
+``mj.at_order(2)`` (``point_reader``), whatever the order of the jet given;
+the contractions read those tensors and h^-1 at the point.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 from .connection import bismut, chern, levi_civita
 from .errors import OrderExhaustedError, StructuralError, ValidationError
 from .jets import point_derivatives
-from .metric import MetricJet, derivative_tables, per_point
+from .metric import MetricJet, derivative_tables, per_point, point_reader
 
 __all__ = [
     "ScalarReport",
@@ -70,6 +73,7 @@ def connection_curvature(g: np.ndarray, dg: np.ndarray,
     return r_up @ fiber
 
 
+@point_reader
 @per_point
 def lc_curvature_full(mj: MetricJet) -> np.ndarray:
     """Pointwise complexified curvature R_{ABCD} for all 2n-range indices:
@@ -82,6 +86,7 @@ def lc_curvature_full(mj: MetricJet) -> np.ndarray:
                                 point_derivatives(lc, n, 1), H)
 
 
+@point_reader
 @per_point
 def curvature_lc(mj: MetricJet) -> np.ndarray:
     n = mj.n
@@ -99,6 +104,7 @@ def _tangent_curvature(connection, mj: MetricJet) -> np.ndarray:
     return connection_curvature(g, dg, mj.h_at0())[:n, n:]
 
 
+@point_reader
 @per_point
 def curvature_induced(mj: MetricJet) -> np.ndarray:
     """Curvature of the projection of the Levi-Civita connection onto the
@@ -107,11 +113,13 @@ def curvature_induced(mj: MetricJet) -> np.ndarray:
     return _tangent_curvature(levi_civita, mj)
 
 
+@point_reader
 @per_point
 def curvature_chern(mj: MetricJet) -> np.ndarray:
     return _tangent_curvature(chern, mj)
 
 
+@point_reader
 @per_point
 def curvature_bismut(mj: MetricJet) -> np.ndarray:
     return _tangent_curvature(bismut, mj)
@@ -133,6 +141,7 @@ def ricci(t: np.ndarray, mj: MetricJet, flavor: str) -> np.ndarray:
     raise StructuralError(f"unknown Ricci flavor {flavor!r}")
 
 
+@point_reader
 @per_point
 def complexified_ricci(mj: MetricJet) -> np.ndarray:
     """R_{k lbar} = h^{i jbar} (R_{k jbar i lbar} + R_{k i jbar lbar})."""

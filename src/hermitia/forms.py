@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .connection import _levi_civita, chern
+from .connection import chern, levi_civita
 from .curvature import connection_curvature
 from .errors import StructuralError, ValidationError
 from .jets import _algebra, _algebra_of, jet_matrix_inverse, point_derivatives
@@ -322,18 +322,14 @@ def wedge(phi: FormJet, psi: FormJet) -> FormJet:
 
 
 @per_point
-def _gamma_holo(mj: MetricJet) -> np.ndarray:
-    """levi_civita(mj)[:, :n, :n], Gamma_{D c}^k for every direction D and
-    unbarred c, k: the one block of the table the form operators read, kept
-    per point in place of the whole table, a quarter of its size."""
-    return _levi_civita(mj)[:, :mj.n, :mj.n].copy()
-
-
-def _gamma(mj: MetricJet, side: int) -> np.ndarray:
-    """Gamma_{D c}^k at [D, c, k] with c, k on the `side` block; the barred
-    block is conj(Gamma_{Dbar c}^k), the direction conjugated too."""
-    g, n = _gamma_holo(mj), mj.n
-    return g if side == HOLO else _conj(np.concatenate([g[n:], g[:n]]), n)
+def _gammas(mj: MetricJet) -> tuple:
+    """Gamma_{D c}^k at [D, c, k] for every direction D, with c, k on the
+    HOLO block and on the ANTI block: the view levi_civita(mj)[:, :n, :n],
+    the one block of the table the form operators read, and its conjugate
+    conj(Gamma_{Dbar c}^k), the direction conjugated too; [side] is the
+    block of that side."""
+    g, n = levi_civita(mj)[:, :mj.n, :mj.n], mj.n
+    return g, _conj(np.concatenate([g[n:], g[:n]]), n)
 
 
 def _dcoeffs(phi: FormJet, side: int,
@@ -377,7 +373,7 @@ def _nabla(phi: FormJet, side: int,
         if deg == 0:
             continue
         # g[i, c, k] = Gamma_{X_i c}^k on this group
-        g = _gamma(phi.mj, slots)[n * side:n * (side + 1)]
+        g = _gammas(phi.mj)[slots][n * side:n * (side + 1)]
         # dz^c ^ I_k on the block alone: the chain on a (deg, 0) HOLO block
         src, dst, k, c, sign = _term_table(n, deg, 0, ((HOLO, -1), (HOLO, 1)))
         terms = _mul(_side_view(x, slots)[src],
@@ -470,7 +466,7 @@ def _a_coefficients(mj: MetricJet) -> np.ndarray:
     coefficients of a_op in the order of its slot moves, built once per
     point and kept with it."""
     n = mj.n
-    gam = _gamma(mj, ANTI)[:n]  # [s, l, m]
+    gam = _gammas(mj)[ANTI][:n]  # [s, l, m]
     # sum_m Gamma[s, l, m] h[i, m], then sum_l h^{k lbar} (...)[s, l, i]
     gh = _matmul(gam, mj.h.swapaxes(0, 1), n)
     return (_matmul(mj.hinv.swapaxes(0, 1), gh, n)
@@ -486,7 +482,7 @@ def _a_matrix(mj: MetricJet, p: int, q: int, side: int) -> np.ndarray:
 def _b_matrix(mj: MetricJet, p: int, q: int, side: int) -> np.ndarray:
     """B = -2 Gamma_{i jbar}^{lbar} dz^i ^ dzbar^j ^ I_lbar."""
     n = mj.n
-    gam = _gamma(mj, ANTI)[:n].transpose(2, 1, 0, 3)  # [l, j, i]
+    gam = _gammas(mj)[ANTI][:n].transpose(2, 1, 0, 3)  # [l, j, i]
     return _assemble(n, p, q, side, ((ANTI, -1), (ANTI, 1), (HOLO, 1)),
                      gam * -2.0)
 
@@ -494,7 +490,7 @@ def _b_matrix(mj: MetricJet, p: int, q: int, side: int) -> np.ndarray:
 def _c_matrix(mj: MetricJet, p: int, q: int, side: int) -> np.ndarray:
     """C = 2 Gamma_{j lbar}^{lbar} dz^j ^, the torsion (1,0)-form."""
     n = mj.n
-    eta = np.trace(_gamma(mj, ANTI)[:n], axis1=1, axis2=2)
+    eta = np.trace(_gammas(mj)[ANTI][:n], axis1=1, axis2=2)
     return _assemble(n, p, q, side, ((HOLO, 1),), eta * 2.0)
 
 
@@ -635,7 +631,7 @@ def star(op: _Algebraic, phi: FormJet, fiber=None) -> FormJet:
     star(op) phi = conj(Gs^-1 T^T Gd conj(phi)), matrix products from the
     right on the (form index, fiber index) coefficient matrix; op itself is
     never applied.  Gs^-1 is a compound-matrix product and F^-1 the only
-    solve."""
+    solve, taken once per fiber (_fiber_inverse)."""
     dp, dq = op.ddeg
     mj, n, r = phi.mj, phi.n, phi.r
     sp, sq = phi.p - dp, phi.q - dq
@@ -644,10 +640,36 @@ def star(op: _Algebraic, phi: FormJet, fiber=None) -> FormJet:
     y = _metric(_h_up(mj, HOLO), phi.p, phi.q, _conj(phi.coeffs, n), fiber, n)
     t = op.matrix(mj, sp, sq)
     x = _matmul(t.swapaxes(0, 1), y.reshape(len(t), r, -1), n)
-    f_inv = None if fiber is None else jet_matrix_inverse(fiber, n)
+    f_inv = None if fiber is None else _fiber_inverse(mj, fiber)
     shape = (len(_combos(n, sp)), len(_combos(n, sq)), r, -1)
     x = _metric(mj.h.swapaxes(0, 1), sp, sq, x.reshape(shape), f_inv, n)
     return FormJet(mj, sp, sq, r, _conj(x, n))
+
+
+def _fiber_inverse(mj: MetricJet, fiber: np.ndarray) -> np.ndarray:
+    """F^-1 for star, kept on the jet for the last fiber metric star saw
+    there: the bundle suite passes one fiber to every star call on one
+    jet.  A fiber metric is not changed in place."""
+    last = mj._memo.get(_fiber_inverse)
+    if last is None or last[0] is not fiber:
+        last = mj._memo[_fiber_inverse] = (fiber,
+                                          jet_matrix_inverse(fiber, mj.n))
+    return last[1]
+
+
+def _suite_jet(mj: MetricJet, k: int) -> MetricJet:
+    """mj cut to order k for one suite call: a prefix jet of the call's own
+    (not mj.at_order(k), which mj keeps), so what the operators build on it
+    (the Levi-Civita table, the Gamma blocks, A's coefficients, the fiber
+    inverse) is shared by the call's trials and freed when it returns,
+    however long the caller keeps mj."""
+    return mj if k >= mj.order else mj._prefix(k)
+
+
+def _cut(phi: FormJet, mj: MetricJet) -> FormJet:
+    """phi on the prefix jet mj of phi.mj, its coefficients cut to mj's
+    order."""
+    return FormJet(mj, phi.p, phi.q, phi.r, phi.coeffs[..., :mj.h.shape[-1]])
 
 
 def _d_star(phi: FormJet, side: int) -> FormJet:
@@ -670,21 +692,26 @@ def partial_star(phi: FormJet) -> FormJet:
 
 def identity_suite(mj: MetricJet, trials: int, seed: int) -> dict:
     """Max residual (constant coefficient) of each operator identity over
-    random forms of random bidegrees."""
+    random forms of random bidegrees.  A residual is a constant coefficient
+    after one derivative, so the trials run at jet order 1: each form is
+    drawn at mj's order and cut, and every seed checks the same forms on
+    any jet of order >= 1."""
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    n = mj.n
+    n, low = mj.n, _suite_jet(mj, 1)
     res = {k: 0.0 for k in ("lambda_a", "lambda_b", "lambda_c",
                             "partial_split", "dbar_star_split",
                             "kahler_torsion", "torsion_form")}
     for _ in range(trials):
         p = int(rng.integers(0, n + 1))
         q = int(rng.integers(0, n + 1))
-        phi = random_form(mj, p, q, rng)
-        # each operator value on phi once: the adjoints dominate a trial
-        lam, d_phi, ds = lambda_op(phi), partial(phi), dbar_star(phi)
+        phi = _cut(random_form(mj, p, q, rng), low)
+        # each operator value on phi once: the adjoints dominate a trial,
+        # and dbar* phi is _d_star's sum of the trial's delta0'' and adjoints
+        lam, d_phi, d0 = lambda_op(phi), partial(phi), delta0_second(phi)
         ab, bb, cb = star(_a_bar, phi), star(_b_bar, phi), star(_c_bar, phi)
+        ds = d0 - (bb + cb) * 0.5
         comm = lambda op: lambda_op(op(phi)) - op(lam)
         r1 = comm(a_op) + bb * 1j
         res["lambda_a"] = max(res["lambda_a"], r1.max_const())
@@ -694,12 +721,12 @@ def identity_suite(mj: MetricJet, trials: int, seed: int) -> dict:
         res["lambda_c"] = max(res["lambda_c"], r3.max_const())
         r4 = d_phi - d_prime(phi) + b_op(phi) * 0.5
         res["partial_split"] = max(res["partial_split"], r4.max_const())
-        r5 = ds - delta0_second(phi) + (bb + cb) * 0.5
+        r5 = ds - d0 + (bb + cb) * 0.5
         res["dbar_star_split"] = max(res["dbar_star_split"], r5.max_const())
         r6 = (lambda_op(d_phi) - partial(lam)
               - (ds + star(tau_bar, phi)) * 1j)
         res["kahler_torsion"] = max(res["kahler_torsion"], r6.max_const())
-    w = omega_form(mj)
+    w = omega_form(low)
     r7 = dbar_star(w) - lambda_op(partial(w)) * 1j
     res["torsion_form"] = r7.max_const()
     return res
@@ -805,12 +832,18 @@ def partial_e_star(phi: FormJet, conn: ConnectionJet) -> FormJet:
 def bundle_identity_suite(mj: MetricJet, conn: ConnectionJet,
                           trials: int, seed: int) -> dict:
     """Residuals of the bundle commutator identities, curvature tensoriality
-    and the torsion/section identity on random E-valued forms."""
+    and the torsion/section identity on random E-valued forms.  A residual
+    is a constant coefficient after at most two derivatives, so the trials
+    run at jet order 2: the forms are drawn at mj's order and cut, and so
+    are the connection's arrays (checked for compatibility as given)."""
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     check_metric_compatible(conn, mj.n)
     rng = np.random.default_rng(seed)
-    n, r = mj.n, conn.r
+    n, r, low = mj.n, conn.r, _suite_jet(mj, 2)
+    size = low.h.shape[-1]
+    conn = ConnectionJet(r, conn.amats[..., :size], conn.bmats[..., :size],
+                         conn.fiber[..., :size])
     fib = conn.fiber
     res = {k: 0.0 for k in ("dbar_e_star_L", "partial_e_star_L",
                             "lambda_partial_e", "lambda_dbar_e",
@@ -818,7 +851,7 @@ def bundle_identity_suite(mj: MetricJet, conn: ConnectionJet,
     for _ in range(trials):
         p = int(rng.integers(0, n + 1))
         q = int(rng.integers(0, n + 1))
-        phi = random_form(mj, p, q, rng, r=r)
+        phi = _cut(random_form(mj, p, q, rng, r=r), low)
         pe = lambda f: partial_e(f, conn)
         de = lambda f: dbar_e(f, conn)
         pes = lambda f: partial_e_star(f, conn)
@@ -837,17 +870,17 @@ def bundle_identity_suite(mj: MetricJet, conn: ConnectionJet,
               + (pes_phi + star(tau, phi, fib)) * 1j)
         res["lambda_dbar_e"] = max(res["lambda_dbar_e"], r4.max_const())
         # curvature tensoriality on a product phi_scalar x s
-        phis = random_form(mj, p, q, rng, r=1)
-        s = random_form(mj, 0, 0, rng, r=r)
-        prod = FormJet(mj, p, q, r, _mul(phis.coeffs, s.coeffs[0, 0], n))
+        phis = _cut(random_form(mj, p, q, rng, r=1), low)
+        s = _cut(random_form(mj, 0, 0, rng, r=r), low)
+        prod = FormJet(low, p, q, r, _mul(phis.coeffs, s.coeffs[0, 0], n))
         lhs = pe(de(prod)) + de(pe(prod))
         rhs_s = pe(de(s)) + de(pe(s))
         rhs = wedge(phis, rhs_s)
         r5 = lhs - rhs
         res["tensoriality"] = max(res["tensoriality"], r5.max_const())
     # Lemma 4.6: tau(s) = -2 sqrt(-1) (dbar* omega) . s for sections s
-    s = random_form(mj, 0, 0, rng, r=r)
-    dso = dbar_star(omega_form(mj))
+    s = _cut(random_form(mj, 0, 0, rng, r=r), low)
+    dso = dbar_star(omega_form(low))
     r6 = tau(s) - wedge(dso, s) * (-2j)
     res["torsion_section"] = r6.max_const()
     return res

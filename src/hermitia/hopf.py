@@ -18,7 +18,7 @@ from .curvature import (curvature_bismut, curvature_chern, curvature_lc,
                         ricci)
 from .errors import DomainError
 from .jets import point_derivatives
-from .metric import derivative_tables, hopf_metric, metric_jet
+from .metric import POINT_ORDER, derivative_tables, hopf_metric, metric_jet
 
 __all__ = ["HopfPoint", "oracle", "oracle_vs_pipeline"]
 
@@ -98,7 +98,7 @@ def oracle_vs_pipeline(p: HopfPoint) -> dict:
     The Bismut-trace entries report both closed-form candidates plus which
     one the pipeline matched."""
     n = p.n
-    mj = _pipeline(p)
+    mj = _pipeline(p).at_order(POINT_ORDER)
     out = {}
     h_pipe = mj.h_at0()
     out["metric"] = float(abs(h_pipe - oracle(p, "metric")).max())

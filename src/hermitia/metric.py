@@ -13,7 +13,11 @@ Supported kinds:
 connection and curvature computations downstream consume only ``MetricJet``.
 Functions of the point alone are wrapped in ``per_point``, which stores each
 result on its ``MetricJet``: it is built once, handed out read-only, and freed
-with the jet.
+with the jet.  A reader of point values, which read h to degree 2, is
+wrapped in ``point_reader``: it runs on ``mj.at_order(2)``, the prefix jet,
+so it computes nothing beyond what it reads and shares that jet's memo with
+every other point reader (docs/conventions.md, "Jet order each reader
+reads").
 """
 
 from __future__ import annotations
@@ -67,7 +71,8 @@ class MetricJet:
     point: np.ndarray
     h: np.ndarray
     hinv: np.ndarray
-    # per_point results, keyed by the wrapped function
+    # per_point results keyed by the wrapped function, the at_order prefix
+    # jets, and star's last fiber inverse (forms._fiber_inverse)
     _memo: dict = dc_field(default_factory=dict, init=False, repr=False,
                            compare=False)
 
@@ -76,6 +81,28 @@ class MetricJet:
 
     def hinv_at0(self) -> np.ndarray:
         return point_derivatives(self.hinv, self.n)
+
+    def at_order(self, k: int) -> "MetricJet":
+        """The jet cut to order k (see ``_prefix``), built once and kept in
+        this jet's memo, so per_point results on it are shared by every
+        reader; k >= order gives this jet itself."""
+        if k >= self.order:
+            return self
+        key = (MetricJet.at_order, k)
+        if key not in self._memo:
+            self._memo[key] = self._prefix(k)
+        return self._memo[key]
+
+    def _prefix(self, k: int) -> "MetricJet":
+        """A new jet of order k < order, with an empty memo: h and hinv as
+        read-only views of their first S(k) coefficients, a prefix of the
+        degree-sorted basis."""
+        if k < 1:
+            raise ValidationError(f"metric jet order must be >= 1, got {k}")
+        size = _algebra(self.n, k).size
+        return MetricJet(n=self.n, order=k, point=self.point,
+                         h=_read_only(self.h[..., :size]),
+                         hinv=_read_only(self.hinv[..., :size]))
 
 
 def _read_only(value):
@@ -103,6 +130,23 @@ def per_point(fn):
     return memoized
 
 
+# The jet order the point values of curvature read: Gamma to degree 1,
+# which is h to degree 2.
+POINT_ORDER = 2
+
+
+def point_reader(fn):
+    """Decorator for a reader ``fn(mj, ...)`` of point values, which read h
+    to degree POINT_ORDER: it runs on ``mj.at_order(POINT_ORDER)``.  A
+    lower-order jet is passed as it is, so the reader refuses it where it
+    did before."""
+    @functools.wraps(fn)
+    def reader(mj: MetricJet, *args, **kwargs):
+        return fn(mj.at_order(POINT_ORDER), *args, **kwargs)
+    return reader
+
+
+@point_reader
 @per_point
 def derivative_tables(mj: MetricJet):
     """(d1, db1, d2) at the point, derivative directions first:

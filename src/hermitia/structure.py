@@ -3,7 +3,9 @@
 The three defects are exact jet evaluations, so a structure that holds
 identically shows up as a machine-zero defect.  "SKT" here means the trace
 condition on the mixed second derivatives of the metric (vanishing of the
-contracted ddbar of the fundamental form).
+contracted ddbar of the fundamental form).  The readers read h to degree
+2 at most; those of the Levi-Civita table run on ``mj.at_order(2)``
+(``point_reader``), so they share that table with the curvature readers.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 from .connection import levi_civita
 from .errors import OrderExhaustedError
 from .jets import Jet, point_derivatives
-from .metric import MetricJet, derivative_tables
+from .metric import MetricJet, derivative_tables, point_reader
 
 __all__ = [
     "StructureReport",
@@ -50,6 +52,7 @@ def kahler_defect(mj: MetricJet):
     return float(abs(f).max()), f
 
 
+@point_reader
 def balanced_torsion(mj: MetricJet) -> np.ndarray:
     """The torsion 1-form coefficients eta_l = Gamma_{l jbar}^{jbar}."""
     n = mj.n
@@ -70,6 +73,7 @@ def skt_defect(mj: MetricJet):
     return float(abs(r).max()), r
 
 
+@point_reader
 def laplacian_compare(mj: MetricJet, f: Jet):
     """The dbar-Laplacian, d-Laplacian(1,0 part) and canonical Laplacian of a
     scalar Jet at the point: returns (lap_dbar, lap_d, canonical)."""

@@ -5,6 +5,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -332,3 +333,17 @@ def _readme_cli_lines():
 def test_readme_commands_run(command, tmp_path):
     done = _cli(*shlex.split(command)[1:], timeout=600, cwd=tmp_path)
     assert done.returncode == 0, done.stderr[-2000:]
+
+
+@pytest.mark.parametrize("mu, t", [("1e308", "0.02"), ("800", "0.9"),
+                                   ("-1e-320", "0.0")])
+def test_hopf_ode_refuses_a_scale_factor_that_is_not_finite(capsys, mu, t):
+    # exp(mu t) overflowed, or k / mu did: exit 0 with "c": Infinity or NaN
+    # in the envelope and a numpy RuntimeWarning on stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["flow", "--hopf-ode", "--dim", "2", f"--mu={mu}",
+                     "--T", "1"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert f"not finite at t = {t} with --mu {float(mu)!r}" in err

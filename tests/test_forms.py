@@ -276,7 +276,7 @@ def test_identity_trial_star_calls(monkeypatch):
     for seed in range(3):
         calls.clear()
         identity_suite(mj, trials=1, seed=seed)
-        assert len(calls) == 8
+        assert len(calls) == 6
 
 
 def test_bundle_trial_star_calls(monkeypatch):
@@ -843,6 +843,9 @@ def test_a_op_coefficients_built_once_per_metric_jet(monkeypatch):
 
     monkeypatch.setattr(FO, "_a_coefficients", spy)
     for mj in (_hopf(2), _metric_points(3)[1]):
+        builds.clear()
         identity_suite(mj, trials=2, seed=0)
-        assert len(builds[id(mj)]) > 1
-        assert len({id(out) for out in builds[id(mj)]}) == 1
+        # the trials share an order-1 prefix jet of the suite call's own
+        (low, outs), = builds.items()
+        assert low != id(mj) and len(outs) > 1
+        assert len({id(out) for out in outs}) == 1

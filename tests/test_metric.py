@@ -192,6 +192,20 @@ def test_metric_jet_refuses_an_inverse_that_is_not_finite():
         metric_jet(fld, np.array([1e-150]), order=3)
 
 
+def test_metric_jet_refuses_an_inverse_not_finite_at_degree_three():
+    # h(z) = 1 + 2 c z^3 = 1e-3 with c = -0.4995e300 at z = 1e-100: every
+    # coefficient of h is finite (the zeta^3 one is c), and so is the
+    # order-2 inverse (its degree-2 coefficients are about 4.5e209), but
+    # the degree-3 coefficients of 1/h are about 3.4e312
+    fld = polynomial_metric(1, [((3,), (0,), [[-0.4995e300]])])
+    z = np.array([1e-100])
+    low = metric_jet(fld, z, order=2)
+    assert low.h_at0()[0, 0] == pytest.approx(1e-3)
+    assert np.isfinite(low.h).all() and np.isfinite(low.hinv).all()
+    with pytest.raises(ValidationError, match="jets not finite"):
+        metric_jet(fld, z, order=3)
+
+
 def test_polynomial_and_fourier_fields_are_read_only_arrays():
     # the given terms as (T, 2n) exponent rows and (T, n, n) matrices, no
     # conjugate partners: 29 KB at n = 4 when every term and its partner
