@@ -15,8 +15,8 @@ H_{i jbar} = h_{i jbar}, H_{ibar j} = h_{j ibar}, H_{ij} = H_{ibar jbar} = 0,
 and the inverse blocks are H^{i jbar} = hinv[j][i], H^{ibar j} = hinv[i][j].
 
 The tables are computed from ``MetricJet.h`` and ``hinv`` with the
-operations the jet arithmetic would do in the same order (products by
-``_Algebra.mul``), so every table is bit for bit the one the entry-by-entry
+operations the jet arithmetic would do in the same order (``jets.mul`` and
+``jets.matmul``), so every table is bit for bit the one the entry-by-entry
 jet loops give.
 """
 
@@ -24,29 +24,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .jets import _algebra
+from .jets import derivatives, matmul, mul
 from .metric import MetricJet, per_point
 
 __all__ = ["levi_civita", "chern", "bismut"]
-
-
-def _derivatives(mj: MetricJet) -> np.ndarray:
-    """d[v, a, q] = d h_{a qbar} / dz^v (v < n) or dzbar^(v - n), the
-    (2n, n, n, S) coefficients of order K-1."""
-    alg = _algebra(mj.n, mj.order)
-    return np.stack([alg.derivative(mj.h, v) for v in range(2 * mj.n)])
-
-
-def _times_hinv(d: np.ndarray, mj: MetricJet) -> np.ndarray:
-    """The jet-matrix product d . h^-1 over the last two index axes of
-    d (..., a, q, S): [..., a, b] = sum_q d[..., a, q] h^{b qbar}, summed
-    from the q = 0 product on, as object ``@`` sums."""
-    alg = _algebra(mj.n, mj.order - 1)
-    hinv = mj.hinv[..., :alg.size]
-    out = alg.mul(d[..., 0, None, :], hinv[0])
-    for q in range(1, mj.n):
-        out = out + alg.mul(d[..., q, None, :], hinv[q])
-    return out
 
 
 def _H_inverse(mj: MetricJet, size: int) -> np.ndarray:
@@ -62,7 +43,8 @@ def _H_inverse(mj: MetricJet, size: int) -> np.ndarray:
 
 def _bracket(d: np.ndarray, E: int, A: np.ndarray, B: np.ndarray):
     """x[p] = d_B H_{A E} + d_A H_{B E} - d_E H_{A B} at the index pairs
-    (A[p], B[p]), a (P, S) array, from d = ``_derivatives``."""
+    (A[p], B[p]), a (P, S) array, from the (2n, n, n, S) first derivatives
+    d[v, a, q] = d h_{a qbar} / dz^v (v < n) or dzbar^(v - n)."""
     n = d.shape[1]
     # col[v, A] = d H_{AE} / dz^v and row[A, B] = d H_{AB} / dz^E; the
     # unmixed blocks of H vanish
@@ -84,17 +66,18 @@ def levi_civita(mj: MetricJet) -> np.ndarray:
     Each entry with A <= B sums its E terms in order from +0, skipping the
     E with a zero H^{CE} jet; [B, A, C] equals [A, B, C] (torsion-free).
     One E at a time keeps the products at (P, n, S), P = n (2n + 1)."""
-    n, alg = mj.n, _algebra(mj.n, mj.order - 1)
-    d = _derivatives(mj)
-    U = _H_inverse(mj, alg.size)
+    n = mj.n
+    d = derivatives(mj.h, n, range(2 * n))
+    size = d.shape[-1]
+    U = _H_inverse(mj, size)
     live = (U != 0).any(axis=-1)
     A, B = np.triu_indices(2 * n)
-    acc = np.zeros((len(A), 2 * n, alg.size), dtype=complex)
+    acc = np.zeros((len(A), 2 * n, size), dtype=complex)
     for E in range(2 * n):
         C = np.flatnonzero(live[:, E])
         x = _bracket(d, E, A, B)
-        acc[:, C] += alg.mul(0.5 * U[C, E], x[:, None])
-    G = np.empty((2 * n,) * 3 + (alg.size,), dtype=complex)
+        acc[:, C] += mul(0.5 * U[C, E], x[:, None], n)
+    G = np.empty((2 * n,) * 3 + (size,), dtype=complex)
     G[A, B] = G[B, A] = acc
     return G
 
@@ -103,7 +86,7 @@ def chern(mj: MetricJet) -> np.ndarray:
     """Gamma_{i a}^b = d h_{a qbar} / dz^i h^{b qbar}, that is dh . h^-1 on
     the unbarred directions; barred directions zero."""
     n = mj.n
-    table = _times_hinv(_derivatives(mj)[:n], mj)
+    table = matmul(derivatives(mj.h, n, range(n)), mj.hinv, n)
     return np.concatenate([table, np.zeros_like(table)])
 
 
@@ -116,7 +99,7 @@ def bismut(mj: MetricJet) -> np.ndarray:
     that is (dbar h - dbar h^T) . h^-1 with dbar h[j, a, e].
     """
     n = mj.n
-    d = _derivatives(mj)
+    d = derivatives(mj.h, n, range(2 * n))
     db = d[n:]
-    return np.concatenate([_times_hinv(d[:n], mj).swapaxes(0, 1),
-                           _times_hinv(db - db.transpose(2, 1, 0, 3), mj)])
+    return np.concatenate([matmul(d[:n], mj.hinv, n).swapaxes(0, 1),
+                           matmul(db - db.transpose(2, 1, 0, 3), mj.hinv, n)])

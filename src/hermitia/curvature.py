@@ -4,8 +4,9 @@ Storage order for all (1,1)-type tensors is (i, jbar, k, lbar): the first
 pair are form indices, the second pair bundle indices.  Contractions use the
 inverse-metric tensor h^{i jbar} = hinv[j][i] (see docs/conventions.md).
 Every tensor here reads h to degree 2 (Gamma to degree 1) and is built on
-``mj.at_order(2)`` (``point_reader``), whatever the order of the jet given;
-the contractions read those tensors and h^-1 at the point.
+``mj.at_order(2)`` (``per_point(order=POINT_ORDER)``), whatever the order
+of the jet given; the contractions read those tensors and h^-1 at the
+point.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .connection import bismut, chern, levi_civita
 from .errors import OrderExhaustedError, StructuralError, ValidationError
 from .jets import point_derivatives
-from .metric import MetricJet, derivative_tables, per_point, point_reader
+from .metric import MetricJet, POINT_ORDER, derivative_tables, per_point
 
 __all__ = [
     "ScalarReport",
@@ -51,11 +52,6 @@ class ScalarReport:
                 "S_CH": self.S_CH, "S_BM": self.S_BM}
 
 
-def _require_order(mj: MetricJet, k: int):
-    if mj.order < k:
-        raise OrderExhaustedError(f"metric jet order must be >= {k}")
-
-
 def connection_curvature(g: np.ndarray, dg: np.ndarray,
                          fiber: np.ndarray) -> np.ndarray:
     """Pointwise curvature of one connection, from its direction-first table
@@ -73,12 +69,10 @@ def connection_curvature(g: np.ndarray, dg: np.ndarray,
     return r_up @ fiber
 
 
-@point_reader
-@per_point
+@per_point(order=POINT_ORDER)
 def lc_curvature_full(mj: MetricJet) -> np.ndarray:
     """Pointwise complexified curvature R_{ABCD} for all 2n-range indices:
     the Levi-Civita table on the full tangent bundle, lowered with H_{DE}."""
-    _require_order(mj, 2)
     n = mj.n
     lc, h0, zero = levi_civita(mj), mj.h_at0(), np.zeros((n, n))
     H = np.block([[zero, h0], [h0.T, zero]])
@@ -86,8 +80,7 @@ def lc_curvature_full(mj: MetricJet) -> np.ndarray:
                                 point_derivatives(lc, n, 1), H)
 
 
-@point_reader
-@per_point
+@per_point(order=POINT_ORDER)
 def curvature_lc(mj: MetricJet) -> np.ndarray:
     n = mj.n
     return lc_curvature_full(mj)[:n, n:, :n, n:]
@@ -96,7 +89,6 @@ def curvature_lc(mj: MetricJet) -> np.ndarray:
 def _tangent_curvature(connection, mj: MetricJet) -> np.ndarray:
     """(1,1)-part R_{i jbar a lbar} of ``connection(mj)``'s table on the
     holomorphic tangent bundle: fiber indices < n, lowered with h_{b lbar}."""
-    _require_order(mj, 2)
     n = mj.n
     table = connection(mj)
     g = point_derivatives(table, n)[:, :n, :n]
@@ -104,8 +96,7 @@ def _tangent_curvature(connection, mj: MetricJet) -> np.ndarray:
     return connection_curvature(g, dg, mj.h_at0())[:n, n:]
 
 
-@point_reader
-@per_point
+@per_point(order=POINT_ORDER)
 def curvature_induced(mj: MetricJet) -> np.ndarray:
     """Curvature of the projection of the Levi-Civita connection onto the
     holomorphic tangent bundle: the Levi-Civita table restricted to fiber
@@ -113,14 +104,12 @@ def curvature_induced(mj: MetricJet) -> np.ndarray:
     return _tangent_curvature(levi_civita, mj)
 
 
-@point_reader
-@per_point
+@per_point(order=POINT_ORDER)
 def curvature_chern(mj: MetricJet) -> np.ndarray:
     return _tangent_curvature(chern, mj)
 
 
-@point_reader
-@per_point
+@per_point(order=POINT_ORDER)
 def curvature_bismut(mj: MetricJet) -> np.ndarray:
     return _tangent_curvature(bismut, mj)
 
@@ -141,8 +130,7 @@ def ricci(t: np.ndarray, mj: MetricJet, flavor: str) -> np.ndarray:
     raise StructuralError(f"unknown Ricci flavor {flavor!r}")
 
 
-@point_reader
-@per_point
+@per_point(order=POINT_ORDER)
 def complexified_ricci(mj: MetricJet) -> np.ndarray:
     """R_{k lbar} = h^{i jbar} (R_{k jbar i lbar} + R_{k i jbar lbar})."""
     n = mj.n
@@ -163,18 +151,12 @@ def complexified_ricci_bianchi(mj: MetricJet) -> np.ndarray:
 
 def scalars(mj: MetricJet) -> ScalarReport:
     up = mj.hinv_at0().T
-    R_full = curvature_lc(mj)
-    R_hat = curvature_induced(mj)
-    Theta = curvature_chern(mj)
-    B = curvature_bismut(mj)
-    S = np.einsum("kl,ij,ijkl->", up, up, R_full)
-    S_LC = np.einsum("kl,ij,ijkl->", up, up, R_hat)
-    S_CH = np.einsum("kl,ij,ijkl->", up, up, Theta)
-    S_BM = np.einsum("kl,ij,ijkl->", up, up, B)
-    Rc = complexified_ricci(mj)
-    s_h = np.einsum("kl,kl->", up, Rc)
-    return ScalarReport(s_h=complex(s_h), S=complex(S), S_LC=complex(S_LC),
-                        S_CH=complex(S_CH), S_BM=complex(S_BM), point=mj.point)
+    S, S_LC, S_CH, S_BM = (complex(np.einsum("kl,ij,ijkl->", up, up, t))
+                           for t in (curvature_lc(mj), curvature_induced(mj),
+                                     curvature_chern(mj), curvature_bismut(mj)))
+    s_h = complex(np.einsum("kl,kl->", up, complexified_ricci(mj)))
+    return ScalarReport(s_h=s_h, S=S, S_LC=S_LC, S_CH=S_CH, S_BM=S_BM,
+                        point=mj.point)
 
 
 # -- normal-point direct-formula suite -------------------------------------
@@ -250,7 +232,8 @@ def normal_point_suite(mj: MetricJet, balanced: bool = False,
     a point with h = identity and vanishing symmetrized Christoffels,
     against the jet pipeline.  With ``balanced``/``skt`` set, also checks
     the constrained Ricci formulas valid under those trace conditions."""
-    _require_order(mj, 2)
+    if mj.order < 2:
+        raise OrderExhaustedError("metric jet order must be >= 2")
     _require_normal_point(mj)
     n = mj.n
     d1, db1, d2 = derivative_tables(mj)

@@ -608,32 +608,34 @@ def run(initial, mu: float, T: float, config: FlowConfig = FlowConfig(),
 def hopf_self_similar(n: int, c0: float, mu: float, t: float) -> float:
     """Scale factor c(t) of the self-similar solution h = c * (4/|z|^2) I.
 
-    Solves dc/dt = mu*c - (n-1)/4 exactly.  May return c <= 0; see
-    ``hopf_extinction_time``.
+    Solves dc/dt = mu*c - k, k = (n-1)/4, exactly as c0 + (c0 mu - k) t
+    phi(mu t), phi(x) = expm1(x) / x, phi(0) = 1: no two terms of size k / mu
+    cancel at small |mu|.  May return c <= 0; see ``hopf_extinction_time``.
     """
     if c0 <= 0:
         raise DomainError("initial scale factor must be positive")
     k = (n - 1) / 4.0
-    if mu == 0:
+    x = mu * t  # 0 at mu = 0, at t = 0 and below the subnormals: phi = 1
+    if not x:
         return c0 - k * t
-    return (c0 - k / mu) * np.exp(mu * t) + k / mu
+    return c0 + (c0 * mu - k) * t * (np.expm1(x) / x)
 
 
 def hopf_extinction_time(n: int, c0: float, mu: float) -> float | None:
-    """First time the scale factor reaches zero, or None if it never does."""
+    """First time the scale factor reaches zero, or None if it never does:
+    t* = (c0 / k) psi(y), y = c0 mu / k < 1, psi(y) = -log1p(-y) / y, psi(0)
+    = 1; below y = -1, where y may overflow, t* = log(k / (k - c0 mu)) / mu."""
     if c0 <= 0:
         raise DomainError("initial scale factor must be positive")
     k = (n - 1) / 4.0
     if k == 0:
         return None  # n = 1: c is constant (mu = 0) or grows/decays to 0 only if mu<0
-    if mu == 0:
-        return c0 / k
-    if mu > 0 and c0 >= k / mu:
-        return None
-    ratio = (k / mu) / (k / mu - c0)
-    if ratio <= 0:
-        return None
-    return float(np.log(ratio) / mu)
+    y = c0 * mu / k
+    if y >= 1:
+        return None  # mu > 0 and c0 >= k / mu: c never decreases
+    if y < -1:
+        return float(np.log((k / mu) / (k / mu - c0)) / mu)
+    return float(c0 / k * (-np.log1p(-y) / y if y else 1.0))
 
 
 # -- serialization ----------------------------------------------------------

@@ -10,9 +10,9 @@ exact up to the available jet order.
 
 Slot moves are cached integer tables acting on the leading axes:
 _slot_table (dz^k ^ and the interior product), _merge_table (wedge) and
-_term_table (a chain of slot moves, such as dz^c ^ I_k in nabla).  A jet
-product is one batched _Algebra.mul and a sum (_matmul), at the lower of
-two orders, a prefix of the degree-sorted basis.  The algebraic operators
+_term_table (a chain of slot moves, such as dz^c ^ I_k in nabla).  Jet
+products are batched calls of jets.mul and jets.matmul, at the lower of two
+orders, a prefix of the degree-sorted basis.  The algebraic operators
 (L, Lambda, A, B, C, tau and the conjugates) are jet matrices T built from
 _term_table; the value is T x and star, the exact adjoint under the pairing
   < dz^I ^ dzbar^J, dz^K ^ dzbar^L > = det(h^{i kbar}) conj(det(h^{j lbar})),
@@ -31,7 +31,8 @@ import numpy as np
 from .connection import chern, levi_civita
 from .curvature import connection_curvature
 from .errors import StructuralError, ValidationError
-from .jets import _algebra, _algebra_of, jet_matrix_inverse, point_derivatives
+from .jets import (_algebra, _algebra_of, add, conj, derivatives,
+                   jet_matrix_inverse, matmul, mul, point_derivatives)
 from .metric import MetricJet, per_point
 
 __all__ = [
@@ -83,33 +84,6 @@ def _combo_index(n: int, p: int):
     return {c: k for k, c in enumerate(_combos(n, p))}
 
 
-# -- jet arithmetic on coefficient arrays ----------------------------------
-
-
-def _mul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Jet products of coefficient arrays in n variables, broadcast over
-    their leading axes, at the lower of the two orders (a prefix of both)."""
-    size = min(a.shape[-1], b.shape[-1])
-    return _algebra_of(n, size).mul(a[..., :size], b[..., :size])
-
-
-def _matmul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """The jet-matrix product over the last two index axes, (..., i, k, S)
-    times (..., k, j, S), the other leading axes broadcast: one batched
-    product, then the sum over k."""
-    return _mul(a[..., :, :, None, :], b[..., None, :, :, :], n).sum(axis=-3)
-
-
-def _conj(x: np.ndarray, n: int) -> np.ndarray:
-    """Conjugate jets: conjugate coefficients, z and zbar swapped."""
-    return np.conj(x[..., _algebra_of(n, x.shape[-1]).conj_perm])
-
-
-def _derivative(x: np.ndarray, n: int, v: int) -> np.ndarray:
-    """d/dz^v (v < n) or d/dzbar^(v - n) of every jet, one order lower."""
-    return _algebra_of(n, x.shape[-1]).derivative(x, v)
-
-
 def _random_jets(shape: tuple, rng) -> np.ndarray:
     """A coefficient array (..., S) of standard complex normal jets, drawn
     in C order, each jet's real parts before its imaginary parts."""
@@ -152,9 +126,8 @@ class FormJet:
             if other.is_zero():
                 return self
             raise StructuralError("bidegree/rank mismatch in form addition")
-        size = min(self.coeffs.shape[-1], other.coeffs.shape[-1])
         return FormJet(self.mj, self.p, self.q, self.r,
-                       self.coeffs[..., :size] + other.coeffs[..., :size])
+                       add(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
         return self + other * (-1.0)
@@ -312,7 +285,7 @@ def wedge(phi: FormJet, psi: FormJet) -> FormJet:
     a1, a2, a, sa = _merge_table(n, phi.p, psi.p)
     b1, b2, b, sb = _merge_table(n, phi.q, psi.q)
     sign = (-1) ** (phi.q * psi.p) * np.multiply.outer(sa, sb)
-    terms = (_mul(phi.coeffs[a1[:, None], b1], psi.coeffs[a2[:, None], b2], n)
+    terms = (mul(phi.coeffs[a1[:, None], b1], psi.coeffs[a2[:, None], b2], n)
              * sign[:, :, None, None])
     np.add.at(out.coeffs, (a[:, None], b), terms)
     return out
@@ -329,7 +302,7 @@ def _gammas(mj: MetricJet) -> tuple:
     conj(Gamma_{Dbar c}^k), the direction conjugated too; [side] is the
     block of that side."""
     g, n = levi_civita(mj)[:, :mj.n, :mj.n], mj.n
-    return g, _conj(np.concatenate([g[n:], g[:n]]), n)
+    return g, conj(np.concatenate([g[n:], g[:n]]), n)
 
 
 def _dcoeffs(phi: FormJet, side: int,
@@ -338,11 +311,10 @@ def _dcoeffs(phi: FormJet, side: int,
     i = 0..n-1, plus phi @ M_i on the fiber axis for the matrices M of a
     fiber connection: an (n,) + phi.coeffs.shape array, one order lower."""
     n = phi.n
-    out = np.stack([_derivative(phi.coeffs, n, n * side + i)
-                    for i in range(n)])
+    out = derivatives(phi.coeffs, n, range(n * side, n * (side + 1)))
     if conn is not None:
         mats = (conn.amats, conn.bmats)[side]
-        out += _matmul(phi.coeffs[..., :out.shape[-1]], mats[:, None], n)
+        out += matmul(phi.coeffs[..., :out.shape[-1]], mats[:, None], n)
     return out
 
 
@@ -376,8 +348,8 @@ def _nabla(phi: FormJet, side: int,
         g = _gammas(phi.mj)[slots][n * side:n * (side + 1)]
         # dz^c ^ I_k on the block alone: the chain on a (deg, 0) HOLO block
         src, dst, k, c, sign = _term_table(n, deg, 0, ((HOLO, -1), (HOLO, 1)))
-        terms = _mul(_side_view(x, slots)[src],
-                     (g[:, c, k] * -sign[:, None])[:, :, None, None], n)
+        terms = mul(_side_view(x, slots)[src],
+                    (g[:, c, k] * -sign[:, None])[:, :, None, None], n)
         view = out if slots == HOLO else out.swapaxes(1, 2)
         np.add.at(view, (slice(None), dst), terms)
     return out
@@ -409,7 +381,7 @@ def _delta0(phi: FormJet, side: int, conn=None) -> FormJet:
         return _zeros_like(phi, *_bumped(phi, side, -1))
     up = _h_up(phi.mj, side)[:, :, None, None, None] * -1.0  # [i, j]
     nab = _nabla(phi, 1 - side, conn)
-    return _slot_sum(phi, side, -1, _mul(up, nab, phi.n).sum(axis=1))
+    return _slot_sum(phi, side, -1, mul(up, nab, phi.n).sum(axis=1))
 
 
 def delta0_prime(phi: FormJet, conn=None) -> FormJet:
@@ -438,7 +410,7 @@ def _assemble(n: int, p: int, q: int, side: int, moves: tuple,
     conjugate operator."""
     moves = tuple((s ^ side, d) for s, d in moves)
     if side == ANTI:
-        coef = _conj(coef, n)
+        coef = conj(coef, n)
     src, dst, *ks, sign = _term_table(n, p, q, moves)
     dp = sum(d for s, d in moves if s == HOLO)
     dq = sum(d for s, d in moves if s == ANTI)
@@ -468,8 +440,8 @@ def _a_coefficients(mj: MetricJet) -> np.ndarray:
     n = mj.n
     gam = _gammas(mj)[ANTI][:n]  # [s, l, m]
     # sum_m Gamma[s, l, m] h[i, m], then sum_l h^{k lbar} (...)[s, l, i]
-    gh = _matmul(gam, mj.h.swapaxes(0, 1), n)
-    return (_matmul(mj.hinv.swapaxes(0, 1), gh, n)
+    gh = matmul(gam, mj.h.swapaxes(0, 1), n)
+    return (matmul(mj.hinv.swapaxes(0, 1), gh, n)
             .transpose(1, 2, 0, 3) * -1.0)
 
 
@@ -498,7 +470,7 @@ def _w_matrix(mj: MetricJet, p: int, q: int, side: int) -> np.ndarray:
     """Wedge with w = 2 d'omega = sqrt(-1) d_a h_{b cbar} dz^a ^ dz^b ^ dzbar^c
     (HOLO) or with its conjugate (ANTI)."""
     n = mj.n
-    dh = np.stack([_derivative(mj.h, n, a) for a in range(n)])  # [a, b, c]
+    dh = derivatives(mj.h, n, range(n))  # [a, b, c]
     return _assemble(n, p, q, side, ((ANTI, 1), (HOLO, 1), (HOLO, 1)),
                      dh.transpose(2, 1, 0, 3) * 1j)
 
@@ -511,11 +483,11 @@ def _tau_matrix(mj: MetricJet, p: int, q: int, side: int) -> np.ndarray:
     out = np.zeros((_dim(n, p + wp - 1, q + wq - 1), _dim(n, p, q),
                     _algebra(n, mj.order - 1).size), dtype=complex)
     if p + wp <= n and q + wq <= n:
-        out = out + _matmul(_lambda_matrix(mj, p + wp, q + wq, side),
-                            _w_matrix(mj, p, q, side), n)
+        out = out + matmul(_lambda_matrix(mj, p + wp, q + wq, side),
+                           _w_matrix(mj, p, q, side), n)
     if p and q:
-        out = out - _matmul(_w_matrix(mj, p - 1, q - 1, side),
-                            _lambda_matrix(mj, p, q, side), n)
+        out = out - matmul(_w_matrix(mj, p - 1, q - 1, side),
+                           _lambda_matrix(mj, p, q, side), n)
     return out
 
 
@@ -542,7 +514,7 @@ class _Algebraic:
         t = self.matrix(phi.mj, phi.p, phi.q)
         x = phi.coeffs.reshape(t.shape[1], phi.r, -1)
         shape = (len(_combos(n, p)), len(_combos(n, q)), phi.r, -1)
-        return FormJet(phi.mj, p, q, phi.r, _matmul(t, x, n).reshape(shape))
+        return FormJet(phi.mj, p, q, phi.r, matmul(t, x, n).reshape(shape))
 
 
 l_op = _Algebraic(_l_matrix, (1, 1))
@@ -580,7 +552,7 @@ def _compounds(m: np.ndarray, top: int, n: int) -> list:
     out = [np.eye(1, m.shape[-1], dtype=complex)[None], m]
     for k in range(2, top + 1):
         first, cols, rest, minors = _minor_table(n, k)
-        terms = _mul(m[first, cols], out[-1][rest, minors], n)
+        terms = mul(m[first, cols], out[-1][rest, minors], n)
         out.append((terms * (-1.0) ** np.arange(k)[:, None]).sum(axis=2))
     return out
 
@@ -590,8 +562,8 @@ def gram(mj: MetricJet, p: int, q: int) -> np.ndarray:
     C(n,q): kron(C_p(Hup), conj C_q(Hup)) for Hup[i, k] = h^{i kbar}, the
     row of dz^I ^ dzbar^J a * C(n, q) + b, I, J the a-th and b-th combos."""
     cs = _compounds(_h_up(mj, HOLO), max(p, q), mj.n)
-    a, b = cs[p], _conj(cs[q], mj.n)
-    out = _mul(a[:, None, :, None], b[None, :, None, :], mj.n)
+    a, b = cs[p], conj(cs[q], mj.n)
+    out = mul(a[:, None, :, None], b[None, :, None, :], mj.n)
     return out.reshape(len(a) * len(b), len(a) * len(b), -1)
 
 
@@ -605,10 +577,10 @@ def _metric(m: np.ndarray, p: int, q: int, x: np.ndarray, fiber, n: int):
     P, Q, r, _ = x.shape
     cs = _compounds(m, max(p, q), n)
     if p:
-        x = _matmul(cs[p], x.reshape(P, Q * r, -1), n).reshape(P, Q, r, -1)
+        x = matmul(cs[p], x.reshape(P, Q * r, -1), n).reshape(P, Q, r, -1)
     if q:
-        x = _matmul(_conj(cs[q], n), x, n)
-    return x if fiber is None else _matmul(x, fiber.swapaxes(0, 1), n)
+        x = matmul(conj(cs[q], n), x, n)
+    return x if fiber is None else matmul(x, fiber.swapaxes(0, 1), n)
 
 
 def inner(phi: FormJet, psi: FormJet, fiber: np.ndarray | None = None):
@@ -617,9 +589,9 @@ def inner(phi: FormJet, psi: FormJet, fiber: np.ndarray | None = None):
     if (phi.p, phi.q, phi.r) != (psi.p, psi.q, psi.r):
         raise StructuralError("bidegree/rank mismatch in inner product")
     n = phi.n
-    y = _metric(_h_up(phi.mj, HOLO), phi.p, phi.q, _conj(psi.coeffs, n),
+    y = _metric(_h_up(phi.mj, HOLO), phi.p, phi.q, conj(psi.coeffs, n),
                 fiber, n)
-    return _mul(phi.coeffs, y, n).sum(axis=(0, 1, 2))
+    return mul(phi.coeffs, y, n).sum(axis=(0, 1, 2))
 
 
 def star(op: _Algebraic, phi: FormJet, fiber=None) -> FormJet:
@@ -637,13 +609,13 @@ def star(op: _Algebraic, phi: FormJet, fiber=None) -> FormJet:
     sp, sq = phi.p - dp, phi.q - dq
     if not (0 <= sp <= n and 0 <= sq <= n):
         return _zeros_like(phi, sp, sq)
-    y = _metric(_h_up(mj, HOLO), phi.p, phi.q, _conj(phi.coeffs, n), fiber, n)
+    y = _metric(_h_up(mj, HOLO), phi.p, phi.q, conj(phi.coeffs, n), fiber, n)
     t = op.matrix(mj, sp, sq)
-    x = _matmul(t.swapaxes(0, 1), y.reshape(len(t), r, -1), n)
+    x = matmul(t.swapaxes(0, 1), y.reshape(len(t), r, -1), n)
     f_inv = None if fiber is None else _fiber_inverse(mj, fiber)
     shape = (len(_combos(n, sp)), len(_combos(n, sq)), r, -1)
     x = _metric(mj.h.swapaxes(0, 1), sp, sq, x.reshape(shape), f_inv, n)
-    return FormJet(mj, sp, sq, r, _conj(x, n))
+    return FormJet(mj, sp, sq, r, conj(x, n))
 
 
 def _fiber_inverse(mj: MetricJet, fiber: np.ndarray) -> np.ndarray:
@@ -777,7 +749,7 @@ def random_metric_connection(mj: MetricJet, r: int, seed: int) -> ConnectionJet:
     fiber = _unit_fiber(mj, r)
     rng = np.random.default_rng(seed)
     amats = _random_jets((mj.n,) + fiber.shape, rng) * 0.3
-    bmats = _conj(amats, mj.n).transpose(0, 2, 1, 3) * -1.0
+    bmats = conj(amats, mj.n).transpose(0, 2, 1, 3) * -1.0
     return ConnectionJet(r=r, amats=amats, bmats=bmats, fiber=fiber)
 
 
@@ -787,11 +759,9 @@ def check_metric_compatible(conn: ConnectionJet, n: int,
     dF/dz^i - A_i F - F conj(B_i)^T = 0 for each direction; raises naming
     the first violated coefficient."""
     F = conn.fiber
-    terms = (np.stack([_derivative(F, n, i) for i in range(n)]),
-             _matmul(conn.amats, F, n) * -1.0,
-             _matmul(F, _conj(conn.bmats, n).swapaxes(1, 2), n) * -1.0)
-    size = min(t.shape[-1] for t in terms)
-    resid = sum(t[..., :size] for t in terms)
+    resid = add(add(derivatives(F, n, range(n)),
+                    matmul(conn.amats, F, n) * -1.0),
+                matmul(F, conj(conn.bmats, n).swapaxes(1, 2), n) * -1.0)
     bad = np.argwhere(np.abs(resid).max(axis=-1) > tol)
     if len(bad):
         i, al, be = bad[0]
@@ -816,9 +786,9 @@ def _d_e_star(phi: FormJet, conn: ConnectionJet, side: int) -> FormJet:
     side's matrices."""
     n, r = phi.n, phi.r
     mats = (conn.bmats, conn.amats)[side].reshape(n, r * r, -1)
-    C = _matmul(_h_up(phi.mj, side), mats, n).reshape(n, r, r, -1)
+    C = matmul(_h_up(phi.mj, side), mats, n).reshape(n, r, r, -1)
     return _d_star(phi, side) - _slot_sum(phi, side, -1,
-                                          _matmul(phi.coeffs, C[:, None], n))
+                                          matmul(phi.coeffs, C[:, None], n))
 
 
 def dbar_e_star(phi: FormJet, conn: ConnectionJet) -> FormJet:
@@ -872,7 +842,7 @@ def bundle_identity_suite(mj: MetricJet, conn: ConnectionJet,
         # curvature tensoriality on a product phi_scalar x s
         phis = _cut(random_form(mj, p, q, rng, r=1), low)
         s = _cut(random_form(mj, 0, 0, rng, r=r), low)
-        prod = FormJet(low, p, q, r, _mul(phis.coeffs, s.coeffs[0, 0], n))
+        prod = FormJet(low, p, q, r, mul(phis.coeffs, s.coeffs[0, 0], n))
         lhs = pe(de(prod)) + de(pe(prod))
         rhs_s = pe(de(s)) + de(pe(s))
         rhs = wedge(phis, rhs_s)

@@ -10,6 +10,9 @@ basis; the basis is sorted by total degree first, which makes truncation to a
 lower order a prefix slice and lets derivative results (order - 1) reuse the
 same index map.  A sum or product of jets of two orders is taken at the lower
 order, the one to which both are known; jets of different n never combine.
+``add``, ``mul``, ``matmul``, ``conj``, ``derivative(s)`` and ``inverse`` act on
+coefficient arrays (..., S) and are the one home of these rules; the package
+holds every jet-valued tensor so, and ``Jet`` is one (S,) array on them.
 """
 
 from __future__ import annotations
@@ -25,6 +28,12 @@ from .errors import OrderExhaustedError, SingularSeriesError, StructuralError
 __all__ = [
     "Jet",
     "wirtinger",
+    "add",
+    "mul",
+    "matmul",
+    "conj",
+    "derivatives",
+    "inverse",
     "jet_matrix_inverse",
     "point_derivatives",
 ]
@@ -74,19 +83,16 @@ class _Algebra:
                 mi.append(i)
                 mj.append(j)
                 mt.append(self.index[tuple(a + b for a, b in zip(ei, ej))])
-        self.mul_i = np.array(mi)
-        self.mul_j = np.array(mj)
-        self.mul_t = np.array(mt)
-        # the same triples in rank passes: pass r holds the r-th triple of
-        # each output monomial that has one, in the order above
+        # the triples in rank passes: pass r holds the r-th triple of each
+        # output monomial that has one, in the order above
         rank = np.zeros(len(mt), dtype=int)
         seen = {}
         for k, t in enumerate(mt):
             rank[k] = seen.get(t, 0)
             seen[t] = rank[k] + 1
-        self.mul_passes = [
-            (self.mul_i[rank == r], self.mul_j[rank == r], self.mul_t[rank == r])
-            for r in range(rank.max() + 1)]
+        mi, mj, mt = np.array(mi), np.array(mj), np.array(mt)
+        self.mul_passes = [(mi[rank == r], mj[rank == r], mt[rank == r])
+                           for r in range(rank.max() + 1)]
 
         # derivative gather maps, one per variable slot v in 0..2n-1
         self.deriv_src = []
@@ -158,6 +164,77 @@ def _algebra(n: int, order: int) -> _Algebra:
     return _Algebra(n, order)
 
 
+@lru_cache(maxsize=None)
+def _algebra_of(n: int, size: int) -> _Algebra:
+    """The algebra of n variables whose basis has ``size`` monomials; the
+    size alone does not fix it, (n, order) = (1, 4) and (2, 2) both give 15."""
+    order = next(k for k in count() if comb(2 * n + k, k) >= size)
+    if comb(2 * n + order, order) != size:
+        raise StructuralError(
+            f"no jet basis in {n} complex variables has {size} monomials")
+    return _algebra(n, order)
+
+
+# -- arithmetic on coefficient arrays (..., S) of jets in n variables -----
+
+
+def _lower(a: np.ndarray, b: np.ndarray):
+    """a and b cut to the lower of their two orders, a prefix of the basis."""
+    size = min(a.shape[-1], b.shape[-1])
+    return a[..., :size], b[..., :size]
+
+
+def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Jet sums, broadcast over the leading axes, at the lower order."""
+    a, b = _lower(a, b)
+    return a + b
+
+
+def mul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Jet products of coefficient arrays, broadcast over their leading
+    axes, at the lower of the two orders (``_Algebra.mul``)."""
+    a, b = _lower(a, b)
+    return _algebra_of(n, a.shape[-1]).mul(a, b)
+
+
+def matmul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """The jet-matrix product over the last two index axes, (..., i, k, S)
+    times (..., k, j, S), the other leading axes broadcast: one batched
+    product, then the sum over k from k = 0 on."""
+    return mul(a[..., :, :, None, :], b[..., None, :, :, :], n).sum(axis=-3)
+
+
+def conj(x: np.ndarray, n: int) -> np.ndarray:
+    """Conjugate jets: conjugate coefficients, z and zbar swapped."""
+    return np.conj(x[..., _algebra_of(n, x.shape[-1]).conj_perm])
+
+
+def derivative(x: np.ndarray, n: int, v: int) -> np.ndarray:
+    """d/dz^v (v < n) or d/dzbar^(v - n) of every jet, one order lower."""
+    return _algebra_of(n, x.shape[-1]).derivative(x, v)
+
+
+def derivatives(x: np.ndarray, n: int, slots) -> np.ndarray:
+    """``derivative`` along each variable slot of ``slots``, on a new axis 0."""
+    return np.stack([derivative(x, n, v) for v in slots])
+
+
+def inverse(a: np.ndarray, n: int) -> np.ndarray:
+    """The inverse of one jet's coefficients a (S,) by Newton's iteration
+    from 1 / a_0, which doubles the correct degree each pass."""
+    alg = _algebra_of(n, a.shape[-1])
+    c0 = complex(a[0])
+    if c0 == 0:
+        raise SingularSeriesError("series has zero constant term")
+    x = np.zeros(alg.size, dtype=complex)
+    x[0] = 1.0 / c0
+    for _ in range(max(1, int(np.ceil(np.log2(alg.order + 1))) + 1)):
+        t = -alg.mul(a, x)
+        t[0] += 2.0
+        x = alg.mul(x, t)
+    return x
+
+
 # the scalar operands of Jet arithmetic (numpy scalars included)
 _SCALARS = (int, float, complex, np.number)
 
@@ -167,24 +244,15 @@ class Jet:
 
     __slots__ = ("n", "order", "coeffs", "_alg")
 
-    def __init__(self, n: int, order: int, coeffs=None, *, _alg=None):
-        if _alg is not None:
-            # private path: fresh coefficients of this module's arithmetic,
-            # kept as given
-            c, alg = coeffs, _alg
-        else:
-            if order < 0:
-                raise StructuralError("jet order must be >= 0")
-            alg = _algebra(n, order)
-            if coeffs is None:
-                c = np.zeros(alg.size, dtype=complex)
-            else:
-                c = np.asarray(coeffs, dtype=complex)
-                if c.shape != (alg.size,):
-                    raise StructuralError(
-                        f"coefficient array has shape {c.shape}, "
-                        f"expected ({alg.size},)")
-                c = c.copy()
+    def __init__(self, n: int, order: int, coeffs=None):
+        if order < 0:
+            raise StructuralError("jet order must be >= 0")
+        alg = _algebra(n, order)
+        c = np.zeros(alg.size, dtype=complex) if coeffs is None \
+            else np.array(coeffs, dtype=complex)
+        if c.shape != (alg.size,):
+            raise StructuralError(
+                f"coefficient array has shape {c.shape}, expected ({alg.size},)")
         c.flags.writeable = False
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "order", order)
@@ -194,7 +262,14 @@ class Jet:
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("Jet is immutable")
 
-    # -- accessors ---------------------------------------------------------
+    def _new(self, coeffs: np.ndarray) -> "Jet":
+        """A jet in this one's variables, of the order its coefficients fix."""
+        return Jet(self.n, _algebra_of(self.n, coeffs.shape[-1]).order, coeffs)
+
+    def _pair(self, other: "Jet"):
+        if self.n != other.n:
+            raise StructuralError(f"jet mismatch: n={self.n} vs n={other.n}")
+        return self.coeffs, other.coeffs
 
     @property
     def const(self) -> complex:
@@ -203,30 +278,19 @@ class Jet:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _match(self, other: "Jet"):
-        """The common order and both coefficient arrays at it: a truncated
-        series is known only to its order, so the lower order wins."""
-        if self.n != other.n:
-            raise StructuralError(f"jet mismatch: n={self.n} vs n={other.n}")
-        if self.order == other.order:
-            return self._alg, self.coeffs, other.coeffs
-        alg = _algebra(self.n, min(self.order, other.order))
-        return alg, self.coeffs[:alg.size], other.coeffs[:alg.size]
-
     def __add__(self, other):
         if isinstance(other, Jet):
-            alg, a, b = self._match(other)
-            return Jet(self.n, alg.order, a + b, _alg=alg)
+            return self._new(add(*self._pair(other)))
         if isinstance(other, _SCALARS):
             c = self.coeffs.copy()
             c[0] += other
-            return Jet(self.n, self.order, c, _alg=self._alg)
+            return Jet(self.n, self.order, c)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.n, self.order, -self.coeffs, _alg=self._alg)
+        return Jet(self.n, self.order, -self.coeffs)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Jet) else -complex(other))
@@ -236,10 +300,9 @@ class Jet:
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            alg, a, b = self._match(other)
-            return Jet(self.n, alg.order, alg.mul(a, b), _alg=alg)
+            return self._new(mul(*self._pair(other), self.n))
         if isinstance(other, _SCALARS):
-            return Jet(self.n, self.order, self.coeffs * other, _alg=self._alg)
+            return Jet(self.n, self.order, self.coeffs * other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -250,21 +313,10 @@ class Jet:
         return self * (1.0 / other)
 
     def conj(self) -> "Jet":
-        return Jet(self.n, self.order,
-                   np.conj(self.coeffs)[self._alg.conj_perm], _alg=self._alg)
+        return Jet(self.n, self.order, conj(self.coeffs, self.n))
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.coeffs)))
-
-    def __repr__(self):
-        terms = []
-        for e, c in zip(self._alg.exponents, self.coeffs):
-            if abs(c) > 0:
-                terms.append(f"{c:.3g}*{e}")
-        body = " + ".join(terms[:6]) or "0"
-        if len(terms) > 6:
-            body += " + ..."
-        return f"Jet(n={self.n}, K={self.order}: {body})"
 
 
 # -- module-level operations ----------------------------------------------
@@ -280,19 +332,7 @@ def wirtinger(a: Jet, which: str, index: int) -> Jet:
     if not 0 <= index < a.n:
         raise StructuralError(f"derivative index {index} out of range for n={a.n}")
     v = index + (a.n if which == "antiholo" else 0)
-    out = a._alg.derivative(a.coeffs, v)
-    return Jet(a.n, a.order - 1, out, _alg=_algebra(a.n, a.order - 1))
-
-
-@lru_cache(maxsize=None)
-def _algebra_of(n: int, size: int) -> _Algebra:
-    """The algebra of n variables whose basis has ``size`` monomials; the
-    size alone does not fix it, (n, order) = (1, 4) and (2, 2) both give 15."""
-    order = next(k for k in count() if comb(2 * n + k, k) >= size)
-    if comb(2 * n + order, order) != size:
-        raise StructuralError(
-            f"no jet basis in {n} complex variables has {size} monomials")
-    return _algebra(n, order)
+    return a._new(derivative(a.coeffs, a.n, v))
 
 
 def point_derivatives(coeffs: np.ndarray, n: int,
@@ -319,24 +359,9 @@ def point_derivatives(coeffs: np.ndarray, n: int,
     return rows[:, idx.ravel()].T.reshape(idx.shape + coeffs.shape[:-1])
 
 
-def _inverse(alg: _Algebra, a: np.ndarray) -> np.ndarray:
-    """The inverse of one jet's coefficients a (size,) by Newton's
-    iteration from 1 / a_0, which doubles the correct degree each pass."""
-    c0 = complex(a[0])
-    if c0 == 0:
-        raise SingularSeriesError("series has zero constant term")
-    x = np.zeros(alg.size, dtype=complex)
-    x[0] = 1.0 / c0
-    for _ in range(max(1, int(np.ceil(np.log2(alg.order + 1))) + 1)):
-        t = -alg.mul(a, x)
-        t[0] += 2.0
-        x = alg.mul(x, t)
-    return x
-
-
 def jet_inverse(a: Jet) -> Jet:
     """Multiplicative inverse: a * jet_inverse(a) = 1 through degree K."""
-    return Jet(a.n, a.order, _inverse(a._alg, a.coeffs), _alg=a._alg)
+    return Jet(a.n, a.order, inverse(a.coeffs, a.n))
 
 
 def jet_matrix_inverse(m: np.ndarray, n: int) -> np.ndarray:
@@ -352,8 +377,8 @@ def jet_matrix_inverse(m: np.ndarray, n: int) -> np.ndarray:
     k = m.shape[0]
     if m.ndim != 3 or m.shape[1] != k:
         raise StructuralError(f"matrix must be square, got {m.shape[:-1]}")
-    alg = _algebra_of(n, m.shape[-1])
-    aug = np.zeros((k, 2 * k, alg.size), dtype=complex)
+    size = _algebra_of(n, m.shape[-1]).size
+    aug = np.zeros((k, 2 * k, size), dtype=complex)
     aug[:, :k] = m
     aug[range(k), range(k, 2 * k), 0] = 1.0
     for col in range(k):
@@ -361,8 +386,8 @@ def jet_matrix_inverse(m: np.ndarray, n: int) -> np.ndarray:
         if abs(complex(aug[piv, col, 0])) == 0:
             raise SingularSeriesError("matrix of jets has singular constant term")
         aug[[col, piv]] = aug[[piv, col]]
-        aug[col] = alg.mul(aug[col], _inverse(alg, aug[col, col]))
+        aug[col] = mul(aug[col], inverse(aug[col, col], n), n)
         rows = [r for r in range(k) if r != col and aug[r, col].any()]
         if rows:
-            aug[rows] -= alg.mul(aug[rows, col, None], aug[col])
+            aug[rows] -= mul(aug[rows, col, None], aug[col], n)
     return aug[:, k:].copy()

@@ -13,11 +13,11 @@ Supported kinds:
 connection and curvature computations downstream consume only ``MetricJet``.
 Functions of the point alone are wrapped in ``per_point``, which stores each
 result on its ``MetricJet``: it is built once, handed out read-only, and freed
-with the jet.  A reader of point values, which read h to degree 2, is
-wrapped in ``point_reader``: it runs on ``mj.at_order(2)``, the prefix jet,
-so it computes nothing beyond what it reads and shares that jet's memo with
-every other point reader (docs/conventions.md, "Jet order each reader
-reads").
+with the jet.  A reader of point values, which reads h to degree 2, is
+wrapped in ``per_point(order=POINT_ORDER)``: it runs on ``mj.at_order(2)``,
+the prefix jet, so it computes nothing beyond what it reads and shares that
+jet's memo with every other point reader (docs/conventions.md, "Jet order
+each reader reads").
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import (DomainError, ParseError, SingularSeriesError,
                      StructuralError, ValidationError)
-from .jets import _algebra, _inverse, jet_matrix_inverse, point_derivatives
+from .jets import _algebra, inverse, jet_matrix_inverse, point_derivatives
 
 __all__ = [
     "MetricField",
@@ -117,11 +117,25 @@ def _read_only(value):
     return value
 
 
-def per_point(fn):
+# The jet order the point values of curvature read: Gamma to degree 1,
+# which is h to degree 2.
+POINT_ORDER = 2
+
+
+def per_point(fn=None, *, order: int | None = None):
     """Decorator for a function of one MetricJet: ``fn(mj)`` runs at most
-    once per jet and its result lives in the jet's memo, read-only."""
+    once per jet and its result lives in the jet's memo, read-only.  With
+    ``order`` set (a reader of point values, order=POINT_ORDER) it runs on
+    ``mj.at_order(order)`` and lives in that prefix jet's memo; a jet of
+    lower order is passed as it is, so the reader refuses it where it did
+    on the full jet.  Without, it runs at the jet's own order."""
+    if fn is None:
+        return functools.partial(per_point, order=order)
+
     @functools.wraps(fn)
     def memoized(mj: MetricJet):
+        if order is not None:
+            mj = mj.at_order(order)
         try:
             return mj._memo[fn]
         except KeyError:
@@ -130,24 +144,7 @@ def per_point(fn):
     return memoized
 
 
-# The jet order the point values of curvature read: Gamma to degree 1,
-# which is h to degree 2.
-POINT_ORDER = 2
-
-
-def point_reader(fn):
-    """Decorator for a reader ``fn(mj, ...)`` of point values, which read h
-    to degree POINT_ORDER: it runs on ``mj.at_order(POINT_ORDER)``.  A
-    lower-order jet is passed as it is, so the reader refuses it where it
-    did before."""
-    @functools.wraps(fn)
-    def reader(mj: MetricJet, *args, **kwargs):
-        return fn(mj.at_order(POINT_ORDER), *args, **kwargs)
-    return reader
-
-
-@point_reader
-@per_point
+@per_point(order=POINT_ORDER)
 def derivative_tables(mj: MetricJet):
     """(d1, db1, d2) at the point, derivative directions first:
     d1[k, i, j] = dh_{i jbar}/dz^k, db1[k, i, j] = dh_{i jbar}/dzbar^k and
@@ -258,6 +255,11 @@ def _tabled(n: int, kind: str, rows: np.ndarray, mats) -> MetricField:
     return MetricField(n=n, kind=kind, rows=rows, mats=mats)
 
 
+def _cnormal(rng, shape=None, scale: float = 0.1):
+    """scale * (a + i b), a then b drawn standard normal of the given shape."""
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
 def _hermitize_quadratic(n, d):
     """Enforce conj(h_{i jbar}) = h_{j ibar} on a mixed-quadratic tensor:
     d[i,j,k,l] is the coefficient of z^k zbar^l in h_{i jbar}."""
@@ -274,8 +276,9 @@ def _quadratic_terms(n, d, p):
         for l in range(n):
             M = d[:, :, k, l]
             if np.any(M):
-                # append both halves directly: d is already Hermitian-paired
-                terms.append((tuple(e[k]), tuple(e[l]), M / 1.0))
+                # d already holds each term's conjugate partner, so halve it
+                # before polynomial_metric adds the partners again
+                terms.append((tuple(e[k]), tuple(e[l]), M / 2.0))
     ptrms = []
     for k in range(n):
         for l in range(k, n):
@@ -285,15 +288,9 @@ def _quadratic_terms(n, d, p):
     return terms, ptrms
 
 
-def _assemble_polynomial(n, d, p, cubic=None):
-    d = _hermitize_quadratic(n, d)
-    mixed, pure = _quadratic_terms(n, d, p)
-    # mixed terms already include their own conjugate partners, so halve them
-    # before polynomial_metric doubles everything.
-    terms = [(a, b, M / 2.0) for a, b, M in mixed] + pure
-    if cubic is not None:
-        terms.extend(cubic)
-    return polynomial_metric(n, terms)
+def _assemble_polynomial(n, d, p, cubic=()):
+    mixed, pure = _quadratic_terms(n, _hermitize_quadratic(n, d), p)
+    return polynomial_metric(n, mixed + pure + list(cubic))
 
 
 def normal_form_random(n: int, seed: int) -> MetricField:
@@ -301,14 +298,10 @@ def normal_form_random(n: int, seed: int) -> MetricField:
     derivatives."""
     _check_dim(n)
     rng = np.random.default_rng(seed)
-
-    def cplx(shape):
-        return 0.1 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-
-    d = cplx((n, n, n, n))
-    p = cplx((n, n, n, n))
+    d = _cnormal(rng, (n, n, n, n))
+    p = _cnormal(rng, (n, n, n, n))
     e = np.eye(n, dtype=int)
-    cubic = [(tuple(e[k] + e[l]), tuple(e[m]), cplx((n, n)) * 0.3)
+    cubic = [(tuple(e[k] + e[l]), tuple(e[m]), _cnormal(rng, (n, n)) * 0.3)
              for k in range(n) for l in range(n) for m in range(n)]
     return _assemble_polynomial(n, d, p, cubic)
 
@@ -319,19 +312,22 @@ def normal_coordinates_random(n: int, seed: int) -> MetricField:
     coefficient tensor is antisymmetric in (derivative, row) so that
     dh_{i qbar}/dz^j + dh_{j qbar}/dz^i = 0 at the origin."""
     _check_dim(n)
-    rng = np.random.default_rng(seed)
-    t = 0.1 * (rng.standard_normal((n, n, n))
-                 + 1j * rng.standard_normal((n, n, n)))
+    t = _cnormal(np.random.default_rng(seed), (n, n, n))
     t = t - np.transpose(t, (1, 0, 2))
     e = np.eye(n, dtype=int)
     terms = [(tuple(e[k]), (0,) * n, t[k]) for k in range(n)]
-    rng2 = np.random.default_rng(seed + 1)
-    d = 0.1 * (rng2.standard_normal((n, n, n, n))
-                 + 1j * rng2.standard_normal((n, n, n, n)))
-    d = _hermitize_quadratic(n, d)
-    mixed, _ = _quadratic_terms(n, d, np.zeros((n, n, n, n)))
-    terms += [(a, b, M / 2.0) for a, b, M in mixed]
+    d = _hermitize_quadratic(
+        n, _cnormal(np.random.default_rng(seed + 1), (n, n, n, n)))
+    terms += _quadratic_terms(n, d, np.zeros((n, n, n, n)))[0]
     return polynomial_metric(n, terms, allow_linear=True)
+
+
+def _null_projection(rows, x):
+    """x minus its least-squares projection onto the span of the raveled
+    constraint rows: its projection onto their null space."""
+    C, v = np.array(rows), x.ravel()
+    corr, *_ = np.linalg.lstsq(C, C @ v, rcond=None)
+    return (v - corr).reshape(x.shape)
 
 
 def _constrained_quadratic(n, seed, balanced, skt):
@@ -339,60 +335,43 @@ def _constrained_quadratic(n, seed, balanced, skt):
     requested linear constraint set (trace conditions at the origin)."""
     _check_dim(n)
     rng = np.random.default_rng(seed)
-    d0 = 0.1 * (rng.standard_normal((n, n, n, n)) +
-                  1j * rng.standard_normal((n, n, n, n)))
-    d0 = _hermitize_quadratic(n, d0)
-    p0 = 0.1 * (rng.standard_normal((n, n, n, n)) +
-                  1j * rng.standard_normal((n, n, n, n)))
+    d0 = _hermitize_quadratic(n, _cnormal(rng, (n, n, n, n)))
+    p0 = _cnormal(rng, (n, n, n, n))
     p0 = (p0 + np.transpose(p0, (0, 1, 3, 2))) / 2
 
-    rows = []
-
-    def add_row(entries):
+    def row(entries):
         r = np.zeros((n, n, n, n), dtype=complex)
         for idx, w in entries:
             r[idx] += w
-        rows.append(r.ravel())
+        return r.ravel()
+
+    rows = []
 
     if balanced:
         for k in range(n):
             for l in range(n):
-                add_row([((i, l, k, i), 1) for i in range(n)] +
-                        [((i, i, k, l), -1) for i in range(n)])
-                add_row([((k, i, i, l), 1) for i in range(n)] +
-                        [((i, i, k, l), -1) for i in range(n)])
+                rows.append(row([((i, l, k, i), 1) for i in range(n)] +
+                                 [((i, i, k, l), -1) for i in range(n)]))
+                rows.append(row([((k, i, i, l), 1) for i in range(n)] +
+                                 [((i, i, k, l), -1) for i in range(n)]))
     if skt:
         for i in range(n):
             for j in range(n):
-                add_row([((i, j, k, k), 1) for k in range(n)] +
-                        [((k, k, i, j), 1) for k in range(n)] +
-                        [((i, k, k, j), -1) for k in range(n)] +
-                        [((k, j, i, k), -1) for k in range(n)])
+                rows.append(row([((i, j, k, k), 1) for k in range(n)] +
+                                 [((k, k, i, j), 1) for k in range(n)] +
+                                 [((i, k, k, j), -1) for k in range(n)] +
+                                 [((k, j, i, k), -1) for k in range(n)]))
 
-    d = d0
-    if rows:
-        C = np.array(rows)
-        # least-squares projection onto the null space of C, then
-        # re-Hermitize (the constraint sets are conj-symmetric, so the
-        # projection of a Hermitian tensor stays within tolerance Hermitian).
-        x = d0.ravel()
-        corr, *_ = np.linalg.lstsq(C, C @ x, rcond=None)
-        d = _hermitize_quadratic(n, (x - corr).reshape(n, n, n, n))
+    # re-Hermitize: the constraint sets are conj-symmetric, so the
+    # projection of a Hermitian tensor stays within tolerance Hermitian
+    d = _hermitize_quadratic(n, _null_projection(rows, d0))
 
     if balanced:
         # pure-term balanced condition: sum_e P[e,e,i,k] = sum_e P[i,e,e,k]
-        prows = []
-        for i in range(n):
-            for k in range(n):
-                r = np.zeros((n, n, n, n), dtype=complex)
-                for e in range(n):
-                    r[e, e, i, k] += 1
-                    r[i, e, e, k] -= 1
-                prows.append(r.ravel())
-        C = np.array(prows)
-        x = p0.ravel()
-        corr, *_ = np.linalg.lstsq(C, C @ x, rcond=None)
-        p0 = (x - corr).reshape(n, n, n, n)
+        prows = [row([((e, e, i, k), 1) for e in range(n)] +
+                     [((i, e, e, k), -1) for e in range(n)])
+                 for i in range(n) for k in range(n)]
+        p0 = _null_projection(prows, p0)
         p0 = (p0 + np.transpose(p0, (0, 1, 3, 2))) / 2
     return d, p0
 
@@ -473,7 +452,7 @@ def _frequencies(n: int, rng):
 def _potential_mode(m, n: int, rng, amp: float):
     """The mode of d^2 phi / dz dzbar for the potential term
     phi = c exp(2 pi i m.x), c complex of size amp."""
-    c = amp * (rng.standard_normal() + 1j * rng.standard_normal())
+    c = _cnormal(rng, scale=amp)
     mu = _mu(m, n)
     return m, -np.pi**2 * c * np.outer(mu, np.conj(mu))
 
@@ -509,8 +488,7 @@ def random_torus_fourier(n: int, seed: int) -> MetricField:
     """Generic (non-Kahler) Hermitian Fourier metric."""
     _check_dim(n)
     rng = np.random.default_rng(seed)
-    return _torus_from(n, ((m, 0.03 * (rng.standard_normal((n, n))
-                                       + 1j * rng.standard_normal((n, n))))
+    return _torus_from(n, ((m, _cnormal(rng, (n, n), 0.03))
                            for m in _frequencies(n, rng)))
 
 
@@ -591,7 +569,7 @@ def _taylor(field: MetricField, z: np.ndarray, order: int) -> np.ndarray:
     out = np.zeros(z.shape[:-1] + (n, n, alg.size), dtype=complex)
     np.add.at(out, (..., s), vals[..., None, None, :] * mats)
     if field.kind == "Hopf":
-        out[range(n), range(n)] = 4.0 * _inverse(alg, out[0, 0])
+        out[range(n), range(n)] = 4.0 * inverse(out[0, 0], n)
     return out
 
 

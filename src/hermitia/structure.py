@@ -5,7 +5,8 @@ identically shows up as a machine-zero defect.  "SKT" here means the trace
 condition on the mixed second derivatives of the metric (vanishing of the
 contracted ddbar of the fundamental form).  The readers read h to degree
 2 at most; those of the Levi-Civita table run on ``mj.at_order(2)``
-(``point_reader``), so they share that table with the curvature readers.
+(``per_point(order=POINT_ORDER)``), so they share that table with the
+curvature readers.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connection import levi_civita
-from .errors import OrderExhaustedError
-from .jets import Jet, point_derivatives
-from .metric import MetricJet, derivative_tables, point_reader
+from .errors import OrderExhaustedError, StructuralError
+from .jets import point_derivatives
+from .metric import MetricJet, POINT_ORDER, derivative_tables, per_point
 
 __all__ = [
     "StructureReport",
@@ -52,7 +53,7 @@ def kahler_defect(mj: MetricJet):
     return float(abs(f).max()), f
 
 
-@point_reader
+@per_point(order=POINT_ORDER)
 def balanced_torsion(mj: MetricJet) -> np.ndarray:
     """The torsion 1-form coefficients eta_l = Gamma_{l jbar}^{jbar}."""
     n = mj.n
@@ -73,17 +74,18 @@ def skt_defect(mj: MetricJet):
     return float(abs(r).max()), r
 
 
-@point_reader
-def laplacian_compare(mj: MetricJet, f: Jet):
-    """The dbar-Laplacian, d-Laplacian(1,0 part) and canonical Laplacian of a
-    scalar Jet at the point: returns (lap_dbar, lap_d, canonical)."""
-    if f.order < 2:
-        raise OrderExhaustedError("scalar jet order must be >= 2")
+def laplacian_compare(mj: MetricJet, f: np.ndarray):
+    """The dbar-, d- (1,0 part) and canonical Laplacians at the point of the
+    scalar jet of order >= 2 with coefficients f (S,): (dbar, d, canonical)."""
     n = mj.n
-    up = mj.hinv_at0().T          # h^{i jbar} at [i, j]
-    g = point_derivatives(levi_civita(mj), n)
-    df = point_derivatives(f.coeffs, f.n, 1)  # d/dz^l, then d/dzbar^l
-    can = -np.sum(up * point_derivatives(f.coeffs, f.n, 2))
+    if np.ndim(f) != 1:
+        raise StructuralError(
+            f"a scalar jet is one coefficient array, got shape {np.shape(f)}")
+    d2f = point_derivatives(f, n, 2)  # refuses an order below 2
+    df = point_derivatives(f, n, 1)   # d/dz^l, then d/dzbar^l
+    up = mj.hinv_at0().T              # h^{i jbar} at [i, j]
+    g = point_derivatives(levi_civita(mj.at_order(POINT_ORDER)), n)
+    can = -np.sum(up * d2f)
     corr_bar = 2 * np.einsum("ij,ijl,l->", up, g[:n, n:, n:], df[n:])
     corr_hol = 2 * np.einsum("ij,jil,l->", up, g[:n, n:, :n], df[:n])
     return complex(can + corr_bar), complex(can + corr_hol), complex(can)

@@ -12,7 +12,8 @@ import numpy as np
 from hermitia import forms as FO
 from hermitia.errors import StructuralError
 from hermitia.flow import FlowState
-from hermitia.jets import Jet, _algebra, _algebra_of, jet_inverse, wirtinger
+from hermitia.jets import (Jet, _algebra, _algebra_of, conj, jet_inverse,
+                           wirtinger)
 from hermitia.metric import (_mu, hopf_metric, metric_jet,
                              normal_coordinates_random, normal_form_skt,
                              random_torus_fourier)
@@ -277,7 +278,7 @@ def lambda_matrix_adjoint(phi):
 
 def form_conj(phi):
     """Complex conjugate form; bidegree (p, q) -> (q, p)."""
-    out = FO._conj(phi.coeffs.swapaxes(0, 1), phi.n)
+    out = conj(phi.coeffs.swapaxes(0, 1), phi.n)
     return FO.FormJet(phi.mj, phi.q, phi.p, phi.r,
                       out * float((-1) ** (phi.p * phi.q)))
 

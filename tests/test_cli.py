@@ -335,11 +335,10 @@ def test_readme_commands_run(command, tmp_path):
     assert done.returncode == 0, done.stderr[-2000:]
 
 
-@pytest.mark.parametrize("mu, t", [("1e308", "0.02"), ("800", "0.9"),
-                                   ("-1e-320", "0.0")])
+@pytest.mark.parametrize("mu, t", [("1e308", "0.02"), ("800", "0.9")])
 def test_hopf_ode_refuses_a_scale_factor_that_is_not_finite(capsys, mu, t):
-    # exp(mu t) overflowed, or k / mu did: exit 0 with "c": Infinity or NaN
-    # in the envelope and a numpy RuntimeWarning on stderr
+    # exp(mu t) overflowed: exit 0 with "c": Infinity in the envelope and a
+    # numpy RuntimeWarning on stderr
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(["flow", "--hopf-ode", "--dim", "2", f"--mu={mu}",
@@ -347,3 +346,26 @@ def test_hopf_ode_refuses_a_scale_factor_that_is_not_finite(capsys, mu, t):
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
     assert f"not finite at t = {t} with --mu {float(mu)!r}" in err
+
+
+@pytest.mark.parametrize("mu", ["1e-12", "-1e-12", "1e-300", "-1e-300",
+                                "-1e-320"])
+def test_hopf_ode_is_accurate_at_small_mu(capsys, mu):
+    # a closed form in k/mu cancels two terms of that size at small |mu| and
+    # loses every digit; c must stay within rounding of its Taylor series
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rep = _json(capsys, "flow", "--hopf-ode", "--dim", "2",
+                          f"--mu={mu}", "--T", "1", "--steps", "4")
+    assert code == 0
+    mu, k = float(mu), 0.25
+    for point in rep["results"]["series"]:
+        # the Taylor series of c0 + (c0 mu - k) t (exp(mu t) - 1) / (mu t),
+        # whose next term is below 1e-36 here
+        x = mu * point["t"]
+        want = 1.0 + (mu - k) * point["t"] * (1 + x / 2 + x * x / 6)
+        assert abs(point["c"] - want) <= 2e-16
+    y = mu / k   # t* = (c0 / k) (-log(1 - y) / y), c0 = 1
+    want = (1 / k) * (1 + y / 2 + y * y / 3)
+    assert abs(rep["results"]["extinction_time"] - want) <= 1e-15
+    assert rep["results"]["extinct_within_horizon"] is False

@@ -1,8 +1,13 @@
+import ast
 import importlib
 import importlib.util
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import hermitia
 
@@ -58,3 +63,57 @@ def test_every_perfbench_span_resolves():
                if not callable(getattr(importlib.import_module(
                    f"hermitia.{mod}"), attr, None))]
     assert not missing, missing
+
+
+def _owner_breaches(tree: ast.AST) -> list:
+    """What a module does that only jets.py may: call a jet kernel method
+    (``.mul`` or ``.derivative``), read ``conj_perm`` or import ``Jet``;
+    and what only ``metric.per_point`` may: define ``point_reader``."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("mul", "derivative")):
+            found.append(f"calls .{node.func.attr}(")
+        elif isinstance(node, (ast.Attribute, ast.Name)) and \
+                getattr(node, "attr", getattr(node, "id", None)) == "conj_perm":
+            found.append("reads conj_perm")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                alias.name.split(".")[-1] == "Jet" for alias in node.names):
+            found.append("imports Jet")
+        elif isinstance(node, ast.FunctionDef) and node.name == "point_reader":
+            found.append("defines point_reader")
+    return found
+
+
+def test_jet_rules_have_one_owner():
+    """The order rule and the array arithmetic of jets have one home,
+    jets.py, and the jet order a reader computes at one, ``per_point``."""
+    breaches = {}
+    for path in sorted((ROOT / "src" / "hermitia").glob("*.py")):
+        if path.name != "jets.py":
+            found = _owner_breaches(ast.parse(path.read_text()))
+            if found:
+                breaches[path.name] = sorted(set(found))
+    assert not breaches, breaches
+    assert sorted(_owner_breaches(ast.parse(
+        "from .jets import Jet\nx.conj_perm\nalg.derivative(a, 0)\n"
+        "def point_reader(fn): pass\n"))) == [
+        "calls .derivative(", "defines point_reader", "imports Jet",
+        "reads conj_perm"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("run.py", "--setup-probe", "--workload", "points"),
+    ("run.py", "--setup-probe", "--workload", "forms"),
+    ("run.py", "--setup-probe", "--workload", "flow"),
+    ("gates.py",)])
+def test_perfbench_setup_and_gates_run(argv):
+    """The benchmark's set-up (which builds ``jets.Jet(n, order)`` and the
+    lazy tables of its workload) and its gates' self-test run on this
+    tree; a set-up probe prints its time in seconds."""
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / argv[0]), *argv[1:]],
+        capture_output=True, text=True, timeout=120, cwd=ROOT)
+    assert done.returncode == 0, done.stderr[-2000:]
+    if "--setup-probe" in argv:
+        assert float(done.stdout.split()[-1]) >= 0

@@ -87,7 +87,7 @@ def test_point_consumers_match_wirtinger_loops(family, n):
             for j in range(n):
                 corr_bar += 2 * up[i, j] * g[i, n + j, n + l] * dfb
                 corr_hol += 2 * up[i, j] * g[j, n + i, l] * dfh
-    got = np.array(laplacian_compare(mj, f))
+    got = np.array(laplacian_compare(mj, f.coeffs))
     want = np.array([can + corr_bar, can + corr_hol, can])
     assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hermitia.errors import OrderExhaustedError, StructuralError
 from hermitia.metric import (derivative_tables, flat_metric, hopf_metric,
                              metric_jet, normal_form_balanced,
                              normal_form_balanced_skt, normal_form_random,
@@ -53,7 +54,7 @@ def test_laplacians_coincide_on_kahler():
     mj = metric_jet(fld, z, order=3)
     f = (variable(2, 3, 0) * variable(2, 3, 1, barred=True)) \
         + variable(2, 3, 1) + constant(0.3, 2, 3)
-    a, b, c = laplacian_compare(mj, f)
+    a, b, c = laplacian_compare(mj, f.coeffs)
     assert abs(a - c) < 1e-9 and abs(b - c) < 1e-9
 
 
@@ -61,8 +62,18 @@ def test_laplacians_differ_on_hopf():
     mj = _hopf(2)
     f = variable(2, 3, 0) + (variable(2, 3, 0)
                              * variable(2, 3, 0, barred=True))
-    a, b, c = laplacian_compare(mj, f)
+    a, b, c = laplacian_compare(mj, f.coeffs)
     assert abs(a - c) > 1e-6 or abs(b - c) > 1e-6
+
+
+def test_laplacians_take_one_scalar_coefficient_array():
+    mj = _hopf(2)
+    f = variable(2, 3, 0) * variable(2, 3, 0, barred=True)
+    for bad in (f, np.stack([f.coeffs, f.coeffs])):   # a Jet, a (2, S) array
+        with pytest.raises(StructuralError):
+            laplacian_compare(mj, bad)
+    with pytest.raises(OrderExhaustedError):
+        laplacian_compare(mj, variable(2, 1, 0).coeffs)
 
 
 def test_prop38_balanced_skt_forces_flatness():
