@@ -258,13 +258,10 @@ def cmd_verify(args) -> int:
         results["residuals"] = worst
         failed = any(v > args.tol for v in worst.values())
     elif args.suite == "hopf-oracle":
-        rng = np.random.default_rng(seed)
         worst = {}
         matches = set()
-        for _ in range(args.sample):
-            v = rng.standard_normal(args.dim) + 1j * rng.standard_normal(args.dim)
-            v *= rng.uniform(1.0, 2.0) / np.linalg.norm(v)
-            res = HO.oracle_vs_pipeline(HO.HopfPoint(args.dim, v))
+        for z in _points(args, M.hopf_metric(args.dim)):
+            res = HO.oracle_vs_pipeline(HO.HopfPoint(args.dim, z))
             for k, val in res.items():
                 if isinstance(val, str):
                     matches.add(f"{k}={val}")
@@ -281,6 +278,10 @@ def cmd_verify(args) -> int:
                        worst.get(f"{name}_corrected", np.inf))
             failed = failed or best > args.tol
     elif args.suite == "normal-form":
+        if args.point:
+            raise ValidationError(
+                "the normal-form suite runs at the normal point z = 0 and "
+                "takes no --point")
         worst = {}
         for s in range(args.trials):
             for fam, kw in (("plain", {}), ("balanced", {"balanced": True}),

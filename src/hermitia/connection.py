@@ -14,71 +14,48 @@ directions.  The complexified metric has the block structure
 H_{i jbar} = h_{i jbar}, H_{ibar j} = h_{j ibar}, H_{ij} = H_{ibar jbar} = 0,
 and the inverse blocks are H^{i jbar} = hinv[j][i], H^{ibar j} = hinv[i][j].
 
-The tables are computed from ``MetricJet.h`` and ``hinv`` with the
-operations the jet arithmetic would do in the same order (``jets.mul`` and
-``jets.matmul``), so every table is bit for bit the one the entry-by-entry
-jet loops give.
+Every table is ``jets.matmul`` products of ``MetricJet.h``'s derivatives
+with ``hinv``; ``jets.mul`` never returns -0.0, so the products' sums are
+bit for bit the ones the entry-by-entry jet loops give.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .jets import derivatives, matmul, mul
+from .jets import derivatives, matmul
 from .metric import MetricJet, per_point
 
 __all__ = ["levi_civita", "chern", "bismut"]
 
 
-def _H_inverse(mj: MetricJet, size: int) -> np.ndarray:
-    """H^{CE}, the inverse complexified metric, as (2n, 2n, size)
-    coefficients truncated to the first ``size`` basis monomials."""
-    n = mj.n
-    hinv = mj.hinv[..., :size]
-    U = np.zeros((2 * n, 2 * n, size), dtype=complex)
-    U[:n, n:] = hinv.swapaxes(0, 1)
-    U[n:, :n] = hinv
-    return U
-
-
-def _bracket(d: np.ndarray, E: int, A: np.ndarray, B: np.ndarray):
-    """x[p] = d_B H_{A E} + d_A H_{B E} - d_E H_{A B} at the index pairs
-    (A[p], B[p]), a (P, S) array, from the (2n, n, n, S) first derivatives
-    d[v, a, q] = d h_{a qbar} / dz^v (v < n) or dzbar^(v - n)."""
-    n = d.shape[1]
-    # col[v, A] = d H_{AE} / dz^v and row[A, B] = d H_{AB} / dz^E; the
-    # unmixed blocks of H vanish
-    col = np.zeros((2 * n, 2 * n, d.shape[-1]), dtype=complex)
-    if E < n:
-        col[:, n:] = d[:, E]
-    else:
-        col[:, :n] = d[:, :, E - n]
-    row = np.zeros_like(col)
-    row[:n, n:] = d[E]
-    row[n:, :n] = d[E].swapaxes(0, 1)
-    return col[B, A] + col[A, B] - row[A, B]
+def _complexified(x: np.ndarray) -> np.ndarray:
+    """[[0, x], [x^T, 0]] over the two index axes of (..., n, n, S): the
+    complexified metric H of h, or its derivatives of ``derivatives(h)``."""
+    n = x.shape[-2]
+    out = np.zeros(x.shape[:-3] + (2 * n, 2 * n, x.shape[-1]), dtype=complex)
+    out[..., :n, n:, :] = x
+    out[..., n:, :n, :] = x.swapaxes(-3, -2)
+    return out
 
 
 @per_point
 def levi_civita(mj: MetricJet) -> np.ndarray:
     """Gamma_{AB}^C = (1/2) H^{CE} (d_B H_{AE} + d_A H_{BE} - d_E H_{AB}).
 
-    Each entry with A <= B sums its E terms in order from +0, skipping the
-    E with a zero H^{CE} jet; [B, A, C] equals [A, B, C] (torsion-free).
-    One E at a time keeps the products at (P, n, S), P = n (2n + 1)."""
+    The bracket is taken on the pairs A <= B and [B, A, C] is [A, B, C]
+    (torsion-free).  H^{CE} is hinv^T on the unbarred C and barred E, hinv
+    on the barred C and unbarred E, and zero elsewhere, so the sum over E
+    is two jet-matrix products, each over the E of one kind."""
     n = mj.n
-    d = derivatives(mj.h, n, range(2 * n))
-    size = d.shape[-1]
-    U = _H_inverse(mj, size)
-    live = (U != 0).any(axis=-1)
+    dH = _complexified(derivatives(mj.h, n, range(2 * n)))
     A, B = np.triu_indices(2 * n)
-    acc = np.zeros((len(A), 2 * n, size), dtype=complex)
-    for E in range(2 * n):
-        C = np.flatnonzero(live[:, E])
-        x = _bracket(d, E, A, B)
-        acc[:, C] += mul(0.5 * U[C, E], x[:, None], n)
-    G = np.empty((2 * n,) * 3 + (size,), dtype=complex)
-    G[A, B] = G[B, A] = acc
+    x = (dH[B, A] + dH[A, B]).swapaxes(0, 1) - dH[:, A, B]   # [E, (A, B)]
+    half = 0.5 * mj.hinv
+    gamma = np.concatenate([matmul(half.swapaxes(0, 1), x[n:], n),
+                            matmul(half, x[:n], n)])   # [C, (A, B)]
+    G = np.empty((2 * n,) * 3 + gamma.shape[-1:], dtype=complex)
+    G[A, B] = G[B, A] = gamma.swapaxes(0, 1)
     return G
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import bismut, chern, levi_civita
+from .connection import _complexified, bismut, chern, levi_civita
 from .errors import OrderExhaustedError, StructuralError, ValidationError
 from .jets import point_derivatives
 from .metric import MetricJet, POINT_ORDER, derivative_tables, per_point
@@ -73,11 +73,10 @@ def connection_curvature(g: np.ndarray, dg: np.ndarray,
 def lc_curvature_full(mj: MetricJet) -> np.ndarray:
     """Pointwise complexified curvature R_{ABCD} for all 2n-range indices:
     the Levi-Civita table on the full tangent bundle, lowered with H_{DE}."""
-    n = mj.n
-    lc, h0, zero = levi_civita(mj), mj.h_at0(), np.zeros((n, n))
-    H = np.block([[zero, h0], [h0.T, zero]])
+    n, lc = mj.n, levi_civita(mj)
     return connection_curvature(point_derivatives(lc, n),
-                                point_derivatives(lc, n, 1), H)
+                                point_derivatives(lc, n, 1),
+                                point_derivatives(_complexified(mj.h), n))
 
 
 @per_point(order=POINT_ORDER)

@@ -14,9 +14,9 @@ from hermitia.errors import StructuralError
 from hermitia.flow import FlowState
 from hermitia.jets import (Jet, _algebra, _algebra_of, conj, jet_inverse,
                            wirtinger)
-from hermitia.metric import (_mu, hopf_metric, metric_jet,
+from hermitia.metric import (_mu, flat_metric, hopf_metric, metric_jet,
                              normal_coordinates_random, normal_form_skt,
-                             random_torus_fourier)
+                             random_torus_fourier, separable_kahler_torus)
 from hermitia.positivity import _check_hermitian, _verdict
 
 
@@ -194,6 +194,10 @@ def point(family, n):
     if family == "normal-coordinates":    # dh(0) != 0
         return normal_coordinates_random(n, 4), np.zeros(n, complex)
     x = rng.uniform(0.0, 1.0, 2 * n)
+    if family == "flat":
+        return flat_metric(n), x[:n] + 1j * x[n:]
+    if family == "separable-torus":       # diagonal h, h_{k kbar}(z^k)
+        return separable_kahler_torus(n, 1), x[:n] + 1j * x[n:]
     return random_torus_fourier(n, 5), x[:n] + 1j * x[n:]
 
 

@@ -13,6 +13,7 @@ import pytest
 
 import hermitia
 from hermitia.cli import build_parser, main
+from hermitia.hopf import HopfPoint, oracle_vs_pipeline
 from hermitia.metric import separable_kahler_torus, write_torus_metric
 
 
@@ -92,6 +93,36 @@ def test_verify_failure_exit_code(capsys):
                       "3", "--points", "5", "--tol", "1e-18")
     assert code == 1
     assert rep["results"]["pass"] is False
+
+
+def test_verify_hopf_oracle_reads_the_point(capsys):
+    code, rep = _json(capsys, "verify", "--suite", "hopf-oracle", "--dim",
+                      "2", "--point", "1,0,0.5,0")
+    assert code == 0
+    want = oracle_vs_pipeline(HopfPoint(2, np.array([1, 0.5])))
+    assert rep["results"]["residuals"] == {
+        k: v for k, v in want.items() if not isinstance(v, str)}
+    assert rep["results"]["trace_form_matches"] == sorted(
+        f"{k}={v}" for k, v in want.items() if isinstance(v, str))
+
+
+def test_verify_hopf_oracle_refuses_a_malformed_point(capsys):
+    code = main(["verify", "--suite", "hopf-oracle", "--dim", "2",
+                 "--point", "1,2,3"])
+    assert code == 2
+    assert "4 real components" in capsys.readouterr().err
+
+
+def test_verify_hopf_oracle_refuses_dim_one(capsys):
+    assert main(["verify", "--suite", "hopf-oracle", "--dim", "1"]) == 3
+    assert "n >= 2" in capsys.readouterr().err
+
+
+def test_verify_normal_form_refuses_a_point(capsys):
+    # the suite runs at z = 0 alone; a point it would not read is refused
+    code = main(["verify", "--suite", "normal-form", "--point", "0,0,0,0"])
+    assert code == 2
+    assert "normal point" in capsys.readouterr().err
 
 
 def test_flow_hopf_ode_fixed_point(capsys):

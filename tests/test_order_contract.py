@@ -29,7 +29,7 @@ from hermitia.errors import ValidationError
 from hermitia.forms import (bundle_identity_suite, chern_connection,
                             identity_suite, random_metric_connection)
 from hermitia.hopf import HopfPoint, oracle_vs_pipeline
-from hermitia.jets import _algebra
+from hermitia.jets import _algebra, _algebra_of
 from hermitia.metric import metric_jet, normal_form_skt
 from hermitia.positivity import griffiths_sample
 from hermitia.structure import (balanced_torsion, kahler_defect,
@@ -145,9 +145,11 @@ def test_point_readers_share_the_order_two_memo():
 
 def test_forms_read_the_memoized_levi_civita_at_their_order(monkeypatch):
     builds = []
-    monkeypatch.setattr(connection, "_H_inverse",
-                        lambda mj, size, f=connection._H_inverse:
-                        builds.append(mj.order) or f(mj, size))
+    # levi_civita complexifies dh, of one order below the metric jet's
+    monkeypatch.setattr(connection, "_complexified",
+                        lambda x, f=connection._complexified: builds.append(
+                            _algebra_of(x.shape[-2], x.shape[-1]).order + 1)
+                        or f(x))
     mj = hopf_jet(2)
     identity_suite(mj, trials=3, seed=0)
     bundle_identity_suite(mj, random_metric_connection(mj, r=2, seed=0),

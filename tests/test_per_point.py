@@ -26,13 +26,14 @@ from hermitia.structure import kahler_defect, skt_defect, structure_report
 
 def test_levi_civita_built_once_across_the_point_pipeline(monkeypatch):
     calls = []
-    h_inverse = connection._H_inverse   # called by levi_civita alone
+    # levi_civita alone looks it up on connection; curvature holds its own name
+    complexified = connection._complexified
 
-    def spy(mj, size):
-        calls.append(mj)
-        return h_inverse(mj, size)
+    def spy(x):
+        calls.append(x)
+        return complexified(x)
 
-    monkeypatch.setattr(connection, "_H_inverse", spy)
+    monkeypatch.setattr(connection, "_complexified", spy)
     mj = metric_jet(normal_form_skt(3, 0), np.zeros(3, complex), order=3)
     ricci_panel(mj)
     scalars(mj)
