@@ -244,6 +244,11 @@ def cmd_check(args) -> int:
 
 def cmd_verify(args) -> int:
     _require_counts(args, "sample", "trials")
+    builds_own = args.suite in ("hopf-oracle", "normal-form")
+    if builds_own and (args.metric or args.metric_file):
+        raise ValidationError(
+            f"the {args.suite} suite builds its own metrics and takes no "
+            "--metric/--metric-file")
     seed = args.seed or 0
     failed = False
     results: dict = {"suite": args.suite, "tolerance": args.tol}

@@ -225,215 +225,86 @@ def curvature_comparison(mj: MetricJet, trials: int, seed: int) -> dict:
     }
 
 
+def _quad(d1, db1, a, b):
+    """a sum dh_{q lbar}/dzbar^i dh_{k qbar}/dz^i
+    + b sum dh_{k qbar}/dzbar^i dh_{q lbar}/dz^i over i, q, at [k, l]."""
+    return (a * np.einsum("iql,ikq->kl", db1, d1)
+            + b * np.einsum("ikq,iql->kl", db1, d1))
+
+
+def _extra(d1, db1):
+    """The torsion-trace quadratics sum dh_{q lbar}/dz^k dh_{i qbar}/dzbar^i
+    + dh_{q ibar}/dz^i dh_{k qbar}/dzbar^l over i, q, at [k, l]."""
+    return (np.einsum("kql,iiq->kl", d1, db1)
+            + np.einsum("iqi,lkq->kl", d1, db1))
+
+
 def normal_point_suite(mj: MetricJet, balanced: bool = False,
                        skt: bool = False) -> dict:
     """Residuals of the direct second-derivative curvature formulas valid at
     a point with h = identity and vanishing symmetrized Christoffels,
     against the jet pipeline.  With ``balanced``/``skt`` set, also checks
-    the constrained Ricci formulas valid under those trace conditions."""
+    the constrained Ricci formulas valid under those trace conditions.
+    Each formula term is one einsum over ``derivative_tables``' d1, db1, d2."""
     if mj.order < 2:
         raise OrderExhaustedError("metric jet order must be >= 2")
     _require_normal_point(mj)
-    n = mj.n
     d1, db1, d2 = derivative_tables(mj)
-
-    r11 = curvature_lc(mj)
-    rhat = curvature_induced(mj)
-    bis = curvature_bismut(mj)
-    panel = ricci_panel(mj)
-
-    def second(k, j, i, l):
-        # d2 h_{i lbar} / dz^k dzbar^j
-        return d2[k, j, i, l]
-
-    res = {}
-
-    # Levi-Civita (1,1) tensor from second derivatives plus first-derivative
-    # quadratics.
-    oracle = np.zeros((n, n, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    val = -0.5 * (second(k, j, i, l) + second(i, l, k, j))
-                    for q in range(n):
-                        val -= (d1[i, q, l] * db1[j, k, q]
-                                + d1[k, q, j] * db1[l, i, q])
-                    oracle[i, j, k, l] = val
-    res["lc_tensor"] = float(np.max(np.abs(r11 - oracle)))
-
-    # Hermitian Ricci trace.
-    orc = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        for l in range(n):
-            val = 0.0 + 0.0j
-            for s in range(n):
-                val -= 0.5 * (second(k, s, s, l) + second(s, l, k, s))
-                for q in range(n):
-                    val -= (d1[s, q, l] * db1[s, k, q]
-                            + d1[s, k, q] * db1[s, q, l])
-            orc[k, l] = val
-    res["hermitian_ricci"] = float(np.max(np.abs(panel["hermitian"] - orc)))
-
-    # Mixed trace h^{i jbar} R_{k jbar i lbar}.
-    mixed = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        for l in range(n):
-            mixed[k, l] = sum(r11[k, s, s, l] for s in range(n))
-    orc = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        for l in range(n):
-            val = 0.0 + 0.0j
-            for s in range(n):
-                val -= 0.5 * (second(s, s, k, l) + second(k, l, s, s))
-                for q in range(n):
-                    val -= (d1[k, q, l] * db1[s, s, q]
-                            + d1[s, q, s] * db1[l, k, q])
-            orc[k, l] = val
-    res["mixed_trace"] = float(np.max(np.abs(mixed - orc)))
-
-    # Complexified Ricci.
-    orc = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        for l in range(n):
-            val = 0.0 + 0.0j
-            for s in range(n):
-                val += 0.5 * (second(k, s, s, l) + second(s, l, k, s))
-                val -= second(s, s, k, l) + second(k, l, s, s)
-                for q in range(n):
-                    val += (d1[s, q, l] * db1[s, k, q]
-                            + d1[s, k, q] * db1[s, q, l])
-                    val -= 2 * (d1[k, q, l] * db1[s, s, q]
-                                + d1[s, q, s] * db1[l, k, q])
-            orc[k, l] = val
-    res["complexified_ricci"] = float(
-        np.max(np.abs(panel["complexified"] - orc)))
-
-    # Induced-connection tensor and its two Ricci traces.
-    oracle = np.zeros((n, n, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    val = -0.5 * (second(k, j, i, l) + second(i, l, k, j))
-                    for q in range(n):
-                        val -= d1[i, q, l] * db1[j, k, q]
-                    oracle[i, j, k, l] = val
-    res["induced_tensor"] = float(np.max(np.abs(rhat - oracle)))
-
-    orc = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            val = 0.0 + 0.0j
-            for k in range(n):
-                val -= 0.5 * (second(k, j, i, k) + second(i, k, k, j))
-                for q in range(n):
-                    val -= d1[i, q, k] * db1[j, k, q]
-            orc[i, j] = val
-    res["induced_first"] = float(np.max(np.abs(panel["induced_first"] - orc)))
-
-    orc = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            val = 0.0 + 0.0j
-            for k in range(n):
-                val -= 0.5 * (second(k, j, i, k) + second(i, k, k, j))
-                for q in range(n):
-                    val -= db1[k, i, q] * d1[k, q, j]
-            orc[i, j] = val
-    res["induced_second"] = float(
-        np.max(np.abs(panel["induced_second"] - orc)))
-
-    orc = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            val = 0.0 + 0.0j
-            for k in range(n):
-                for q in range(n):
-                    val += (db1[k, i, q] * d1[k, q, j]
-                            - d1[k, i, q] * db1[k, q, j])
-            orc[i, j] = val
-    res["induced_difference"] = float(np.max(np.abs(
-        panel["induced_first"] - panel["induced_second"] - orc)))
-
-    # Bismut tensor.
-    oracle = np.zeros((n, n, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            for a in range(n):
-                for b in range(n):
-                    val = -(d2[a, j, i, b] + d2[i, b, a, j] - d2[i, j, a, b])
-                    for g in range(n):
-                        val += d1[i, a, g] * db1[j, g, b]
-                        val -= 4 * db1[j, a, g] * d1[i, g, b]
-                    oracle[i, j, a, b] = val
-    res["bismut_tensor"] = float(np.max(np.abs(bis - oracle)))
-
-    def quad(coef_a, coef_b):
-        """coef_a * sum dh_{q lbar}/dzbar^i dh_{k qbar}/dz^i
-        + coef_b * sum dh_{k qbar}/dzbar^i dh_{q lbar}/dz^i, as (k,l)."""
-        out = np.zeros((n, n), dtype=complex)
-        for k in range(n):
-            for l in range(n):
-                for i in range(n):
-                    for q in range(n):
-                        out[k, l] += (coef_a * db1[i, q, l] * d1[i, k, q]
-                                      + coef_b * db1[i, k, q] * d1[i, q, l])
-        return out
-    sum_d2_trace = np.zeros((n, n), dtype=complex)   # sum_i d2 h_{i ibar}/dz^k dzbar^l
-    sum_d2_lap = np.zeros((n, n), dtype=complex)     # sum_i d2 h_{k lbar}/dz^i dzbar^i
-    for k in range(n):
-        for l in range(n):
-            sum_d2_trace[k, l] = sum(d2[k, l, i, i] for i in range(n))
-            sum_d2_lap[k, l] = sum(d2[i, i, k, l] for i in range(n))
-
+    r11, panel = curvature_lc(mj), ricci_panel(mj)
+    # d^2 h_{i lbar}/dz^k dzbar^j + d^2 h_{k jbar}/dz^i dzbar^l at [i, j, k, l]
+    pair = np.einsum("kjil->ijkl", d2) + np.einsum("ilkj->ijkl", d2)
+    lap = np.einsum("iikl->kl", d2)     # sum_i d^2 h_{k lbar}/dz^i dzbar^i
+    trace = np.einsum("klii->kl", d2)   # sum_i d^2 h_{i ibar}/dz^k dzbar^l
+    half = -0.5 * (lap + trace)
+    quad11, extra = _quad(d1, db1, 1, 1), _extra(d1, db1)
+    induced = -0.5 * pair - np.einsum("iql,jkq->ijkl", d1, db1)
+    herm_d2 = -0.5 * np.einsum("sskl->kl", pair)
+    induced_d2 = -0.5 * np.einsum("ijkk->ij", pair)
+    induced_q2 = np.einsum("kiq,kqj->ij", db1, d1)
+    checks = {   # name -> (pipeline value, formula)
+        "lc_tensor": (r11, induced - np.einsum("kqj,liq->ijkl", d1, db1)),
+        "hermitian_ricci": (panel["hermitian"], herm_d2 - quad11),
+        "mixed_trace": (np.einsum("kssl->kl", r11), half - extra),
+        "complexified_ricci": (panel["complexified"], -herm_d2 - lap - trace
+                               + quad11 - 2 * extra),
+        "induced_tensor": (curvature_induced(mj), induced),
+        "induced_first": (panel["induced_first"],
+                          induced_d2 - np.einsum("iqk,jkq->ij", d1, db1)),
+        "induced_second": (panel["induced_second"], induced_d2 - induced_q2),
+        "induced_difference": (
+            panel["induced_first"] - panel["induced_second"],
+            induced_q2 - np.einsum("kiq,kqj->ij", d1, db1)),
+        "bismut_tensor": (curvature_bismut(mj),
+                          d2 - pair + np.einsum("iag,jgb->ijab", d1, db1)
+                          - 4 * np.einsum("jag,igb->ijab", db1, d1)),
+    }
+    rows = {}   # name -> (panel entry, d2h term, _quad coefficients a, b)
     if balanced:
-        orc38 = -sum_d2_trace + quad(1, 0)
-        res["balanced_first_ricci"] = float(max(
-            np.max(np.abs(panel["chern_first"] - orc38)),
-            np.max(np.abs(panel["induced_first"] - orc38)),
-            np.max(np.abs(panel["bismut_first"] - orc38))))
-        res["balanced_chern_second"] = float(np.max(np.abs(
-            panel["chern_second"] - (-sum_d2_lap + quad(1, 0)))))
-        res["balanced_induced_second"] = float(np.max(np.abs(
-            panel["induced_second"] - (-sum_d2_trace + quad(2, -1)))))
-        res["balanced_bismut_second"] = float(np.max(np.abs(
-            panel["bismut_second"] - (-sum_d2_trace + quad(5, -4)))))
-        res["balanced_hermitian"] = float(np.max(np.abs(
-            panel["hermitian"] - (-sum_d2_trace + quad(1, -1)))))
-        res["balanced_complexified"] = float(np.max(np.abs(
-            panel["complexified"] - (-sum_d2_lap - quad(1, -1)))))
-
+        checks["balanced_first_ricci"] = (
+            np.stack([panel["chern_first"], panel["induced_first"],
+                      panel["bismut_first"]]), -trace + _quad(d1, db1, 1, 0))
+        rows.update({
+            "balanced_chern_second": ("chern_second", -lap, 1, 0),
+            "balanced_induced_second": ("induced_second", -trace, 2, -1),
+            "balanced_bismut_second": ("bismut_second", -trace, 5, -4),
+            "balanced_hermitian": ("hermitian", -trace, 1, -1),
+            "balanced_complexified": ("complexified", -lap, -1, 1)})
     if skt:
-        res["skt_chern_first"] = float(np.max(np.abs(
-            panel["chern_first"] - (-sum_d2_trace + quad(1, 0)))))
-        res["skt_chern_second"] = float(np.max(np.abs(
-            panel["chern_second"] - (-sum_d2_lap + quad(1, 0)))))
-        half = -0.5 * (sum_d2_lap + sum_d2_trace)
-        res["skt_induced_first"] = float(np.max(np.abs(
-            panel["induced_first"] - (half - quad(1, 0)))))
-        res["skt_induced_second"] = float(np.max(np.abs(
-            panel["induced_second"] - (half - quad(0, 1)))))
-        res["skt_bismut_first"] = float(np.max(np.abs(
-            panel["bismut_first"] - (-sum_d2_lap + quad(1, -4)))))
-        res["skt_bismut_second"] = float(np.max(np.abs(
-            panel["bismut_second"] - (-sum_d2_trace + quad(1, -4)))))
-        res["skt_hermitian"] = float(np.max(np.abs(
-            panel["hermitian"] - (half - quad(1, 1)))))
-        # complexified: extra torsion-trace quadratics
-        extra = np.zeros((n, n), dtype=complex)
-        for k in range(n):
-            for l in range(n):
-                for q in range(n):
-                    for i in range(n):
-                        extra[k, l] += (d1[k, q, l] * db1[i, i, q]
-                                        + d1[i, q, i] * db1[l, k, q])
-        res["skt_complexified"] = float(np.max(np.abs(
-            panel["complexified"] - (half + quad(1, 1) - 2 * extra))))
-        lhs = panel["chern_second"] + panel["bismut_second"]
-        res["skt_trace_relation"] = float(np.max(np.abs(
-            lhs - panel["chern_first"] - panel["induced_first"])))
-        res["skt_trace_relation_b1"] = float(np.max(np.abs(
-            lhs - panel["chern_first"] - panel["bismut_first"])))
-
-    return res
+        rows.update({
+            "skt_chern_first": ("chern_first", -trace, 1, 0),
+            "skt_chern_second": ("chern_second", -lap, 1, 0),
+            "skt_induced_first": ("induced_first", half, -1, 0),
+            "skt_induced_second": ("induced_second", half, 0, -1),
+            "skt_bismut_first": ("bismut_first", -lap, 1, -4),
+            "skt_bismut_second": ("bismut_second", -trace, 1, -4),
+            "skt_hermitian": ("hermitian", half, -1, -1),
+            "skt_complexified": ("complexified", half - 2 * extra, 1, 1)})
+    checks.update({name: (panel[key], second + _quad(d1, db1, a, b))
+                   for name, (key, second, a, b) in rows.items()})
+    if skt:
+        lhs = (panel["chern_second"] + panel["bismut_second"]
+               - panel["chern_first"])
+        checks["skt_trace_relation"] = (lhs, panel["induced_first"])
+        checks["skt_trace_relation_b1"] = (lhs, panel["bismut_first"])
+    return {name: float(np.max(np.abs(got - want)))
+            for name, (got, want) in checks.items()}

@@ -125,6 +125,18 @@ def test_verify_normal_form_refuses_a_point(capsys):
     assert "normal point" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--suite", "hopf-oracle", "--metric", "random-torus", "--dim", "2",
+     "--sample", "1"),
+    ("--suite", "normal-form", "--metric-file", "nonexist.json", "--trials",
+     "1")])
+def test_verify_suites_with_their_own_metrics_refuse_a_metric(capsys, argv):
+    # both suites build their metrics; a --metric they would not read is
+    # refused, not echoed back in the envelope
+    assert main(["verify", *argv]) == 2
+    assert "--metric" in capsys.readouterr().err
+
+
 def test_flow_hopf_ode_fixed_point(capsys):
     code, rep = _json(capsys, "flow", "--hopf-ode", "--dim", "2", "--mu",
                       "0.25", "--c0", "1", "--T", "1")
@@ -267,16 +279,22 @@ def test_point_that_is_not_a_number_is_a_usage_error(capsys, point):
     assert "point components" in capsys.readouterr().err
 
 
-def _cli(*argv, timeout=60, cwd=None):
+def _cli(*argv, timeout=60, cwd=None, module="hermitia.cli"):
     """``hermitia`` in a fresh process that is stopped after ``timeout`` s,
     so an input that hangs fails the test."""
     src = str(Path(hermitia.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src,
                                                       env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "hermitia.cli", *argv],
+    return subprocess.run([sys.executable, "-m", module, *argv],
                           cwd=cwd, env=env, capture_output=True, text=True,
                           timeout=timeout)
+
+
+def test_python_dash_m_hermitia_runs_the_cli():
+    done = _cli("--version", module="hermitia")
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == hermitia.__version__
 
 
 @pytest.mark.parametrize("command", ["check", "flow"])

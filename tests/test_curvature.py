@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hermitia.connection import bismut, chern
-from hermitia.curvature import (ScalarReport,
+from hermitia.curvature import (ScalarReport, _extra, _quad,
                                 complexified_ricci,
                                 complexified_ricci_bianchi,
                                 connection_curvature,
@@ -136,6 +136,33 @@ def test_normal_point_suite_skt():
         assert res["skt_trace_relation_b1"] < 1e-12
         others = {k: v for k, v in res.items() if k != "skt_trace_relation"}
         assert max(others.values()) < 1e-12, others
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_constrained_quadratics_match_their_loops(n):
+    # normal_form_balanced and normal_form_skt have dh(0) = 0, so their
+    # suite runs leave these terms unchecked; the loops are the ones the
+    # einsums replaced
+    rng = np.random.default_rng(n)
+    d1, db1 = (rng.standard_normal((n, n, n))
+               + 1j * rng.standard_normal((n, n, n)) for _ in range(2))
+    idx = [(k, l, i, q) for k in range(n) for l in range(n)
+           for i in range(n) for q in range(n)]
+    extra = np.zeros((n, n), dtype=complex)
+    for k, l, i, q in idx:
+        extra[k, l] += (d1[k, q, l] * db1[i, i, q]
+                        + d1[i, q, i] * db1[l, k, q])
+    assert np.max(np.abs(_extra(d1, db1) - extra)) <= \
+        1e-14 * np.max(np.abs(extra))
+    # the seven (a, b) pairs of the formulas, each with both signs
+    pairs = ((1, 0), (0, 1), (1, 1), (1, -1), (2, -1), (5, -4), (1, -4))
+    for a, b in pairs + tuple((-a, -b) for a, b in pairs):
+        out = np.zeros((n, n), dtype=complex)
+        for k, l, i, q in idx:
+            out[k, l] += (a * db1[i, q, l] * d1[i, k, q]
+                          + b * db1[i, k, q] * d1[i, q, l])
+        assert np.max(np.abs(_quad(d1, db1, a, b) - out)) <= \
+            1e-14 * np.max(np.abs(out))
 
 
 def test_normal_point_suite_rejects_generic_point():

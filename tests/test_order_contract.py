@@ -3,10 +3,15 @@
 The goldens in ``order_contract_goldens.json`` were recorded on the code
 before the contract, where every layer computed at its input's order.  A
 reader on an order-3 jet must give the same bytes as it gave then, and the
-same bytes as on an order-2 jet.  Re-record them (on code that should be
-byte-identical to the recorded one) with
+same bytes as on an order-2 jet.  A change that re-associates a sum under
+the rounding contract (docs/conventions.md, "Rounding contract") re-records
+only the readers it names:
 
-    PYTHONPATH=src:tests python3 tests/test_order_contract.py --record
+    PYTHONPATH=src:tests python3 tests/test_order_contract.py --record READER...
+
+which writes nothing and exits 1 if any other reader's digest or any SUITES
+residual differs from the file.  ``--record`` with no names re-records
+everything, on code that should be byte-identical to the recorded one.
 """
 
 import dataclasses
@@ -211,6 +216,36 @@ def test_suite_residuals_match_the_recorded_ones(goldens, name):
         {k: repr(v) for k, v in goldens["suites"][name].items()}
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
-    GOLDENS.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n",
+def _rerecord(names) -> int:
+    """Write the goldens anew; with reader names, only if every other
+    reader digest and every SUITES residual equals the file's."""
+    new = record()
+    if names:
+        old = json.loads(GOLDENS.read_text(encoding="utf-8"))
+        unknown = set(names) - {r for digests in new["readers"].values()
+                                for r in digests}
+        if unknown:
+            print(f"unknown readers: {sorted(unknown)}", file=sys.stderr)
+            return 2
+        stray = []
+        for case in sorted(old["readers"].keys() | new["readers"].keys()):
+            was, now = (d["readers"].get(case, {}) for d in (old, new))
+            stray += [f"{case} {r}" for r in sorted(was.keys() | now.keys())
+                      if r not in names and was.get(r) != now.get(r)]
+        for name in sorted(old["suites"].keys() | new["suites"].keys()):
+            was, now = ({k: repr(v) for k, v in d["suites"].get(name, {})
+                         .items()} for d in (old, new))
+            stray += [f"suite {name}"] if was != now else []
+        if stray:
+            print("not written; digests outside the named readers differ: "
+                  + ", ".join(stray), file=sys.stderr)
+            return 1
+    GOLDENS.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n",
                        encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] != ["--record"]:
+        sys.exit("usage: test_order_contract.py --record [READER...]")
+    sys.exit(_rerecord(sys.argv[2:]))
