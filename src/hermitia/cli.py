@@ -71,14 +71,32 @@ def _csv_rows(obj, prefix=""):
     return out
 
 
+def _require_finite(doc, path="") -> None:
+    """Raise DomainError, naming its key path, at the first number of a
+    jsonified report that is not finite: JSON (RFC 8259) has no NaN or
+    Infinity, and a run that computed one has not succeeded."""
+    if isinstance(doc, float) and not math.isfinite(doc):
+        raise DomainError(f"the report's {path} is not finite ({doc!r})")
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            _require_finite(v, f"{path}.{k}" if path else k)
+    elif isinstance(doc, list):
+        for i, v in enumerate(doc):
+            _require_finite(v, f"{path}[{i}]")
+
+
 def _emit(report: dict, args) -> None:
+    """Print the report, in either format, only when every number in it
+    is finite (``_require_finite``); nothing is printed otherwise."""
+    doc = _jsonify(report)
+    _require_finite(doc)
     if args.format == "csv":
         w = csv.writer(sys.stdout)
         w.writerow(["key", "value_or_re", "im"])
         for row in _csv_rows(report):
             w.writerow(row)
     else:
-        json.dump(_jsonify(report), sys.stdout, indent=2)
+        json.dump(doc, sys.stdout, indent=2, allow_nan=False)
         sys.stdout.write("\n")
 
 

@@ -196,15 +196,22 @@ class _Work:
 
     def __init__(self, n: int, N: int):
         lead, trail = (n, n) + (N,) * (2 * n), (N,) * (2 * n) + (n, n)
-        # theta2, matrix-leading: h, its inverse, the Wirtinger first
-        # differences, one W_i and one scratch
+        # theta2, matrix-leading: h, its inverse, W_i and one scratch; per
+        # z^i the d/dz^i differences and the first differences of h's real
+        # fields (``_wirtinger``; the docs' "Flow grids" maps every view)
         self.hl, self.hinv, self.w, self.s = (
             np.empty(lead, complex) for _ in range(4))
         self.dz = [np.empty(lead, complex) for _ in range(n)]
-        self.dzb = [np.empty(lead, complex) for _ in range(n)]
+        self.dp = [np.empty(lead, complex) for _ in range(n)]
         # step: the RK4 accumulator and stage.  A step leaves its k4 in
         # ``stage`` and ``acc`` free, for ``_step_error`` to read.
         self.acc, self.stage = (np.empty(trail, complex) for _ in range(2))
+
+
+def _halves(buf: np.ndarray) -> np.ndarray:
+    """The memory of a contiguous complex grid buffer as two real arrays of
+    its shape, ``[0]`` its first half and ``[1]`` its second."""
+    return buf.reshape(-1).view(np.float64).reshape((2,) + buf.shape)
 
 
 def _check_stencil(N: int):
@@ -224,39 +231,71 @@ def _stencil(N: int) -> np.ndarray:
 
 
 @functools.cache
-def _stencil_last(N: int) -> np.ndarray:
-    """kron(D^T, I_2): the stencil acting on the last axis of a complex
-    array seen as float64 rows of (re, im) pairs, as one right product."""
-    return _read_only(np.kron(_stencil(N).T, np.eye(2)))
+def _stencil_last(N: int, width: int) -> np.ndarray:
+    """kron(D^T, I_width): the stencil acting on the last axis of an array
+    seen as float64 rows of ``width`` numbers per entry (1 real, 2 complex:
+    re, im), as one right product.  C-ordered: at width 1 np.kron hands
+    back the F-ordered transpose, which BLAS takes at half speed here."""
+    return _read_only(np.ascontiguousarray(np.kron(_stencil(N).T,
+                                                   np.eye(width))))
 
 
 def _diff(arr: np.ndarray, axis: int, N: int, out=None) -> np.ndarray:
-    """First derivative along a periodic grid axis, as one product of the
-    stencil with arr seen as float64 (the stencil is real, so it acts on the
-    real and imaginary parts alike); no copy when arr is C-contiguous.  On
-    the last axis that is one GEMM against ``_stencil_last``, not one tiny
-    product per row.  Written into ``out`` (C-contiguous) when given."""
-    x = np.ascontiguousarray(arr, dtype=complex).view(np.float64)
+    """First derivative along a periodic grid axis of a real or complex
+    array, as one product of the stencil with arr seen as float64 (the
+    stencil is real, so it acts on the real and imaginary parts alike); no
+    copy when arr is C-contiguous.  On the last axis that is one GEMM against
+    ``_stencil_last``, not one tiny product per row.  Written into ``out``
+    (C-contiguous, of arr's dtype) when given."""
+    x = np.ascontiguousarray(arr, complex if np.iscomplexobj(arr) else float)
     if out is None:
-        out = np.empty(arr.shape, complex)
-    y = out.view(np.float64)
-    if axis == arr.ndim - 1:
-        np.matmul(x.reshape(-1, 2 * N), _stencil_last(N),
-                  out=y.reshape(-1, 2 * N))
+        out = np.empty(x.shape, x.dtype)
+    xf, y = x.view(np.float64), out.view(np.float64)
+    if axis == x.ndim - 1:
+        width = xf.shape[-1] // N
+        np.matmul(xf.reshape(-1, width * N), _stencil_last(N, width),
+                  out=y.reshape(-1, width * N))
     else:
-        shape = (math.prod(arr.shape[:axis]), N, -1)
-        np.matmul(_stencil(N), x.reshape(shape), out=y.reshape(shape))
+        shape = (math.prod(x.shape[:axis]), N, -1)
+        np.matmul(_stencil(N), xf.reshape(shape), out=y.reshape(shape))
     return out
 
 
-def _wirtinger(arr: np.ndarray, axis: int, N: int, out=(None,) * 3):
-    """(d/dz, d/dzbar) for z = x + sqrt(-1)*y, x along ``axis``, y the next;
-    written into out = (d/dz, d/dzbar, scratch) when given."""
-    dz, dzb, scratch = out
-    dx, dy = _diff(arr, axis, N, scratch), _diff(arr, axis + 1, N, dzb)
-    dx *= 0.5
-    dy *= 0.5j
-    return np.subtract(dx, dy, out=dz), np.add(dx, dy, out=dy)
+def _wirtinger(h: np.ndarray, n: int, N: int, wk: _Work) -> None:
+    """d/dz^i of a per-site Hermitian grid h, from its n^2 real fields.
+
+    Each site's upper triangle of h is read, and ``wk.hl`` is made the
+    matrix-leading h it defines, Hermitian bit for bit.  Half of each real
+    field is packed into the first half of ``wk.w`` as a real (n, n, ...)
+    array p: p[k, l] = Re h_kl / 2 for k <= l and p[l, k] = Im h_kl / 2 for
+    k < l.  The first differences of p along x_i and y_i go into the two
+    halves of ``wk.dp[i]``, and d/dz^i h = (D_{x_i} - sqrt(-1) D_{y_i}) h/2
+    into ``wk.dz[i]``, every entry of it (h_lk = conj(h_kl)); the half in p
+    is the 1/2 of that formula."""
+    hl, p = wk.hl, _halves(wk.w)[0]
+    for k in range(n):
+        np.copyto(hl[k, k], h[..., k, k].real)
+        for l in range(k + 1, n):
+            np.copyto(hl[k, l], h[..., k, l])
+            np.conjugate(hl[k, l], out=hl[l, k])
+    np.multiply(hl.real, 0.5, out=p)
+    for k in range(n):
+        for l in range(k + 1, n):
+            np.multiply(hl[k, l].imag, 0.5, out=p[l, k])
+    for i in range(n):
+        dx, dy = _halves(wk.dp[i])
+        _diff(p, 2 + 2 * i, N, dx)
+        _diff(p, 3 + 2 * i, N, dy)
+        dz = wk.dz[i]
+        for k in range(n):
+            np.copyto(dz[k, k].real, dx[k, k])
+            np.negative(dy[k, k], out=dz[k, k].imag)
+            for l in range(k + 1, n):
+                np.add(dx[k, l], dy[l, k], out=dz[k, l].real)
+                np.subtract(dx[l, k], dy[k, l], out=dz[k, l].imag)
+                np.subtract(dx[k, l], dy[l, k], out=dz[l, k].real)
+                np.add(dx[l, k], dy[k, l], out=dz[l, k].imag)
+                np.negative(dz[l, k].imag, out=dz[l, k].imag)
 
 
 def _singular(bad: np.ndarray, what: str):
@@ -303,14 +342,15 @@ def _inv(h: np.ndarray, out=None) -> np.ndarray:
 
 
 def _site_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray,
-                 add: bool = False) -> None:
+                 add: bool = False, upper: bool = False) -> None:
     """out = a b per site (out += a b when ``add``) for matrix-leading
     (n, n, ...) grids, one whole-grid product per component (a
-    three-operand einsum runs one generic loop over every index instead).
-    ``out`` must not overlap ``a`` or ``b``."""
+    three-operand einsum runs one generic loop over every index instead);
+    with ``upper`` only the entries k <= j of out.  ``out`` must not overlap
+    ``a`` or ``b``."""
     n = a.shape[0]
     for k in range(n):
-        for j in range(n):
+        for j in range(k if upper else 0, n):
             o = out[k, j]
             for p in range(n):
                 if p or add:
@@ -325,47 +365,79 @@ def theta2_discrete(h: np.ndarray, n: int, N: int,
 
     theta2_{k lbar} = -h^{i jbar} d^2 h_{k lbar}/dz^i dzbar^j
     + h^{i jbar} h^{p qbar} (dh_{k qbar}/dz^i)(dh_{p lbar}/dzbar^j),
-    with 4th-order periodic central differences; Hermitian-symmetrized.
-    The quadratic term is sum_i X_i W_i with X_i = (dh/dz^i) h^{-1} and
-    W_i = sum_j h^{i jbar} dh/dzbar^j.  The work runs on a contiguous copy
-    of h with the matrix axes first, (n, n, N, ...), so every per-site product
-    is an operation on whole-grid component arrays (numpy's matmul would loop
-    over the sites one tiny matrix at a time); the result is moved back last.
-    Every intermediate lives in the buffers of ``_work`` (a run's; fresh ones
-    when None); the result is a new array.
+    with 4th-order periodic central differences.  Only each site's upper
+    triangle of h is read (h is taken to be Hermitian), and the result is
+    Hermitian bit for bit: the entries k <= l are computed, the others are
+    their conjugates, and the diagonal is real.
+
+    The work runs with the matrix axes first, (n, n, N, ...), so every
+    per-site product is an operation on whole-grid component arrays (numpy's
+    matmul would loop over the sites one tiny matrix at a time); the result
+    is moved back last.  h enters as its n^2 real fields (``_wirtinger``),
+    and since h^{i jbar} is Hermitian the second-derivative term is a real
+    operator on them:
+    h^{i jbar} d_i dbar_j = 1/4 sum_i h^{i ibar} (D_{x_i}^2 + D_{y_i}^2)
+    + 1/2 sum_{i<j} [Re h^{i jbar} (D_{x_i} D_{x_j} + D_{y_i} D_{y_j})
+    - Im h^{i jbar} (D_{x_i} D_{y_j} - D_{y_i} D_{x_j})],
+    2n^2 second differences of the fields with real per-site weights.  The
+    quadratic term is sum_i X_i W_i with X_i = (dh/dz^i) h^{-1} and
+    W_i = sum_j h^{i jbar} dh/dzbar^j = (sum_j h^{j ibar} dh/dz^j)^H, as
+    dh/dzbar^j = (dh/dz^j)^H per site, formed at the entries k <= l alone.
+    Every intermediate lives in the buffers of ``_work`` (a run's; fresh
+    ones when None); the result is a new array.
     """
     _check_stencil(N)
     wk = _Work(n, N) if _work is None else _work
     hl, w, s = wk.hl, wk.w, wk.s
-    hl[...] = np.moveaxis(h, (-2, -1), (0, 1))
+    _wirtinger(h, n, N, wk)
     hinv = _inv(hl, wk.hinv)
     up = hinv.swapaxes(0, 1)  # up[i, j] = h^{i jbar}, per site
+    # The real weights of the second differences of p = h/2, packed as p:
+    # c[i, i] = h^{i ibar}/2, and for i < j c[i, j] = Re h^{i jbar} and
+    # c[j, i] = Im h^{i jbar}; they lie beside p.
+    c = _halves(w)[1]
+    np.copyto(c, up.real)
+    groups = []  # (weight, first difference, axis, the other, axis, sign)
     for i in range(n):
-        _wirtinger(hl, 2 + 2 * i, N, (wk.dz[i], wk.dzb[i], s))
-    out = hl  # h itself is no longer needed
-    for i in range(n):
-        np.multiply(up[i, 0], wk.dzb[0], out=w)
+        c[i, i] *= 0.5
+        dx, dy = _halves(wk.dp[i])  # D_{x_i} p, D_{y_i} p
+        groups.append((c[i, i], dx, 2 * i, dy, 2 * i + 1, np.add))
+        for j in range(i + 1, n):
+            np.copyto(c[j, i], up[i, j].imag)
+            groups += [(c[i, j], dx, 2 * j, dy, 2 * j + 1, np.add),
+                       (c[j, i], dy, 2 * j, dx, 2 * j + 1, np.subtract)]
+    lap, d = _halves(hl)  # h itself is no longer needed
+    e = _halves(s)[0]
+    for g, (weight, f, a, f2, a2, sign) in enumerate(groups):
+        t = _diff(f, 2 + a, N, d if g else lap)
+        sign(t, _diff(f2, 2 + a2, N, e), out=t)
+        t *= weight
+        if g:
+            lap += t
+    q = wk.dp[0]  # the packed first differences are used up
+    for i in range(n):  # p and the weights are used up too
+        # W_i = (sum_j h^{j ibar} dh/dz^j)^H, the sum taken in the scratch
+        np.multiply(up[0, i], wk.dz[0], out=s)
         for j in range(1, n):
-            w += np.multiply(up[i, j], wk.dzb[j], out=s)
-        _site_matmul(wk.dz[i], hinv, s)  # X_i; the scratch is free again
-        _site_matmul(s, w, out, add=i > 0)
-    d = wk.dzb[0]  # the d/dzbar differences are used up
-    for i in range(n):  # d/dzbar^j = (d/dx_j + sqrt(-1) d/dy_j) / 2
-        for a in range(2 * n):  # real axis a, of z^(a // 2)
-            _diff(wk.dz[i], 2 + a, N, d)
-            d *= (0.5, 0.5j)[a % 2] * up[i, a // 2]
-            out -= d
+            s += np.multiply(up[j, i], wk.dz[j], out=w)
+        np.conjugate(s.swapaxes(0, 1), out=w)
+        _site_matmul(wk.dz[i], hinv, s)  # X_i
+        _site_matmul(s, w, q, add=i > 0, upper=True)
     res = np.empty(h.shape, complex)
     lead = np.moveaxis(res, (-2, -1), (0, 1))
-    np.add(out, np.conjugate(out.swapaxes(0, 1), out=s), out=lead)
-    lead *= 0.5
+    for k in range(n):  # theta2 = q - lap, mirrored once
+        np.subtract(q[k, k].real, lap[k, k], out=lead[k, k])
+        for l in range(k + 1, n):
+            np.subtract(q[k, l].real, lap[k, l], out=lead[k, l].real)
+            np.subtract(q[k, l].imag, lap[l, k], out=lead[k, l].imag)
+            np.conjugate(lead[k, l], out=lead[l, k])
     return res
 
 
 def _defect_from_work(wk: _Work, n: int) -> float:
-    """``kahler_defect`` of the h whose theta2 has just run in ``wk``, read
-    off the d/dz^i differences theta2 leaves in ``wk.dz``.  Works in the
-    scratch and the matrix-leading copy of h, both free after theta2."""
+    """``kahler_defect`` of the h whose d/dz^i differences ``_wirtinger``
+    has left in ``wk.dz``.  Works in the scratch and in ``wk.hl``, both
+    free after theta2."""
     worst = 0.0
     d, mag = wk.s[0], wk.hl[0].real
     for i in range(n):
@@ -376,18 +448,15 @@ def _defect_from_work(wk: _Work, n: int) -> float:
 
 
 def kahler_defect(h: np.ndarray, n: int, N: int) -> float:
-    """max |dh_{k jbar}/dz^i - dh_{i jbar}/dz^k| over sites and indices.
+    """max |dh_{k jbar}/dz^i - dh_{i jbar}/dz^k| over sites and indices,
+    from each site's upper triangle of h.
 
-    Only the compared rows are differentiated: row k along z^i, row i
-    along z^k.  A run reads the same value off theta2's own differences
-    (``FlowState.kahler_defect``); this is the stand-alone form."""
-    worst = 0.0
-    for i in range(n):
-        for k in range(i + 1, n):
-            worst = max(worst, float(np.max(np.abs(
-                _wirtinger(h[..., k, :], 2 * i, N)[0]
-                - _wirtinger(h[..., i, :], 2 * k, N)[0]))))
-    return worst
+    A run reads the same value off theta2's own differences
+    (``FlowState.kahler_defect``); this is the stand-alone form, with the
+    same first differences (``_wirtinger``) in buffers of its own."""
+    wk = _Work(n, N)
+    _wirtinger(h, n, N, wk)
+    return _defect_from_work(wk, n)
 
 
 def diagnostics(state: FlowState, step_count: int,
@@ -445,10 +514,11 @@ def _check_fits(n: int, N: int):
     # Peak grid arrays (N^(2n) n x n complex) alive at once during ``run``,
     # counted with tracemalloc as peak traced bytes over one array's bytes,
     # the run's 2n + 6 buffers included: 12.7 at n=1 (N=256), 14.0 at n=2
-    # (N=12), 15.7 at n=3 (N=8) with fixed steps, and 14.2, 14.5 and 16.9
-    # with error-controlled ones, checked by tests.  The theta2 first
-    # differences add two per complex dimension.  The cached stencils,
-    # N x N and 2N x 2N float64, come on top (2.5 arrays at n=1).
+    # (N=12), 15.7 at n=3 (N=8) with fixed steps, and 14.2, 14.6 and 16.9
+    # with error-controlled ones, checked by tests.  theta2's d/dz^i
+    # differences and the first differences of h's real fields add two per
+    # complex dimension.  The cached stencils, two N x N float64 in a run,
+    # come on top (1 array at n=1).
     arrays = 13 + 2 * n
     need = N ** (2 * n) * n * n * 16 * arrays + 40 * N * N
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")

@@ -397,6 +397,26 @@ def test_hopf_ode_refuses_a_scale_factor_that_is_not_finite(capsys, mu, t):
     assert f"not finite at t = {t} with --mu {float(mu)!r}" in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_a_report_that_is_not_finite_is_a_domain_error(capsys, monkeypatch,
+                                                       fmt, bad):
+    """The envelope is strict JSON: a non-finite number anywhere in a
+    report is refused with exit 3 and its key path, and nothing is
+    printed."""
+    from hermitia import cli
+
+    def ricci(t, mj, flavor):
+        return np.array([[1.0, 0.0], [complex(0.5, bad), 1.0]])
+
+    monkeypatch.setattr(cli.C, "ricci", ricci)
+    code = main(["curvature", "--metric", "hopf", "--dim", "2", "--point",
+                 "1,0,0,0", "--what", "ricci2", "--format", fmt])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert f"results[0].ricci2[1][0].im is not finite ({bad!r})" in err
+
+
 @pytest.mark.parametrize("mu", ["1e-12", "-1e-12", "1e-300", "-1e-300",
                                 "-1e-320"])
 def test_hopf_ode_is_accurate_at_small_mu(capsys, mu):
