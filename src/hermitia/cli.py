@@ -4,7 +4,7 @@ verification suites, and the metric flow.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 domain error.
 Reports are JSON by default (complex numbers as {"re": .., "im": ..} pairs)
 or CSV with --format csv.  Every report embeds the tool version, an echo of
-the parsed configuration, and the seed.  The HERMITIA_THREADS environment
+the flags the run read, and the seed.  The HERMITIA_THREADS environment
 variable caps worker-thread counts of the numerical backends (applied when
 the package is imported; see hermitia/__init__.py).
 """
@@ -16,6 +16,7 @@ import csv
 import json
 import math
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -85,9 +86,16 @@ def _require_finite(doc, path="") -> None:
             _require_finite(v, f"{path}[{i}]")
 
 
-def _emit(report: dict, args) -> None:
-    """Print the report, in either format, only when every number in it
-    is finite (``_require_finite``); nothing is printed otherwise."""
+def _emit(args, results) -> None:
+    """Print the report: the version, the subcommand and the flags its mode
+    reads (``_READS``), the seed (null if the mode reads none), and the
+    results; in either format, only when every number in it is finite
+    (``_require_finite``), and nothing otherwise."""
+    read = {flag[2:].replace("-", "_") for flag in _mode(args)[1]}
+    cfg = {k: v for k, v in vars(args).items()
+           if k == "subcommand" or k in read}
+    report = {"version": __version__, "config": cfg, "seed": cfg.get("seed"),
+              "results": results}
     doc = _jsonify(report)
     _require_finite(doc)
     if args.format == "csv":
@@ -98,12 +106,6 @@ def _emit(report: dict, args) -> None:
     else:
         json.dump(doc, sys.stdout, indent=2, allow_nan=False)
         sys.stdout.write("\n")
-
-
-def _envelope(args, results) -> dict:
-    cfg = {k: v for k, v in vars(args).items() if k != "func"}
-    return {"version": __version__, "config": cfg,
-            "seed": getattr(args, "seed", None), "results": results}
 
 
 # -- metric sources and point sampling --------------------------------------
@@ -122,16 +124,13 @@ _BUILTIN = {
 
 
 def _field(args) -> M.MetricField:
-    if getattr(args, "metric_file", None):
-        if getattr(args, "metric", None):
-            raise ValidationError("give exactly one of --metric/--metric-file")
-        return M.ingest_torus_metric(args.metric_file)
-    name, n, seed = args.metric, args.dim, getattr(args, "seed", 0) or 0
-    if name is None:
+    if bool(args.metric) == bool(args.metric_file):
         raise ValidationError("give exactly one of --metric/--metric-file")
-    if name not in _BUILTIN:
-        raise ValidationError(f"unknown metric {name!r}")
-    return _BUILTIN[name](n, seed)
+    if args.metric:
+        return _BUILTIN[args.metric](args.dim, args.seed)
+    fld = M.ingest_torus_metric(args.metric_file)
+    args.dim = fld.n  # the report's config echoes the file's dimension
+    return fld
 
 
 def _parse_point(text: str, n: int) -> np.ndarray:
@@ -156,39 +155,76 @@ def _sample_points(fld: M.MetricField, count: int, seed: int) -> list:
         if fld.kind == "Hopf":
             v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             v *= rng.uniform(1.0, 2.0) / np.linalg.norm(v)
-            pts.append(v)
         elif fld.kind == "TorusFourier":
             x = rng.uniform(0.0, 1.0, 2 * n)
-            pts.append(x[0::2] + 1j * x[1::2])
+            v = x[0::2] + 1j * x[1::2]
         else:
             v = 0.15 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-            pts.append(v)
+        pts.append(v)
     return pts
 
 
 def _points(args, fld) -> list:
     if args.point:
         return [_parse_point(args.point, fld.n)]
-    return _sample_points(fld, args.sample, args.seed or 0)
+    return _sample_points(fld, args.sample, args.seed)
 
 
-def _worst_over_points(args, fld, suite) -> dict:
-    """The largest value of each residual of suite(mj) over the run's
-    points."""
-    worst: dict = {}
-    for z in _points(args, fld):
-        for k, v in suite(M.metric_jet(fld, z, order=3)).items():
-            worst[k] = max(worst.get(k, 0.0), v)
-    return worst
+# -- the flags each mode reads ---------------------------------------------
+
+# mode, as the command line picks it -> the flags it reads besides --format.
+# A subcommand registers the flags its modes read, a run refuses any other
+# flag given (``_check_flags``), and the report's config echoes its own.
+_SOURCE = ("--metric", "--metric-file", "--dim", "--seed")
+_AT_POINTS = (*_SOURCE, "--point", "--sample")
+_SUITE_AT_POINTS = (*_AT_POINTS, "--points", "--tol", "--suite", "--trials")
+_READS = {
+    "curvature": (*_AT_POINTS, "--connection", "--what"),
+    "check": (*_AT_POINTS, "--tol", "--positivity"),
+    "verify --suite appendix": _SUITE_AT_POINTS,
+    "verify --suite bundle": _SUITE_AT_POINTS,
+    "verify --suite hopf-oracle": ("--dim", "--seed", "--point", "--sample",
+                                   "--points", "--tol", "--suite"),
+    "verify --suite normal-form": ("--dim", "--seed", "--tol", "--suite",
+                                   "--trials"),
+    "flow": (*_SOURCE, "--hopf-ode", "--mu", "--T", "--grid", "--dt",
+             "--cadence", "--diagnostics-csv", "--dump"),
+    "flow --hopf-ode": ("--dim", "--hopf-ode", "--mu", "--c0", "--T",
+                        "--steps"),
+}
+# why a mode reads no metric or point flags, said when it refuses one
+_OWN_METRICS = {"verify --suite hopf-oracle": "it builds the Hopf metric",
+                "verify --suite normal-form": "it runs at the normal point "
+                "z = 0 of the metrics it builds",
+                "flow --hopf-ode": "it integrates the Hopf scale factor"}
 
 
-def _require_counts(args, *names):
-    """A count below 1 would make a run over nothing that reports success."""
-    for name in names:
-        value = getattr(args, name)
-        if value < 1:
+def _mode(args) -> tuple:
+    """The run's key in ``_READS``, and the flags it reads, --format too."""
+    mode = (f"verify --suite {args.suite}" if args.subcommand == "verify"
+            else "flow --hopf-ode" if getattr(args, "hopf_ode", False)
+            else args.subcommand)
+    return mode, ("--format", *_READS[mode])
+
+
+def _check_flags(args) -> None:
+    """Check the counts the run's mode reads, then refuse every flag given
+    that it does not read, and a --dim beside --metric-file (the file has
+    its own)."""
+    mode, reads = _mode(args)
+    for flag in ("--sample", "--trials", "--steps"):
+        value = getattr(args, flag[2:], 1)
+        if flag in reads and value < 1:  # a run over nothing would pass
             raise ValidationError(
-                f"--{name} must be an integer >= 1, got {value}")
+                f"{flag} must be an integer >= 1, got {value}")
+    given = list(dict.fromkeys(getattr(args, "given", ())))
+    unread = [flag for flag in given if flag not in reads]
+    if unread:
+        why = f": {_OWN_METRICS[mode]}" if mode in _OWN_METRICS else ""
+        raise ValidationError(f"{mode} does not read {', '.join(unread)}{why}")
+    if "--dim" in given and "--metric-file" in given:
+        raise ValidationError(
+            "--metric-file gives the dimension; --dim cannot be given with it")
 
 
 # -- subcommands ------------------------------------------------------------
@@ -197,12 +233,10 @@ _CONN = {"lc": C.curvature_lc, "induced": C.curvature_induced,
          "chern": C.curvature_chern, "bismut": C.curvature_bismut}
 
 
-def cmd_curvature(args) -> int:
-    _require_counts(args, "sample")
+def cmd_curvature(args) -> tuple:
     fld = _field(args)
-    pts = _points(args, fld)
     per_point = []
-    for z in pts:
+    for z in _points(args, fld):
         mj = M.metric_jet(fld, z, order=3)
         tensor = _CONN[args.connection](mj)
         entry = {"point": np.stack([z.real, z.imag], axis=-1).reshape(-1)}
@@ -218,22 +252,16 @@ def cmd_curvature(args) -> int:
         if what in ("scalars", "all"):
             entry["scalars"] = C.scalars(mj).as_dict()
         per_point.append(entry)
-    _emit(_envelope(args, per_point), args)
-    return 0
+    return per_point, 0
 
 
-def cmd_check(args) -> int:
-    _require_counts(args, "sample")
+def cmd_check(args) -> tuple:
     fld = _field(args)
-    pts = _points(args, fld)
-    reports, panel_rows = [], []
-    kahler = balanced = skt = True
-    for z in pts:
+    verdicts, reports, panel_rows = [], [], []
+    for z in _points(args, fld):
         mj = M.metric_jet(fld, z, order=3)
         r = ST.structure_report(mj, tol=args.tol)
-        kahler &= r.is_kahler
-        balanced &= r.is_balanced
-        skt &= r.is_skt
+        verdicts.append(r)
         reports.append({
             "point": np.stack([z.real, z.imag], axis=-1).reshape(-1),
             "kahler_defect": r.kahler_defect,
@@ -243,7 +271,7 @@ def cmd_check(args) -> int:
         if args.positivity:
             panel = C.ricci_panel(mj)
             gr = P.griffiths_sample(C.curvature_chern(mj), trials=50,
-                                    seed=args.seed or 0)
+                                    seed=args.seed)
             panel_rows.append({
                 "point": reports[-1]["point"],
                 "theta1_verdicts": P.p_positivity(panel["chern_first"]).verdicts,
@@ -252,36 +280,32 @@ def cmd_check(args) -> int:
                 "bismut1_verdicts": P.p_positivity(panel["bismut_first"]).verdicts,
                 "griffiths_min": gr.minimum,
             })
-    results = {"kahler": bool(kahler), "balanced": bool(balanced),
-               "skt": bool(skt), "points": reports}
+    results = {k: all(getattr(r, f"is_{k}") for r in verdicts)
+               for k in ("kahler", "balanced", "skt")}
+    results["points"] = reports
     if args.positivity:
         results["positivity"] = panel_rows
-    _emit(_envelope(args, results), args)
-    return 0
+    return results, 0
 
 
-def cmd_verify(args) -> int:
-    _require_counts(args, "sample", "trials")
-    builds_own = args.suite in ("hopf-oracle", "normal-form")
-    if builds_own and (args.metric or args.metric_file):
-        raise ValidationError(
-            f"the {args.suite} suite builds its own metrics and takes no "
-            "--metric/--metric-file")
-    seed = args.seed or 0
-    failed = False
+def cmd_verify(args) -> tuple:
+    seed, worst = args.seed, {}
     results: dict = {"suite": args.suite, "tolerance": args.tol}
     if args.suite in ("appendix", "bundle"):
-        def suite(mj):
+        fld = _field(args)
+        for z in _points(args, fld):
+            mj = M.metric_jet(fld, z, order=3)
             if args.suite == "appendix":
-                return FO.identity_suite(mj, trials=args.trials, seed=seed)
-            conn = FO.random_metric_connection(mj, r=2, seed=seed)
-            return FO.bundle_identity_suite(mj, conn, trials=args.trials,
-                                            seed=seed)
-        worst = _worst_over_points(args, _field(args), suite)
+                res = FO.identity_suite(mj, trials=args.trials, seed=seed)
+            else:
+                conn = FO.random_metric_connection(mj, r=2, seed=seed)
+                res = FO.bundle_identity_suite(mj, conn, trials=args.trials,
+                                               seed=seed)
+            for k, v in res.items():
+                worst[k] = max(worst.get(k, 0.0), v)
         results["residuals"] = worst
         failed = any(v > args.tol for v in worst.values())
     elif args.suite == "hopf-oracle":
-        worst = {}
         matches = set()
         for z in _points(args, M.hopf_metric(args.dim)):
             res = HO.oracle_vs_pipeline(HO.HopfPoint(args.dim, z))
@@ -295,23 +319,17 @@ def cmd_verify(args) -> int:
         # the trace-of-torsion entries pass if either closed-form candidate
         # matches; the report records which one did
         failed = any(v > args.tol for k, v in worst.items()
-                     if not (k.startswith("b1_") or k.startswith("b2_")))
+                     if not k.startswith(("b1_", "b2_")))
         for name in ("b1", "b2"):
             best = min(worst.get(f"{name}_printed", np.inf),
                        worst.get(f"{name}_corrected", np.inf))
             failed = failed or best > args.tol
     elif args.suite == "normal-form":
-        if args.point:
-            raise ValidationError(
-                "the normal-form suite runs at the normal point z = 0 and "
-                "takes no --point")
-        worst = {}
-        for s in range(args.trials):
-            for fam, kw in (("plain", {}), ("balanced", {"balanced": True}),
-                            ("skt", {"skt": True})):
-                make = {"plain": M.normal_coordinates_random,
-                        "balanced": M.normal_form_balanced,
-                        "skt": M.normal_form_skt}[fam]
+        for s in range(seed, seed + args.trials):
+            for fam, make, kw in (
+                    ("plain", M.normal_coordinates_random, {}),
+                    ("balanced", M.normal_form_balanced, {"balanced": True}),
+                    ("skt", M.normal_form_skt, {"skt": True})):
                 mj = M.metric_jet(make(args.dim, s),
                                   np.zeros(args.dim, complex), order=3)
                 for k, v in C.normal_point_suite(mj, **kw).items():
@@ -321,19 +339,13 @@ def cmd_verify(args) -> int:
                      if not k.endswith("skt_trace_relation"))
         results["printed_trace_relation_exceeds_tol"] = \
             worst.get("skt.skt_trace_relation", 0.0) > args.tol
-    else:
-        raise ValidationError(f"unknown suite {args.suite!r}")
     results["pass"] = not failed
-    _emit(_envelope(args, results), args)
-    return 1 if failed else 0
+    return results, 1 if failed else 0
 
 
-def cmd_flow(args) -> int:
+def cmd_flow(args) -> tuple:
     if args.hopf_ode:
         n, mu, c0 = args.dim, args.mu, args.c0
-        if args.steps < 1:
-            raise ValidationError(
-                f"--steps must be an integer >= 1, got {args.steps}")
         if n < 1:
             raise ValidationError(f"--dim must be >= 1, got {n}")
         ts = np.linspace(0.0, args.T, args.steps + 1)
@@ -350,8 +362,7 @@ def cmd_flow(args) -> int:
         results = {"mode": "hopf-ode", "series": series,
                    "extinction_time": ext,
                    "extinct_within_horizon": ext is not None and ext <= args.T}
-        _emit(_envelope(args, results), args)
-        return 0
+        return results, 0
     fld = _field(args)
     if fld.kind == "Hopf":
         raise DomainError(
@@ -371,8 +382,7 @@ def cmd_flow(args) -> int:
         "max_kahler_defect": max(d.kahler_defect for d in series),
         "diagnostics": [vars(d) for d in series],
     }
-    _emit(_envelope(args, results), args)
-    return 0
+    return results, 0
 
 
 # -- parser -----------------------------------------------------------------
@@ -393,14 +403,6 @@ def _finite(text: str, nonnegative: bool = False, name: str = "") -> float:
     return value
 
 
-def _tolerance(text: str) -> float:
-    return _finite(text, nonnegative=True)
-
-
-def _horizon(text: str) -> float:
-    return _finite(text, nonnegative=True, name="the horizon ")
-
-
 def _seed(text: str) -> int:
     """--seed: an integer >= 0, as numpy's generators require."""
     try:
@@ -413,15 +415,52 @@ def _seed(text: str) -> int:
     return value
 
 
-def _common(sp, sample_default=1):
-    sp.add_argument("--metric", choices=tuple(_BUILTIN))
-    sp.add_argument("--metric-file")
-    sp.add_argument("--dim", type=int, default=2)
-    sp.add_argument("--point")
-    sp.add_argument("--sample", type=int, default=sample_default)
-    sp.add_argument("--seed", type=_seed, default=0)
-    sp.add_argument("--tol", type=_tolerance, default=1e-9)
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
+# flag -> its argparse options; ``_READS`` says which subcommands get it
+_FLAGS = {
+    "--metric": dict(choices=tuple(_BUILTIN)),
+    "--metric-file": {},
+    "--dim": dict(type=int, default=2),
+    "--point": {},
+    "--sample": dict(type=int, default=1),
+    "--seed": dict(type=_seed, default=0),
+    "--tol": dict(type=partial(_finite, nonnegative=True), default=1e-9),
+    "--format": dict(choices=("json", "csv"), default="json"),
+    "--connection": dict(choices=sorted(_CONN), default="chern"),
+    "--what": dict(default="all", choices=("tensor", "ricci1", "ricci2",
+                                           "ricci-panel", "scalars", "all")),
+    "--positivity": dict(action="store_true", help="include eigenvalue-sum "
+                         "sign verdicts per point"),
+    "--suite": dict(required=True, choices=("appendix", "bundle",
+                                            "hopf-oracle", "normal-form")),
+    "--trials": dict(type=int, default=10),
+    "--points": dict(dest="sample", type=int, help="alias for --sample"),
+    "--hopf-ode": dict(action="store_true", help="exact scale-factor "
+                       "reduction instead of a grid run"),
+    "--mu": dict(type=_finite, default=0.0),
+    "--c0": dict(type=_finite, default=1.0),
+    "--T": dict(type=partial(_finite, nonnegative=True,
+                             name="the horizon "), default=0.01),
+    "--steps": dict(type=int, default=50,
+                    help="sample count for the ODE series"),
+    "--grid": dict(type=int, default=12),
+    "--dt": dict(type=float, default=None, help="fixed RK4 step; default: "
+                 "error-controlled steps (local error <= 1e-5) starting from "
+                 "0.1 dx^2 min eig(h)"),
+    "--cadence": dict(type=int, default=1,
+                      help="diagnostics every CADENCE steps (integer >= 1)"),
+    "--diagnostics-csv": {},
+    "--dump": {},
+}
+
+
+def _noting(base):
+    """``base``, noting on the namespace the option string it was given as."""
+    class Noting(base):
+        def __call__(self, parser, namespace, values, option_string=None):
+            namespace.given = [*getattr(namespace, "given", ()),
+                               option_string]
+            super().__call__(parser, namespace, values, option_string)
+    return Noting
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -431,50 +470,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "verification suites, and the metric flow.")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="subcommand", required=True)
-
-    sp = sub.add_parser("curvature", help="evaluate curvature quantities")
-    _common(sp)
-    sp.add_argument("--connection", choices=sorted(_CONN), default="chern")
-    sp.add_argument("--what", default="all",
-                    choices=("tensor", "ricci1", "ricci2", "ricci-panel",
-                             "scalars", "all"))
-    sp.set_defaults(func=cmd_curvature)
-
-    sp = sub.add_parser("check", help="kahler / balanced / skt verdicts")
-    _common(sp)
-    sp.add_argument("--positivity", action="store_true",
-                    help="include eigenvalue-sum sign verdicts per point")
-    sp.set_defaults(func=cmd_check)
-
-    sp = sub.add_parser("verify", help="run a verification suite")
-    _common(sp, sample_default=3)
-    sp.add_argument("--suite", required=True,
-                    choices=("appendix", "bundle", "hopf-oracle",
-                             "normal-form"))
-    sp.add_argument("--trials", type=int, default=10)
-    sp.add_argument("--points", dest="sample", type=int,
-                    help="alias for --sample")
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("flow", help="integrate the metric flow")
-    _common(sp)
-    sp.add_argument("--hopf-ode", action="store_true",
-                    help="exact scale-factor reduction instead of a grid run")
-    sp.add_argument("--mu", type=_finite, default=0.0)
-    sp.add_argument("--c0", type=_finite, default=1.0)
-    sp.add_argument("--T", type=_horizon, default=0.01)
-    sp.add_argument("--steps", type=int, default=50,
-                    help="sample count for the ODE series")
-    sp.add_argument("--grid", type=int, default=12)
-    sp.add_argument("--dt", type=float, default=None,
-                    help="fixed RK4 step; default: error-controlled steps "
-                         "(local error <= 1e-5) starting from "
-                         "0.1 dx^2 min eig(h)")
-    sp.add_argument("--cadence", type=int, default=1,
-                    help="diagnostics every CADENCE steps (integer >= 1)")
-    sp.add_argument("--diagnostics-csv")
-    sp.add_argument("--dump")
-    sp.set_defaults(func=cmd_flow)
+    for command, func, text in (
+            ("curvature", cmd_curvature, "evaluate curvature quantities"),
+            ("check", cmd_check, "kahler / balanced / skt verdicts"),
+            ("verify", cmd_verify, "run a verification suite"),
+            ("flow", cmd_flow, "integrate the metric flow")):
+        sp = sub.add_parser(command, help=text)
+        sp.register("action", None, _noting(argparse._StoreAction))
+        sp.register("action", "store_true",
+                    _noting(argparse._StoreTrueAction))
+        reads = {"--format"}.union(*(flags for mode, flags in _READS.items()
+                                     if mode.split()[0] == command))
+        for flag, options in _FLAGS.items():
+            if flag in reads:
+                sp.add_argument(flag, **options)
+        sp.set_defaults(func=func)
+    sub.choices["verify"].set_defaults(sample=3)
     return ap
 
 
@@ -485,7 +496,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        _check_flags(args)
+        results, code = args.func(args)
+        _emit(args, results)
+        return code
     except (ValidationError, ParseError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import hermitia
-from hermitia.cli import build_parser, main
+from hermitia.cli import _FLAGS, _READS, build_parser, main
 from hermitia.hopf import HopfPoint, oracle_vs_pipeline
 from hermitia.metric import separable_kahler_torus, write_torus_metric
 
@@ -438,3 +439,121 @@ def test_hopf_ode_is_accurate_at_small_mu(capsys, mu):
     want = (1 / k) * (1 + y / 2 + y * y / 3)
     assert abs(rep["results"]["extinction_time"] - want) <= 1e-15
     assert rep["results"]["extinct_within_horizon"] is False
+
+
+def _subparsers():
+    ap = build_parser()
+    return next(a for a in ap._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_the_flag_table_and_the_parser_agree():
+    for command, sp in _subparsers().items():
+        registered = {s for a in sp._actions for s in a.option_strings
+                      if s.startswith("--") and s != "--help"}
+        read = {"--format"}.union(*(flags for mode, flags in _READS.items()
+                                    if mode.split()[0] == command))
+        # every flag registered is read by one of the command's modes, and
+        # every flag a mode reads is registered
+        assert registered == read, command
+
+
+# a minimal run of each mode, and a value each flag parses (its default
+# where it has one: a flag given at its default value is still refused)
+_MODE_ARGV = {
+    "curvature": ("curvature", "--metric", "flat"),
+    "check": ("check", "--metric", "flat"),
+    "verify --suite appendix": ("verify", "--suite", "appendix", "--metric",
+                                "flat"),
+    "verify --suite bundle": ("verify", "--suite", "bundle", "--metric",
+                              "flat"),
+    "verify --suite hopf-oracle": ("verify", "--suite", "hopf-oracle"),
+    "verify --suite normal-form": ("verify", "--suite", "normal-form"),
+    "flow": ("flow", "--metric", "flat"),
+    "flow --hopf-ode": ("flow", "--hopf-ode"),
+}
+_FLAG_ARGV = {
+    "--metric": ("flat",), "--metric-file": ("metric.txt",), "--dim": ("2",),
+    "--point": ("0,0,0,0",), "--sample": ("1",), "--seed": ("0",),
+    "--tol": ("1e-9",), "--format": ("json",), "--connection": ("chern",),
+    "--what": ("all",), "--positivity": (), "--suite": ("appendix",),
+    "--trials": ("10",), "--points": ("3",), "--hopf-ode": (), "--mu": ("0",),
+    "--c0": ("1",), "--T": ("0.01",), "--steps": ("50",), "--grid": ("12",),
+    "--dt": ("0.001",), "--cadence": ("1",), "--diagnostics-csv": ("d.csv",),
+    "--dump": ("dump.txt",),
+}
+
+
+_UNREAD = [(mode, flag) for mode in _MODE_ARGV for flag in _FLAG_ARGV
+           if flag not in ("--format", *_READS[mode])]
+
+
+def test_the_refusal_matrix_covers_every_mode_and_flag():
+    assert set(_MODE_ARGV) == set(_READS)
+    assert set(_FLAG_ARGV) == set(_FLAGS)
+
+
+@pytest.mark.parametrize("mode, flag", _UNREAD)
+def test_a_flag_the_mode_does_not_read_is_refused(capsys, tmp_path,
+                                                  monkeypatch, mode, flag):
+    monkeypatch.chdir(tmp_path)
+    code = main([*_MODE_ARGV[mode], flag, *_FLAG_ARGV[flag]])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert re.search(re.escape(flag) + r"(?![\w-])", err), err
+    assert not list(tmp_path.iterdir())
+
+
+def test_the_refusal_names_every_flag_as_given(capsys):
+    code = main(["flow", "--hopf-ode", "--metric", "flat", "--T", "1",
+                 "--dump", "x.txt"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "flow --hopf-ode does not read --metric, --dump" in err
+    code = main(["verify", "--suite", "normal-form", "--points", "3",
+                 "--metric-f", "metric.txt"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "does not read --points, --metric-file" in err
+
+
+@pytest.mark.parametrize("mode", _MODE_ARGV)
+def test_config_echoes_the_flags_the_mode_reads(capsys, monkeypatch, mode):
+    from hermitia import cli
+    for command in ("curvature", "check", "verify", "flow"):
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda args: ({}, 0))
+    code, rep = _json(capsys, *_MODE_ARGV[mode])
+    assert code == 0
+    want = {flag[2:].replace("-", "_")
+            for flag in ("--format", *_READS[mode])} - {"points"}
+    assert set(rep["config"]) == want | {"subcommand"}
+    assert rep["seed"] == rep["config"].get("seed")
+
+
+def _residuals(capsys, *argv):
+    code, rep = _json(capsys, "verify", "--suite", "normal-form", *argv)
+    assert code == 0
+    return rep["results"]["residuals"]
+
+
+def test_normal_form_reads_the_seed(capsys):
+    # the families are built from seeds seed, ..., seed + trials - 1
+    two = _residuals(capsys, "--seed", "0", "--trials", "2")
+    zero = _residuals(capsys, "--seed", "0", "--trials", "1")
+    one = _residuals(capsys, "--seed", "1", "--trials", "1")
+    assert two == {k: max(zero[k], one[k]) for k in two}
+    assert _residuals(capsys, "--seed", "5", "--trials", "1") != zero
+
+
+def test_dim_beside_a_metric_file_is_refused_and_the_file_dim_echoed(
+        capsys, tmp_path):
+    path = tmp_path / "torus3.txt"
+    write_torus_metric(separable_kahler_torus(3, 2), str(path))
+    code = main(["check", "--metric-file", str(path), "--dim", "2"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "--dim" in err and "--metric-file" in err
+    code, rep = _json(capsys, "check", "--metric-file", str(path))
+    assert code == 0
+    assert rep["config"]["dim"] == 3
+    assert len(rep["results"]["points"][0]["point"]) == 6
