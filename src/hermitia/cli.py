@@ -207,10 +207,22 @@ def _mode(args) -> tuple:
     return mode, ("--format", *_READS[mode])
 
 
+def _draws(args, mode: str) -> bool:
+    """Whether the run draws from its seed: the random forms or metrics of
+    a suite, the Griffiths samples of --positivity, a metric maker other
+    than flat and hopf (a file draws nothing), or points sampled where no
+    --point is given (a grid flow samples none)."""
+    return (mode in ("verify --suite appendix", "verify --suite bundle",
+                     "verify --suite normal-form")
+            or getattr(args, "positivity", False)
+            or getattr(args, "metric", None) not in (None, "flat", "hopf")
+            or (mode != "flow" and not args.point))
+
+
 def _check_flags(args) -> None:
     """Check the counts the run's mode reads, then refuse every flag given
-    that it does not read, and a --dim beside --metric-file (the file has
-    its own)."""
+    that it does not read, a --seed where the run draws nothing, and a
+    --dim beside --metric-file (the file has its own)."""
     mode, reads = _mode(args)
     for flag in ("--sample", "--trials", "--steps"):
         value = getattr(args, flag[2:], 1)
@@ -222,6 +234,11 @@ def _check_flags(args) -> None:
     if unread:
         why = f": {_OWN_METRICS[mode]}" if mode in _OWN_METRICS else ""
         raise ValidationError(f"{mode} does not read {', '.join(unread)}{why}")
+    if "--seed" in given and not _draws(args, mode):
+        raise ValidationError(
+            f"--seed changes nothing here: this {mode} run draws nothing "
+            "(its metric has no random coefficients and it samples no "
+            "points)")
     if "--dim" in given and "--metric-file" in given:
         raise ValidationError(
             "--metric-file gives the dimension; --dim cannot be given with it")

@@ -61,10 +61,6 @@ __all__ = [
     "inner",
     "gram",
     "identity_suite",
-    "partial_e",
-    "dbar_e",
-    "dbar_e_star",
-    "partial_e_star",
     "trivial_connection",
     "chern_connection",
     "random_metric_connection",
@@ -154,10 +150,9 @@ def _zeros_like(phi: FormJet, p: int, q: int) -> FormJet:
     return zero_form(phi.mj, p, q, phi.r, phi.order)
 
 
-def random_form(mj: MetricJet, p: int, q: int, rng, r: int = 1,
-                order: int | None = None) -> FormJet:
+def random_form(mj: MetricJet, p: int, q: int, rng, r: int = 1) -> FormJet:
     """Random FormJet with dense random polynomial jet coefficients."""
-    z = zero_form(mj, p, q, r, order)  # the clamped bidegree and shape
+    z = zero_form(mj, p, q, r)  # the clamped bidegree and shape
     return FormJet(mj, z.p, z.q, r, _random_jets(z.coeffs.shape, rng))
 
 
@@ -323,12 +318,12 @@ def _d(phi: FormJet, side: int, conn: "ConnectionJet | None" = None) -> FormJet:
     return _slot_sum(phi, side, 1, _dcoeffs(phi, side, conn))
 
 
-def partial(phi: FormJet) -> FormJet:
-    return _d(phi, HOLO)
+def partial(phi: FormJet, conn=None) -> FormJet:
+    return _d(phi, HOLO, conn)
 
 
-def dbar(phi: FormJet) -> FormJet:
-    return _d(phi, ANTI)
+def dbar(phi: FormJet, conn=None) -> FormJet:
+    return _d(phi, ANTI, conn)
 
 
 def _nabla(phi: FormJet, side: int,
@@ -557,25 +552,34 @@ def _compounds(m: np.ndarray, top: int, n: int) -> list:
     return out
 
 
+@per_point
+def _gram_factors(mj: MetricJet) -> tuple:
+    """(C_0..C_n of Hup, C_0..C_n of h^T): the Gram factors and those of
+    its inverse (see _metric), built once per jet and kept with it; the
+    suites read them on a jet of the call's own (_trials)."""
+    return tuple(tuple(_compounds(m, mj.n, mj.n))
+                 for m in (_h_up(mj, HOLO), mj.h.swapaxes(0, 1)))
+
+
 def gram(mj: MetricJet, p: int, q: int) -> np.ndarray:
     """Gram matrix of the basis forms, a jet matrix (D, D, S), D = C(n,p)
     C(n,q): kron(C_p(Hup), conj C_q(Hup)) for Hup[i, k] = h^{i kbar}, the
     row of dz^I ^ dzbar^J a * C(n, q) + b, I, J the a-th and b-th combos."""
-    cs = _compounds(_h_up(mj, HOLO), max(p, q), mj.n)
+    cs = _gram_factors(mj)[0]
     a, b = cs[p], conj(cs[q], mj.n)
     out = mul(a[:, None, :, None], b[None, :, None, :], mj.n)
     return out.reshape(len(a) * len(b), len(a) * len(b), -1)
 
 
-def _metric(m: np.ndarray, p: int, q: int, x: np.ndarray, fiber, n: int):
+def _metric(cs: tuple, p: int, q: int, x: np.ndarray, fiber, n: int):
     """kron(C_p(m), conj C_q(m)) tensored with the r x r fiber metric F (the
     identity when None) on the (p, q) coefficients x (C(n,p), C(n,q), r, S),
-    one factor at a time: C_p x conj(C_q)^T on the form axes, then F^T on
-    the fiber axis; C_0 = [[1]] is not applied.  m = Hup gives the Gram
-    matrix; by Cauchy-Binet C_k(Hup)^-1 = C_k(Hup^-1), and Hup^-1 = h^T is
-    the lower metric, so m = h^T gives its inverse with no solve."""
+    cs the compounds of m, one factor at a time: C_p x conj(C_q)^T on the
+    form axes, then F^T on the fiber axis; C_0 = [[1]] is not applied.
+    m = Hup gives the Gram matrix; by Cauchy-Binet C_k(Hup)^-1 =
+    C_k(Hup^-1), and Hup^-1 = h^T is the lower metric, so m = h^T gives its
+    inverse with no solve."""
     P, Q, r, _ = x.shape
-    cs = _compounds(m, max(p, q), n)
     if p:
         x = matmul(cs[p], x.reshape(P, Q * r, -1), n).reshape(P, Q, r, -1)
     if q:
@@ -589,7 +593,7 @@ def inner(phi: FormJet, psi: FormJet, fiber: np.ndarray | None = None):
     if (phi.p, phi.q, phi.r) != (psi.p, psi.q, psi.r):
         raise StructuralError("bidegree/rank mismatch in inner product")
     n = phi.n
-    y = _metric(_h_up(phi.mj, HOLO), phi.p, phi.q, conj(psi.coeffs, n),
+    y = _metric(_gram_factors(phi.mj)[0], phi.p, phi.q, conj(psi.coeffs, n),
                 fiber, n)
     return mul(phi.coeffs, y, n).sum(axis=(0, 1, 2))
 
@@ -609,12 +613,13 @@ def star(op: _Algebraic, phi: FormJet, fiber=None) -> FormJet:
     sp, sq = phi.p - dp, phi.q - dq
     if not (0 <= sp <= n and 0 <= sq <= n):
         return _zeros_like(phi, sp, sq)
-    y = _metric(_h_up(mj, HOLO), phi.p, phi.q, conj(phi.coeffs, n), fiber, n)
+    up, down = _gram_factors(mj)
+    y = _metric(up, phi.p, phi.q, conj(phi.coeffs, n), fiber, n)
     t = op.matrix(mj, sp, sq)
     x = matmul(t.swapaxes(0, 1), y.reshape(len(t), r, -1), n)
     f_inv = None if fiber is None else _fiber_inverse(mj, fiber)
     shape = (len(_combos(n, sp)), len(_combos(n, sq)), r, -1)
-    x = _metric(mj.h.swapaxes(0, 1), sp, sq, x.reshape(shape), f_inv, n)
+    x = _metric(down, sp, sq, x.reshape(shape), f_inv, n)
     return FormJet(mj, sp, sq, r, conj(x, n))
 
 
@@ -629,79 +634,80 @@ def _fiber_inverse(mj: MetricJet, fiber: np.ndarray) -> np.ndarray:
     return last[1]
 
 
-def _suite_jet(mj: MetricJet, k: int) -> MetricJet:
-    """mj cut to order k for one suite call: a prefix jet of the call's own
-    (not mj.at_order(k), which mj keeps), so what the operators build on it
-    (the Levi-Civita table, the Gamma blocks, A's coefficients, the fiber
-    inverse) is shared by the call's trials and freed when it returns,
-    however long the caller keeps mj."""
-    return mj if k >= mj.order else mj._prefix(k)
-
-
-def _cut(phi: FormJet, mj: MetricJet) -> FormJet:
-    """phi on the prefix jet mj of phi.mj, its coefficients cut to mj's
-    order."""
-    return FormJet(mj, phi.p, phi.q, phi.r, phi.coeffs[..., :mj.h.shape[-1]])
-
-
-def _d_star(phi: FormJet, side: int) -> FormJet:
+def _d_star(phi: FormJet, side: int, conn=None) -> FormJet:
     """Local formula: delta0 - (B* + C*)/2 on HOLO (partial*), the
-    conjugates on ANTI (dbar*)."""
+    conjugates on ANTI (dbar*); with a fiber connection, delta0 is taken
+    with it (the B* and C* terms act on each fiber column alike)."""
     b, c = ((b_op, c_op), (_b_bar, _c_bar))[side]
-    return _delta0(phi, side) - (star(b, phi) + star(c, phi)) * 0.5
+    return _delta0(phi, side, conn) - (star(b, phi) + star(c, phi)) * 0.5
 
 
-def dbar_star(phi: FormJet) -> FormJet:
-    return _d_star(phi, ANTI)
+def dbar_star(phi: FormJet, conn=None) -> FormJet:
+    return _d_star(phi, ANTI, conn)
 
 
-def partial_star(phi: FormJet) -> FormJet:
-    return _d_star(phi, HOLO)
+def partial_star(phi: FormJet, conn=None) -> FormJet:
+    return _d_star(phi, HOLO, conn)
 
 
-# -- identity suite --------------------------------------------------------
+# -- identity suites -------------------------------------------------------
+
+
+def _trials(mj: MetricJet, k: int, trials: int, seed: int, r: int,
+            trial, last) -> dict:
+    """Max constant coefficient of each residual form over `trials` random
+    rank-r forms phi of random bidegree, then of the after-loop ones:
+    trial(phi, draw) and last(low, draw) return residual forms by name, and
+    draw(p, q, r) is a further random form.  low is mj cut to order k as a
+    jet of the call's own: the trials share it and what the operators
+    memoize there, and it is freed when the call returns, however long the
+    caller keeps mj.  Every form is drawn at mj's order and cut to low, so
+    a seed checks the same forms on any jet of order >= k."""
+    if trials < 1:
+        raise ValidationError("trials must be >= 1")
+    rng = np.random.default_rng(seed)
+    low = mj._prefix(min(k, mj.order))
+    size = low.h.shape[-1]
+
+    def draw(p, q, r):
+        phi = random_form(mj, p, q, rng, r=r)
+        return FormJet(low, phi.p, phi.q, r, phi.coeffs[..., :size])
+
+    res = {}
+    for _ in range(trials):
+        p = int(rng.integers(0, mj.n + 1))
+        q = int(rng.integers(0, mj.n + 1))
+        for name, form in trial(draw(p, q, r), draw).items():
+            res[name] = max(res.get(name, 0.0), form.max_const())
+    res.update((name, form.max_const())
+               for name, form in last(low, draw).items())
+    return res
 
 
 def identity_suite(mj: MetricJet, trials: int, seed: int) -> dict:
     """Max residual (constant coefficient) of each operator identity over
     random forms of random bidegrees.  A residual is a constant coefficient
-    after one derivative, so the trials run at jet order 1: each form is
-    drawn at mj's order and cut, and every seed checks the same forms on
-    any jet of order >= 1."""
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    n, low = mj.n, _suite_jet(mj, 1)
-    res = {k: 0.0 for k in ("lambda_a", "lambda_b", "lambda_c",
-                            "partial_split", "dbar_star_split",
-                            "kahler_torsion", "torsion_form")}
-    for _ in range(trials):
-        p = int(rng.integers(0, n + 1))
-        q = int(rng.integers(0, n + 1))
-        phi = _cut(random_form(mj, p, q, rng), low)
+    after one derivative, so the trials run at jet order 1."""
+    def trial(phi, draw):
         # each operator value on phi once: the adjoints dominate a trial,
         # and dbar* phi is _d_star's sum of the trial's delta0'' and adjoints
         lam, d_phi, d0 = lambda_op(phi), partial(phi), delta0_second(phi)
         ab, bb, cb = star(_a_bar, phi), star(_b_bar, phi), star(_c_bar, phi)
         ds = d0 - (bb + cb) * 0.5
         comm = lambda op: lambda_op(op(phi)) - op(lam)
-        r1 = comm(a_op) + bb * 1j
-        res["lambda_a"] = max(res["lambda_a"], r1.max_const())
-        r2 = comm(b_op) + (ab * 2.0 + bb + cb) * 1j
-        res["lambda_b"] = max(res["lambda_b"], r2.max_const())
-        r3 = comm(c_op) + cb * 1j
-        res["lambda_c"] = max(res["lambda_c"], r3.max_const())
-        r4 = d_phi - d_prime(phi) + b_op(phi) * 0.5
-        res["partial_split"] = max(res["partial_split"], r4.max_const())
-        r5 = ds - d0 + (bb + cb) * 0.5
-        res["dbar_star_split"] = max(res["dbar_star_split"], r5.max_const())
-        r6 = (lambda_op(d_phi) - partial(lam)
-              - (ds + star(tau_bar, phi)) * 1j)
-        res["kahler_torsion"] = max(res["kahler_torsion"], r6.max_const())
-    w = omega_form(low)
-    r7 = dbar_star(w) - lambda_op(partial(w)) * 1j
-    res["torsion_form"] = r7.max_const()
-    return res
+        return {"lambda_a": comm(a_op) + bb * 1j,
+                "lambda_b": comm(b_op) + (ab * 2.0 + bb + cb) * 1j,
+                "lambda_c": comm(c_op) + cb * 1j,
+                "partial_split": d_phi - d_prime(phi) + b_op(phi) * 0.5,
+                "dbar_star_split": ds - d0 + (bb + cb) * 0.5,
+                "kahler_torsion": (lambda_op(d_phi) - partial(lam)
+                                   - (ds + star(tau_bar, phi)) * 1j)}
+
+    def last(low, draw):
+        w = omega_form(low)
+        return {"torsion_form": dbar_star(w) - lambda_op(partial(w)) * 1j}
+
+    return _trials(mj, 1, trials, seed, 1, trial, last)
 
 
 # -- bundle-valued machinery -----------------------------------------------
@@ -770,90 +776,51 @@ def check_metric_compatible(conn: ConnectionJet, n: int,
             f"({al}, {be}), direction z^{i + 1}")
 
 
-def partial_e(phi: FormJet, conn: ConnectionJet) -> FormJet:
-    return _d(phi, HOLO, conn)
-
-
-def dbar_e(phi: FormJet, conn: ConnectionJet) -> FormJet:
-    return _d(phi, ANTI, conn)
-
-
-def _d_e_star(phi: FormJet, conn: ConnectionJet, side: int) -> FormJet:
-    """Local formula on ANTI: dbar* phi - h^{i jbar} (I_jbar phi) nabla_i e,
-    dbar* acting on each fiber component; on HOLO its conjugate dual
-    partial* phi - h^{j ibar} (I_j phi) nabla''_ibar e.  The connection term
-    is -sum_k (I_k phi) @ C_k with C_k = sum_m h_up(k, m) M_m, M the other
-    side's matrices."""
-    n, r = phi.n, phi.r
-    mats = (conn.bmats, conn.amats)[side].reshape(n, r * r, -1)
-    C = matmul(_h_up(phi.mj, side), mats, n).reshape(n, r, r, -1)
-    return _d_star(phi, side) - _slot_sum(phi, side, -1,
-                                          matmul(phi.coeffs, C[:, None], n))
-
-
-def dbar_e_star(phi: FormJet, conn: ConnectionJet) -> FormJet:
-    return _d_e_star(phi, conn, ANTI)
-
-
-def partial_e_star(phi: FormJet, conn: ConnectionJet) -> FormJet:
-    return _d_e_star(phi, conn, HOLO)
-
-
 def bundle_identity_suite(mj: MetricJet, conn: ConnectionJet,
                           trials: int, seed: int) -> dict:
     """Residuals of the bundle commutator identities, curvature tensoriality
     and the torsion/section identity on random E-valued forms.  A residual
     is a constant coefficient after at most two derivatives, so the trials
-    run at jet order 2: the forms are drawn at mj's order and cut, and so
-    are the connection's arrays (checked for compatibility as given)."""
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
+    run at jet order 2, and so do the connection's arrays (checked for
+    compatibility as given)."""
     check_metric_compatible(conn, mj.n)
-    rng = np.random.default_rng(seed)
-    n, r, low = mj.n, conn.r, _suite_jet(mj, 2)
-    size = low.h.shape[-1]
+    n, r = mj.n, conn.r
+    size = _algebra(n, min(mj.order, 2)).size
     conn = ConnectionJet(r, conn.amats[..., :size], conn.bmats[..., :size],
                          conn.fiber[..., :size])
     fib = conn.fiber
-    res = {k: 0.0 for k in ("dbar_e_star_L", "partial_e_star_L",
-                            "lambda_partial_e", "lambda_dbar_e",
-                            "tensoriality", "torsion_section")}
-    for _ in range(trials):
-        p = int(rng.integers(0, n + 1))
-        q = int(rng.integers(0, n + 1))
-        phi = _cut(random_form(mj, p, q, rng, r=r), low)
-        pe = lambda f: partial_e(f, conn)
-        de = lambda f: dbar_e(f, conn)
-        pes = lambda f: partial_e_star(f, conn)
-        des = lambda f: dbar_e_star(f, conn)
+    pe = lambda f: partial(f, conn)
+    de = lambda f: dbar(f, conn)
+    pes = lambda f: partial_star(f, conn)
+    des = lambda f: dbar_star(f, conn)
+
+    def trial(phi, draw):
         # each operator value on phi once: the adjoints dominate a trial
         l_phi, lam = l_op(phi), lambda_op(phi)
         pe_phi, de_phi, pes_phi, des_phi = pe(phi), de(phi), pes(phi), des(phi)
-        r1 = des(l_phi) - l_op(des_phi) - (pe_phi + tau(phi)) * 1j
-        res["dbar_e_star_L"] = max(res["dbar_e_star_L"], r1.max_const())
-        r2 = pes(l_phi) - l_op(pes_phi) + (de_phi + tau_bar(phi)) * 1j
-        res["partial_e_star_L"] = max(res["partial_e_star_L"], r2.max_const())
-        r3 = (lambda_op(pe_phi) - pe(lam)
-              - (des_phi + star(tau_bar, phi, fib)) * 1j)
-        res["lambda_partial_e"] = max(res["lambda_partial_e"], r3.max_const())
-        r4 = (lambda_op(de_phi) - de(lam)
-              + (pes_phi + star(tau, phi, fib)) * 1j)
-        res["lambda_dbar_e"] = max(res["lambda_dbar_e"], r4.max_const())
         # curvature tensoriality on a product phi_scalar x s
-        phis = _cut(random_form(mj, p, q, rng, r=1), low)
-        s = _cut(random_form(mj, 0, 0, rng, r=r), low)
-        prod = FormJet(low, p, q, r, mul(phis.coeffs, s.coeffs[0, 0], n))
-        lhs = pe(de(prod)) + de(pe(prod))
-        rhs_s = pe(de(s)) + de(pe(s))
-        rhs = wedge(phis, rhs_s)
-        r5 = lhs - rhs
-        res["tensoriality"] = max(res["tensoriality"], r5.max_const())
-    # Lemma 4.6: tau(s) = -2 sqrt(-1) (dbar* omega) . s for sections s
-    s = _cut(random_form(mj, 0, 0, rng, r=r), low)
-    dso = dbar_star(omega_form(low))
-    r6 = tau(s) - wedge(dso, s) * (-2j)
-    res["torsion_section"] = r6.max_const()
-    return res
+        phis, s = draw(phi.p, phi.q, 1), draw(0, 0, r)
+        prod = FormJet(phi.mj, phi.p, phi.q, r,
+                       mul(phis.coeffs, s.coeffs[0, 0], n))
+        return {
+            "dbar_e_star_L": (des(l_phi) - l_op(des_phi)
+                              - (pe_phi + tau(phi)) * 1j),
+            "partial_e_star_L": (pes(l_phi) - l_op(pes_phi)
+                                 + (de_phi + tau_bar(phi)) * 1j),
+            "lambda_partial_e": (lambda_op(pe_phi) - pe(lam)
+                                 - (des_phi + star(tau_bar, phi, fib)) * 1j),
+            "lambda_dbar_e": (lambda_op(de_phi) - de(lam)
+                              + (pes_phi + star(tau, phi, fib)) * 1j),
+            "tensoriality": (pe(de(prod)) + de(pe(prod))
+                             - wedge(phis, pe(de(s)) + de(pe(s))))}
+
+    def last(low, draw):
+        # Lemma 4.6: tau(s) = -2 sqrt(-1) (dbar* omega) . s for sections s
+        s = draw(0, 0, r)
+        dso = dbar_star(omega_form(low))
+        return {"torsion_section": tau(s) - wedge(dso, s) * (-2j)}
+
+    return _trials(mj, 2, trials, seed, r, trial, last)
 
 
 def second_hermitian_ricci(conn: ConnectionJet, mj: MetricJet) -> np.ndarray:

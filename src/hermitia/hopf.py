@@ -88,17 +88,13 @@ def oracle(p: HopfPoint, quantity: str):
     raise DomainError(f"unknown oracle quantity {quantity!r}")
 
 
-def _pipeline(p: HopfPoint):
-    return metric_jet(hopf_metric(p.n), p.z, order=3)
-
-
 def oracle_vs_pipeline(p: HopfPoint) -> dict:
     """Max componentwise |oracle - pipeline| per quantity.
 
     The Bismut-trace entries report both closed-form candidates plus which
     one the pipeline matched."""
     n = p.n
-    mj = _pipeline(p).at_order(POINT_ORDER)
+    mj = metric_jet(hopf_metric(n), p.z, order=POINT_ORDER)
     out = {}
     h_pipe = mj.h_at0()
     out["metric"] = float(abs(h_pipe - oracle(p, "metric")).max())

@@ -94,7 +94,7 @@ class MetricJet:
         return self._memo[key]
 
     def _prefix(self, k: int) -> "MetricJet":
-        """A new jet of order k < order, with an empty memo: h and hinv as
+        """A new jet of order k <= order, with an empty memo: h and hinv as
         read-only views of their first S(k) coefficients, a prefix of the
         degree-sorted basis."""
         if k < 1:

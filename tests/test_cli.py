@@ -557,3 +557,40 @@ def test_dim_beside_a_metric_file_is_refused_and_the_file_dim_echoed(
     assert code == 0
     assert rep["config"]["dim"] == 3
     assert len(rep["results"]["points"][0]["point"]) == 6
+
+
+def _metric_file(tmp_path):
+    path = tmp_path / "torus2.txt"
+    write_torus_metric(separable_kahler_torus(2, 2), str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ("flow", "--metric", "flat", "--grid", "8", "--T", "0.001"),
+    ("flow", "--metric", "hopf"),
+    ("flow", "--metric-file", "{file}", "--grid", "8", "--T", "0.001"),
+    ("curvature", "--metric", "hopf", "--point", "1,0,0,0"),
+    ("curvature", "--metric-file", "{file}", "--point", "0.1,0,0.2,0"),
+    ("check", "--metric", "flat", "--point", "0,0,0,0"),
+    ("verify", "--suite", "hopf-oracle", "--point", "1,0,0.5,0")])
+def test_a_seed_the_run_draws_nothing_from_is_refused(capsys, tmp_path,
+                                                      argv):
+    # the report echoed the seed, and every seed gave the same results
+    argv = [a.format(file=_metric_file(tmp_path)) for a in argv]
+    code = main([*argv, "--seed", "5"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "--seed" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("curvature", "--metric", "normal-form", "--point", "0,0,0,0"),
+    ("curvature", "--metric", "hopf", "--sample", "2"),
+    ("check", "--metric", "flat", "--point", "0,0,0,0", "--positivity"),
+    ("verify", "--suite", "hopf-oracle", "--sample", "2"),
+    ("verify", "--suite", "appendix", "--metric", "flat", "--point",
+     "0,0,0,0", "--trials", "1"),
+    ("flow", "--metric", "random-torus", "--grid", "8", "--T", "0.001")])
+def test_a_seed_the_run_draws_from_is_read(capsys, argv):
+    code, rep = _json(capsys, *argv, "--seed", "5")
+    assert code == 0 and rep["seed"] == 5

@@ -11,8 +11,8 @@ from hermitia import forms as FO
 from hermitia.connection import bismut, chern, levi_civita
 from hermitia.errors import ValidationError
 from hermitia.forms import (ConnectionJet, FormJet, chern_connection,
-                            check_metric_compatible, dbar_e_star,
-                            partial_e_star, random_form,
+                            check_metric_compatible, dbar_star,
+                            partial_star, random_form,
                             random_metric_connection, trivial_connection)
 from hermitia.jets import Jet, wirtinger
 from hermitia.metric import metric_jet, normal_form_skt
@@ -261,8 +261,8 @@ def test_bundle_adjoints_match_fiber_split_reference():
         for p in range(n + 1):
             for q in range(n + 1):
                 phi = random_form(mj, p, q, rng, r=conn.r)
-                for op, side in ((dbar_e_star, FO.ANTI),
-                                 (partial_e_star, FO.HOLO)):
+                for op, side in ((dbar_star, FO.ANTI),
+                                 (partial_star, FO.HOLO)):
                     got = jet_array(op(phi, conn).coeffs, n)
                     want = _ref_d_e_star(phi, conn, side)
                     assert got.shape == want.shape

@@ -5,13 +5,15 @@ before the contract, where every layer computed at its input's order.  A
 reader on an order-3 jet must give the same bytes as it gave then, and the
 same bytes as on an order-2 jet.  A change that re-associates a sum under
 the rounding contract (docs/conventions.md, "Rounding contract") re-records
-only the readers it names:
+only the readers and SUITES entries it names, a suite as ``suite:NAME``:
 
-    PYTHONPATH=src:tests python3 tests/test_order_contract.py --record READER...
+    PYTHONPATH=src:tests python3 tests/test_order_contract.py --record \
+        READER... suite:NAME...
 
-which writes nothing and exits 1 if any other reader's digest or any SUITES
-residual differs from the file.  ``--record`` with no names re-records
-everything, on code that should be byte-identical to the recorded one.
+which writes nothing and exits 1 if any other reader's digest or any other
+SUITES residual differs from the file.  ``--record`` with no names
+re-records everything, on code that should be byte-identical to the
+recorded one.
 """
 
 import dataclasses
@@ -176,6 +178,22 @@ def test_fiber_metric_inverted_once_per_bundle_suite(monkeypatch):
     assert calls == [(2, 2, _algebra(2, 2).size)]
 
 
+def test_gram_compounds_built_once_per_suite_call(monkeypatch):
+    calls = []
+    monkeypatch.setattr(FO, "_compounds",
+                        lambda m, top, n, f=FO._compounds:
+                        calls.append(m.shape) or f(m, top, n))
+    mj = hopf_jet(2)
+    identity_suite(mj, trials=3, seed=0)
+    # C_0..C_n of Hup and of h^T, on the suite's order-1 jet; twice per
+    # star call before
+    assert calls == [(2, 2, _algebra(2, 1).size)] * 2
+    calls.clear()
+    bundle_identity_suite(mj, random_metric_connection(mj, r=2, seed=0),
+                          trials=2, seed=0)
+    assert calls == [(2, 2, _algebra(2, 2).size)] * 2
+
+
 def record() -> dict:
     return {"readers": {f"{f}|{n}|{k}": reader_digests(f, n, k)
                         for f, n, k in CASES},
@@ -217,15 +235,18 @@ def test_suite_residuals_match_the_recorded_ones(goldens, name):
 
 
 def _rerecord(names) -> int:
-    """Write the goldens anew; with reader names, only if every other
-    reader digest and every SUITES residual equals the file's."""
+    """Write the goldens anew; with names (readers, and SUITES entries as
+    suite:NAME), only if every reader digest and SUITES residual not named
+    equals the file's."""
     new = record()
     if names:
         old = json.loads(GOLDENS.read_text(encoding="utf-8"))
-        unknown = set(names) - {r for digests in new["readers"].values()
-                                for r in digests}
+        known = {r for digests in new["readers"].values() for r in digests}
+        known |= {f"suite:{name}" for name in new["suites"]}
+        unknown = set(names) - known
         if unknown:
-            print(f"unknown readers: {sorted(unknown)}", file=sys.stderr)
+            print(f"unknown readers or suites: {sorted(unknown)}",
+                  file=sys.stderr)
             return 2
         stray = []
         for case in sorted(old["readers"].keys() | new["readers"].keys()):
@@ -235,10 +256,11 @@ def _rerecord(names) -> int:
         for name in sorted(old["suites"].keys() | new["suites"].keys()):
             was, now = ({k: repr(v) for k, v in d["suites"].get(name, {})
                          .items()} for d in (old, new))
-            stray += [f"suite {name}"] if was != now else []
+            if f"suite:{name}" not in names and was != now:
+                stray.append(f"suite {name}")
         if stray:
-            print("not written; digests outside the named readers differ: "
-                  + ", ".join(stray), file=sys.stderr)
+            print("not written; digests outside the named readers and "
+                  "suites differ: " + ", ".join(stray), file=sys.stderr)
             return 1
     GOLDENS.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n",
                        encoding="utf-8")
@@ -247,5 +269,6 @@ def _rerecord(names) -> int:
 
 if __name__ == "__main__":
     if sys.argv[1:2] != ["--record"]:
-        sys.exit("usage: test_order_contract.py --record [READER...]")
+        sys.exit("usage: test_order_contract.py --record "
+                 "[READER...] [suite:NAME...]")
     sys.exit(_rerecord(sys.argv[2:]))
