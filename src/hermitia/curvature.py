@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connection import _complexified, bismut, chern, levi_civita
-from .errors import OrderExhaustedError, StructuralError, ValidationError
+from .errors import OrderExhaustedError, StructuralError
 from .jets import point_derivatives
 from .metric import MetricJet, POINT_ORDER, derivative_tables, per_point
+from .positivity import _pairing, _unit_pairs
 
 __all__ = [
     "ScalarReport",
@@ -196,21 +197,14 @@ def curvature_comparison(mj: MetricJet, trials: int, seed: int) -> dict:
     induced-connection curvature: the (u, ubar, v, vbar) contraction of
     R - Rhat is real and nonpositive, and both induced Ricci traces
     dominate the Hermitian Ricci matrix."""
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
-    n = mj.n
-    rng = np.random.default_rng(seed)
+    pairs = _unit_pairs(mj.n, trials, seed)
     r11 = curvature_lc(mj)
     rhat = curvature_induced(mj)
     diff = r11 - rhat
     worst = -np.inf
     max_imag = 0.0
-    for _ in range(trials):
-        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        u /= np.linalg.norm(u)
-        v /= np.linalg.norm(v)
-        val = np.einsum("ijkl,i,j,k,l->", diff, u, u.conj(), v, v.conj())
+    for u, v in pairs:
+        val = _pairing(diff, u, v)
         worst = max(worst, val.real)
         max_imag = max(max_imag, abs(val.imag))
     herm = ricci(r11, mj, "second")

@@ -3,8 +3,10 @@
 A FormJet holds one complex array (C(n, p), C(n, q), r, S): [a, b, al] is
 the jet coefficient of dz^I wedge dzbar^J on the fiber vector e_al (r = 1
 for scalar forms) over the basis of jets._algebra(n, order), I and J the
-a-th and b-th increasing index tuples.  h, h^-1, the Levi-Civita table and
-fiber connections are such arrays too; no Jet is built.  All first-order
+a-th and b-th increasing index tuples.  A form keeps the exact bidegree
+every operator gives it; outside 0..n there are no index tuples, and the
+form is zero on an empty basis.  h, h^-1, the Levi-Civita table and fiber
+connections are such arrays too; no Jet is built.  All first-order
 operators act at jet level, so compositions (commutator identities) are
 exact up to the available jet order.
 
@@ -12,9 +14,11 @@ Slot moves are cached integer tables acting on the leading axes:
 _slot_table (dz^k ^ and the interior product), _merge_table (wedge) and
 _term_table (a chain of slot moves, such as dz^c ^ I_k in nabla).  Jet
 products are batched calls of jets.mul and jets.matmul, at the lower of two
-orders, a prefix of the degree-sorted basis.  The algebraic operators
-(L, Lambda, A, B, C, tau and the conjugates) are jet matrices T built from
-_term_table; the value is T x and star, the exact adjoint under the pairing
+orders, a prefix of the degree-sorted basis.  Each algebraic operator (L,
+Lambda, A, B, C, w ^) is one _Algebraic row of the docs/conventions.md
+table, a chain of slot moves and its coefficients; .bar is its conjugate
+and tau the bracket [Lambda, w ^].  The value is T x for the row's jet
+matrix T, and star, the exact adjoint under the pairing
   < dz^I ^ dzbar^J, dz^K ^ dzbar^L > = det(h^{i kbar}) conj(det(h^{j lbar})),
 uses T^T between Gram factors applied one compound matrix at a time.  With
 no per-degree factor the commutator identities close (docs/conventions.md).
@@ -23,8 +27,8 @@ no per-degree factor the commutator identities close (docs/conventions.md).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -72,7 +76,8 @@ __all__ = [
 
 @lru_cache(maxsize=None)
 def _combos(n: int, p: int):
-    return tuple(itertools.combinations(range(n), p))
+    """The increasing p-tuples of 0..n-1; none outside 0 <= p <= n."""
+    return tuple(itertools.combinations(range(n), p)) if p >= 0 else ()
 
 
 @lru_cache(maxsize=None)
@@ -111,16 +116,8 @@ class FormJet:
         """The largest modulus of a coefficient's constant term."""
         return float(np.abs(self.coeffs[..., 0]).max(initial=0.0))
 
-    def is_zero(self) -> bool:
-        return not self.coeffs.any()
-
     def __add__(self, other):
         if (self.p, self.q, self.r) != (other.p, other.q, other.r):
-            # tolerate identically-zero forms of clamped bidegree
-            if self.is_zero():
-                return other
-            if other.is_zero():
-                return self
             raise StructuralError("bidegree/rank mismatch in form addition")
         return FormJet(self.mj, self.p, self.q, self.r,
                        add(self.coeffs, other.coeffs))
@@ -137,9 +134,8 @@ class FormJet:
 
 def zero_form(mj: MetricJet, p: int, q: int, r: int = 1,
               order: int | None = None) -> FormJet:
-    """The zero (p, q)-form; a bidegree outside 0..n is clamped into it."""
+    """The zero (p, q)-form; outside 0..n its basis is empty."""
     n = mj.n
-    p, q = min(max(p, 0), n), min(max(q, 0), n)
     size = _algebra(n, mj.order if order is None else order).size
     return FormJet(mj, p, q, r, np.zeros(
         (len(_combos(n, p)), len(_combos(n, q)), r, size), dtype=complex))
@@ -152,8 +148,8 @@ def _zeros_like(phi: FormJet, p: int, q: int) -> FormJet:
 
 def random_form(mj: MetricJet, p: int, q: int, rng, r: int = 1) -> FormJet:
     """Random FormJet with dense random polynomial jet coefficients."""
-    z = zero_form(mj, p, q, r)  # the clamped bidegree and shape
-    return FormJet(mj, z.p, z.q, r, _random_jets(z.coeffs.shape, rng))
+    shape = zero_form(mj, p, q, r).coeffs.shape
+    return FormJet(mj, p, q, r, _random_jets(shape, rng))
 
 
 # -- basis bookkeeping -----------------------------------------------------
@@ -207,6 +203,11 @@ def _dim(n: int, p: int, q: int) -> int:
     return len(_combos(n, p)) * len(_combos(n, q))
 
 
+def _empty(n: int, *degrees) -> bool:
+    """Whether one of the (p, q) bases is empty (a degree outside 0..n)."""
+    return not all(_dim(n, p, q) for p, q in degrees)
+
+
 @lru_cache(maxsize=None)
 def _term_table(n: int, p: int, q: int, moves: tuple):
     """The terms of a chain of slot moves on (p, q)-forms.  Each move
@@ -219,8 +220,6 @@ def _term_table(n: int, p: int, q: int, moves: tuple):
     terms = [(s, divmod(s, nq), (), 1) for s in range(_dim(n, p, q))]
     deg = [p, q]
     for side, d in moves:
-        if not 0 <= deg[side] + d <= n:
-            return _columns([], 3 + len(moves))
         base = (-1) ** deg[HOLO] if side == ANTI else 1
         step = []
         for k in range(n):
@@ -275,8 +274,6 @@ def wedge(phi: FormJet, psi: FormJet) -> FormJet:
     p, q = phi.p + psi.p, phi.q + psi.q
     out = zero_form(phi.mj, p, q, max(phi.r, psi.r),
                     min(phi.order, psi.order))
-    if p > n or q > n:
-        return out
     a1, a2, a, sa = _merge_table(n, phi.p, psi.p)
     b1, b2, b, sb = _merge_table(n, phi.q, psi.q)
     sign = (-1) ** (phi.q * psi.p) * np.multiply.outer(sa, sb)
@@ -372,8 +369,9 @@ def _h_up(mj: MetricJet, side: int) -> np.ndarray:
 def _delta0(phi: FormJet, side: int, conn=None) -> FormJet:
     """-h^{i jbar} I_i nabla''_jbar (HOLO) or -h^{j ibar} I_ibar nabla'_j
     (ANTI)."""
-    if (phi.p, phi.q)[side] == 0:
-        return _zeros_like(phi, *_bumped(phi, side, -1))
+    target = _bumped(phi, side, -1)
+    if _empty(phi.n, target, (phi.p, phi.q)):
+        return _zeros_like(phi, *target)
     up = _h_up(phi.mj, side)[:, :, None, None, None] * -1.0  # [i, j]
     nab = _nabla(phi, 1 - side, conn)
     return _slot_sum(phi, side, -1, mul(up, nab, phi.n).sum(axis=1))
@@ -395,38 +393,6 @@ def omega_form(mj: MetricJet) -> FormJet:
     return FormJet(mj, 1, 1, 1, (mj.h * 1j)[:, :, None]) * 0.5
 
 
-def _assemble(n: int, p: int, q: int, side: int, moves: tuple,
-              coef: np.ndarray) -> np.ndarray:
-    """The jet matrix (rows, columns, S) of sum_k coef[k] M_k from the
-    (p, q) coefficient vectors to those at the bidegree the moves reach,
-    M_k the chain of slot `moves` (see _term_table) with indices
-    k = (k_1, ..., k_m).  moves and coef are those of the HOLO operator; on
-    ANTI the sides swap and the coefficients are conjugated, which gives the
-    conjugate operator."""
-    moves = tuple((s ^ side, d) for s, d in moves)
-    if side == ANTI:
-        coef = conj(coef, n)
-    src, dst, *ks, sign = _term_table(n, p, q, moves)
-    dp = sum(d for s, d in moves if s == HOLO)
-    dq = sum(d for s, d in moves if s == ANTI)
-    t = np.zeros((_dim(n, p + dp, q + dq), _dim(n, p, q), coef.shape[-1]),
-                 dtype=complex)
-    np.add.at(t, (dst, src), coef[tuple(ks)] * sign[:, None])
-    return t
-
-
-def _l_matrix(mj: MetricJet, p: int, q: int, side: int) -> np.ndarray:
-    """L = 2 omega ^ = sqrt(-1) h_{i jbar} dz^i ^ dzbar^j ^ (L is real, so
-    side is unused)."""
-    return _assemble(mj.n, p, q, HOLO, ((ANTI, 1), (HOLO, 1)),
-                     mj.h.swapaxes(0, 1) * 1j)
-
-
-def _lambda_matrix(mj: MetricJet, p: int, q: int, side: int) -> np.ndarray:
-    """Lambda = sqrt(-1) h^{i jbar} I_i I_jbar (real, side unused)."""
-    return _assemble(mj.n, p, q, HOLO, ((ANTI, -1), (HOLO, -1)), mj.hinv * 1j)
-
-
 @per_point
 def _a_coefficients(mj: MetricJet) -> np.ndarray:
     """-h^{k lbar} h_{i mbar} Gamma_{s lbar}^{mbar} at [k, i, s]: the
@@ -440,71 +406,43 @@ def _a_coefficients(mj: MetricJet) -> np.ndarray:
             .transpose(1, 2, 0, 3) * -1.0)
 
 
-def _a_matrix(mj: MetricJet, p: int, q: int, side: int) -> np.ndarray:
-    """A = -h^{k lbar} h_{i mbar} Gamma_{s lbar}^{mbar} dz^s ^ dz^i ^ I_k."""
-    return _assemble(mj.n, p, q, side, ((HOLO, -1), (HOLO, 1), (HOLO, 1)),
-                     _a_coefficients(mj))
-
-
-def _b_matrix(mj: MetricJet, p: int, q: int, side: int) -> np.ndarray:
-    """B = -2 Gamma_{i jbar}^{lbar} dz^i ^ dzbar^j ^ I_lbar."""
-    n = mj.n
-    gam = _gammas(mj)[ANTI][:n].transpose(2, 1, 0, 3)  # [l, j, i]
-    return _assemble(n, p, q, side, ((ANTI, -1), (ANTI, 1), (HOLO, 1)),
-                     gam * -2.0)
-
-
-def _c_matrix(mj: MetricJet, p: int, q: int, side: int) -> np.ndarray:
-    """C = 2 Gamma_{j lbar}^{lbar} dz^j ^, the torsion (1,0)-form."""
-    n = mj.n
-    eta = np.trace(_gammas(mj)[ANTI][:n], axis1=1, axis2=2)
-    return _assemble(n, p, q, side, ((HOLO, 1),), eta * 2.0)
-
-
-def _w_matrix(mj: MetricJet, p: int, q: int, side: int) -> np.ndarray:
-    """Wedge with w = 2 d'omega = sqrt(-1) d_a h_{b cbar} dz^a ^ dz^b ^ dzbar^c
-    (HOLO) or with its conjugate (ANTI)."""
-    n = mj.n
-    dh = derivatives(mj.h, n, range(n))  # [a, b, c]
-    return _assemble(n, p, q, side, ((ANTI, 1), (HOLO, 1), (HOLO, 1)),
-                     dh.transpose(2, 1, 0, 3) * 1j)
-
-
-def _tau_matrix(mj: MetricJet, p: int, q: int, side: int) -> np.ndarray:
-    """tau = [Lambda, w ^] (w as in _w_matrix), as the commutator of the
-    two matrices; tau_bar on ANTI."""
-    n = mj.n
-    wp, wq = (2, 1) if side == HOLO else (1, 2)
-    out = np.zeros((_dim(n, p + wp - 1, q + wq - 1), _dim(n, p, q),
-                    _algebra(n, mj.order - 1).size), dtype=complex)
-    if p + wp <= n and q + wq <= n:
-        out = out + matmul(_lambda_matrix(mj, p + wp, q + wq, side),
-                           _w_matrix(mj, p, q, side), n)
-    if p and q:
-        out = out - matmul(_w_matrix(mj, p - 1, q - 1, side),
-                           _lambda_matrix(mj, p, q, side), n)
-    return out
-
-
 @dataclass(frozen=True)
 class _Algebraic:
-    """A jet-linear operator without derivatives, given by its matrix:
-    body(mj, p, q, side) is the jet matrix T from the (p, q) coefficient
-    vectors to those at (p, q) + ddeg.  The value on phi is T x, taken on
-    the form index of each fiber column; star uses T^T.  On ANTI it is the
-    conjugate operator: the same slot moves with the sides swapped, and
-    conjugate coefficients."""
-    body: object
-    ddeg: tuple
+    """A jet-linear operator without derivatives, one row of the operator
+    table in docs/conventions.md: sum_k coef(mj)[k] M_k, M_k the chain of
+    slot `moves` of the HOLO operator (see _term_table) with indices k.
+    Its matrix T maps the (p, q) coefficient vectors to those at (p, q) +
+    ddeg, built in one scatter-add; the value on phi is T x on each fiber
+    column, and star uses T^T.  With side ANTI (bar) it is the conjugate
+    operator: the moves on the other side, conjugate coefficients."""
+    moves: tuple
+    coef: object
     side: int = HOLO
 
+    @cached_property
+    def ddeg(self) -> tuple:
+        return tuple(sum(d for s, d in self.moves if s ^ self.side == side)
+                     for side in (HOLO, ANTI))
+
+    @property
+    def bar(self) -> "_Algebraic":
+        return replace(self, side=1 - self.side)
+
     def matrix(self, mj: MetricJet, p: int, q: int) -> np.ndarray:
-        return self.body(mj, p, q, self.side)
+        n, coef, (dp, dq) = mj.n, self.coef(mj), self.ddeg
+        if self.side == ANTI:
+            coef = conj(coef, n)
+        chain = tuple((s ^ self.side, d) for s, d in self.moves)
+        src, dst, *ks, sign = _term_table(n, p, q, chain)
+        t = np.zeros((_dim(n, p + dp, q + dq), _dim(n, p, q), coef.shape[-1]),
+                     dtype=complex)
+        np.add.at(t, (dst, src), coef[tuple(ks)] * sign[:, None])
+        return t
 
     def __call__(self, phi: FormJet) -> FormJet:
         n, (dp, dq) = phi.n, self.ddeg
         p, q = phi.p + dp, phi.q + dq
-        if not (0 <= p <= n and 0 <= q <= n):
+        if _empty(n, (p, q), (phi.p, phi.q)):
             return _zeros_like(phi, p, q)
         t = self.matrix(phi.mj, phi.p, phi.q)
         x = phi.coeffs.reshape(t.shape[1], phi.r, -1)
@@ -512,16 +450,49 @@ class _Algebraic:
         return FormJet(phi.mj, p, q, phi.r, matmul(t, x, n).reshape(shape))
 
 
-l_op = _Algebraic(_l_matrix, (1, 1))
-lambda_op = _Algebraic(_lambda_matrix, (-1, -1))
-a_op = _Algebraic(_a_matrix, (1, 0))
-b_op = _Algebraic(_b_matrix, (1, 0))
-c_op = _Algebraic(_c_matrix, (1, 0))
-tau = _Algebraic(_tau_matrix, (1, 0))
-tau_bar = _Algebraic(_tau_matrix, (0, 1), ANTI)
-_a_bar = _Algebraic(_a_matrix, (0, 1), ANTI)
-_b_bar = _Algebraic(_b_matrix, (0, 1), ANTI)
-_c_bar = _Algebraic(_c_matrix, (0, 1), ANTI)
+@dataclass(frozen=True)
+class _Bracket:
+    """[a, b] = a b - b a of two algebraic operators, as the commutator of
+    their matrices, each factor at its own bidegree.  a is real, so the
+    conjugate operator is [a, b.bar]."""
+    a: _Algebraic
+    b: _Algebraic
+
+    @cached_property
+    def ddeg(self) -> tuple:
+        return tuple(x + y for x, y in zip(self.a.ddeg, self.b.ddeg))
+
+    @property
+    def bar(self) -> "_Bracket":
+        return _Bracket(self.a, self.b.bar)
+
+    def matrix(self, mj: MetricJet, p: int, q: int) -> np.ndarray:
+        a, b, n = self.a.matrix, self.b.matrix, mj.n
+        (ap, aq), (bp, bq) = self.a.ddeg, self.b.ddeg
+        return (matmul(a(mj, p + bp, q + bq), b(mj, p, q), n)
+                - matmul(b(mj, p + ap, q + aq), a(mj, p, q), n))
+
+    __call__ = _Algebraic.__call__
+
+
+# L = 2 omega ^ = sqrt(-1) h_{i jbar} dz^i ^ dzbar^j ^ and
+# Lambda = sqrt(-1) h^{i jbar} I_i I_jbar, both real
+l_op = _Algebraic(((ANTI, 1), (HOLO, 1)), lambda mj: mj.h.swapaxes(0, 1) * 1j)
+lambda_op = _Algebraic(((ANTI, -1), (HOLO, -1)), lambda mj: mj.hinv * 1j)
+# A = -h^{k lbar} h_{i mbar} Gamma_{s lbar}^{mbar} dz^s ^ dz^i ^ I_k
+a_op = _Algebraic(((HOLO, -1), (HOLO, 1), (HOLO, 1)),
+                  lambda mj: _a_coefficients(mj))
+# B = -2 Gamma_{i jbar}^{lbar} dz^i ^ dzbar^j ^ I_lbar
+b_op = _Algebraic(((ANTI, -1), (ANTI, 1), (HOLO, 1)), lambda mj: (
+    _gammas(mj)[ANTI][:mj.n].transpose(2, 1, 0, 3) * -2.0))
+# C = 2 Gamma_{j lbar}^{lbar} dz^j ^, the torsion (1,0)-form
+c_op = _Algebraic(((HOLO, 1),), lambda mj: (
+    np.trace(_gammas(mj)[ANTI][:mj.n], axis1=1, axis2=2) * 2.0))
+# w ^ for w = 2 d'omega = sqrt(-1) d_a h_{b cbar} dz^a ^ dz^b ^ dzbar^c
+_w = _Algebraic(((ANTI, 1), (HOLO, 1), (HOLO, 1)), lambda mj: (
+    derivatives(mj.h, mj.n, range(mj.n)).transpose(2, 1, 0, 3) * 1j))
+tau = _Bracket(lambda_op, _w)
+tau_bar, _a_bar, _b_bar, _c_bar = tau.bar, a_op.bar, b_op.bar, c_op.bar
 
 
 # -- inner product and adjoints --------------------------------------------
@@ -611,7 +582,7 @@ def star(op: _Algebraic, phi: FormJet, fiber=None) -> FormJet:
     dp, dq = op.ddeg
     mj, n, r = phi.mj, phi.n, phi.r
     sp, sq = phi.p - dp, phi.q - dq
-    if not (0 <= sp <= n and 0 <= sq <= n):
+    if _empty(n, (sp, sq), (phi.p, phi.q)):
         return _zeros_like(phi, sp, sq)
     up, down = _gram_factors(mj)
     y = _metric(up, phi.p, phi.q, conj(phi.coeffs, n), fiber, n)

@@ -91,24 +91,36 @@ def p_positivity(m: np.ndarray, tol: float = DEFAULT_TOL) -> PositivityReport:
     return PositivityReport(eigenvalues=lam, verdicts=tuple(verdicts), tol=tol)
 
 
+def _unit_pairs(n: int, trials: int, seed: int) -> list:
+    """`trials` pairs (u, v) of random unit vectors of C^n from one
+    generator seeded by seed: per pair u, then v, each drawn as
+    standard_normal(n) + 1j standard_normal(n) and divided by its norm.
+    Refuses trials < 1."""
+    if trials < 1:
+        raise ValidationError("trials must be >= 1")
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(trials):
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        pairs.append((u / np.linalg.norm(u), v / np.linalg.norm(v)))
+    return pairs
+
+
+def _pairing(t: np.ndarray, u: np.ndarray, v: np.ndarray) -> complex:
+    """The (u, ubar, v, vbar) contraction of t[i, jbar, k, lbar]."""
+    return np.einsum("ijkl,i,j,k,l->", t, u, np.conj(u), v, np.conj(v))
+
+
 def griffiths_sample(t, trials: int, seed: int,
                      tol: float = DEFAULT_TOL) -> GriffithsReport:
     """Minimum of the (u, ubar, v, vbar) pairing of a curvature tensor
     t[i, jbar, k, lbar] over random unit vectors, normalized by
     |u|^2 |v|^2."""
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
-    n = t.shape[0]
-    rng = np.random.default_rng(seed)
     best = np.inf
     wu = wv = None
-    for _ in range(trials):
-        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        u /= np.linalg.norm(u)
-        v /= np.linalg.norm(v)
-        val = np.einsum("ijkl,i,j,k,l->", t, u, np.conj(u), v,
-                        np.conj(v)).real
+    for u, v in _unit_pairs(t.shape[0], trials, seed):
+        val = _pairing(t, u, v).real
         if val < best:
             best, wu, wv = float(val), u, v
     return GriffithsReport(minimum=best, witness_u=wu, witness_v=wv,

@@ -1,6 +1,7 @@
 import functools
 import operator
 from bisect import bisect_left
+from math import comb
 
 import numpy as np
 import pytest
@@ -104,20 +105,29 @@ def test_kahler_degeneration():
     mj = metric_jet(fld, z, order=3)
     phi = random_form(mj, 1, 1, rng)
     for op in (FO.tau, FO.tau_bar, FO.a_op, FO.b_op, FO.c_op):
-        assert op(phi).max_const() < 1e-12, op.body
+        assert op(phi).max_const() < 1e-12, op
     # D' reduces to partial and delta0'' to the dbar adjoint
     assert (FO.d_prime(phi) - partial(phi)).max_const() < 1e-12
     assert (dbar_star(phi) - FO.delta0_second(phi)).max_const() < 1e-12
 
 
-def test_zero_form_degree_clamp_and_add():
+def test_zero_form_keeps_its_bidegree_and_add_refuses_a_mismatch():
     mj = _flat()
-    z = zero_form(mj, -1, 0)
+    size = _algebra(2, mj.order).size
+    for p, q in ((-1, 0), (0, 3), (3, -1)):
+        z = zero_form(mj, p, q, r=2)
+        assert (z.p, z.q, z.r) == (p, q, 2)
+        assert z.coeffs.shape == (0 if p in (-1, 3) else 1,
+                                  0 if q in (-1, 3) else 1, 2, size)
+        assert z.max_const() == 0.0
     phi = zero_form(mj, 0, 0)
     phi.coeffs[0, 0, 0, 0] = 2.0
-    assert (phi + z).max_const() == 2.0
-    with pytest.raises(StructuralError):
-        _ = phi + random_form(mj, 1, 1, np.random.default_rng(0))
+    assert (phi + zero_form(mj, 0, 0)).max_const() == 2.0
+    for other in (zero_form(mj, -1, 0), zero_form(mj, 0, 0, r=2),
+                  random_form(mj, 1, 1, np.random.default_rng(0))):
+        for a, b in ((phi, other), (other, phi)):
+            with pytest.raises(StructuralError):
+                _ = a + b
 
 
 def test_bundle_identity_suite():
@@ -229,9 +239,10 @@ def _slot_sum_at(phi, side, k, d=-1):
 
 
 def _coeff_gap(a, b):
-    """Largest difference over every jet coefficient of two forms."""
+    """Largest difference over every jet coefficient of two forms, 0 on an
+    empty basis."""
     assert (a.p, a.q, a.r) == (b.p, b.q, b.r)
-    return float(np.abs((a - b).coeffs).max())
+    return float(np.abs((a - b).coeffs).max(initial=0.0))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -382,11 +393,7 @@ def _op_matrix(op, mj, p, q, r, dst):
                 e = zero_form(mj, p, q, r)
                 e.coeffs[a, b, al, 0] = 1.0
                 img = op(e)
-                if (img.p, img.q) != dst:
-                    if not img.is_zero():
-                        raise StructuralError(
-                            "operator degree shift does not match ddeg")
-                    img = zero_form(mj, dst[0], dst[1], r)
+                assert (img.p, img.q) == dst
                 cols.append(img.coeffs.reshape(-1, img.coeffs.shape[-1]))
     size = min(col.shape[-1] for col in cols)
     return np.stack([col[:, :size] for col in cols], axis=1)
@@ -563,15 +570,6 @@ _ALGEBRAIC = ((("L", l_op, _ref_l_op), ("Lambda", lambda_op, _ref_lambda_op))
               + (("taubar_e", FO.tau_bar, lambda f: _ref_torsion(f, FO.ANTI)),))
 
 
-def _forward_gap(got, want):
-    """_coeff_gap of two forward values; a reference value of another
-    (clamped) bidegree must be zero, as _op_matrix requires."""
-    if (got.p, got.q) != (want.p, want.q):
-        assert want.is_zero()
-        return float(np.abs(got.coeffs).max())
-    return _coeff_gap(got, want)
-
-
 def _check_matrices(mj, degrees, ranks, seed):
     """Each table-built matrix against the materialized reference body, as
     the form-index block of every fiber column, and each forward value."""
@@ -592,7 +590,7 @@ def _check_matrices(mj, degrees, ranks, seed):
                                float(np.abs(block).max()))
                         assert gap <= 1e-14, (name, p, q, r, al, be)
                 phi = random_form(mj, p, q, rng, r=r)
-                assert _forward_gap(op(phi), ref(phi)) <= 1e-14, (name, p, q, r)
+                assert _coeff_gap(op(phi), ref(phi)) <= 1e-14, (name, p, q, r)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -615,7 +613,7 @@ def test_table_operators_match_reference_bodies_with_fiber():
             for q in range(4):
                 phi = random_form(mj, p, q, rng, r=2)
                 for name, op, ref in _ALGEBRAIC:
-                    assert _forward_gap(op(phi), ref(phi)) <= 1e-14, (name, p, q)
+                    assert _coeff_gap(op(phi), ref(phi)) <= 1e-14, (name, p, q)
 
 
 def test_star_never_applies_the_operator(monkeypatch):
@@ -657,17 +655,81 @@ def test_star_with_fiber_metric_matches_materialized_adjoint(which):
                 want = _reference_star(ref, phi, ddeg, fib)
                 assert _jet_gap(got.coeffs, want) <= 1e-13, (name, p, q)
                 # the defining duality, through inner with the fiber metric
-                # (an image that vanishes may carry a clamped bidegree)
                 psi = random_form(mj, p - ddeg[0], q - ddeg[1], rng, r=2)
-                img = op(psi)
-                if (img.p, img.q) == (p, q):
-                    lhs = inner(img, phi, fib)[0]
-                    rhs = inner(psi, got, fib)[0]
-                    assert abs(lhs - rhs) <= 1e-12, (name, p, q)
+                lhs = inner(op(psi), phi, fib)[0]
+                rhs = inner(psi, got, fib)[0]
+                assert abs(lhs - rhs) <= 1e-12, (name, p, q)
             if p and q:
                 got = lambda_matrix_adjoint(phi)
                 want = _reference_star(_ref_l_op, phi, (1, 1))
                 assert _jet_gap(got.coeffs, want) <= 1e-13, ("L", p, q)
+
+
+# -- exact bidegrees: outside 0..n a basis is empty -----------------------
+
+
+# each algebraic operator's bidegree shift, its conjugate's the reverse
+_SHIFTS = {"l_op": (1, 1), "lambda_op": (-1, -1), "a_op": (1, 0),
+           "b_op": (1, 0), "c_op": (1, 0), "_w": (2, 1), "tau": (1, 0)}
+
+
+def _count(n, k):
+    """C(n, k), 0 outside 0..n."""
+    return comb(n, k) if k >= 0 else 0
+
+
+def _shifted_operators(mj, rng):
+    """(name, operator on a form, bidegree shift) for every algebraic
+    operator and its conjugate, their adjoints, the differential operators
+    and wedge on either side of a (1, 0)-, (0, 1)- and (1, 1)-form."""
+    out = []
+    for name, (dp, dq) in _SHIFTS.items():
+        op = getattr(FO, name)
+        for nm, o, shift in ((name, op, (dp, dq)),
+                             (name + ".bar", op.bar, (dq, dp))):
+            out += [(nm, o, shift), (nm + "*", functools.partial(FO.star, o),
+                                     (-shift[0], -shift[1]))]
+    out += [("partial", partial, (1, 0)), ("dbar", dbar, (0, 1)),
+            ("d_prime", FO.d_prime, (1, 0)), ("d_second", FO.d_second, (0, 1)),
+            ("delta0_prime", FO.delta0_prime, (-1, 0)),
+            ("delta0_second", FO.delta0_second, (0, -1)),
+            ("partial_star", partial_star, (-1, 0)),
+            ("dbar_star", dbar_star, (0, -1))]
+    for shift in ((1, 0), (0, 1), (1, 1)):
+        psi = random_form(mj, *shift, rng)
+        out += [("wedge_left", functools.partial(wedge, psi), shift),
+                ("wedge_right", lambda f, psi=psi: wedge(f, psi), shift)]
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_every_operator_maps_to_its_exact_bidegree(n):
+    mj = _metric_points(n)[1]
+    rng = np.random.default_rng(90 + n)
+    ops = _shifted_operators(mj, rng)
+    # the table covers every algebraic operator the module defines
+    defined = {v for v in vars(FO).values()
+               if isinstance(v, (FO._Algebraic, FO._Bracket))}
+    assert defined <= {o for _, o, _ in ops}
+    inside = [(p, q) for p in range(n + 1) for q in range(n + 1)]
+    outside = [d for k in range(n + 1)
+               for d in ((-1, k), (k, -1), (n + 1, k), (k, n + 1))]
+    sources = ([random_form(mj, p, q, rng, r=2) for p, q in inside]
+               + [zero_form(mj, p, q, r=2) for p, q in outside])
+    for name, op, (dp, dq) in ops:
+        if isinstance(op, (FO._Algebraic, FO._Bracket)):
+            assert op.ddeg == (dp, dq), name
+            for p, q in inside:
+                assert op.matrix(mj, p, q).shape[:2] == (
+                    _count(n, p + dp) * _count(n, q + dq),
+                    _count(n, p) * _count(n, q)), (name, p, q)
+        for phi in sources:
+            img = op(phi)
+            p, q = phi.p + dp, phi.q + dq
+            assert (img.p, img.q, img.r) == (p, q, 2), (name, phi.p, phi.q)
+            assert img.coeffs.shape[:3] == (_count(n, p), _count(n, q), 2)
+            if not phi.coeffs.size:
+                assert not img.coeffs.any(), (name, phi.p, phi.q)
 
 
 # -- slot, merge and derivation tables against the tuple walks -------------
@@ -822,8 +884,9 @@ def test_b_op_on_holomorphic_forms_is_zero_of_degree_p_plus_one():
     for p in range(3):
         psi = random_form(mj, p, 0, rng, r=2)
         img = FO.b_op(psi)
-        assert (img.p, img.q, img.r) == (min(p + 1, 2), 0, 2)
-        assert img.is_zero()
+        assert (img.p, img.q, img.r) == (p + 1, 0, 2)
+        assert img.coeffs.shape[:3] == (comb(2, p + 1), 1, 2)
+        assert not img.coeffs.any()
     psi = random_form(mj, 0, 0, rng, r=2)
     phi = random_form(mj, 1, 0, rng, r=2)
     assert np.abs(inner(FO.b_op(psi), phi)).max() == 0.0
