@@ -17,11 +17,12 @@ products are batched calls of jets.mul and jets.matmul, at the lower of two
 orders, a prefix of the degree-sorted basis.  Each algebraic operator (L,
 Lambda, A, B, C, w ^) is one _Algebraic row of the docs/conventions.md
 table, a chain of slot moves and its coefficients; .bar is its conjugate
-and tau the bracket [Lambda, w ^].  The value is T x for the row's jet
-matrix T, and star, the exact adjoint under the pairing
+and tau the bracket [Lambda, w ^].  An operator acts from its chain's term
+table (one gather, product and scatter; no matrix is formed), and star,
+the exact adjoint under the pairing
   < dz^I ^ dzbar^J, dz^K ^ dzbar^L > = det(h^{i kbar}) conj(det(h^{j lbar})),
-uses T^T between Gram factors applied one compound matrix at a time.  With
-no per-degree factor the commutator identities close (docs/conventions.md).
+by the same table with source and destination swapped, between Gram
+factors.  With no per-degree factor the commutator identities close.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ import numpy as np
 from .connection import chern, levi_civita
 from .curvature import connection_curvature
 from .errors import StructuralError, ValidationError
-from .jets import (_algebra, _algebra_of, add, conj, derivatives,
-                   jet_matrix_inverse, matmul, mul, point_derivatives)
+from .jets import (_algebra, _algebra_of, add, conj, derivatives, matmul,
+                   mul, point_derivatives)
 from .metric import MetricJet, per_point
 
 __all__ = [
@@ -162,14 +163,7 @@ HOLO, ANTI = 0, 1
 
 def _bumped(phi: FormJet, side: int, d: int):
     """Bidegree of phi with its `side` degree moved by d."""
-    deg = [phi.p, phi.q]
-    deg[side] += d
-    return deg
-
-
-def _side_view(coeffs: np.ndarray, side: int) -> np.ndarray:
-    """coeffs with the `side` block on axis 0, as a view."""
-    return coeffs if side == HOLO else coeffs.swapaxes(0, 1)
+    return phi.p + d * (side == HOLO), phi.q + d * (side == ANTI)
 
 
 def _columns(rows, width: int):
@@ -331,20 +325,20 @@ def _nabla(phi: FormJet, side: int,
     connection."""
     n = phi.n
     out = _dcoeffs(phi, side, conn)
-    # the derivative has the lowest order of every term
-    x = phi.coeffs[..., :out.shape[-1]]
-    for slots, deg in ((HOLO, phi.p), (ANTI, phi.q)):
-        if deg == 0:
+    # the derivative has the lowest order of every term; rows are flat
+    x = phi.coeffs[..., :out.shape[-1]].reshape(-1, *out.shape[-2:])
+    rows = out.reshape(n, -1, *out.shape[-2:])
+    for slots in (HOLO, ANTI):
+        if not (phi.p, phi.q)[slots]:
             continue
         # g[i, c, k] = Gamma_{X_i c}^k on this group
         g = _gammas(phi.mj)[slots][n * side:n * (side + 1)]
-        # dz^c ^ I_k on the block alone: the chain on a (deg, 0) HOLO block
-        src, dst, k, c, sign = _term_table(n, deg, 0, ((HOLO, -1), (HOLO, 1)))
-        terms = mul(_side_view(x, slots)[src],
-                    (g[:, c, k] * -sign[:, None])[:, :, None, None], n)
-        view = out if slots == HOLO else out.swapaxes(1, 2)
-        np.add.at(view, (slice(None), dst), terms)
-    return out
+        # dz^c ^ I_k on phi itself, the n directions in one product
+        src, dst, k, c, sign = _term_table(n, phi.p, phi.q,
+                                           ((slots, -1), (slots, 1)))
+        terms = mul(x[src], (g[:, c, k] * -sign[:, None])[:, :, None], n)
+        np.add.at(rows, (slice(None), dst), terms)
+    return rows.reshape(out.shape)
 
 
 def _big_d(phi: FormJet, side: int, conn=None) -> FormJet:
@@ -411,9 +405,9 @@ class _Algebraic:
     """A jet-linear operator without derivatives, one row of the operator
     table in docs/conventions.md: sum_k coef(mj)[k] M_k, M_k the chain of
     slot `moves` of the HOLO operator (see _term_table) with indices k.
-    Its matrix T maps the (p, q) coefficient vectors to those at (p, q) +
-    ddeg, built in one scatter-add; the value on phi is T x on each fiber
-    column, and star uses T^T.  With side ANTI (bar) it is the conjugate
+    It acts on the coefficient rows of phi's form index, each fiber column
+    alike (_act); star acts by the transpose, the same terms with source
+    and destination swapped.  With side ANTI (bar) it is the conjugate
     operator: the moves on the other side, conjugate coefficients."""
     moves: tuple
     coef: object
@@ -428,32 +422,38 @@ class _Algebraic:
     def bar(self) -> "_Algebraic":
         return replace(self, side=1 - self.side)
 
-    def matrix(self, mj: MetricJet, p: int, q: int) -> np.ndarray:
+    def _act(self, mj: MetricJet, p: int, q: int, x: np.ndarray,
+             transpose: bool = False) -> np.ndarray:
+        """T x for T the operator from the (p, q) coefficient rows to those
+        at (p, q) + ddeg, x (rows, r, S), or T^T x back from there: one
+        product of each term's source row with sign coef[k...], summed into
+        its destination row in term order."""
         n, coef, (dp, dq) = mj.n, self.coef(mj), self.ddeg
         if self.side == ANTI:
             coef = conj(coef, n)
         chain = tuple((s ^ self.side, d) for s, d in self.moves)
         src, dst, *ks, sign = _term_table(n, p, q, chain)
-        t = np.zeros((_dim(n, p + dp, q + dq), _dim(n, p, q), coef.shape[-1]),
-                     dtype=complex)
-        np.add.at(t, (dst, src), coef[tuple(ks)] * sign[:, None])
-        return t
+        if transpose:  # from the rows at (p, q) + ddeg back to (p, q)
+            src, dst, dp, dq = dst, src, 0, 0
+        terms = mul(x[src], (coef[tuple(ks)] * sign[:, None])[:, None], n)
+        out = np.zeros((_dim(n, p + dp, q + dq), *terms.shape[1:]), complex)
+        np.add.at(out, dst, terms)
+        return out
 
     def __call__(self, phi: FormJet) -> FormJet:
-        n, (dp, dq) = phi.n, self.ddeg
-        p, q = phi.p + dp, phi.q + dq
-        if _empty(n, (p, q), (phi.p, phi.q)):
+        p, q = phi.p + self.ddeg[0], phi.q + self.ddeg[1]
+        if _empty(phi.n, (p, q), (phi.p, phi.q)):
             return _zeros_like(phi, p, q)
-        t = self.matrix(phi.mj, phi.p, phi.q)
-        x = phi.coeffs.reshape(t.shape[1], phi.r, -1)
-        shape = (len(_combos(n, p)), len(_combos(n, q)), phi.r, -1)
-        return FormJet(phi.mj, p, q, phi.r, matmul(t, x, n).reshape(shape))
+        x = self._act(phi.mj, phi.p, phi.q,
+                      phi.coeffs.reshape(-1, phi.r, phi.coeffs.shape[-1]))
+        return FormJet(phi.mj, p, q, phi.r, x.reshape(
+            len(_combos(phi.n, p)), len(_combos(phi.n, q)), phi.r, -1))
 
 
 @dataclass(frozen=True)
 class _Bracket:
-    """[a, b] = a b - b a of two algebraic operators, as the commutator of
-    their matrices, each factor at its own bidegree.  a is real, so the
+    """[a, b] = a b - b a of two algebraic operators, each factor at its own
+    bidegree, and its transpose b^T a^T - a^T b^T.  a is real, so the
     conjugate operator is [a, b.bar]."""
     a: _Algebraic
     b: _Algebraic
@@ -466,11 +466,14 @@ class _Bracket:
     def bar(self) -> "_Bracket":
         return _Bracket(self.a, self.b.bar)
 
-    def matrix(self, mj: MetricJet, p: int, q: int) -> np.ndarray:
-        a, b, n = self.a.matrix, self.b.matrix, mj.n
+    def _act(self, mj: MetricJet, p: int, q: int, x: np.ndarray,
+             transpose: bool = False) -> np.ndarray:
         (ap, aq), (bp, bq) = self.a.ddeg, self.b.ddeg
-        return (matmul(a(mj, p + bp, q + bq), b(mj, p, q), n)
-                - matmul(b(mj, p + ap, q + aq), a(mj, p, q), n))
+        a = lambda dp, dq, y: self.a._act(mj, p + dp, q + dq, y, transpose)
+        b = lambda dp, dq, y: self.b._act(mj, p + dp, q + dq, y, transpose)
+        if transpose:
+            return b(0, 0, a(bp, bq, x)) - a(0, 0, b(ap, aq, x))
+        return a(bp, bq, b(0, 0, x)) - b(ap, aq, a(0, 0, x))
 
     __call__ = _Algebraic.__call__
 
@@ -542,67 +545,50 @@ def gram(mj: MetricJet, p: int, q: int) -> np.ndarray:
     return out.reshape(len(a) * len(b), len(a) * len(b), -1)
 
 
-def _metric(cs: tuple, p: int, q: int, x: np.ndarray, fiber, n: int):
-    """kron(C_p(m), conj C_q(m)) tensored with the r x r fiber metric F (the
-    identity when None) on the (p, q) coefficients x (C(n,p), C(n,q), r, S),
-    cs the compounds of m, one factor at a time: C_p x conj(C_q)^T on the
-    form axes, then F^T on the fiber axis; C_0 = [[1]] is not applied.
-    m = Hup gives the Gram matrix; by Cauchy-Binet C_k(Hup)^-1 =
-    C_k(Hup^-1), and Hup^-1 = h^T is the lower metric, so m = h^T gives its
-    inverse with no solve."""
+def _metric(cs: tuple, p: int, q: int, x: np.ndarray, n: int):
+    """kron(C_p(m), conj C_q(m)) on the (p, q) coefficients x (C(n,p),
+    C(n,q), r, S), cs the compounds of m, one factor at a time: C_p x
+    conj(C_q)^T on the form axes; C_0 = [[1]] is not applied.  m = Hup
+    gives the Gram matrix; by Cauchy-Binet C_k(Hup)^-1 = C_k(Hup^-1), and
+    Hup^-1 = h^T is the lower metric, so m = h^T gives its inverse with no
+    solve."""
     P, Q, r, _ = x.shape
     if p:
         x = matmul(cs[p], x.reshape(P, Q * r, -1), n).reshape(P, Q, r, -1)
-    if q:
-        x = matmul(conj(cs[q], n), x, n)
-    return x if fiber is None else matmul(x, fiber.swapaxes(0, 1), n)
+    return matmul(conj(cs[q], n), x, n) if q else x
 
 
 def inner(phi: FormJet, psi: FormJet, fiber: np.ndarray | None = None):
     """Pointwise Hermitian inner product, a jet (S,) conjugate linear in
-    psi.  fiber is the (r, r, S) jet matrix G[al, be] = <e_al, e_be>."""
+    psi.  fiber is the (r, r, S) jet matrix F[al, be] = <e_al, e_be> (the
+    identity when None), applied as F^T on the fiber axis."""
     if (phi.p, phi.q, phi.r) != (psi.p, psi.q, psi.r):
         raise StructuralError("bidegree/rank mismatch in inner product")
     n = phi.n
-    y = _metric(_gram_factors(phi.mj)[0], phi.p, phi.q, conj(psi.coeffs, n),
-                fiber, n)
+    y = _metric(_gram_factors(phi.mj)[0], phi.p, phi.q, conj(psi.coeffs, n), n)
+    if fiber is not None:
+        y = matmul(y, fiber.swapaxes(0, 1), n)
     return mul(phi.coeffs, y, n).sum(axis=(0, 1, 2))
 
 
-def star(op: _Algebraic, phi: FormJet, fiber=None) -> FormJet:
+def star(op: _Algebraic, phi: FormJet) -> FormJet:
     """Exact pointwise adjoint of an algebraic operator (l_op, lambda_op,
     a_op, b_op, c_op, tau, tau_bar or a conjugate), which maps (p,q) ->
     (p+dp, q+dq) with op.ddeg = (dp, dq); star(op) maps phi at (p,q) back
-    to (p-dp, q-dq).  With T the matrix of op and G the Gram
-    matrices (tensored with the fiber metric F),
-    star(op) phi = conj(Gs^-1 T^T Gd conj(phi)), matrix products from the
-    right on the (form index, fiber index) coefficient matrix; op itself is
-    never applied.  Gs^-1 is a compound-matrix product and F^-1 the only
-    solve, taken once per fiber (_fiber_inverse)."""
-    dp, dq = op.ddeg
+    to (p-dp, q-dq): with G the Gram matrices, conj(Gs^-1 T^T Gd conj(phi))
+    from the right, T^T op's term table with source and destination swapped
+    (op is never applied) and Gs^-1 a compound-matrix product.  op acts on
+    form indices only, so the fiber metric F of the E-valued Gram G (x) F
+    cancels between Gd and Gs^-1: star takes none."""
     mj, n, r = phi.mj, phi.n, phi.r
-    sp, sq = phi.p - dp, phi.q - dq
+    sp, sq = phi.p - op.ddeg[0], phi.q - op.ddeg[1]
     if _empty(n, (sp, sq), (phi.p, phi.q)):
         return _zeros_like(phi, sp, sq)
     up, down = _gram_factors(mj)
-    y = _metric(up, phi.p, phi.q, conj(phi.coeffs, n), fiber, n)
-    t = op.matrix(mj, sp, sq)
-    x = matmul(t.swapaxes(0, 1), y.reshape(len(t), r, -1), n)
-    f_inv = None if fiber is None else _fiber_inverse(mj, fiber)
-    shape = (len(_combos(n, sp)), len(_combos(n, sq)), r, -1)
-    x = _metric(down, sp, sq, x.reshape(shape), f_inv, n)
-    return FormJet(mj, sp, sq, r, conj(x, n))
-
-
-def _fiber_inverse(mj: MetricJet, fiber: np.ndarray) -> np.ndarray:
-    """F^-1 for star, kept on the jet for the last fiber metric star saw
-    there: the bundle suite passes one fiber to every star call on one
-    jet.  A fiber metric is not changed in place."""
-    last = mj._memo.get(_fiber_inverse)
-    if last is None or last[0] is not fiber:
-        last = mj._memo[_fiber_inverse] = (fiber,
-                                          jet_matrix_inverse(fiber, mj.n))
-    return last[1]
+    y = _metric(up, phi.p, phi.q, conj(phi.coeffs, n), n)
+    x = op._act(mj, sp, sq, y.reshape(-1, r, y.shape[-1]), transpose=True)
+    x = x.reshape(len(_combos(n, sp)), len(_combos(n, sq)), r, -1)
+    return FormJet(mj, sp, sq, r, conj(_metric(down, sp, sq, x, n), n))
 
 
 def _d_star(phi: FormJet, side: int, conn=None) -> FormJet:
@@ -759,7 +745,6 @@ def bundle_identity_suite(mj: MetricJet, conn: ConnectionJet,
     size = _algebra(n, min(mj.order, 2)).size
     conn = ConnectionJet(r, conn.amats[..., :size], conn.bmats[..., :size],
                          conn.fiber[..., :size])
-    fib = conn.fiber
     pe = lambda f: partial(f, conn)
     de = lambda f: dbar(f, conn)
     pes = lambda f: partial_star(f, conn)
@@ -779,9 +764,9 @@ def bundle_identity_suite(mj: MetricJet, conn: ConnectionJet,
             "partial_e_star_L": (pes(l_phi) - l_op(pes_phi)
                                  + (de_phi + tau_bar(phi)) * 1j),
             "lambda_partial_e": (lambda_op(pe_phi) - pe(lam)
-                                 - (des_phi + star(tau_bar, phi, fib)) * 1j),
+                                 - (des_phi + star(tau_bar, phi)) * 1j),
             "lambda_dbar_e": (lambda_op(de_phi) - de(lam)
-                              + (pes_phi + star(tau, phi, fib)) * 1j),
+                              + (pes_phi + star(tau, phi)) * 1j),
             "tensoriality": (pe(de(prod)) + de(pe(prod))
                              - wedge(phis, pe(de(s)) + de(pe(s))))}
 

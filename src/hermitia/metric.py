@@ -71,8 +71,8 @@ class MetricJet:
     point: np.ndarray
     h: np.ndarray
     hinv: np.ndarray
-    # per_point results keyed by the wrapped function, the at_order prefix
-    # jets, and star's last fiber inverse (forms._fiber_inverse)
+    # per_point results keyed by the wrapped function, and the at_order
+    # prefix jets
     _memo: dict = dc_field(default_factory=dict, init=False, repr=False,
                            compare=False)
 
@@ -410,7 +410,8 @@ def torus_fourier(n: int, modes) -> MetricField:
     for key, A in table.items():
         neg = tuple(-v for v in key)
         partner = table.get(neg)
-        if partner is None or not np.allclose(partner, A.conj().T, atol=1e-12):
+        if partner is None or not np.allclose(partner, A.conj().T, rtol=0,
+                                              atol=1e-12):
             raise ValidationError(
                 f"Hermitian frequency constraint violated at m={key}")
     keys = sorted(table)
@@ -661,9 +662,12 @@ def ingest_torus_metric(path) -> MetricField:
             raise ParseError(
                 f"expected {2*n*n} matrix numbers, got {len(vals)}")
         A = np.array(vals[0::2]) + 1j * np.array(vals[1::2])
+        if not np.isfinite(A).all():
+            raise ParseError(f"non-finite matrix entry in: {ln!r}")
         modes.append((tuple(m), A.reshape(n, n)))
     field = torus_fourier(n, modes)  # raises ValidationError on bad pairing
-    if _weyl_margin(field) <= _POS_EIG_TOL:
+    # a non-finite bound (an overflow) is inconclusive
+    if not _POS_EIG_TOL < _weyl_margin(field) < np.inf:
         _positivity_sweep(field)
     return field
 
@@ -671,12 +675,13 @@ def ingest_torus_metric(path) -> MetricField:
 def _weyl_margin(field: MetricField) -> float:
     """Weyl's lower bound lambda_min(A_0) - sum_{m != 0} ||A_m||_2 on the
     smallest eigenvalue of h anywhere on the torus.  Above _POS_EIG_TOL it
-    certifies positivity at every point, sampled or not."""
+    certifies positivity at every point, sampled or not (A_0 symmetrized
+    as A/2 + A^H/2: A + A^H can overflow)."""
     zero = (0,) * (2 * field.n)
     margin = 0.0
     for m, A in field.modes:
         if m == zero:
-            margin += float(np.linalg.eigvalsh((A + A.conj().T) / 2)[0])
+            margin += float(np.linalg.eigvalsh(A / 2 + A.conj().T / 2)[0])
         else:
             margin -= float(np.linalg.norm(A, 2))
     return margin
@@ -684,7 +689,8 @@ def _weyl_margin(field: MetricField) -> float:
 
 def _positivity_sweep(field: MetricField, chunk: int = 4096):
     """Raise ValidationError at the first point, in np.ndindex order over
-    x in {0, 0.2, ..., 0.8}^{2n}, where h is not positive definite.  Points
+    x in {0, 0.2, ..., 0.8}^{2n}, where h is not positive definite (a
+    non-finite smallest eigenvalue counts as not positive).  Points
     go through ``evaluate`` ``chunk`` mode-points at a time (one matrix per
     point and mode), so memory stays flat in n and in the mode count."""
     n = field.n
@@ -697,7 +703,7 @@ def _positivity_sweep(field: MetricField, chunk: int = 4096):
         hm = evaluate(field, x[:, :n] + 1j * x[:, n:])
         w = np.linalg.eigvalsh(
             (hm + np.conj(np.swapaxes(hm, -1, -2))) / 2)[:, 0]
-        bad = np.flatnonzero(w <= _POS_EIG_TOL)
+        bad = np.flatnonzero((w <= _POS_EIG_TOL) | ~np.isfinite(w))
         if bad.size:
             k = bad[0]
             raise ValidationError(

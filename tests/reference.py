@@ -324,8 +324,8 @@ def slot_map(phi, side, k, d):
     dst = FO._combo_index(n, deg + d)
     move = insert_slot if d > 0 else remove_slot
     base = 1 if side == FO.HOLO else (-1) ** phi.p
-    src = FO._side_view(phi.coeffs, side)
-    res = FO._side_view(out.coeffs, side)
+    src, res = ((x.coeffs if side == FO.HOLO else x.coeffs.swapaxes(0, 1))
+                for x in (phi, out))
     for s, T in enumerate(FO._combos(n, deg)):
         mv = move(T, k)
         if mv is None:

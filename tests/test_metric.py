@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import os
+import re
 import tempfile
 import tracemalloc
 
@@ -8,7 +9,9 @@ import numpy as np
 import pytest
 
 from hermitia import metric as M
-from hermitia.errors import DomainError, StructuralError, ValidationError
+from hermitia.cli import main
+from hermitia.errors import (DomainError, ParseError, StructuralError,
+                             ValidationError)
 from hermitia.metric import (evaluate, flat_metric, hopf_metric,
                              ingest_torus_metric, metric_jet,
                              normal_coordinates_random, normal_form_balanced,
@@ -355,6 +358,30 @@ def test_ingest_sweep_rejects_at_first_failing_point(monkeypatch):
         with pytest.raises(ValidationError) as exc:
             sweep(fld, chunk=chunk)
         assert str(exc.value) == msg
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the 1e308 overflow
+@pytest.mark.parametrize("body, error, message", [
+    ("freq 0 0 ; inf 0", ParseError,
+     "non-finite matrix entry in: 'freq 0 0 ; inf 0'"),
+    ("freq 0 0 ; nan 0", ParseError,
+     "non-finite matrix entry in: 'freq 0 0 ; nan 0'"),
+    # h = 1e308 (1 + 2 cos 2 pi x), -1e308 at x = 0.5: A_0 + A_0^H overflows
+    # to a Weyl bound of +inf, and h itself to inf at x = 0
+    ("freq -1 0 ; 1e308 0\nfreq 0 0 ; 1e308 0\nfreq 1 0 ; 1e308 0",
+     ValidationError, "metric loses positivity at x=[0.0, 0.0]"),
+    # partners 9e-7 apart, within the relative tolerance np.allclose adds
+    ("freq 0 0 ; 1 0\nfreq 1 0 ; 0.1 0\nfreq -1 0 ; 0.1000009 0",
+     ValidationError, "Hermitian frequency constraint violated at m=(")],
+    ids=["inf", "nan", "overflow", "loose-pair"])
+def test_ingest_refuses_non_finite_numbers_and_inexact_pairs(
+        tmp_path, capsys, body, error, message):
+    path = tmp_path / "m.txt"
+    path.write_text(f"dim 1\n{body}\n", encoding="utf-8")
+    with pytest.raises(error, match=re.escape(message)):
+        ingest_torus_metric(path)
+    assert main(["check", "--metric-file", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("make", [

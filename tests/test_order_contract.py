@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hermitia import connection
+from hermitia import connection, jets, metric
 from hermitia import forms as FO
 from hermitia.connection import levi_civita
 from hermitia.curvature import (complexified_ricci_bianchi, curvature_bismut,
@@ -167,15 +167,18 @@ def test_forms_read_the_memoized_levi_civita_at_their_order(monkeypatch):
     assert mj._memo == {}
 
 
-def test_fiber_metric_inverted_once_per_bundle_suite(monkeypatch):
-    calls = []
-    monkeypatch.setattr(FO, "jet_matrix_inverse",
-                        lambda m, n, f=FO.jet_matrix_inverse:
-                        calls.append(m.shape) or f(m, n))
+def test_fiber_metric_never_inverted_by_a_bundle_suite(monkeypatch):
     mj = _skt2()
-    bundle_identity_suite(mj, chern_connection(mj), trials=3, seed=0)
-    # twice per trial before: star(tau, .) and star(tau_bar, .)
-    assert calls == [(2, 2, _algebra(2, 2).size)]
+    conn = chern_connection(mj)
+    calls = []
+    for module in (jets, metric):
+        monkeypatch.setattr(module, "jet_matrix_inverse",
+                            lambda m, n, f=jets.jet_matrix_inverse:
+                            calls.append(m.shape) or f(m, n))
+    assert not hasattr(FO, "jet_matrix_inverse")
+    bundle_identity_suite(mj, conn, trials=3, seed=0)
+    # star takes no fiber metric: it cancels between the Gram factors
+    assert calls == []
 
 
 def test_gram_compounds_built_once_per_suite_call(monkeypatch):
