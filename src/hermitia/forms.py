@@ -16,13 +16,13 @@ _term_table (a chain of slot moves, such as dz^c ^ I_k in nabla).  Jet
 products are batched calls of jets.mul and jets.matmul, at the lower of two
 orders, a prefix of the degree-sorted basis.  Each algebraic operator (L,
 Lambda, A, B, C, w ^) is one _Algebraic row of the docs/conventions.md
-table, a chain of slot moves and its coefficients; .bar is its conjugate
-and tau the bracket [Lambda, w ^].  An operator acts from its chain's term
-table (one gather, product and scatter; no matrix is formed), and star,
-the exact adjoint under the pairing
+table, a chain of slot moves and its coefficients, and acts from the
+chain's term table (one gather, product and scatter; no matrix is formed);
+.bar is its conjugate, tau the bracket [Lambda, w ^], and .star the exact
+adjoint, one more row (the chain reversed and flipped), under the pairing
   < dz^I ^ dzbar^J, dz^K ^ dzbar^L > = det(h^{i kbar}) conj(det(h^{j lbar})),
-by the same table with source and destination swapped, between Gram
-factors.  With no per-degree factor the commutator identities close.
+which inner computes by its own route, from antisymmetric tensors.  With
+no per-degree factor the commutator identities close.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from math import factorial
 
 import numpy as np
 
@@ -64,7 +65,6 @@ __all__ = [
     "partial_star",
     "dbar_star",
     "inner",
-    "gram",
     "identity_suite",
     "trivial_connection",
     "chern_connection",
@@ -400,15 +400,35 @@ def _a_coefficients(mj: MetricJet) -> np.ndarray:
             .transpose(1, 2, 0, 3) * -1.0)
 
 
+def _on_slot(m: np.ndarray, x: np.ndarray, n: int, to: int) -> np.ndarray:
+    """sum_k m[i, k] x[k, ...] on slot axis 0 of x (n, ..., S), the new
+    axis i moved to position `to`; applied to each slot axis in turn, with
+    `to` the last slot axis, it leaves the slots in their order."""
+    y = matmul(m, x.reshape(n, -1, x.shape[-1]), n)
+    return np.moveaxis(y.reshape(n, *x.shape[1:-1], -1), 0, to)
+
+
+def _starred(row: "_Algebraic", mj: MetricJet) -> np.ndarray:
+    """The coefficients of row.star: conj(c) with the slot axis of each
+    move taken through its pairing W, c*[..., j, ...] = sum_k conj(c)[...,
+    k, ...] W[k, j] for W = h^-1 on dz ^, h^T on I and their transposes on
+    the barred moves, then the axes reversed with the chain."""
+    n, c = mj.n, conj(row.coef(mj), mj.n)
+    for side, d in row.moves:
+        w = mj.hinv if d > 0 else mj.h.swapaxes(0, 1)
+        c = _on_slot(w.swapaxes(0, 1) if side == HOLO else w, c, n, -2)
+    return c.transpose(*reversed(range(c.ndim - 1)), c.ndim - 1)
+
+
 @dataclass(frozen=True)
 class _Algebraic:
     """A jet-linear operator without derivatives, one row of the operator
     table in docs/conventions.md: sum_k coef(mj)[k] M_k, M_k the chain of
     slot `moves` of the HOLO operator (see _term_table) with indices k.
     It acts on the coefficient rows of phi's form index, each fiber column
-    alike (_act); star acts by the transpose, the same terms with source
-    and destination swapped.  With side ANTI (bar) it is the conjugate
-    operator: the moves on the other side, conjugate coefficients."""
+    alike (_act).  With side ANTI (bar) it is the conjugate operator: the
+    moves on the other side, conjugate coefficients.  star is the adjoint
+    row, the chain reversed with each move flipped, on the same side."""
     moves: tuple
     coef: object
     side: int = HOLO
@@ -418,23 +438,28 @@ class _Algebraic:
         return tuple(sum(d for s, d in self.moves if s ^ self.side == side)
                      for side in (HOLO, ANTI))
 
-    @property
+    @cached_property
     def bar(self) -> "_Algebraic":
         return replace(self, side=1 - self.side)
 
-    def _act(self, mj: MetricJet, p: int, q: int, x: np.ndarray,
-             transpose: bool = False) -> np.ndarray:
+    @cached_property
+    def star(self) -> "_Algebraic":
+        return _Algebraic(tuple((s, -d) for s, d in reversed(self.moves)),
+                          lambda mj: _starred(self, mj), self.side)
+
+    @cached_property
+    def _coefficients(self):
+        """coef on this row's side, built once per jet and kept with it."""
+        return per_point(lambda mj: conj(self.coef(mj), mj.n)
+                         if self.side == ANTI else self.coef(mj))
+
+    def _act(self, mj: MetricJet, p: int, q: int, x: np.ndarray) -> np.ndarray:
         """T x for T the operator from the (p, q) coefficient rows to those
-        at (p, q) + ddeg, x (rows, r, S), or T^T x back from there: one
-        product of each term's source row with sign coef[k...], summed into
-        its destination row in term order."""
-        n, coef, (dp, dq) = mj.n, self.coef(mj), self.ddeg
-        if self.side == ANTI:
-            coef = conj(coef, n)
+        at (p, q) + ddeg, x (rows, r, S): each term's source row times sign
+        coef[k...], summed into its destination row in term order."""
+        n, coef, (dp, dq) = mj.n, self._coefficients(mj), self.ddeg
         chain = tuple((s ^ self.side, d) for s, d in self.moves)
         src, dst, *ks, sign = _term_table(n, p, q, chain)
-        if transpose:  # from the rows at (p, q) + ddeg back to (p, q)
-            src, dst, dp, dq = dst, src, 0, 0
         terms = mul(x[src], (coef[tuple(ks)] * sign[:, None])[:, None], n)
         out = np.zeros((_dim(n, p + dp, q + dq), *terms.shape[1:]), complex)
         np.add.at(out, dst, terms)
@@ -453,8 +478,7 @@ class _Algebraic:
 @dataclass(frozen=True)
 class _Bracket:
     """[a, b] = a b - b a of two algebraic operators, each factor at its own
-    bidegree, and its transpose b^T a^T - a^T b^T.  a is real, so the
-    conjugate operator is [a, b.bar]."""
+    bidegree; its conjugate is [a.bar, b.bar] and its adjoint [b*, a*]."""
     a: _Algebraic
     b: _Algebraic
 
@@ -462,18 +486,18 @@ class _Bracket:
     def ddeg(self) -> tuple:
         return tuple(x + y for x, y in zip(self.a.ddeg, self.b.ddeg))
 
-    @property
+    @cached_property
     def bar(self) -> "_Bracket":
-        return _Bracket(self.a, self.b.bar)
+        return _Bracket(self.a.bar, self.b.bar)
 
-    def _act(self, mj: MetricJet, p: int, q: int, x: np.ndarray,
-             transpose: bool = False) -> np.ndarray:
+    @cached_property
+    def star(self) -> "_Bracket":
+        return _Bracket(self.b.star, self.a.star)
+
+    def _act(self, mj: MetricJet, p: int, q: int, x: np.ndarray) -> np.ndarray:
         (ap, aq), (bp, bq) = self.a.ddeg, self.b.ddeg
-        a = lambda dp, dq, y: self.a._act(mj, p + dp, q + dq, y, transpose)
-        b = lambda dp, dq, y: self.b._act(mj, p + dp, q + dq, y, transpose)
-        if transpose:
-            return b(0, 0, a(bp, bq, x)) - a(0, 0, b(ap, aq, x))
-        return a(bp, bq, b(0, 0, x)) - b(ap, aq, a(0, 0, x))
+        return (self.a._act(mj, p + bp, q + bq, self.b._act(mj, p, q, x))
+                - self.b._act(mj, p + ap, q + aq, self.a._act(mj, p, q, x)))
 
     __call__ = _Algebraic.__call__
 
@@ -501,94 +525,44 @@ tau_bar, _a_bar, _b_bar, _c_bar = tau.bar, a_op.bar, b_op.bar, c_op.bar
 # -- inner product and adjoints --------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _minor_table(n: int, k: int):
-    """For the k x k minors on rows I, columns K of _combos(n, k), k >= 2,
-    at [I, K, t]: the row I[0], the column K[t] and the rows I[1:] and
-    columns K without K[t] of a (k-1) x (k-1) minor in _combos(n, k - 1)."""
-    low, combos = _combo_index(n, k - 1), _combos(n, k)
-    rows = np.array([(I[0], low[I[1:]]) for I in combos]).T[..., None, None]
-    minors = np.array([[low[K[:t] + K[t + 1:]] for t in range(k)]
-                       for K in combos])
-    return rows[0], np.array(combos), rows[1], minors
-
-
-def _compounds(m: np.ndarray, top: int, n: int) -> list:
-    """C_0(m), ..., C_top(m): the k x k minors of the n x n jet matrix m
-    (n, n, S), rows and columns in _combos(n, k) order, C_0 = [[1]].  The
-    minor on rows I, columns K is sum_t (-1)^t m[I[0], K[t]] times the minor
-    on I[1:] and K without K[t]: one batched product per minor size."""
-    out = [np.eye(1, m.shape[-1], dtype=complex)[None], m]
-    for k in range(2, top + 1):
-        first, cols, rest, minors = _minor_table(n, k)
-        terms = mul(m[first, cols], out[-1][rest, minors], n)
-        out.append((terms * (-1.0) ** np.arange(k)[:, None]).sum(axis=2))
+def _tensor(phi: FormJet) -> np.ndarray:
+    """phi as an antisymmetric tensor (n ** (p + q), r, S), slots flat: the
+    chain of p HOLO, then q ANTI interior products at the slots it takes."""
+    n, (_, _, r, size) = phi.n, phi.coeffs.shape
+    chain = ((HOLO, -1),) * phi.p + ((ANTI, -1),) * phi.q
+    src, _, *ks, sign = _term_table(n, phi.p, phi.q, chain)
+    flat = np.zeros(len(src), int)
+    for k in ks:
+        flat = flat * n + k
+    out = np.zeros((n ** len(ks), r, size), complex)
+    out[flat] = phi.coeffs.reshape(-1, r, size)[src] * sign[:, None, None]
     return out
-
-
-@per_point
-def _gram_factors(mj: MetricJet) -> tuple:
-    """(C_0..C_n of Hup, C_0..C_n of h^T): the Gram factors and those of
-    its inverse (see _metric), built once per jet and kept with it; the
-    suites read them on a jet of the call's own (_trials)."""
-    return tuple(tuple(_compounds(m, mj.n, mj.n))
-                 for m in (_h_up(mj, HOLO), mj.h.swapaxes(0, 1)))
-
-
-def gram(mj: MetricJet, p: int, q: int) -> np.ndarray:
-    """Gram matrix of the basis forms, a jet matrix (D, D, S), D = C(n,p)
-    C(n,q): kron(C_p(Hup), conj C_q(Hup)) for Hup[i, k] = h^{i kbar}, the
-    row of dz^I ^ dzbar^J a * C(n, q) + b, I, J the a-th and b-th combos."""
-    cs = _gram_factors(mj)[0]
-    a, b = cs[p], conj(cs[q], mj.n)
-    out = mul(a[:, None, :, None], b[None, :, None, :], mj.n)
-    return out.reshape(len(a) * len(b), len(a) * len(b), -1)
-
-
-def _metric(cs: tuple, p: int, q: int, x: np.ndarray, n: int):
-    """kron(C_p(m), conj C_q(m)) on the (p, q) coefficients x (C(n,p),
-    C(n,q), r, S), cs the compounds of m, one factor at a time: C_p x
-    conj(C_q)^T on the form axes; C_0 = [[1]] is not applied.  m = Hup
-    gives the Gram matrix; by Cauchy-Binet C_k(Hup)^-1 = C_k(Hup^-1), and
-    Hup^-1 = h^T is the lower metric, so m = h^T gives its inverse with no
-    solve."""
-    P, Q, r, _ = x.shape
-    if p:
-        x = matmul(cs[p], x.reshape(P, Q * r, -1), n).reshape(P, Q, r, -1)
-    return matmul(conj(cs[q], n), x, n) if q else x
 
 
 def inner(phi: FormJet, psi: FormJet, fiber: np.ndarray | None = None):
     """Pointwise Hermitian inner product, a jet (S,) conjugate linear in
-    psi.  fiber is the (r, r, S) jet matrix F[al, be] = <e_al, e_be> (the
-    identity when None), applied as F^T on the fiber axis."""
+    psi: the tensors contracted with every slot of conj(psi) raised, by
+    h^{i kbar} on HOLO and its conjugate on ANTI, over p! q!.  fiber is the
+    (r, r, S) jet matrix F[al, be] = <e_al, e_be> (the identity when None),
+    applied as F^T on the fiber axis."""
     if (phi.p, phi.q, phi.r) != (psi.p, psi.q, psi.r):
         raise StructuralError("bidegree/rank mismatch in inner product")
-    n = phi.n
-    y = _metric(_gram_factors(phi.mj)[0], phi.p, phi.q, conj(psi.coeffs, n), n)
+    n, k, r = phi.n, phi.p + phi.q, phi.r
+    y = conj(_tensor(psi), n).reshape((n,) * k + (r, -1))
+    for side in (HOLO,) * phi.p + (ANTI,) * phi.q:
+        y = _on_slot(_h_up(phi.mj, side), y, n, k - 1)
+    y = y.reshape(-1, r, y.shape[-1])
     if fiber is not None:
         y = matmul(y, fiber.swapaxes(0, 1), n)
-    return mul(phi.coeffs, y, n).sum(axis=(0, 1, 2))
+    total = mul(_tensor(phi), y, n).sum(axis=(0, 1))
+    return total / (factorial(phi.p) * factorial(phi.q))
 
 
 def star(op: _Algebraic, phi: FormJet) -> FormJet:
     """Exact pointwise adjoint of an algebraic operator (l_op, lambda_op,
-    a_op, b_op, c_op, tau, tau_bar or a conjugate), which maps (p,q) ->
-    (p+dp, q+dq) with op.ddeg = (dp, dq); star(op) maps phi at (p,q) back
-    to (p-dp, q-dq): with G the Gram matrices, conj(Gs^-1 T^T Gd conj(phi))
-    from the right, T^T op's term table with source and destination swapped
-    (op is never applied) and Gs^-1 a compound-matrix product.  op acts on
-    form indices only, so the fiber metric F of the E-valued Gram G (x) F
-    cancels between Gd and Gs^-1: star takes none."""
-    mj, n, r = phi.mj, phi.n, phi.r
-    sp, sq = phi.p - op.ddeg[0], phi.q - op.ddeg[1]
-    if _empty(n, (sp, sq), (phi.p, phi.q)):
-        return _zeros_like(phi, sp, sq)
-    up, down = _gram_factors(mj)
-    y = _metric(up, phi.p, phi.q, conj(phi.coeffs, n), n)
-    x = op._act(mj, sp, sq, y.reshape(-1, r, y.shape[-1]), transpose=True)
-    x = x.reshape(len(_combos(n, sp)), len(_combos(n, sq)), r, -1)
-    return FormJet(mj, sp, sq, r, conj(_metric(down, sp, sq, x, n), n))
+    a_op, b_op, c_op, tau, tau_bar or a conjugate) on phi: the row op.star,
+    so op is never applied, and no fiber metric, which cancels, is read."""
+    return op.star(phi)
 
 
 def _d_star(phi: FormJet, side: int, conn=None) -> FormJet:

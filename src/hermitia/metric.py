@@ -666,9 +666,11 @@ def ingest_torus_metric(path) -> MetricField:
             raise ParseError(f"non-finite matrix entry in: {ln!r}")
         modes.append((tuple(m), A.reshape(n, n)))
     field = torus_fourier(n, modes)  # raises ValidationError on bad pairing
-    # a non-finite bound (an overflow) is inconclusive
-    if not _POS_EIG_TOL < _weyl_margin(field) < np.inf:
-        _positivity_sweep(field)
+    # a non-finite bound (an overflow) is inconclusive, and a non-finite
+    # eigenvalue fails the sweep: an overflow is a verdict, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not _POS_EIG_TOL < _weyl_margin(field) < np.inf:
+            _positivity_sweep(field)
     return field
 
 

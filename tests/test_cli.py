@@ -298,6 +298,18 @@ def test_python_dash_m_hermitia_runs_the_cli():
     assert done.stdout.strip() == hermitia.__version__
 
 
+def test_an_overflowing_metric_file_prints_only_the_usage_error(tmp_path):
+    # three 1e308 modes overflow the Weyl bound and h itself at x = 0
+    path = tmp_path / "m.txt"
+    path.write_text("dim 1\nfreq -1 0 ; 1e308 0\nfreq 0 0 ; 1e308 0\n"
+                    "freq 1 0 ; 1e308 0\n", encoding="utf-8")
+    done = _cli("check", "--metric-file", str(path))
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [
+        "usage error: metric loses positivity at x=[0.0, 0.0]: "
+        "min eigenvalue inf"]
+
+
 @pytest.mark.parametrize("command", ["check", "flow"])
 @pytest.mark.parametrize("metric, dim", [
     ("random-torus", "0"), ("kahler-torus", "0"),

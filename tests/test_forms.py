@@ -330,24 +330,6 @@ def _mm(a, b):
                       for col in b.T] for row in a], dtype=object)
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_gram_times_compound_inverse_is_identity(n):
-    for mj in _metric_points(n):
-        one = constant(1.0, n, mj.order)
-        for p in range(n + 1):
-            for q in range(n + 1):
-                g = jet_array(FO.gram(mj, p, q), n)
-                eye = np.array([[one * float(a == b) for b in range(len(g))]
-                                for a in range(len(g))], dtype=object)
-                # kron(C_p(Hup^-1), conj C_q(Hup^-1)), Hup^-1 = h^T
-                low = FO._compounds(mj.h.swapaxes(0, 1), n, n)
-                a = jet_array(low[p], n)
-                b = _jets_conj(jet_array(low[q], n))
-                g_inv = np.multiply.outer(a, b).transpose(0, 2, 1, 3)
-                prod = _mm(g, g_inv.reshape(len(g), len(g)))
-                assert _jet_gap(prod, eye) <= 1e-13, (p, q)
-
-
 def _det_gram(mj, p, q):
     """The Gram matrix one determinant per entry:
     det(h^{i kbar})_{i in I, k in K} conj det(h^{j lbar})_{j in J, l in L}."""
@@ -361,6 +343,32 @@ def _det_gram(mj, p, q):
     basis = [(I, J) for I in FO._combos(mj.n, p) for J in FO._combos(mj.n, q)]
     return np.array([[det_up(I, K) * det_up(J, L).conj() for K, L in basis]
                      for I, J in basis], dtype=object)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_inner_matches_the_determinant_gram(n):
+    # inner expands both forms to tensors; this route pairs the coefficient
+    # vectors through the Gram determinants, tensored with the fiber metric
+    rng = np.random.default_rng(40 + n)
+    for mj in _metric_points(n):
+        for fib in (None, chern_connection(mj).fiber):
+            r = 2 if fib is None else n
+            one = constant(1.0, n, mj.order)
+            f = (jet_array(fib, n) if fib is not None else
+                 [[one * float(a == b) for b in range(r)] for a in range(r)])
+            for p in range(n + 1):
+                for q in range(n + 1):
+                    phi, psi = (random_form(mj, p, q, rng, r=r)
+                                for _ in range(2))
+                    x, y = (jet_array(g.coeffs, n).reshape(-1, r)
+                            for g in (phi, psi))
+                    g = _det_gram(mj, p, q)
+                    want = functools.reduce(operator.add, (
+                        x[a, al] * g[a, b] * f[al][be] * y[b, be].conj()
+                        for a in range(len(g)) for b in range(len(g))
+                        for al in range(r) for be in range(r)))
+                    got = inner(phi, psi, fib)
+                    assert _jet_gap(got, want.coeffs) <= 1e-13, (p, q, r)
 
 
 # -- the operator bodies each matrix is checked against -------------------
@@ -620,8 +628,9 @@ def test_table_operators_match_reference_bodies_with_fiber():
 def test_star_never_applies_the_operator(monkeypatch):
     calls = []
     forward = FO._Algebraic.__call__
-    monkeypatch.setattr(FO._Algebraic, "__call__",
-                        lambda op, phi: calls.append(op) or forward(op, phi))
+    for cls in (FO._Algebraic, FO._Bracket):
+        monkeypatch.setattr(cls, "__call__", lambda op, phi: calls.append(op)
+                            or forward(op, phi))
     mj = _hopf()
     rng = np.random.default_rng(106)
     for p in range(3):
@@ -630,7 +639,10 @@ def test_star_never_applies_the_operator(monkeypatch):
             for _, op, _, _ in _STARRED:
                 FO.star(op, phi)
             lambda_matrix_adjoint(phi)
-    assert calls == []
+    # only the adjoint rows are applied
+    stars = [op.star for _, op, _, _ in _STARRED] + [FO.l_op.star]
+    assert calls and all(any(c is s for s in stars) for c in calls)
+    calls.clear()
     FO.b_op(phi)
     assert calls == [FO.b_op]
 
@@ -720,13 +732,13 @@ def test_every_operator_maps_to_its_exact_bidegree(n):
         if isinstance(op, (FO._Algebraic, FO._Bracket)):
             assert op.ddeg == (dp, dq), name
             for p, q in inside:
-                # the rows of the table apply and of its transpose
+                # the rows of the table apply and of the adjoint's
                 rows = (_count(n, p) * _count(n, q),
                         _count(n, p + dp) * _count(n, q + dq))
                 x, y = (np.zeros((k, 2, mj.h.shape[-1]), complex)
                         for k in rows)
                 fwd = op._act(mj, p, q, x)
-                back = op._act(mj, p, q, y, transpose=True)
+                back = op.star._act(mj, p + dp, q + dq, y)
                 assert (len(fwd), len(back)) == rows[::-1], (name, p, q)
         for phi in sources:
             img = op(phi)

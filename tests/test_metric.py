@@ -360,7 +360,6 @@ def test_ingest_sweep_rejects_at_first_failing_point(monkeypatch):
         assert str(exc.value) == msg
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the 1e308 overflow
 @pytest.mark.parametrize("body, error, message", [
     ("freq 0 0 ; inf 0", ParseError,
      "non-finite matrix entry in: 'freq 0 0 ; inf 0'"),

@@ -181,20 +181,25 @@ def test_fiber_metric_never_inverted_by_a_bundle_suite(monkeypatch):
     assert calls == []
 
 
-def test_gram_compounds_built_once_per_suite_call(monkeypatch):
-    calls = []
-    monkeypatch.setattr(FO, "_compounds",
-                        lambda m, top, n, f=FO._compounds:
-                        calls.append(m.shape) or f(m, top, n))
+def test_starred_coefficients_built_once_per_suite_call(monkeypatch):
+    built = []
+    monkeypatch.setattr(FO, "_starred",
+                        lambda row, mj, f=FO._starred:
+                        built.append((row, mj.order)) or f(row, mj))
     mj = hopf_jet(2)
     identity_suite(mj, trials=3, seed=0)
-    # C_0..C_n of Hup and of h^T, on the suite's order-1 jet; twice per
-    # star call before
-    assert calls == [(2, 2, _algebra(2, 1).size)] * 2
-    calls.clear()
+    # once per starred row, on the suite's order-1 jet, however many trials
+    # and adjoints read it
+    want = (FO._a_bar, FO._b_bar, FO._c_bar, FO.tau_bar.a, FO.tau_bar.b)
+    assert sorted(map(id, want)) == sorted(id(row) for row, _ in built)
+    assert {k for _, k in built} == {1}
+    built.clear()
     bundle_identity_suite(mj, random_metric_connection(mj, r=2, seed=0),
                           trials=2, seed=0)
-    assert calls == [(2, 2, _algebra(2, 2).size)] * 2
+    want = (FO.b_op, FO.c_op, FO._b_bar, FO._c_bar, FO.tau.a, FO.tau.b,
+            FO.tau_bar.a, FO.tau_bar.b)
+    assert sorted(map(id, want)) == sorted(id(row) for row, _ in built)
+    assert {k for _, k in built} == {2}
 
 
 def record() -> dict:
