@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import math
 import os
 import time
@@ -76,7 +77,8 @@ class FlowConfig:
 class FlowState:
     """One grid state.  ``theta2`` (with ``kahler_defect``) and ``eigs`` are
     computed on first use and kept, read-only, for the life of the state, so
-    ``h`` must not be mutated after construction."""
+    ``h`` must not be mutated after construction.  The flow works on the
+    fields (``_pack``) of h and theta2, ``_fields`` and ``_theta2_fields``."""
 
     n: int
     N: int
@@ -94,18 +96,28 @@ class FlowState:
                 f"grid array must have shape {expected}, got {self.h.shape}")
 
     @functools.cached_property
-    def theta2(self) -> np.ndarray:
-        """theta2_discrete(h), per site.  Also records ``kahler_defect``
-        from the first differences of h that theta2 leaves in its buffers."""
+    def _fields(self) -> np.ndarray:
+        """h's fields; ``step`` hands its new state the fields it made."""
+        return _read_only(_pack(self.h))
+
+    @functools.cached_property
+    def _theta2_fields(self) -> np.ndarray:
+        """theta2's fields; records ``kahler_defect`` from the first
+        differences of h that theta2 leaves in its buffers."""
         wk = _Work(self.n, self.N) if self._work is None else self._work
-        theta2 = _read_only(theta2_discrete(self.h, self.n, self.N, wk))
+        theta2 = _read_only(_theta2(self._fields, self.n, self.N, wk))
         vars(self)["kahler_defect"] = _defect_from_work(wk, self.n)
         return theta2
 
     @functools.cached_property
+    def theta2(self) -> np.ndarray:
+        """theta2_discrete(h), per site, unpacked from ``_theta2_fields``."""
+        return _read_only(_unpack(self._theta2_fields))
+
+    @functools.cached_property
     def kahler_defect(self) -> float:
-        """kahler_defect(h, n, N), recorded by ``theta2``."""
-        self.theta2
+        """kahler_defect(h, n, N), recorded with ``_theta2_fields``."""
+        self._theta2_fields
         return vars(self)["kahler_defect"]
 
     @functools.cached_property
@@ -118,9 +130,8 @@ def _reconfigured(state: FlowState, **changes) -> FlowState:
     """``state`` with its config or buffers replaced; h is the same array,
     so whatever the state has already computed carries over."""
     out = replace(state, **changes)
-    for name in ("theta2", "kahler_defect", "eigs"):
-        if name in vars(state):
-            vars(out)[name] = vars(state)[name]
+    for name, memo in vars(state).items():  # out keeps its own attributes
+        vars(out).setdefault(name, memo)
     return out
 
 
@@ -188,30 +199,49 @@ def _sample_fourier(fld: MetricField, N: int) -> np.ndarray:
 
 
 class _Work:
-    """Grid buffers that ``run`` allocates once and every theta2 and step of
-    the run reuses, so their pages are faulted in once per run, not once per
-    call.  Nothing handed out aliases them: theta2 results, the FlowState
-    memos and h are fresh arrays.  They go when the run's last state does;
-    ``run`` returns its final state without them."""
+    """Grid buffers that ``run`` allocates once and its theta2s and steps
+    reuse, so their pages fault in once per run.  Nothing handed out aliases
+    them (theta2 results, state memos and h are fresh arrays); they go with
+    the run's last state, and ``run`` returns its final state without them."""
 
     def __init__(self, n: int, N: int):
-        lead, trail = (n, n) + (N,) * (2 * n), (N,) * (2 * n) + (n, n)
-        # theta2, matrix-leading: h, its inverse, W_i and one scratch; per
-        # z^i the d/dz^i differences and the first differences of h's real
-        # fields (``_wirtinger``; the docs' "Flow grids" maps every view)
-        self.hl, self.hinv, self.w, self.s = (
-            np.empty(lead, complex) for _ in range(4))
-        self.dz = [np.empty(lead, complex) for _ in range(n)]
-        self.dp = [np.empty(lead, complex) for _ in range(n)]
-        # step: the RK4 accumulator and stage.  A step leaves its k4 in
-        # ``stage`` and ``acc`` free, for ``_step_error`` to read.
-        self.acc, self.stage = (np.empty(trail, complex) for _ in range(2))
+        lead = (n, n) + (N,) * (2 * n)
+        # theta2: h's inverse, W_i, one scratch, and per z^i the d/dz^i and
+        # first differences (the docs' "Flow grids" maps every view)
+        self.hinv, self.w, self.s = (np.empty(lead, complex) for _ in range(3))
+        self.dz, self.dp = ([np.empty(lead, complex) for _ in range(n)]
+                            for _ in range(2))
+        # step: the RK4 accumulator and stage, as fields.  A step leaves its
+        # k4 in ``stage`` and ``acc`` free, for ``_step_error`` to read.
+        self.acc, self.stage = (np.empty(lead) for _ in range(2))
 
 
 def _halves(buf: np.ndarray) -> np.ndarray:
     """The memory of a contiguous complex grid buffer as two real arrays of
     its shape, ``[0]`` its first half and ``[1]`` its second."""
     return buf.reshape(-1).view(np.float64).reshape((2,) + buf.shape)
+
+
+def _pack(h: np.ndarray) -> np.ndarray:
+    """The n^2 real fields of a per-site Hermitian grid h, from each site's
+    upper triangle: the real (n, n, N, ...) array f with f[k, l] = Re h_kl
+    for k <= l and f[l, k] = Im h_kl for k < l."""
+    f = np.moveaxis(h.real, (-2, -1), (0, 1)).copy()
+    for k, l in itertools.combinations(range(h.shape[-1]), 2):
+        f[l, k] = h[..., k, l].imag
+    return f
+
+
+def _unpack(f: np.ndarray) -> np.ndarray:
+    """The per-site Hermitian grid, (N, ...) + (n, n), whose fields are f:
+    h_lk = conj(h_kl), with an exactly real diagonal."""
+    h = np.empty(f.shape[2:] + f.shape[:2], complex)
+    out = np.moveaxis(h, (-2, -1), (0, 1))
+    out.real, out.imag = f, 0.0
+    for k, l in itertools.combinations(range(len(f)), 2):
+        out.imag[k, l] = f[l, k]
+        np.conjugate(out[k, l], out=out[l, k])
+    return h
 
 
 def _check_stencil(N: int):
@@ -261,27 +291,13 @@ def _diff(arr: np.ndarray, axis: int, N: int, out=None) -> np.ndarray:
     return out
 
 
-def _wirtinger(h: np.ndarray, n: int, N: int, wk: _Work) -> None:
-    """d/dz^i of a per-site Hermitian grid h, from its n^2 real fields.
-
-    Each site's upper triangle of h is read, and ``wk.hl`` is made the
-    matrix-leading h it defines, Hermitian bit for bit.  Half of each real
-    field is packed into the first half of ``wk.w`` as a real (n, n, ...)
-    array p: p[k, l] = Re h_kl / 2 for k <= l and p[l, k] = Im h_kl / 2 for
-    k < l.  The first differences of p along x_i and y_i go into the two
-    halves of ``wk.dp[i]``, and d/dz^i h = (D_{x_i} - sqrt(-1) D_{y_i}) h/2
-    into ``wk.dz[i]``, every entry of it (h_lk = conj(h_kl)); the half in p
-    is the 1/2 of that formula."""
-    hl, p = wk.hl, _halves(wk.w)[0]
-    for k in range(n):
-        np.copyto(hl[k, k], h[..., k, k].real)
-        for l in range(k + 1, n):
-            np.copyto(hl[k, l], h[..., k, l])
-            np.conjugate(hl[k, l], out=hl[l, k])
-    np.multiply(hl.real, 0.5, out=p)
-    for k in range(n):
-        for l in range(k + 1, n):
-            np.multiply(hl[k, l].imag, 0.5, out=p[l, k])
+def _wirtinger(f: np.ndarray, n: int, N: int, wk: _Work) -> None:
+    """d/dz^i of the Hermitian grid whose fields are f (``_pack``): the
+    first differences of p = f/2 (the first half of ``wk.w``) along x_i and
+    y_i into the halves of ``wk.dp[i]``, and d/dz^i h = (D_{x_i} - sqrt(-1)
+    D_{y_i}) h/2 into ``wk.dz[i]``, every entry (h_lk = conj(h_kl))."""
+    p = _halves(wk.w)[0]
+    np.multiply(f, 0.5, out=p)
     for i in range(n):
         dx, dy = _halves(wk.dp[i])
         _diff(p, 2 + 2 * i, N, dx)
@@ -305,27 +321,31 @@ def _singular(bad: np.ndarray, what: str):
                           f"non-finite {what} at site {site}")
 
 
-def _inv(h: np.ndarray, out=None) -> np.ndarray:
-    """Per-site inverse of an (n, n, ...) array, into ``out`` when given.
-    n = 2: the adjugate over the determinant.  Otherwise Gauss-Jordan
-    elimination without pivoting, each step one whole-grid array operation
-    (np.linalg.inv loops over the sites one tiny matrix at a time); the
-    sites are Hermitian positive definite, so every pivot is a positive
-    Schur complement."""
-    n = h.shape[0]
+def _inv(f: np.ndarray, out=None) -> np.ndarray:
+    """Per-site inverse of the Hermitian grid with fields f, complex and
+    matrix-leading, into ``out`` when given.  n = 2: the adjugate over the
+    real det f00 f11 - (f01^2 + f10^2).  Otherwise Gauss-Jordan elimination
+    without pivoting on the complex h, each step one whole-grid array
+    operation (np.linalg.inv loops over the sites one tiny matrix at a time);
+    h is positive definite, so every pivot is a positive Schur complement."""
+    n = f.shape[0]
     if out is None:
-        out = np.empty_like(h)
+        out = np.empty(f.shape, complex)
     if n == 2:
-        det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
+        (a, re), (im, d) = f
+        det = a * d
+        det -= re * re + im * im
         _singular((det == 0) | ~np.isfinite(det), "determinant")
         r = 1.0 / det
-        np.multiply(h[1, 1], r, out=out[0, 0])
-        np.multiply(h[0, 0], r, out=out[1, 1])
+        np.multiply(d, r, out=out.real[0, 0])
+        np.multiply(a, r, out=out.real[1, 1])
         r = -r
-        np.multiply(h[0, 1], r, out=out[0, 1])
-        np.multiply(h[1, 0], r, out=out[1, 0])
+        np.multiply(re, r, out=out.real[0, 1])
+        np.multiply(im, r, out=out.imag[0, 1])
+        out.imag[0, 0] = out.imag[1, 1] = 0.0
+        np.conjugate(out[0, 1], out=out[1, 0])
         return out
-    a = h.copy()  # eliminated in place; h is left as it is
+    a = np.moveaxis(_unpack(f), (-2, -1), (0, 1))  # eliminated in place
     out[...] = 0
     out[range(n), range(n)] = 1.0
     for k in range(n):
@@ -335,9 +355,9 @@ def _inv(h: np.ndarray, out=None) -> np.ndarray:
         out[k] /= piv
         for i in range(n):
             if i != k:
-                f = a[i, k].copy()
-                a[i] -= f * a[k]
-                out[i] -= f * out[k]
+                g = a[i, k].copy()
+                a[i] -= g * a[k]
+                out[i] -= g * out[k]
     return out
 
 
@@ -359,23 +379,24 @@ def _site_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray,
                     np.multiply(a[k, 0], b[0, j], out=o)
 
 
-def theta2_discrete(h: np.ndarray, n: int, N: int,
-                    _work: _Work | None = None) -> np.ndarray:
+def theta2_discrete(h: np.ndarray, n: int, N: int) -> np.ndarray:
     """Second metric-trace of the canonical curvature, per site.
 
     theta2_{k lbar} = -h^{i jbar} d^2 h_{k lbar}/dz^i dzbar^j
     + h^{i jbar} h^{p qbar} (dh_{k qbar}/dz^i)(dh_{p lbar}/dzbar^j),
-    with 4th-order periodic central differences.  Only each site's upper
-    triangle of h is read (h is taken to be Hermitian), and the result is
-    Hermitian bit for bit: the entries k <= l are computed, the others are
-    their conjugates, and the diagonal is real.
+    with 4th-order periodic central differences: the core ``_theta2`` on
+    h's fields (``_pack``, so only each site's upper triangle is read),
+    unpacked to a result that is Hermitian bit for bit.
+    """
+    return _unpack(_theta2(_pack(h), n, N, _Work(n, N)))
 
-    The work runs with the matrix axes first, (n, n, N, ...), so every
-    per-site product is an operation on whole-grid component arrays (numpy's
-    matmul would loop over the sites one tiny matrix at a time); the result
-    is moved back last.  h enters as its n^2 real fields (``_wirtinger``),
-    and since h^{i jbar} is Hermitian the second-derivative term is a real
-    operator on them:
+
+def _theta2(f: np.ndarray, n: int, N: int, wk: _Work) -> np.ndarray:
+    """theta2's fields from h's fields f, a new array; the rest is in ``wk``.
+
+    Matrix axes lead, (n, n, N, ...), so every per-site product is an
+    operation on whole-grid component arrays.  Since h^{i jbar} is
+    Hermitian, the second-derivative term is a real operator on the fields:
     h^{i jbar} d_i dbar_j = 1/4 sum_i h^{i ibar} (D_{x_i}^2 + D_{y_i}^2)
     + 1/2 sum_{i<j} [Re h^{i jbar} (D_{x_i} D_{x_j} + D_{y_i} D_{y_j})
     - Im h^{i jbar} (D_{x_i} D_{y_j} - D_{y_i} D_{x_j})],
@@ -383,14 +404,11 @@ def theta2_discrete(h: np.ndarray, n: int, N: int,
     quadratic term is sum_i X_i W_i with X_i = (dh/dz^i) h^{-1} and
     W_i = sum_j h^{i jbar} dh/dzbar^j = (sum_j h^{j ibar} dh/dz^j)^H, as
     dh/dzbar^j = (dh/dz^j)^H per site, formed at the entries k <= l alone.
-    Every intermediate lives in the buffers of ``_work`` (a run's; fresh
-    ones when None); the result is a new array.
     """
     _check_stencil(N)
-    wk = _Work(n, N) if _work is None else _work
-    hl, w, s = wk.hl, wk.w, wk.s
-    _wirtinger(h, n, N, wk)
-    hinv = _inv(hl, wk.hinv)
+    w, s = wk.w, wk.s
+    _wirtinger(f, n, N, wk)
+    hinv = _inv(f, wk.hinv)
     up = hinv.swapaxes(0, 1)  # up[i, j] = h^{i jbar}, per site
     # The real weights of the second differences of p = h/2, packed as p:
     # c[i, i] = h^{i ibar}/2, and for i < j c[i, j] = Re h^{i jbar} and
@@ -406,14 +424,14 @@ def theta2_discrete(h: np.ndarray, n: int, N: int,
             np.copyto(c[j, i], up[i, j].imag)
             groups += [(c[i, j], dx, 2 * j, dy, 2 * j + 1, np.add),
                        (c[j, i], dy, 2 * j, dx, 2 * j + 1, np.subtract)]
-    lap, d = _halves(hl)  # h itself is no longer needed
-    e = _halves(s)[0]
-    for g, (weight, f, a, f2, a2, sign) in enumerate(groups):
-        t = _diff(f, 2 + a, N, d if g else lap)
-        sign(t, _diff(f2, 2 + a2, N, e), out=t)
+    res = np.empty(f.shape)
+    d, e = _halves(s)
+    for g, (weight, first, a, other, a2, sign) in enumerate(groups):
+        t = _diff(first, 2 + a, N, d if g else res)
+        sign(t, _diff(other, 2 + a2, N, e), out=t)
         t *= weight
         if g:
-            lap += t
+            res += t
     q = wk.dp[0]  # the packed first differences are used up
     for i in range(n):  # p and the weights are used up too
         # W_i = (sum_j h^{j ibar} dh/dz^j)^H, the sum taken in the scratch
@@ -423,23 +441,19 @@ def theta2_discrete(h: np.ndarray, n: int, N: int,
         np.conjugate(s.swapaxes(0, 1), out=w)
         _site_matmul(wk.dz[i], hinv, s)  # X_i
         _site_matmul(s, w, q, add=i > 0, upper=True)
-    res = np.empty(h.shape, complex)
-    lead = np.moveaxis(res, (-2, -1), (0, 1))
-    for k in range(n):  # theta2 = q - lap, mirrored once
-        np.subtract(q[k, k].real, lap[k, k], out=lead[k, k])
-        for l in range(k + 1, n):
-            np.subtract(q[k, l].real, lap[k, l], out=lead[k, l].real)
-            np.subtract(q[k, l].imag, lap[l, k], out=lead[k, l].imag)
-            np.conjugate(lead[k, l], out=lead[l, k])
+    # theta2 = q - the real sum, as fields
+    for k, l in itertools.combinations_with_replacement(range(n), 2):
+        np.subtract(q[k, l].real, res[k, l], out=res[k, l])
+        if k < l:
+            np.subtract(q[k, l].imag, res[l, k], out=res[l, k])
     return res
 
 
 def _defect_from_work(wk: _Work, n: int) -> float:
-    """``kahler_defect`` of the h whose d/dz^i differences ``_wirtinger``
-    has left in ``wk.dz``.  Works in the scratch and in ``wk.hl``, both
-    free after theta2."""
+    """``kahler_defect`` from the d/dz^i differences in ``wk.dz``; works in
+    the scratch and in ``wk.hinv``, both free after theta2."""
     worst = 0.0
-    d, mag = wk.s[0], wk.hl[0].real
+    d, mag = wk.s[0], wk.hinv[0].real
     for i in range(n):
         for k in range(i + 1, n):
             np.subtract(wk.dz[i][k], wk.dz[k][i], out=d)
@@ -449,27 +463,40 @@ def _defect_from_work(wk: _Work, n: int) -> float:
 
 def kahler_defect(h: np.ndarray, n: int, N: int) -> float:
     """max |dh_{k jbar}/dz^i - dh_{i jbar}/dz^k| over sites and indices,
-    from each site's upper triangle of h.
-
-    A run reads the same value off theta2's own differences
-    (``FlowState.kahler_defect``); this is the stand-alone form, with the
-    same first differences (``_wirtinger``) in buffers of its own."""
+    from each site's upper triangle of h.  A run reads the same value off
+    theta2's own first differences (``FlowState.kahler_defect``)."""
     wk = _Work(n, N)
-    _wirtinger(h, n, N, wk)
+    _wirtinger(_pack(h), n, N, wk)
     return _defect_from_work(wk, n)
+
+
+def _max_modulus(f: np.ndarray) -> float:
+    """max |z| over the entries z of the Hermitian grid whose fields are f,
+    each |z| the np.abs of the complex entry, as on the unpacked grid."""
+    worst = [np.abs(f[k, k]).max() for k in range(len(f))]
+    for k, l in itertools.combinations(range(len(f)), 2):
+        z = f[k, l].astype(complex)
+        z.imag = f[l, k]
+        worst.append(np.abs(z).max())
+    return float(np.max(worst))
+
+
+def _rate(state: FlowState, out=None) -> np.ndarray:
+    """mu h - theta2(h) as fields, into ``out`` when given."""
+    out = np.multiply(state._fields, state.mu, out=out)
+    out -= state._theta2_fields
+    return out
 
 
 def diagnostics(state: FlowState, step_count: int,
                 wall_time: float) -> FlowDiagnostics:
-    residual = state.mu * state.h  # one grid temporary, not two
-    residual -= state.theta2
     return FlowDiagnostics(
         t=state.t,
         step_count=step_count,
         kahler_defect=state.kahler_defect,
         min_eig=float(state.eigs.min()),
         max_eig=float(state.eigs.max()),
-        einstein_residual=float(np.max(np.abs(residual))),
+        einstein_residual=_max_modulus(_rate(state)),
         wall_time=wall_time,
     )
 
@@ -512,14 +539,12 @@ def _check_fits(n: int, N: int):
     """Raise DomainError, before anything is allocated, when a flow on an
     N^(2n) grid would need more than the machine's physical memory."""
     # Peak grid arrays (N^(2n) n x n complex) alive at once during ``run``,
-    # counted with tracemalloc as peak traced bytes over one array's bytes,
-    # the run's 2n + 6 buffers included: 12.7 at n=1 (N=256), 14.0 at n=2
-    # (N=12), 15.7 at n=3 (N=8) with fixed steps, and 14.2, 14.6 and 16.9
-    # with error-controlled ones, checked by tests.  theta2's d/dz^i
-    # differences and the first differences of h's real fields add two per
-    # complex dimension.  The cached stencils, two N x N float64 in a run,
-    # come on top (1 array at n=1).
-    arrays = 13 + 2 * n
+    # as tracemalloc's peak over one array's bytes, the run's 2n + 4 buffers
+    # included: 11.7 at n=1 (N=256), 12.5 at n=2 (N=12) and 13.8 at n=3
+    # (N=8) with fixed steps, 12.7, 13.3 and 15.4 with error-controlled
+    # ones, checked by tests.  The cached stencils, two N x N float64 in a
+    # run, come on top (1 array at n=1).
+    arrays = 11 + 2 * n
     need = N ** (2 * n) * n * n * 16 * arrays + 40 * N * N
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
@@ -542,30 +567,27 @@ def _check_state(state: FlowState):
 
 
 def step(state: FlowState) -> FlowState:
-    """One Runge-Kutta 4 step of dh/dt = -theta2 + mu*h."""
+    """One Runge-Kutta 4 step of dh/dt = -theta2 + mu*h on h's fields, which
+    are Hermitian by construction; the new h is unpacked from them once."""
     n, N, mu = state.n, state.N, state.mu
     dt = state.config.dt if state.config.dt is not None \
         else _dt_from_eigs(state.eigs, N)
     wk = _Work(n, N) if state._work is None else state._work
-    h, acc, k = state.h, wk.acc, wk.stage
-    scratch = wk.s.reshape(h.shape)  # theta2's scratch, free between calls
-    np.multiply(h, mu, out=acc)
-    acc -= state.theta2                             # k1
+    f, acc, k = state._fields, wk.acc, wk.stage
+    scratch = _halves(wk.s)[0]  # theta2's scratch, free between calls
+    _rate(state, acc)                               # k1
     for c, weight, prev in ((0.5, 2, acc), (0.5, 2, k), (1.0, 1, k)):
-        np.multiply(prev, c * dt, out=k)            # stage h + c*dt*prev
-        k += h
-        t = theta2_discrete(k, n, N, wk)
+        np.multiply(prev, c * dt, out=k)            # stage f + c*dt*prev
+        k += f
+        t = _theta2(k, n, N, wk)
         k *= mu
         k -= t                                      # k2, k3, k4
         del t  # gone before the next theta2 allocates its result
         acc += np.multiply(k, weight, out=scratch)
-    acc *= dt / 6.0
-    acc += h
-    hn = np.empty(h.shape, complex)
-    np.conjugate(acc.swapaxes(-1, -2), out=hn)
-    hn += acc
-    hn *= 0.5
-    out = replace(state, h=hn, t=state.t + dt)
+    fn = np.multiply(acc, dt / 6.0)
+    fn += f
+    out = replace(state, h=_unpack(fn), t=state.t + dt)
+    vars(out)["_fields"] = _read_only(fn)
     _check_state(out)
     return out
 
@@ -577,16 +599,13 @@ _TOL = 1e-5
 
 def _step_error(state: FlowState) -> float:
     """Embedded error estimate of the run step that made ``state``:
-    (dt/6) max |k4 - f(h1)|, f(h1) = mu h1 - theta2(h1).  f(h1) is the
-    state's own theta2 memo, so it is the next step's k1 (first stage same
-    as last) and the estimate costs no extra theta2.  It reads the step's k4
-    from the run's stage buffer and works in its free accumulator."""
+    (dt/6) max |k4 - f(h1)|, f = ``_rate``.  f(h1) comes from the state's
+    own theta2 memo, so it is the next step's k1 (first stage same as last)
+    and costs no extra theta2.  k4 is read from the run's stage buffer, and
+    the work is done in its free accumulator."""
     wk = state._work
-    f = np.multiply(state.h, state.mu, out=wk.acc)
-    f -= state.theta2
-    wk.stage -= f
-    np.abs(wk.stage, out=f.real)
-    return state.config.dt / 6.0 * float(f.real.max())
+    wk.stage -= _rate(state, wk.acc)
+    return state.config.dt / 6.0 * _max_modulus(wk.stage)
 
 
 def _controlled_step(state: FlowState, dt: float, T: float):

@@ -691,10 +691,11 @@ def _weyl_margin(field: MetricField) -> float:
 
 def _positivity_sweep(field: MetricField, chunk: int = 4096):
     """Raise ValidationError at the first point, in np.ndindex order over
-    x in {0, 0.2, ..., 0.8}^{2n}, where h is not positive definite (a
-    non-finite smallest eigenvalue counts as not positive).  Points
-    go through ``evaluate`` ``chunk`` mode-points at a time (one matrix per
-    point and mode), so memory stays flat in n and in the mode count."""
+    x in {0, 0.2, ..., 0.8}^{2n}, where h is not finite (its values
+    overflow: every mode is finite) or not positive definite (a non-finite
+    smallest eigenvalue counts as not positive).  Points go through
+    ``evaluate`` ``chunk`` mode-points at a time (one matrix per point and
+    mode), so memory stays flat in n and in the mode count."""
     n = field.n
     shape = (5,) * (2 * n)
     grid = np.linspace(0.0, 0.8, 5)
@@ -705,9 +706,12 @@ def _positivity_sweep(field: MetricField, chunk: int = 4096):
         hm = evaluate(field, x[:, :n] + 1j * x[:, n:])
         w = np.linalg.eigvalsh(
             (hm + np.conj(np.swapaxes(hm, -1, -2))) / 2)[:, 0]
-        bad = np.flatnonzero((w <= _POS_EIG_TOL) | ~np.isfinite(w))
+        finite = np.isfinite(hm).all(axis=(-2, -1))
+        bad = np.flatnonzero(~finite | (w <= _POS_EIG_TOL) | ~np.isfinite(w))
         if bad.size:
             k = bad[0]
+            at = f"at x={x[k].tolist()}: "
             raise ValidationError(
-                f"metric loses positivity at x={x[k].tolist()}: "
-                f"min eigenvalue {w[k]:.3e}")
+                f"metric loses positivity {at}min eigenvalue {w[k]:.3e}"
+                if finite[k] else
+                f"metric values overflow {at}h is not finite")

@@ -306,8 +306,8 @@ def test_an_overflowing_metric_file_prints_only_the_usage_error(tmp_path):
     done = _cli("check", "--metric-file", str(path))
     assert done.returncode == 2
     assert done.stderr.splitlines() == [
-        "usage error: metric loses positivity at x=[0.0, 0.0]: "
-        "min eigenvalue inf"]
+        "usage error: metric values overflow at x=[0.0, 0.0]: "
+        "h is not finite"]
 
 
 @pytest.mark.parametrize("command", ["check", "flow"])

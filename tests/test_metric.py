@@ -368,7 +368,8 @@ def test_ingest_sweep_rejects_at_first_failing_point(monkeypatch):
     # h = 1e308 (1 + 2 cos 2 pi x), -1e308 at x = 0.5: A_0 + A_0^H overflows
     # to a Weyl bound of +inf, and h itself to inf at x = 0
     ("freq -1 0 ; 1e308 0\nfreq 0 0 ; 1e308 0\nfreq 1 0 ; 1e308 0",
-     ValidationError, "metric loses positivity at x=[0.0, 0.0]"),
+     ValidationError, "metric values overflow at x=[0.0, 0.0]: h is not "
+     "finite"),
     # partners 9e-7 apart, within the relative tolerance np.allclose adds
     ("freq 0 0 ; 1 0\nfreq 1 0 ; 0.1 0\nfreq -1 0 ; 0.1000009 0",
      ValidationError, "Hermitian frequency constraint violated at m=(")],
